@@ -18,9 +18,12 @@ from .spectral import (
     SpectralError,
     SpectralField,
     apply_multiplier,
+    full_spectrum,
+    half_spectrum,
     l2_norm,
-    linf_norm,
     sobolev_norm,
+    sobolev_weight,
+    weighted_norm,
 )
 from .sqg import BlowUpError, CFLError, _dealias_mask
 
@@ -57,11 +60,12 @@ def mode_energy(omega, rho):
     return E, float(np.sum(E))
 
 
-def _propagator_arrays(grid, t, branch):
-    """(c, s_om, s_rho): omega' = c om + s_om rho, rho' = c rho + s_rho om."""
-    beta = grid.xi1 / grid.xi_mod_safe
-    beta[0, 0] = 0.0
-    r = grid.xi_mod_safe
+def _propagator_arrays(xi1, r, t, branch):
+    """(c, s_om, s_rho): omega' = c om + s_om rho, rho' = c rho + s_rho om.
+
+    xi1 and r = |xi| (1 at the zero mode) may be the full or the half lattice.
+    """
+    beta = xi1 / r
     if branch == "stable":
         c = np.cos(beta * t)
         s = np.sin(beta * t)
@@ -74,7 +78,7 @@ def _propagator_arrays(grid, t, branch):
 def linear_propagator(state, t):
     """Exact per-mode solution of the linearized system, advanced by t."""
     grid = state.omega.grid
-    c, s_om, s_rho = _propagator_arrays(grid, t, state.branch)
+    c, s_om, s_rho = _propagator_arrays(grid.xi1, grid.xi_mod_safe, t, state.branch)
     om = state.omega.coeffs
     rh = state.rho.coeffs
     om_new = c * om + s_om * rh
@@ -101,79 +105,89 @@ def diagonal_variables(state):
 
 
 class _Workspace:
+    """Half-spectrum arrays for one (grid, dealias, branch) combo.
+
+    The pair (omega, rho) is stacked on a leading axis of the (N, N//2 + 1)
+    half lattice that `rfft2` stores; transforms use norm="forward", the
+    field normalization.
+    """
+
     def __init__(self, grid, dealias, branch):
         self.grid = grid
-        xi_sq = grid.xi_sq.copy()
+        M = grid.N // 2 + 1
+        xi1, xi2 = grid.xi1[:, :M], grid.xi2[:, :M]
+        xi_sq = grid.xi_sq[:, :M].copy()
         xi_sq[0, 0] = 1.0
-        self.u1_sym = -1j * grid.xi2 / xi_sq
-        self.u2_sym = 1j * grid.xi1 / xi_sq
-        self.u1_sym[0, 0] = 0.0
-        self.u2_sym[0, 0] = 0.0
-        self.d1 = 1j * grid.xi1
-        self.d2 = 1j * grid.xi2
+        u1, u2 = -1j * xi2 / xi_sq, 1j * xi1 / xi_sq
+        d1, d2 = 1j * xi1, 1j * xi2
+        self.velocity = np.stack([u1, u2])
+        self.grad = np.stack([d1, d2])
+        self.xi1 = xi1
+        self.r = grid.xi_mod_safe[:, :M]
         self.mask = _dealias_mask(grid, dealias)
-        self.N2 = grid.N**2
+        self.half_mask = half_spectrum(self.mask)
         self.branch = branch
         self._props = {}
 
     def propagator(self, t):
+        """(c, [s_om, s_rho]) of `_propagator_arrays` for time t, built once per t."""
         key = round(t, 15)
         if key not in self._props:
-            self._props[key] = _propagator_arrays(self.grid, t, self.branch)
+            c, s_om, s_rho = _propagator_arrays(self.xi1, self.r, t, self.branch)
+            self._props[key] = (c, np.stack([s_om, s_rho]))
         return self._props[key]
 
-    def nonlinear(self, om, rh):
-        """(-dealias(u.grad omega), -dealias(u.grad rho), max |u|)."""
-        u1 = np.real(sfft.ifft2(self.u1_sym * om)) * self.N2
-        u2 = np.real(sfft.ifft2(self.u2_sym * om)) * self.N2
-        ox = np.real(sfft.ifft2(self.d1 * om)) * self.N2
-        oy = np.real(sfft.ifft2(self.d2 * om)) * self.N2
-        rx = np.real(sfft.ifft2(self.d1 * rh)) * self.N2
-        ry = np.real(sfft.ifft2(self.d2 * rh)) * self.N2
-        f_om = -(sfft.fft2(u1 * ox + u2 * oy) / self.N2) * self.mask
-        f_rh = -(sfft.fft2(u1 * rx + u2 * ry) / self.N2) * self.mask
+    def nonlinear(self, y):
+        """(-dealias(u.grad omega), -dealias(u.grad rho)) stacked, and max |u|."""
+        spec = np.concatenate([self.velocity * y[0], self.grad[0] * y, self.grad[1] * y])
+        u1, u2, ox, rx, oy, ry = sfft.irfft2(spec, axes=(-2, -1), norm="forward")
+        adv = sfft.rfft2(np.stack([u1 * ox + u2 * oy, u1 * rx + u2 * ry]),
+                         axes=(-2, -1), norm="forward")
+        adv *= self.half_mask
         umax = float(max(np.max(np.abs(u1)), np.max(np.abs(u2))))
-        return f_om, f_rh, umax
+        return -adv, umax
 
-    def apply_prop(self, arrays, t):
-        c, s_om, s_rho = self.propagator(t)
-        om, rh = arrays
-        return c * om + s_om * rh, c * rh + s_rho * om
+    def apply_prop(self, y, t):
+        c, s = self.propagator(t)
+        return c * y + s * y[::-1]
+
+    def grad_norms(self, y):
+        """(max |grad u|, max |grad rho|) over the entries of each gradient."""
+        # d1, d2 applied to u1, u2 and rho: grad u's entries, then grad rho's
+        fields = np.stack([self.velocity[0] * y[0], self.velocity[1] * y[0], y[1]])
+        spec = (fields[:, None] * self.grad).reshape(6, *y.shape[1:])
+        g = np.abs(sfft.irfft2(spec, axes=(-2, -1), norm="forward"))
+        return float(np.max(g[:4])), float(np.max(g[4:]))
+
+
+def _half_pair(state):
+    return np.stack([half_spectrum(state.omega.coeffs), half_spectrum(state.rho.coeffs)])
 
 
 def step(state, workspace=None):
-    """One integrating-factor RK4 step of the perturbed system."""
+    """One integrating-factor RK4 step of the perturbed system.
+
+    The stages run on the stacked half spectra; the CFL check uses the
+    velocity of the first stage.  The full Hermitian spectra are rebuilt
+    once, at the end.
+    """
     ws = workspace or _Workspace(state.omega.grid, state.dealias, state.branch)
-    om = state.omega.coeffs * ws.mask
-    rh = state.rho.coeffs * ws.mask
+    grid = state.omega.grid
+    y = _half_pair(state) * ws.half_mask
     dt = state.dt
-    _, _, umax = ws.nonlinear(om, rh)
-    kmax = np.pi * state.omega.grid.N / state.omega.grid.L
+    k1, umax = ws.nonlinear(y)
+    kmax = np.pi * grid.N / grid.L
     if umax > 0.0 and abs(dt) > 0.5 / (umax * kmax):
         raise CFLError(dt, 0.5 / (umax * kmax))
-
-    def N(pair):
-        a, b, _ = ws.nonlinear(pair[0], pair[1])
-        return a, b
-
-    def ax(pair, h, other):
-        return pair[0] + h * other[0], pair[1] + h * other[1]
-
-    y = (om, rh)
-    k1 = N(y)
-    k2 = N(ws.apply_prop(ax(y, dt / 2.0, k1), dt / 2.0))
-    k3 = ax(ws.apply_prop(y, dt / 2.0), dt / 2.0, k2)
-    k3 = N(k3)
-    k4 = N(ax(ws.apply_prop(y, dt), dt, ws.apply_prop(k3, dt / 2.0)))
-    Ey = ws.apply_prop(y, dt)
-    Ek1 = ws.apply_prop(k1, dt)
-    E2k23 = ws.apply_prop((k2[0] + k3[0], k2[1] + k3[1]), dt / 2.0)
-    om_n = Ey[0] + dt / 6.0 * (Ek1[0] + 2.0 * E2k23[0] + k4[0])
-    rh_n = Ey[1] + dt / 6.0 * (Ek1[1] + 2.0 * E2k23[1] + k4[1])
-    if not (np.all(np.isfinite(om_n)) and np.all(np.isfinite(rh_n))):
+    P = ws.apply_prop
+    Ey = P(y, dt)
+    k2, _ = ws.nonlinear(P(y + dt / 2.0 * k1, dt / 2.0))
+    k3, _ = ws.nonlinear(P(y, dt / 2.0) + dt / 2.0 * k2)
+    k4, _ = ws.nonlinear(Ey + dt * P(k3, dt / 2.0))
+    yn = Ey + dt / 6.0 * (P(k1, dt) + 2.0 * P(k2 + k3, dt / 2.0) + k4)
+    if not np.all(np.isfinite(yn)):
         raise BlowUpError(state.time, state)
-    fo = SpectralField(state.omega.grid, om_n)
-    fr = SpectralField(state.omega.grid, rh_n)
+    fo, fr = (SpectralField(grid, c) for c in full_spectrum(yn))
     for f in (fo, fr):
         f.zero_mean()
         f.zero_nyquist()
@@ -252,24 +266,14 @@ def stability_experiment(grid, eps, T, dt, branch="stable", delta=0.5, gamma=0.5
         "omega_L2": l2_norm(state.omega),
     }
     norm0 = rep.initial_norms["omega_H4d"] + rep.initial_norms["rho_H5g"]
-    d1 = MultiplierSpec.deriv(1)
-    d2 = MultiplierSpec.deriv(2)
+    w_om = sobolev_weight(grid, s_om)
+    w_rh = sobolev_weight(grid, s_rh)
 
     def record(st, running):
-        u1, u2 = velocity(st.omega)
-        gu = max(
-            linf_norm(apply_multiplier(u1, d1)),
-            linf_norm(apply_multiplier(u1, d2)),
-            linf_norm(apply_multiplier(u2, d1)),
-            linf_norm(apply_multiplier(u2, d2)),
-        )
-        gr = max(
-            linf_norm(apply_multiplier(st.rho, d1)),
-            linf_norm(apply_multiplier(st.rho, d2)),
-        )
+        gu, gr = ws.grad_norms(_half_pair(st))
         rep.times.append(st.time)
-        rep.hs_omega.append(sobolev_norm(st.omega, s_om))
-        rep.hs1_rho.append(sobolev_norm(st.rho, s_rh))
+        rep.hs_omega.append(weighted_norm(st.omega, w_om))
+        rep.hs1_rho.append(weighted_norm(st.rho, w_rh))
         rep.e_total.append(mode_energy(st.omega, st.rho)[1])
         rep.grad_u_inf.append(gu)
         rep.grad_rho_inf.append(gr)
@@ -284,7 +288,7 @@ def stability_experiment(grid, eps, T, dt, branch="stable", delta=0.5, gamma=0.5
     try:
         for n in range(1, nsteps + 1):
             state = step(state, ws)
-            current = sobolev_norm(state.omega, s_om) + sobolev_norm(state.rho, s_rh)
+            current = weighted_norm(state.omega, w_om) + weighted_norm(state.rho, w_rh)
             if eps > 0 and current > growth_cap * norm0:
                 raise BlowUpError(state.time, state, reason="growth cap exceeded")
             while next_out <= n_outputs and state.time >= out_times[next_out] - 1e-12:

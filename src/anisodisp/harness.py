@@ -115,7 +115,8 @@ class ExperimentReport:
         for name in sorted(self.constants):
             value, window, residual = self.constants[name]
             buf.write(
-                f"fit {name}: value={_fmt(value)} window={window} "
+                f"fit {name}: value={_fmt(value)} "
+                f"window=({', '.join(_fmt(w) for w in window)}) "
                 f"residual={_fmt(residual)}\n"
             )
         for name, passed, detail in self.checks:
@@ -135,9 +136,8 @@ class ExperimentReport:
 
 
 def _fmt(x):
-    if isinstance(x, float):
-        return repr(x)
-    if isinstance(x, (np.floating,)):
+    # np.float64 subclasses float, and its numpy-2 repr is "np.float64(x)"
+    if isinstance(x, (float, np.floating)):
         return repr(float(x))
     return str(x)
 
@@ -295,7 +295,6 @@ def _run_sqg(cfg):
         f0, T, dt,
         alpha=_pf(p, "alpha", 1.0),
         delta=_pf(p, "delta", 0.5),
-        mu=_pf(p, "mu", 0.5),
         n_outputs=_pi(p, "n_outputs", 50),
     )
     out = ExperimentReport(config=cfg)

@@ -55,9 +55,6 @@ class DecayReport:
     boundary_contaminated: bool
     j_range: tuple = ()
 
-    def theoretical_rate(self):
-        return -0.5 if self.alpha == 1.0 else -1.0
-
 
 def measure_decay(f0, params_template, times, bank, fit_window=None):
     """L^inf of the evolved field against time, with a log-log rate fit.

@@ -130,6 +130,31 @@ def inverse_transform(field):
     return field.to_physical()
 
 
+def half_spectrum(coeffs):
+    """The k2 >= 0 half (..., N, N//2 + 1) of a real field's spectrum, the
+    part that `scipy.fft.rfft2` returns and `irfft2` reads."""
+    return coeffs[..., : coeffs.shape[-1] // 2 + 1]
+
+
+def full_spectrum(half):
+    """The (..., N, N) spectrum rebuilt from its half by conjugate reflection.
+
+    The k2 > N/2 columns are c(k) = conj(c(-k)), and the k1 > N/2 entries of
+    the k2 = 0 and k2 = N/2 columns are reflected the same way, so the result
+    is exactly Hermitian apart from the four self-conjugate modes (the mean
+    and the Nyquist corners), which are copied as given.
+    """
+    N = half.shape[-2]
+    M = N // 2 + 1
+    neg = -np.arange(N) % N
+    full = np.empty(half.shape[:-1] + (N,), dtype=np.complex128)
+    full[..., :M] = half
+    full[..., M:] = np.conj(half[..., neg, M - 2 : 0 : -1])
+    edges = [0, N // 2]
+    full[..., M:, edges] = np.conj(full[..., N // 2 - 1 : 0 : -1, edges])
+    return full
+
+
 class MultiplierSpec:
     """A Fourier multiplier m(xi) identified by a symbolic tag.
 
@@ -251,17 +276,27 @@ def l2_norm(field):
     return field.grid.L * float(np.linalg.norm(field.coeffs))
 
 
-def sobolev_norm(field, s, homogeneous=False):
-    """Discrete H^s (or homogeneous Hdot^s) norm."""
+def sobolev_weight(grid, s, homogeneous=False):
+    """Weight of the discrete H^s norm: (1 + |xi|^2)^s, or |xi|^{2s} (0 at
+    the zero mode) for the homogeneous Hdot^s."""
     if not -2.0 <= s <= 8.0:
         raise SpectralError(f"Sobolev index must lie in [-2, 8], got {s}")
-    c2 = np.abs(field.coeffs) ** 2
     if homogeneous:
-        w = field.grid.xi_sq**s
+        w = grid.xi_sq**s
         w[0, 0] = 0.0
     else:
-        w = (1.0 + field.grid.xi_sq) ** s
-    return field.grid.L * float(np.sqrt(np.sum(w * c2)))
+        w = (1.0 + grid.xi_sq) ** s
+    return w
+
+
+def weighted_norm(field, weight):
+    """L * sqrt(sum weight |c_k|^2); with a `sobolev_weight` it is the H^s norm."""
+    return field.grid.L * float(np.sqrt(np.sum(weight * np.abs(field.coeffs) ** 2)))
+
+
+def sobolev_norm(field, s, homogeneous=False):
+    """Discrete H^s (or homogeneous Hdot^s) norm."""
+    return weighted_norm(field, sobolev_weight(field.grid, s, homogeneous))
 
 
 def linf_norm(field):
@@ -281,35 +316,6 @@ def lp_norm(field, p):
     if np.isinf(p):
         return linf_norm(field)
     raise SpectralError(f"only p in {{1, 2, inf}} supported, got {p}")
-
-
-def w_s1_norm(field, s):
-    """Discrete proxy for the W^{s,1} norm, s = m + mu with integer m.
-
-    Sum of L^1 norms of all derivatives up to order m plus a fractional
-    dyadic-shell correction of order s.  Reported as a diagnostic only.
-    """
-    from .lp import LPBank  # local import to avoid a cycle
-
-    m = int(np.floor(s))
-    total = l1_norm(field)
-    d1 = MultiplierSpec.deriv(1)
-    d2 = MultiplierSpec.deriv(2)
-    level = {(): field}
-    for order in range(1, m + 1):
-        new = {}
-        for key, g in level.items():
-            new[key + (1,)] = apply_multiplier(g, d1)
-            new[key + (2,)] = apply_multiplier(g, d2)
-        # mixed partials commute; deduplicate by sorted index tuple
-        dedup = {}
-        for key, g in new.items():
-            dedup[tuple(sorted(key))] = g
-        level = dedup
-        total += sum(l1_norm(g) for g in level.values())
-    bank = LPBank(field.grid)
-    total += bank.besov_norm(field, s, 1, 1)
-    return total
 
 
 def gaussian_field(grid, width=1.0, amplitude=1.0, center=(0.0, 0.0)):

@@ -13,15 +13,15 @@ import numpy as np
 import scipy.fft as sfft
 
 from .spectral import (
-    Grid2D,
     MultiplierSpec,
     SpectralError,
     SpectralField,
     apply_multiplier,
+    full_spectrum,
+    half_spectrum,
     l2_norm,
-    linf_norm,
-    sobolev_norm,
-    w_s1_norm,
+    sobolev_weight,
+    weighted_norm,
 )
 
 
@@ -70,48 +70,48 @@ def _dealias_mask(grid, fraction):
 
 
 class _Workspace:
-    """Precomputed multiplier arrays for one (grid, alpha, dealias) combo."""
+    """Half-spectrum arrays for one (grid, alpha, dealias) combo.
+
+    Symbols live on the (N, N//2 + 1) half lattice that `rfft2` stores.  The
+    transforms use norm="forward", which is the field normalization: no
+    factor on synthesis, 1/N^2 on analysis.
+    """
 
     def __init__(self, grid, alpha, dealias):
         self.grid = grid
-        r = grid.xi_mod_safe
-        self.u1_sym = (1j * grid.xi2 / r).astype(np.complex128)
-        self.u2_sym = (-1j * grid.xi1 / r).astype(np.complex128)
-        self.u1_sym[0, 0] = 0.0
-        self.u2_sym[0, 0] = 0.0
-        self.d1 = 1j * grid.xi1
-        self.d2 = 1j * grid.xi2
-        lam = -1j * grid.xi1 / r**alpha
-        lam[0, 0] = 0.0
-        self.lam = lam
+        M = grid.N // 2 + 1
+        xi1, xi2 = grid.xi1[:, :M], grid.xi2[:, :M]
+        r = grid.xi_mod_safe[:, :M]
+        u1, u2 = 1j * xi2 / r, -1j * xi1 / r
+        d1, d2 = 1j * xi1, 1j * xi2
+        # u1, u2, d1 theta, d2 theta: the four fields of u . grad theta
+        self.transport = np.stack([u1, u2, d1, d2])
+        self.lam = -1j * xi1 / r**alpha
         self.mask = _dealias_mask(grid, dealias)
-        self.N2 = grid.N**2
+        self.half_mask = half_spectrum(self.mask)
+        self._props = {}
 
     def propagator(self, dt):
-        return np.exp(self.lam * dt)
+        """(exp(lam dt), exp(lam dt / 2)), built once per dt."""
+        if dt not in self._props:
+            self._props[dt] = (np.exp(self.lam * dt), np.exp(self.lam * (dt / 2.0)))
+        return self._props[dt]
 
     def nonlinear(self, c):
-        """-dealias(u . grad theta) in coefficient space; returns (rhs, max |u|)."""
-        u1 = np.real(sfft.ifft2(self.u1_sym * c)) * self.N2
-        u2 = np.real(sfft.ifft2(self.u2_sym * c)) * self.N2
-        tx = np.real(sfft.ifft2(self.d1 * c)) * self.N2
-        ty = np.real(sfft.ifft2(self.d2 * c)) * self.N2
-        adv = sfft.fft2(u1 * tx + u2 * ty) / self.N2
-        adv *= self.mask
+        """-dealias(u . grad theta) on the half spectrum; returns (rhs, max |u|)."""
+        u1, u2, tx, ty = sfft.irfft2(self.transport * c, axes=(-2, -1), norm="forward")
+        adv = sfft.rfft2(u1 * tx + u2 * ty, norm="forward")
+        adv *= self.half_mask
         umax = float(max(np.max(np.abs(u1)), np.max(np.abs(u2))))
         return -adv, umax
 
-
-def _if_rk4(c, ws, dt):
-    """One integrating-factor RK4 step in coefficient space."""
-    E = ws.propagator(dt)
-    E2 = ws.propagator(dt / 2.0)
-    k1, umax = ws.nonlinear(c)
-    k2, _ = ws.nonlinear(E2 * (c + dt / 2.0 * k1))
-    k3, _ = ws.nonlinear(E2 * c + dt / 2.0 * k2)
-    k4, _ = ws.nonlinear(E * c + dt * E2 * k3)
-    out = E * c + dt / 6.0 * (E * k1 + 2.0 * E2 * (k2 + k3) + k4)
-    return out, umax
+    def grad_norms(self, c):
+        """(max |grad u|, max |grad theta|) over the entries of each gradient."""
+        # d1, d2 applied to u1, u2 and theta: grad u's entries, then grad theta's
+        fields = np.stack([self.transport[0] * c, self.transport[1] * c, c])
+        spec = (fields[:, None] * self.transport[2:]).reshape(6, *c.shape)
+        g = np.abs(sfft.irfft2(spec, axes=(-2, -1), norm="forward"))
+        return float(np.max(g[:4])), float(np.max(g[4:]))
 
 
 def cfl_dt(state, umax):
@@ -122,24 +122,33 @@ def cfl_dt(state, umax):
 
 
 def step(state, workspace=None):
-    """Advance one dt; raises CFLError / BlowUpError as appropriate."""
+    """Advance one dt of integrating-factor RK4; raises CFLError / BlowUpError.
+
+    The stages run on the half spectrum; the CFL check uses the velocity of
+    the first stage.  The full Hermitian spectrum is rebuilt once, at the end.
+    """
     ws = workspace or _Workspace(state.theta.grid, state.alpha, state.dealias)
-    c = state.theta.coeffs * ws.mask
-    _, umax = ws.nonlinear(c)
+    dt = state.dt
+    c = half_spectrum(state.theta.coeffs) * ws.half_mask
+    k1, umax = ws.nonlinear(c)
     admissible = cfl_dt(state, umax)
-    if abs(state.dt) > admissible:
-        raise CFLError(state.dt, admissible)
-    cn, _ = _if_rk4(c, ws, state.dt)
+    if abs(dt) > admissible:
+        raise CFLError(dt, admissible)
+    E, E2 = ws.propagator(dt)
+    k2, _ = ws.nonlinear(E2 * (c + dt / 2.0 * k1))
+    k3, _ = ws.nonlinear(E2 * c + dt / 2.0 * k2)
+    k4, _ = ws.nonlinear(E * c + dt * E2 * k3)
+    cn = E * c + dt / 6.0 * (E * k1 + 2.0 * E2 * (k2 + k3) + k4)
     if not np.all(np.isfinite(cn)):
         raise BlowUpError(state.time, state)
-    out = SpectralField(state.theta.grid, cn)
+    out = SpectralField(state.theta.grid, full_spectrum(cn))
     out.zero_mean()
     out.zero_nyquist()
     return SQGState(
         theta=out,
-        time=state.time + state.dt,
+        time=state.time + dt,
         alpha=state.alpha,
-        dt=state.dt,
+        dt=dt,
         dealias=state.dealias,
     )
 
@@ -156,7 +165,6 @@ class BootstrapDiagnostics:
     s: float = 4.5
     fitted_c: float = 0.0
     bootstrap_exit_time: float = None
-    w31_initial: float = None
     blew_up: bool = False
     final_state: object = None
 
@@ -173,26 +181,8 @@ class BootstrapDiagnostics:
             }
 
 
-def _grad_norms(theta):
-    u1, u2 = velocity(theta)
-    d1 = MultiplierSpec.deriv(1)
-    d2 = MultiplierSpec.deriv(2)
-    gu = max(
-        linf_norm(apply_multiplier(u1, d1)),
-        linf_norm(apply_multiplier(u1, d2)),
-        linf_norm(apply_multiplier(u2, d1)),
-        linf_norm(apply_multiplier(u2, d2)),
-    )
-    gt = max(
-        linf_norm(apply_multiplier(theta, d1)),
-        linf_norm(apply_multiplier(theta, d2)),
-    )
-    return gu, gt
-
-
-def run_and_diagnose(theta0, T, dt, alpha=1.0, delta=0.5, mu=0.5,
-                     n_outputs=50, dealias=2.0 / 3.0, blowup_factor=1e3,
-                     record_w31=False):
+def run_and_diagnose(theta0, T, dt, alpha=1.0, delta=0.5, n_outputs=50,
+                     dealias=2.0 / 3.0, blowup_factor=1e3):
     """Integrate to T recording the bootstrap/blow-up diagnostics.
 
     Tracks ||theta||_{H^{4+delta}}, ||theta||_{L^2}, ||grad u||_inf,
@@ -208,15 +198,14 @@ def run_and_diagnose(theta0, T, dt, alpha=1.0, delta=0.5, mu=0.5,
     state.theta.coeffs *= ws.mask
 
     diag = BootstrapDiagnostics(s=s)
-    if record_w31:
-        diag.w31_initial = w_s1_norm(state.theta, 3.0 + mu)
-    h0 = sobolev_norm(state.theta, s)
+    weight = sobolev_weight(state.theta.grid, s)
+    h0 = weighted_norm(state.theta, weight)
     out_times = np.linspace(0.0, T, n_outputs + 1)
 
     def record(st, running):
-        gu, gt = _grad_norms(st.theta)
+        gu, gt = ws.grad_norms(half_spectrum(st.theta.coeffs))
         diag.times.append(st.time)
-        diag.h_s.append(sobolev_norm(st.theta, s))
+        diag.h_s.append(weighted_norm(st.theta, weight))
         diag.l2.append(l2_norm(st.theta))
         diag.grad_u_inf.append(gu)
         diag.grad_theta_inf.append(gt)
@@ -230,7 +219,7 @@ def run_and_diagnose(theta0, T, dt, alpha=1.0, delta=0.5, mu=0.5,
     try:
         for n in range(1, nsteps + 1):
             state = step(state, ws)
-            if diag.h_s and h0 > 0 and sobolev_norm(state.theta, diag.s) > blowup_factor * h0:
+            if h0 > 0 and weighted_norm(state.theta, weight) > blowup_factor * h0:
                 raise BlowUpError(state.time, state, reason="norm cap exceeded")
             while next_out <= n_outputs and state.time >= out_times[next_out] - 1e-12:
                 rate_prev = last_rate

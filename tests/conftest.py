@@ -24,3 +24,16 @@ def random_field(grid, seed=0, width=2.0):
     f = SpectralField(grid, c)
     f.enforce_hermitian().zero_nyquist().zero_mean()
     return f
+
+
+def count_calls(monkeypatch, owner, name):
+    """Wrap owner.name so that each call appends to the returned list."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls

@@ -3,6 +3,7 @@ import pytest
 
 from anisodisp.boussinesq import (
     BoussState,
+    _Workspace,
     default_profiles,
     diagonal_variables,
     linear_propagator,
@@ -12,7 +13,8 @@ from anisodisp.boussinesq import (
     velocity,
 )
 from anisodisp.spectral import Grid2D, SpectralError, SpectralField
-from conftest import random_field
+from anisodisp.sqg import CFLError, _dealias_mask
+from conftest import count_calls, random_field
 
 
 def random_pair(grid, seed=1):
@@ -164,3 +166,90 @@ def test_default_profiles_zero_mean(grid64):
     assert fo.coeffs[0, 0] == 0.0
     assert fr.coeffs[0, 0] == 0.0
     assert fo.hermitian_defect() <= 1e-13
+
+
+def reference_step(om, rh, grid, dt, branch):
+    """Plain full-spectrum IF-RK4 step with complex numpy transforms."""
+    N2 = grid.N**2
+    xi_sq = np.where(grid.xi_sq == 0.0, 1.0, grid.xi_sq)
+    d1, d2 = 1j * grid.xi1, 1j * grid.xi2
+    u_syms = (-1j * grid.xi2 / xi_sq, 1j * grid.xi1 / xi_sq)
+    mask = _dealias_mask(grid, 2.0 / 3.0)
+    r = grid.xi_mod_safe
+    beta = grid.xi1 / r
+
+    def phys(c):
+        return np.real(np.fft.ifft2(c)) * N2
+
+    def rhs(y):
+        u1, u2 = (phys(m * y[0]) for m in u_syms)
+        return [-np.fft.fft2(u1 * phys(d1 * f) + u2 * phys(d2 * f)) / N2 * mask
+                for f in y]
+
+    def prop(y, t):
+        if branch == "stable":
+            c, s, sign = np.cos(beta * t), np.sin(beta * t), 1.0
+        else:
+            c, s, sign = np.cosh(beta * t), np.sinh(beta * t), -1.0
+        return [c * y[0] + 1j * r * s * y[1], c * y[1] + sign * 1j * s / r * y[0]]
+
+    def ax(a, h, b):
+        return [a[0] + h * b[0], a[1] + h * b[1]]
+
+    y = [om * mask, rh * mask]
+    k1 = rhs(y)
+    k2 = rhs(prop(ax(y, dt / 2.0, k1), dt / 2.0))
+    k3 = rhs(ax(prop(y, dt / 2.0), dt / 2.0, k2))
+    k4 = rhs(ax(prop(y, dt), dt, prop(k3, dt / 2.0)))
+    stages = ax(prop(k1, dt), 2.0, prop(ax(k2, 1.0, k3), dt / 2.0))
+    out = ax(prop(y, dt), dt / 6.0, ax(stages, 1.0, k4))
+    for c in out:
+        c[0, 0] = 0.0
+        c[grid.nyquist_mask] = 0.0
+    return out
+
+
+@pytest.mark.parametrize("branch", ["stable", "unstable"])
+def test_step_matches_full_spectrum_reference(grid64, branch):
+    om, rh = random_pair(grid64, seed=9)
+    om.coeffs *= 0.05
+    rh.coeffs *= 0.05
+    st = BoussState(omega=om, rho=rh, dt=0.02, branch=branch)
+    ref = [st.omega.coeffs.copy(), st.rho.coeffs.copy()]
+    ws = _Workspace(grid64, 2.0 / 3.0, branch)
+    for _ in range(20):
+        st = step(st, ws)
+        ref = reference_step(ref[0], ref[1], grid64, 0.02, branch)
+    for got, want in ((st.omega.coeffs, ref[0]), (st.rho.coeffs, ref[1])):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def small_state(grid, amplitude=0.01, dt=0.02, seed=10):
+    om, rh = random_pair(grid, seed=seed)
+    om.coeffs *= amplitude
+    rh.coeffs *= amplitude
+    return BoussState(omega=om, rho=rh, dt=dt, branch="stable")
+
+
+def test_four_nonlinear_calls_per_step(grid64, monkeypatch):
+    calls = count_calls(monkeypatch, _Workspace, "nonlinear")
+    st = small_state(grid64)
+    ws = _Workspace(grid64, 2.0 / 3.0, "stable")
+    for n in range(1, 4):
+        st = step(st, ws)
+        assert len(calls) == 4 * n
+
+
+def test_step_output_exactly_hermitian(grid64):
+    st = step(small_state(grid64))
+    assert st.omega.hermitian_defect() == 0.0
+    assert st.rho.hermitian_defect() == 0.0
+
+
+def test_cfl_raised_after_first_stage(grid64, monkeypatch):
+    """The CFL check reads the first stage's velocity and stops the step there."""
+    calls = count_calls(monkeypatch, _Workspace, "nonlinear")
+    st = small_state(grid64, amplitude=10.0, dt=10.0)
+    with pytest.raises(CFLError):
+        step(st)
+    assert len(calls) == 1

@@ -175,3 +175,22 @@ dt = 50.0
 """
     path = write_config(tmp_path, ini)
     assert main(["sqg", "--config", path, "--out", str(tmp_path / "o")]) == 3
+
+
+@pytest.mark.parametrize("experiment, params", [
+    ("lin-decay", {"t_lo": "10.0", "t_hi": "40.0", "n_times": "5"}),
+    ("sharpness", {"t_lo": "5.0", "t_hi": "20.0", "n_times": "20"}),
+    ("sqg", {"t_final": "0.2", "dt": "0.05", "n_outputs": "4"}),
+])
+def test_report_numbers_are_plain_floats(tmp_path, experiment, params):
+    """numpy scalars must not leak their repr ("np.float64(...)") into reports."""
+    N, L = (32, 10.0) if experiment == "sqg" else (128, 200.0)
+    cfg = ExperimentConfig(experiment=experiment, N=N, L=L, params=params)
+    run(cfg).write(str(tmp_path))
+    lines = (tmp_path / "report.csv").read_text().splitlines()
+    assert len(lines) > 1
+    for line in lines[1:]:
+        for cell in line.split(","):
+            float(cell)
+    for name in ("report.csv", "report.txt"):
+        assert "np." not in (tmp_path / name).read_text()

@@ -21,7 +21,7 @@ from anisodisp.sqg import (
     step,
     velocity,
 )
-from conftest import random_field
+from conftest import count_calls, random_field
 
 
 def small_state(grid, eps=0.05, dt=0.01, seed=1):
@@ -154,3 +154,60 @@ def test_max_theta_nearly_monotone(grid64):
         m0 = m1
     # the leak per step is dealiasing error, far below the 0.05 amplitude
     assert worst <= 1e-4
+
+
+def reference_step(c, grid, dt, alpha=1.0):
+    """Plain full-spectrum IF-RK4 step with complex numpy transforms."""
+    N2 = grid.N**2
+    r = grid.xi_mod_safe
+    mask = _dealias_mask(grid, 2.0 / 3.0)
+    syms = (1j * grid.xi2 / r, -1j * grid.xi1 / r, 1j * grid.xi1, 1j * grid.xi2)
+
+    def rhs(c):
+        u1, u2, tx, ty = (np.real(np.fft.ifft2(m * c)) * N2 for m in syms)
+        return -np.fft.fft2(u1 * tx + u2 * ty) / N2 * mask
+
+    lam = -1j * grid.xi1 / r**alpha
+    E, E2 = np.exp(lam * dt), np.exp(lam * dt / 2.0)
+    c = c * mask
+    k1 = rhs(c)
+    k2 = rhs(E2 * (c + dt / 2.0 * k1))
+    k3 = rhs(E2 * c + dt / 2.0 * k2)
+    k4 = rhs(E * c + dt * E2 * k3)
+    out = E * c + dt / 6.0 * (E * k1 + 2.0 * E2 * (k2 + k3) + k4)
+    out[0, 0] = 0.0
+    out[grid.nyquist_mask] = 0.0
+    return out
+
+
+def test_step_matches_full_spectrum_reference(grid64):
+    st = small_state(grid64, eps=0.3, dt=0.02, seed=6)
+    ref = st.theta.coeffs.copy()
+    ws = _Workspace(grid64, 1.0, 2.0 / 3.0)
+    for _ in range(20):
+        st = step(st, ws)
+        ref = reference_step(ref, grid64, 0.02)
+    assert np.max(np.abs(st.theta.coeffs - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_four_nonlinear_calls_per_step(grid64, monkeypatch):
+    calls = count_calls(monkeypatch, _Workspace, "nonlinear")
+    st = small_state(grid64)
+    ws = _Workspace(grid64, 1.0, 2.0 / 3.0)
+    for n in range(1, 4):
+        st = step(st, ws)
+        assert len(calls) == 4 * n
+
+
+def test_step_output_exactly_hermitian(grid64):
+    st = step(small_state(grid64, seed=7))
+    assert st.theta.hermitian_defect() == 0.0
+
+
+def test_cfl_raised_after_first_stage(grid64, monkeypatch):
+    """The CFL check reads the first stage's velocity and stops the step there."""
+    calls = count_calls(monkeypatch, _Workspace, "nonlinear")
+    st = small_state(grid64, eps=1.0, dt=10.0, seed=4)
+    with pytest.raises(CFLError):
+        step(st)
+    assert len(calls) == 1
