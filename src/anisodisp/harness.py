@@ -19,6 +19,7 @@ from .fitting import FitError, fit_power_law
 from .lp import LPBank, shell_field
 from .spectral import (
     Grid2D,
+    SpectralError,
     SpectralField,
     forward_transform,
     gaussian_field,
@@ -43,7 +44,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
-        Grid2D(self.N, self.L)  # validates N, L
+        try:
+            Grid2D(self.N, self.L)  # validates N, L
+        except SpectralError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def canonical_text(self):
         lines = [
@@ -69,9 +73,12 @@ def load_config(path):
         name = cp.get("experiment", "name")
     except (configparser.NoSectionError, configparser.NoOptionError) as exc:
         raise ConfigError(f"missing experiment.name: {exc}") from exc
-    seed = cp.getint("experiment", "seed", fallback=1)
-    N = cp.getint("grid", "N", fallback=256)
-    L = cp.getfloat("grid", "L", fallback=400.0)
+    try:
+        seed = cp.getint("experiment", "seed", fallback=1)
+        N = cp.getint("grid", "N", fallback=256)
+        L = cp.getfloat("grid", "L", fallback=400.0)
+    except ValueError as exc:
+        raise ConfigError(f"malformed grid or seed value: {exc}") from exc
     params = dict(cp.items("params")) if cp.has_section("params") else {}
     return ExperimentConfig(experiment=name, N=N, L=L, seed=seed, params=params)
 

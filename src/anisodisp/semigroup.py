@@ -7,9 +7,9 @@ so there is no time-discretization error; the semigroup is unitary on L^2.
 
 from dataclasses import dataclass, field
 
-import mpmath
 import numpy as np
 from scipy.optimize import brentq
+from scipy.special import j0
 
 from .fitting import fit_power_law
 from .spectral import (
@@ -17,6 +17,7 @@ from .spectral import (
     SpectralError,
     apply_multiplier,
     linf_norm,
+    row_blocks,
 )
 
 
@@ -102,37 +103,27 @@ def measure_decay(f0, params_template, times, bank, fit_window=None):
 # ---------------------------------------------------------------------------
 # Bessel J0: two independent evaluations
 
-def bessel_j0_series(t, terms=None):
-    """Power series sum (-1)^m (t/2)^{2m} / (m!)^2.
+def bessel_j0_series(t):
+    """J0(t) without quadrature: the power series
+    sum (-1)^m (t/2)^{2m} / (m!)^2 for t <= 12, scipy.special.j0 beyond.
 
-    Beyond t ~ 12 the alternating terms cancel catastrophically in float64,
-    so the partial sums are accumulated in extended precision.
+    Past t ~ 12 the alternating terms cancel catastrophically in float64;
+    scipy's J0 there uses rational approximations of the Hankel asymptotic
+    form, so it shares nothing with the trapezoid path below.
     """
     t = float(t)
     if t < 0:
         raise SpectralError("J0 argument must be nonnegative")
-    if t <= 12.0:
-        total = 1.0
-        term = 1.0
-        m = 0
-        while abs(term) > 1e-18 * max(1.0, abs(total)) and m < 200:
-            m += 1
-            term *= -((t / 2.0) ** 2) / m**2
-            total += term
-        return total
-    with mpmath.workdps(30 + int(t)):
-        x = mpmath.mpf(t) / 2
-        total = mpmath.mpf(1)
-        term = mpmath.mpf(1)
-        m = 0
-        nmax = terms or (8 * int(t) + 60)
-        while m < nmax:
-            m += 1
-            term *= -(x * x) / (m * m)
-            total += term
-            if abs(term) < mpmath.mpf(10) ** (-25) * abs(total) and m > t:
-                break
-        return float(total)
+    if t > 12.0:
+        return float(j0(t))
+    total = 1.0
+    term = 1.0
+    m = 0
+    while abs(term) > 1e-18 * max(1.0, abs(total)) and m < 200:
+        m += 1
+        term *= -((t / 2.0) ** 2) / m**2
+        total += term
+    return total
 
 
 def bessel_j0_quadrature(t, tol=1e-13, max_n=1 << 21):
@@ -188,7 +179,18 @@ class SharpnessReport:
 
 
 def _origin_evaluator(f0):
-    """Closure t -> Re sum_k c_k exp(-i t xi_1/|xi|) (the evolved field at x=0)."""
+    """Closure t -> Re sum_k c_k exp(-i t xi_1/|xi|) (the evolved field at x=0).
+
+    The phase xi_1/|xi| depends only on the direction of xi, and -xi has the
+    negated phase, so the modes are first grouped by u = |phase|.  With C+
+    and C- the coefficient sums of a group over phase >= 0 and phase < 0,
+
+        Re sum_k c_k exp(-i t ph_k) = sum_u A_u cos(t u) + B_u sin(t u),
+        A = Re(C+ + C-),  B = Im(C+ - C-),
+
+    for any complex coefficients.  The (times, phases) matrix is evaluated
+    in row blocks under a fixed byte budget.
+    """
     grid = f0.grid
     phase = grid.xi1 / grid.xi_mod_safe
     phase[0, 0] = 0.0
@@ -197,12 +199,19 @@ def _origin_evaluator(f0):
     keep = np.abs(c) > 1e-18 * np.max(np.abs(c))
     c = c[keep]
     ph = ph[keep]
+    u, group = np.unique(np.abs(ph), return_inverse=True)
+    A = np.bincount(group, weights=c.real, minlength=u.size)
+    B = np.bincount(group, weights=np.where(ph < 0.0, -c.imag, c.imag),
+                    minlength=u.size)
 
     def at(t):
-        if np.ndim(t) == 0:
-            return float(np.real(np.sum(c * np.exp(-1j * float(t) * ph))))
-        tt = np.asarray(t, dtype=float)
-        return np.real(np.exp(np.outer(-1j * tt, ph)) @ c)
+        tt = np.atleast_1d(np.asarray(t, dtype=float))
+        out = np.empty(tt.shape)
+        # two float64 temporaries per entry: the arguments and their cosines
+        for rows in row_blocks(tt.size, 16 * u.size):
+            arg = np.multiply.outer(tt[rows], u)
+            out[rows] = np.cos(arg) @ A + np.sin(arg, out=arg) @ B
+        return float(out[0]) if np.ndim(t) == 0 else out
 
     return at
 

@@ -24,14 +24,27 @@ class SpectralError(ValueError):
     pass
 
 
+# Byte budget for the temporaries of one block of a row-blocked evaluation
+# (the sharpness origin sum, the kernel quadrature).
+CHUNK_BYTES = 32 << 20
+
+
+def row_blocks(n_rows, row_bytes):
+    """Slices covering range(n_rows) whose rows take at most CHUNK_BYTES of
+    temporaries at row_bytes each (and at least one row per block)."""
+    step = max(1, CHUNK_BYTES // max(1, row_bytes))
+    for start in range(0, n_rows, step):
+        yield slice(start, min(start + step, n_rows))
+
+
 class Grid2D:
     """Periodic N x N grid on a box of side L, with its frequency lattice."""
 
     def __init__(self, N, L):
         if N < 16 or (N & (N - 1)) != 0:
             raise SpectralError(f"N must be a power of two >= 16, got {N}")
-        if L <= 0:
-            raise SpectralError(f"box side must be positive, got {L}")
+        if not 0 < L < np.inf:
+            raise SpectralError(f"box side must be positive and finite, got {L}")
         self.N = int(N)
         self.L = float(L)
         k = np.fft.fftfreq(self.N, d=1.0 / self.N)  # integer wavenumbers

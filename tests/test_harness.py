@@ -177,6 +177,21 @@ dt = 50.0
     assert main(["sqg", "--config", path, "--out", str(tmp_path / "o")]) == 3
 
 
+@pytest.mark.parametrize("line, bad", [
+    ("N = 16", "N = abc"),
+    ("N = 16", "N = 100"),
+    ("L = 10.0", "L = -1"),
+    ("L = 10.0", "L = nan"),
+    ("L = 10.0", "L = inf"),
+    ("seed = 1", "seed = x"),
+])
+def test_cli_malformed_grid_exit_two(tmp_path, capsys, line, bad):
+    assert line in KERNEL_INI
+    path = write_config(tmp_path, KERNEL_INI.replace(line, bad))
+    assert main(["kernel", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("experiment, params", [
     ("lin-decay", {"t_lo": "10.0", "t_hi": "40.0", "n_times": "5"}),
     ("sharpness", {"t_lo": "5.0", "t_hi": "20.0", "n_times": "20"}),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from anisodisp.oscillatory import (
     GRAD_TOL,
     PhaseSpec,
     QuadratureBudgetError,
+    _polar_quadrature,
     bump_mass,
     find_stationary,
     hessian_det,
@@ -209,3 +212,27 @@ def test_budget_curves_cross_at_t_inv_half():
     for t in (10.0, 100.0):
         near, far = split_bound(p, t, t**-0.5)
         assert abs(near - far) <= 1e-10 * near
+
+
+def test_polar_quadrature_memory_bounded():
+    """Radial row blocks keep a 4.2M-point quadrature well under 64 MiB and
+    reproduce the one-shot trapezoid sum."""
+    p, t, n_r, n_psi = PhaseSpec(v=(0.0, 0.0)), 10.0, 1025, 4096
+    tracemalloc.start()
+    try:
+        val = _polar_quadrature(p, t, 0, n_r, n_psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+    r = np.linspace(0.5, 2.0, n_r)
+    psi = np.arange(n_psi) * (2.0 * np.pi / n_psi)
+    R, PSI = np.meshgrid(r, psi, indexing="ij")
+    x1 = R * np.cos(PSI)
+    phase = -x1 / R
+    w_r = np.full(n_r, r[1] - r[0])
+    w_r[0] = w_r[-1] = w_r[0] / 2.0
+    ref = np.sum(bump(R) * R * np.exp(1j * t * phase) * w_r[:, None])
+    ref *= 2.0 * np.pi / n_psi
+    assert abs(val - ref) <= 1e-12 * abs(ref)

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from anisodisp.harness import make_profile
 from anisodisp.lp import LPBank, shell_field
 from anisodisp.semigroup import (
     SemigroupParams,
+    _origin_evaluator,
     bessel_j0,
     bessel_j0_quadrature,
     bessel_j0_series,
@@ -160,3 +164,46 @@ def test_sharpness_two_paths_small_grid():
     rep = sharpness_check(f, np.linspace(1.0, 50.0, 50))
     # the coarse lattice leaves ~2e-6; the production grid is checked elsewhere
     assert rep.max_two_path_reldiff <= 1e-5
+
+
+def _plain_origin_sum(f, t):
+    """Re sum_k c_k exp(-i t xi_1/|xi|), mode by mode."""
+    grid = f.grid
+    ph = grid.xi1 / grid.xi_mod_safe
+    ph[0, 0] = 0.0
+    return float(np.real(np.sum(f.coeffs * np.exp(-1j * t * ph))))
+
+
+@pytest.mark.parametrize("kind", ["shell", "random", "non-hermitian"])
+def test_origin_evaluator_matches_plain_sum(kind):
+    grid = Grid2D(64, 40.0)
+    if kind == "non-hermitian":
+        # the phase grouping must not rely on c(-k) = conj(c(k))
+        f = random_field(grid, seed=5)
+        f.coeffs = f.coeffs + 0.3j * np.abs(f.coeffs)
+    else:
+        f = make_profile(grid, kind, seed=5, width=1.5)
+    at = _origin_evaluator(f)
+    tol = 1e-13 * np.sum(np.abs(f.coeffs))
+    times = np.array([37.5, 0.0, 3.25, 91.0, 12.0, 55.5])
+    vals = at(times)
+    assert vals.shape == times.shape
+    for t, v in zip(times, vals):
+        ref = _plain_origin_sum(f, t)
+        assert abs(v - ref) <= tol
+        s = at(float(t))
+        assert isinstance(s, float)
+        assert abs(s - ref) <= tol
+
+
+def test_origin_evaluator_memory_bounded():
+    """The 1280 x (distinct phases) matrix is evaluated in row blocks."""
+    f = shell_field(Grid2D(512, 400.0))
+    tracemalloc.start()
+    try:
+        vals = _origin_evaluator(f)(np.linspace(20.0, 100.0, 1280))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert vals.shape == (1280,) and np.all(np.isfinite(vals))
+    assert peak < 64 * 2**20
