@@ -8,7 +8,7 @@ growth rates +-xi_1/|xi| on the unstable branch.  The stepper uses this
 exact propagator as the integrating factor for RK4.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.fft as sfft
@@ -18,14 +18,13 @@ from .spectral import (
     SpectralError,
     SpectralField,
     apply_multiplier,
-    full_spectrum,
     half_spectrum,
     l2_norm,
     sobolev_norm,
     sobolev_weight,
     weighted_norm,
 )
-from .sqg import BlowUpError, CFLError, _dealias_mask
+from .sqg import _dealias_mask, _HalfSpectrumWorkspace, _if_rk4, _integrate
 
 
 @dataclass
@@ -61,38 +60,24 @@ def mode_energy(omega, rho):
 
 
 def _propagator_arrays(xi1, r, t, branch):
-    """(c, s_om, s_rho): omega' = c om + s_om rho, rho' = c rho + s_rho om.
+    """(c, [s_om, s_rho]): omega' = c om + s_om rho, rho' = c rho + s_rho om.
 
     xi1 and r = |xi| (1 at the zero mode) may be the full or the half lattice.
     """
     beta = xi1 / r
-    if branch == "stable":
-        c = np.cos(beta * t)
-        s = np.sin(beta * t)
-        return c + 0j, 1j * r * s, 1j * s / r
-    c = np.cosh(beta * t)
-    s = np.sinh(beta * t)
-    return c + 0j, 1j * r * s, -1j * s / r
+    stable = branch == "stable"
+    c = (np.cos if stable else np.cosh)(beta * t)
+    s = (np.sin if stable else np.sinh)(beta * t)
+    return c + 0j, np.stack([1j * r * s, (1j if stable else -1j) * s / r])
 
 
 def linear_propagator(state, t):
     """Exact per-mode solution of the linearized system, advanced by t."""
     grid = state.omega.grid
-    c, s_om, s_rho = _propagator_arrays(grid.xi1, grid.xi_mod_safe, t, state.branch)
-    om = state.omega.coeffs
-    rh = state.rho.coeffs
-    om_new = c * om + s_om * rh
-    rh_new = c * rh + s_rho * om
-    fo = SpectralField(grid, om_new)
-    fr = SpectralField(grid, rh_new)
-    for f in (fo, fr):
-        f.zero_mean()
-        f.zero_nyquist()
-        f.enforce_hermitian()
-    return BoussState(
-        omega=fo, rho=fr, time=state.time + t, dt=state.dt,
-        dealias=state.dealias, branch=state.branch,
-    )
+    P = _propagator_arrays(grid.xi1, grid.xi_mod_safe, t, state.branch)
+    y = _Workspace.propagate(P, np.stack([state.omega.coeffs, state.rho.coeffs]))
+    fo, fr = (SpectralField(grid, c).zero_nyquist().enforce_hermitian() for c in y)
+    return replace(state, omega=fo, rho=fr, time=state.time + t)
 
 
 def diagonal_variables(state):
@@ -104,38 +89,31 @@ def diagonal_variables(state):
     )
 
 
-class _Workspace:
-    """Half-spectrum arrays for one (grid, dealias, branch) combo.
-
-    The pair (omega, rho) is stacked on a leading axis of the (N, N//2 + 1)
-    half lattice that `rfft2` stores; transforms use norm="forward", the
-    field normalization.
-    """
+class _Workspace(_HalfSpectrumWorkspace):
+    """Boussinesq symbols for one (grid, dealias, branch) combo; the pair
+    (omega, rho) is stacked on a leading axis of the half lattice."""
 
     def __init__(self, grid, dealias, branch):
-        self.grid = grid
-        M = grid.N // 2 + 1
-        xi1, xi2 = grid.xi1[:, :M], grid.xi2[:, :M]
-        xi_sq = grid.xi_sq[:, :M].copy()
+        super().__init__(grid, dealias)
+        xi_sq = half_spectrum(grid.xi_sq).copy()
         xi_sq[0, 0] = 1.0
-        u1, u2 = -1j * xi2 / xi_sq, 1j * xi1 / xi_sq
-        d1, d2 = 1j * xi1, 1j * xi2
-        self.velocity = np.stack([u1, u2])
-        self.grad = np.stack([d1, d2])
-        self.xi1 = xi1
-        self.r = grid.xi_mod_safe[:, :M]
-        self.mask = _dealias_mask(grid, dealias)
-        self.half_mask = half_spectrum(self.mask)
+        self.velocity = np.stack([-1j * self.xi2 / xi_sq, 1j * self.xi1 / xi_sq])
+        self.grad = np.stack([1j * self.xi1, 1j * self.xi2])
         self.branch = branch
-        self._props = {}
 
-    def propagator(self, t):
-        """(c, [s_om, s_rho]) of `_propagator_arrays` for time t, built once per t."""
-        key = round(t, 15)
+    def propagator(self, dt):
+        """`_propagator_arrays` for dt and for dt / 2, built once per dt."""
+        key = round(dt, 15)
         if key not in self._props:
-            c, s_om, s_rho = _propagator_arrays(self.xi1, self.r, t, self.branch)
-            self._props[key] = (c, np.stack([s_om, s_rho]))
+            self._props[key] = tuple(
+                _propagator_arrays(self.xi1, self.r, t, self.branch) for t in (dt, dt / 2.0)
+            )
         return self._props[key]
+
+    @staticmethod
+    def propagate(P, y):
+        c, s = P
+        return c * y + s * y[::-1]
 
     def nonlinear(self, y):
         """(-dealias(u.grad omega), -dealias(u.grad rho)) stacked, and max |u|."""
@@ -147,17 +125,8 @@ class _Workspace:
         umax = float(max(np.max(np.abs(u1)), np.max(np.abs(u2))))
         return -adv, umax
 
-    def apply_prop(self, y, t):
-        c, s = self.propagator(t)
-        return c * y + s * y[::-1]
-
-    def grad_norms(self, y):
-        """(max |grad u|, max |grad rho|) over the entries of each gradient."""
-        # d1, d2 applied to u1, u2 and rho: grad u's entries, then grad rho's
-        fields = np.stack([self.velocity[0] * y[0], self.velocity[1] * y[0], y[1]])
-        spec = (fields[:, None] * self.grad).reshape(6, *y.shape[1:])
-        g = np.abs(sfft.irfft2(spec, axes=(-2, -1), norm="forward"))
-        return float(np.max(g[:4])), float(np.max(g[4:]))
+    def grad_fields(self, y):
+        return np.stack([self.velocity[0] * y[0], self.velocity[1] * y[0], y[1]])
 
 
 def _half_pair(state):
@@ -165,36 +134,11 @@ def _half_pair(state):
 
 
 def step(state, workspace=None):
-    """One integrating-factor RK4 step of the perturbed system.
-
-    The stages run on the stacked half spectra; the CFL check uses the
-    velocity of the first stage.  The full Hermitian spectra are rebuilt
-    once, at the end.
-    """
+    """One `_if_rk4` step of the perturbed system on the stacked half spectra."""
     ws = workspace or _Workspace(state.omega.grid, state.dealias, state.branch)
-    grid = state.omega.grid
-    y = _half_pair(state) * ws.half_mask
-    dt = state.dt
-    k1, umax = ws.nonlinear(y)
-    kmax = np.pi * grid.N / grid.L
-    if umax > 0.0 and abs(dt) > 0.5 / (umax * kmax):
-        raise CFLError(dt, 0.5 / (umax * kmax))
-    P = ws.apply_prop
-    Ey = P(y, dt)
-    k2, _ = ws.nonlinear(P(y + dt / 2.0 * k1, dt / 2.0))
-    k3, _ = ws.nonlinear(P(y, dt / 2.0) + dt / 2.0 * k2)
-    k4, _ = ws.nonlinear(Ey + dt * P(k3, dt / 2.0))
-    yn = Ey + dt / 6.0 * (P(k1, dt) + 2.0 * P(k2 + k3, dt / 2.0) + k4)
-    if not np.all(np.isfinite(yn)):
-        raise BlowUpError(state.time, state)
-    fo, fr = (SpectralField(grid, c) for c in full_spectrum(yn))
-    for f in (fo, fr):
-        f.zero_mean()
-        f.zero_nyquist()
-    return BoussState(
-        omega=fo, rho=fr, time=state.time + dt, dt=dt,
-        dealias=state.dealias, branch=state.branch,
-    )
+    full = _if_rk4(ws, _half_pair(state) * ws.half_mask, state)
+    fo, fr = (SpectralField(state.omega.grid, c).zero_nyquist() for c in full)
+    return replace(state, omega=fo, rho=fr, time=state.time + state.dt)
 
 
 @dataclass
@@ -242,21 +186,19 @@ def stability_experiment(grid, eps, T, dt, branch="stable", delta=0.5, gamma=0.5
                          profiles=None):
     """Integrate eps-size perturbations and report the bootstrap exit time.
 
-    Exit is the first output time where ||omega||_{H^{4+delta}} +
+    Exit is the first step time where ||omega||_{H^{4+delta}} +
     ||rho||_{H^{5+gamma}} exceeds twice its initial value; censored runs
-    report exit_time = T.
+    report exit_time = T, and a blown-up run the time of its last state.
     """
     if not 0.0 < eps <= 0.1:
         raise SpectralError(f"perturbation size must lie in (0, 0.1], got {eps}")
     s_om = 4.0 + delta
     s_rh = 5.0 + gamma
     fo, fr = profiles if profiles else default_profiles(grid)
-    om0 = SpectralField(grid, eps * fo.coeffs)
-    rh0 = SpectralField(grid, eps * fr.coeffs)
-    state = BoussState(omega=om0, rho=rh0, dt=dt, dealias=dealias, branch=branch)
     ws = _Workspace(grid, dealias, branch)
-    state.omega.coeffs *= ws.mask
-    state.rho.coeffs *= ws.mask
+    om0 = SpectralField(grid, eps * fo.coeffs * ws.mask)
+    rh0 = SpectralField(grid, eps * fr.coeffs * ws.mask)
+    state = BoussState(omega=om0, rho=rh0, dt=dt, dealias=dealias, branch=branch)
 
     rep = StabilityReport(branch=branch, eps=eps)
     rep.initial_norms = {
@@ -265,46 +207,22 @@ def stability_experiment(grid, eps, T, dt, branch="stable", delta=0.5, gamma=0.5
         "rho_H5g": sobolev_norm(state.rho, s_rh),
         "omega_L2": l2_norm(state.omega),
     }
-    norm0 = rep.initial_norms["omega_H4d"] + rep.initial_norms["rho_H5g"]
     w_om = sobolev_weight(grid, s_om)
     w_rh = sobolev_weight(grid, s_rh)
 
-    def record(st, running):
+    def record(st):
         gu, gr = ws.grad_norms(_half_pair(st))
-        rep.times.append(st.time)
         rep.hs_omega.append(weighted_norm(st.omega, w_om))
         rep.hs1_rho.append(weighted_norm(st.rho, w_rh))
         rep.e_total.append(mode_energy(st.omega, st.rho)[1])
         rep.grad_u_inf.append(gu)
         rep.grad_rho_inf.append(gr)
-        rep.integral.append(running)
         return gu + gr
 
-    out_times = np.linspace(0.0, T, n_outputs + 1)
-    running = 0.0
-    last_rate = record(state, running)
-    next_out = 1
-    nsteps = int(round(T / dt))
-    try:
-        for n in range(1, nsteps + 1):
-            state = step(state, ws)
-            current = weighted_norm(state.omega, w_om) + weighted_norm(state.rho, w_rh)
-            if eps > 0 and current > growth_cap * norm0:
-                raise BlowUpError(state.time, state, reason="growth cap exceeded")
-            while next_out <= n_outputs and state.time >= out_times[next_out] - 1e-12:
-                rate_prev = last_rate
-                t_prev = rep.times[-1]
-                last_rate = record(state, running)
-                running += 0.5 * (rate_prev + last_rate) * (state.time - t_prev)
-                rep.integral[-1] = running
-                next_out += 1
-            if rep.exit_time is None and current > 2.0 * norm0:
-                rep.exit_time = state.time
-                break
-    except BlowUpError:
-        rep.blew_up = True
-        if rep.exit_time is None:
-            rep.exit_time = state.time
-    if rep.exit_time is None:
-        rep.exit_time = T
+    def norm(st):
+        return weighted_norm(st.omega, w_om) + weighted_norm(st.rho, w_rh)
+
+    _, stop = _integrate(rep, state, lambda st: step(st, ws), record, norm,
+                         T, n_outputs, growth_cap, exit_factor=2.0)
+    rep.exit_time = T if stop is None else stop
     return rep

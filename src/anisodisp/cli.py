@@ -46,6 +46,9 @@ def main(argv=None):
         return 2
     try:
         report = run(cfg, jobs=args.jobs)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except (CFLError, BlowUpError, QuadratureBudgetError, SpectralError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3

@@ -150,11 +150,30 @@ def _fmt(x):
 
 
 def _pf(params, key, default):
-    return float(params.get(key, default))
+    try:
+        return float(params.get(key, default))
+    except ValueError as exc:
+        raise ConfigError(f"malformed params.{key}: {exc}") from exc
 
 
 def _pi(params, key, default):
-    return int(params.get(key, default))
+    try:
+        return int(params.get(key, default))
+    except ValueError as exc:
+        raise ConfigError(f"malformed params.{key}: {exc}") from exc
+
+
+def _time_params(p, n_outputs):
+    """(t_final, dt, n_outputs) of an evolution config, range-checked."""
+    T = _pf(p, "t_final", 10.0)
+    dt = _pf(p, "dt", 0.05)
+    n = _pi(p, "n_outputs", n_outputs)
+    for key, value in (("t_final", T), ("dt", dt)):
+        if not (np.isfinite(value) and value > 0.0):
+            raise ConfigError(f"params.{key} must be finite and > 0, got {value}")
+    if n < 1:
+        raise ConfigError(f"params.n_outputs must be >= 1, got {n}")
+    return T, dt, n
 
 
 def make_profile(grid, kind, seed=1, width=1.0, amplitude=1.0):
@@ -293,8 +312,7 @@ def _run_sqg(cfg):
     grid = Grid2D(cfg.N, cfg.L)
     p = cfg.params
     eps = _pf(p, "eps", 0.02)
-    T = _pf(p, "t_final", 10.0)
-    dt = _pf(p, "dt", 0.05)
+    T, dt, n_outputs = _time_params(p, 50)
     width = _pf(p, "width", 2.0)
     profile = p.get("profile", "gaussian")
     f0 = make_profile(grid, profile, seed=cfg.seed, width=width, amplitude=eps)
@@ -302,7 +320,7 @@ def _run_sqg(cfg):
         f0, T, dt,
         alpha=_pf(p, "alpha", 1.0),
         delta=_pf(p, "delta", 0.5),
-        n_outputs=_pi(p, "n_outputs", 50),
+        n_outputs=n_outputs,
     )
     out = ExperimentReport(config=cfg)
     rows = list(diag.rows())
@@ -320,15 +338,19 @@ def _run_sqg(cfg):
 def _run_bouss(cfg):
     grid = Grid2D(cfg.N, cfg.L)
     p = cfg.params
+    T, dt, n_outputs = _time_params(p, 60)
+    branch = p.get("branch", "stable")
+    if branch not in ("stable", "unstable"):
+        raise ConfigError(f"params.branch must be stable or unstable, got {branch!r}")
     rep = boussinesq.stability_experiment(
         grid,
         eps=_pf(p, "eps", 0.02),
-        T=_pf(p, "t_final", 10.0),
-        dt=_pf(p, "dt", 0.05),
-        branch=p.get("branch", "stable"),
+        T=T,
+        dt=dt,
+        branch=branch,
         delta=_pf(p, "delta", 0.5),
         gamma=_pf(p, "gamma", 0.5),
-        n_outputs=_pi(p, "n_outputs", 60),
+        n_outputs=n_outputs,
     )
     out = ExperimentReport(config=cfg)
     rows = list(rep.rows())

@@ -4,10 +4,11 @@ The linear semigroup is applied exactly as a multiplier, so only the
 pseudo-spectral transport term is discretized in time.  Products are
 dealiased with the 2/3 rule (state and nonlinear term masked to the
 retained disc), which makes the semi-discrete transport conserve L^2
-exactly; any drift measures the RK4 truncation error.
+exactly; any drift measures the RK4 truncation error.  The stepper
+(`_if_rk4`) and the run loop (`_integrate`) are shared with `boussinesq`.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.fft as sfft
@@ -51,8 +52,6 @@ class SQGState:
     dealias: float = 2.0 / 3.0
 
     def __post_init__(self):
-        if not 0.0 < self.dealias <= 1.0:
-            raise SpectralError(f"dealias fraction must be in (0, 1], got {self.dealias}")
         self.theta.zero_mean()
 
 
@@ -65,37 +64,52 @@ def velocity(theta):
 
 
 def _dealias_mask(grid, fraction):
+    if not 0.0 < fraction <= 1.0:
+        raise SpectralError(f"dealias fraction must be in (0, 1], got {fraction}")
     cutoff = fraction * (grid.N // 2)
     return (np.abs(grid.k1) < cutoff) & (np.abs(grid.k2) < cutoff)
 
 
-class _Workspace:
-    """Half-spectrum arrays for one (grid, alpha, dealias) combo.
+class _HalfSpectrumWorkspace:
+    """What the SQG and Boussinesq workspaces share, on the (N, N//2 + 1) half
+    lattice that `rfft2` stores (transforms use norm="forward", the field
+    normalization); a subclass adds its symbols, `grad` and `grad_fields`."""
 
-    Symbols live on the (N, N//2 + 1) half lattice that `rfft2` stores.  The
-    transforms use norm="forward", which is the field normalization: no
-    factor on synthesis, 1/N^2 on analysis.
-    """
-
-    def __init__(self, grid, alpha, dealias):
+    def __init__(self, grid, dealias):
         self.grid = grid
-        M = grid.N // 2 + 1
-        xi1, xi2 = grid.xi1[:, :M], grid.xi2[:, :M]
-        r = grid.xi_mod_safe[:, :M]
-        u1, u2 = 1j * xi2 / r, -1j * xi1 / r
-        d1, d2 = 1j * xi1, 1j * xi2
-        # u1, u2, d1 theta, d2 theta: the four fields of u . grad theta
-        self.transport = np.stack([u1, u2, d1, d2])
-        self.lam = -1j * xi1 / r**alpha
+        self.xi1, self.xi2 = half_spectrum(grid.xi1), half_spectrum(grid.xi2)
+        self.r = half_spectrum(grid.xi_mod_safe)
         self.mask = _dealias_mask(grid, dealias)
         self.half_mask = half_spectrum(self.mask)
         self._props = {}
+
+    def grad_norms(self, y):
+        """(max |grad u|, max |grad f|) for the (u1, u2, f) of grad_fields(y)."""
+        spec = (self.grad_fields(y)[:, None] * self.grad).reshape(6, *self.r.shape)
+        g = np.abs(sfft.irfft2(spec, axes=(-2, -1), norm="forward"))
+        return float(np.max(g[:4])), float(np.max(g[4:]))
+
+
+class _Workspace(_HalfSpectrumWorkspace):
+    """SQG symbols for one (grid, alpha, dealias) combo."""
+
+    def __init__(self, grid, alpha, dealias):
+        super().__init__(grid, dealias)
+        xi1, xi2, r = self.xi1, self.xi2, self.r
+        # u1, u2, d1 theta, d2 theta: the four fields of u . grad theta
+        self.transport = np.stack([1j * xi2 / r, -1j * xi1 / r, 1j * xi1, 1j * xi2])
+        self.grad = self.transport[2:]
+        self.lam = -1j * xi1 / r**alpha
 
     def propagator(self, dt):
         """(exp(lam dt), exp(lam dt / 2)), built once per dt."""
         if dt not in self._props:
             self._props[dt] = (np.exp(self.lam * dt), np.exp(self.lam * (dt / 2.0)))
         return self._props[dt]
+
+    @staticmethod
+    def propagate(P, c):
+        return P * c
 
     def nonlinear(self, c):
         """-dealias(u . grad theta) on the half spectrum; returns (rhs, max |u|)."""
@@ -105,52 +119,87 @@ class _Workspace:
         umax = float(max(np.max(np.abs(u1)), np.max(np.abs(u2))))
         return -adv, umax
 
-    def grad_norms(self, c):
-        """(max |grad u|, max |grad theta|) over the entries of each gradient."""
-        # d1, d2 applied to u1, u2 and theta: grad u's entries, then grad theta's
-        fields = np.stack([self.transport[0] * c, self.transport[1] * c, c])
-        spec = (fields[:, None] * self.transport[2:]).reshape(6, *c.shape)
-        g = np.abs(sfft.irfft2(spec, axes=(-2, -1), norm="forward"))
-        return float(np.max(g[:4])), float(np.max(g[4:]))
+    def grad_fields(self, c):
+        return np.stack([self.transport[0] * c, self.transport[1] * c, c])
+
+
+def _admissible_dt(grid, umax):
+    if umax == 0.0:
+        return np.inf
+    return 0.5 / (umax * np.pi * grid.N / grid.L)
 
 
 def cfl_dt(state, umax):
-    kmax = np.pi * state.theta.grid.N / state.theta.grid.L
-    if umax == 0.0:
-        return np.inf
-    return 0.5 / (umax * kmax)
+    return _admissible_dt(state.theta.grid, umax)
+
+
+def _if_rk4(ws, y, state):
+    """One integrating-factor RK4 step of y' = L y + N(y) on the half spectrum.
+
+    `ws.nonlinear(y)` is (N(y), max |u|); `ws.propagator(dt)` holds the exact
+    propagators of L over dt and dt/2, applied by `ws.propagate`.  The CFL
+    check uses the velocity of the first stage.  Returns the full Hermitian
+    spectrum of the result.
+    """
+    dt = state.dt
+    k1, umax = ws.nonlinear(y)
+    admissible = _admissible_dt(ws.grid, umax)
+    if abs(dt) > admissible:
+        raise CFLError(dt, admissible)
+    P, P2 = ws.propagator(dt)
+    Ey = ws.propagate(P, y)
+    k2, _ = ws.nonlinear(ws.propagate(P2, y + dt / 2.0 * k1))
+    k3, _ = ws.nonlinear(ws.propagate(P2, y) + dt / 2.0 * k2)
+    k4, _ = ws.nonlinear(Ey + dt * ws.propagate(P2, k3))
+    yn = Ey + dt / 6.0 * (ws.propagate(P, k1) + 2.0 * ws.propagate(P2, k2 + k3) + k4)
+    if not np.all(np.isfinite(yn)):
+        raise BlowUpError(state.time, state)
+    # rebuilt before the stage arrays are freed: rebuilt after them, an N=64
+    # Boussinesq step took 3-4x the minor page faults (glibc heap trimming)
+    return full_spectrum(yn)
 
 
 def step(state, workspace=None):
-    """Advance one dt of integrating-factor RK4; raises CFLError / BlowUpError.
-
-    The stages run on the half spectrum; the CFL check uses the velocity of
-    the first stage.  The full Hermitian spectrum is rebuilt once, at the end.
-    """
+    """Advance one dt of `_if_rk4`; raises CFLError / BlowUpError."""
     ws = workspace or _Workspace(state.theta.grid, state.alpha, state.dealias)
-    dt = state.dt
-    c = half_spectrum(state.theta.coeffs) * ws.half_mask
-    k1, umax = ws.nonlinear(c)
-    admissible = cfl_dt(state, umax)
-    if abs(dt) > admissible:
-        raise CFLError(dt, admissible)
-    E, E2 = ws.propagator(dt)
-    k2, _ = ws.nonlinear(E2 * (c + dt / 2.0 * k1))
-    k3, _ = ws.nonlinear(E2 * c + dt / 2.0 * k2)
-    k4, _ = ws.nonlinear(E * c + dt * E2 * k3)
-    cn = E * c + dt / 6.0 * (E * k1 + 2.0 * E2 * (k2 + k3) + k4)
-    if not np.all(np.isfinite(cn)):
-        raise BlowUpError(state.time, state)
-    out = SpectralField(state.theta.grid, full_spectrum(cn))
-    out.zero_mean()
-    out.zero_nyquist()
-    return SQGState(
-        theta=out,
-        time=state.time + dt,
-        alpha=state.alpha,
-        dt=dt,
-        dealias=state.dealias,
-    )
+    full = _if_rk4(ws, half_spectrum(state.theta.coeffs) * ws.half_mask, state)
+    theta = SpectralField(state.theta.grid, full).zero_nyquist()
+    return replace(state, theta=theta, time=state.time + state.dt)
+
+
+def _integrate(rep, state, advance, record, norm, T, n_outputs, cap, exit_factor=None):
+    """Step `state` to T by `advance`, recording n_outputs evenly spaced outputs.
+
+    `record(state)` appends an output's diagnostics to `rep` and returns the
+    blow-up-criterion rate, whose trapezoid integral goes to `rep.integral`.
+    A step whose `norm` exceeds `cap` (or `exit_factor`) times the initial
+    norm blows up (or exits after its outputs).  Returns the last state and
+    the time of an early stop, None if the run reached T."""
+    norm0 = norm(state)
+    out_times = np.linspace(0.0, T, n_outputs + 1)
+    rate = record(state)
+    rep.times.append(state.time)
+    rep.integral.append(0.0)
+    running = 0.0
+    next_out = 1
+    try:
+        for _ in range(int(round(T / state.dt))):
+            state = advance(state)
+            current = norm(state)
+            if norm0 > 0 and current > cap * norm0:
+                raise BlowUpError(state.time, state, reason="norm cap exceeded")
+            while next_out <= n_outputs and state.time >= out_times[next_out] - 1e-12:
+                rate_prev, rate = rate, record(state)
+                running += 0.5 * (rate_prev + rate) * (state.time - rep.times[-1])
+                rep.times.append(state.time)
+                rep.integral.append(running)
+                next_out += 1
+            if exit_factor is not None and current > exit_factor * norm0:
+                return state, state.time
+    except BlowUpError:
+        rep.blew_up = True
+        return state, state.time
+    return state, None
 
 
 @dataclass
@@ -199,39 +248,20 @@ def run_and_diagnose(theta0, T, dt, alpha=1.0, delta=0.5, n_outputs=50,
 
     diag = BootstrapDiagnostics(s=s)
     weight = sobolev_weight(state.theta.grid, s)
-    h0 = weighted_norm(state.theta, weight)
-    out_times = np.linspace(0.0, T, n_outputs + 1)
 
-    def record(st, running):
+    def record(st):
         gu, gt = ws.grad_norms(half_spectrum(st.theta.coeffs))
-        diag.times.append(st.time)
         diag.h_s.append(weighted_norm(st.theta, weight))
         diag.l2.append(l2_norm(st.theta))
         diag.grad_u_inf.append(gu)
         diag.grad_theta_inf.append(gt)
-        diag.integral.append(running)
         return gu + gt
 
-    running = 0.0
-    last_rate = record(state, running)
-    next_out = 1
-    nsteps = int(round(T / dt))
-    try:
-        for n in range(1, nsteps + 1):
-            state = step(state, ws)
-            if h0 > 0 and weighted_norm(state.theta, weight) > blowup_factor * h0:
-                raise BlowUpError(state.time, state, reason="norm cap exceeded")
-            while next_out <= n_outputs and state.time >= out_times[next_out] - 1e-12:
-                rate_prev = last_rate
-                t_prev = diag.times[-1]
-                last_rate = record(state, running)
-                running += 0.5 * (rate_prev + last_rate) * (state.time - t_prev)
-                diag.integral[-1] = running
-                next_out += 1
-    except BlowUpError:
-        diag.blew_up = True
-
-    diag.final_state = state
+    diag.final_state, _ = _integrate(
+        diag, state, lambda st: step(st, ws), record,
+        lambda st: weighted_norm(st.theta, weight), T, n_outputs, blowup_factor,
+    )
+    h0 = diag.h_s[0]
     hs = np.array(diag.h_s)
     integ = np.array(diag.integral)
     if h0 > 0:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from anisodisp import boussinesq
 from anisodisp.boussinesq import (
     BoussState,
     _Workspace,
@@ -12,7 +13,7 @@ from anisodisp.boussinesq import (
     step,
     velocity,
 )
-from anisodisp.spectral import Grid2D, SpectralError, SpectralField
+from anisodisp.spectral import Grid2D, SpectralError, SpectralField, sobolev_norm
 from anisodisp.sqg import CFLError, _dealias_mask
 from conftest import count_calls, random_field
 
@@ -253,3 +254,68 @@ def test_cfl_raised_after_first_stage(grid64, monkeypatch):
     with pytest.raises(CFLError):
         step(st)
     assert len(calls) == 1
+
+
+def stepped_states(grid, eps, dt, nsteps, branch):
+    """The states stability_experiment steps through, and their monitored norms."""
+    fo, fr = default_profiles(grid)
+    st = BoussState(omega=SpectralField(grid, eps * fo.coeffs),
+                    rho=SpectralField(grid, eps * fr.coeffs), dt=dt, branch=branch)
+    mask = _dealias_mask(grid, 2.0 / 3.0)
+    st.omega.coeffs *= mask
+    st.rho.coeffs *= mask
+    states = [st]
+    for _ in range(nsteps):
+        states.append(step(states[-1]))
+    norms = [sobolev_norm(s.omega, 4.5) + sobolev_norm(s.rho, 5.5) for s in states]
+    return states, norms
+
+
+def test_growth_cap_exit_at_crossing_step(grid64):
+    """growth_cap=1.5 stops the unstable run at the step that crosses it."""
+    states, norms = stepped_states(grid64, 0.01, 0.05, 20, "unstable")
+    crossing = next(n for n in range(1, 21) if norms[n] > 1.5 * norms[0])
+    assert crossing > 1
+    rep = stability_experiment(grid64, eps=0.01, T=2.0, dt=0.05, branch="unstable",
+                               n_outputs=40, growth_cap=1.5)
+    assert rep.blew_up
+    assert rep.exit_time == states[crossing].time
+    # the cap is checked before the step's output is recorded
+    assert rep.times == [st.time for st in states[:crossing]]
+
+
+def test_early_exit_at_doubling_step(grid64):
+    """The exit is the first step above twice the initial norm; its output is the last."""
+    states, norms = stepped_states(grid64, 0.01, 0.05, 20, "unstable")
+    crossing = next(n for n in range(1, 21) if norms[n] > 2.0 * norms[0])
+    rep = stability_experiment(grid64, eps=0.01, T=2.0, dt=0.05, branch="unstable",
+                               n_outputs=40)
+    assert not rep.blew_up
+    assert rep.exit_time == states[crossing].time
+    assert rep.times == [st.time for st in states[:crossing + 1]]
+
+
+def test_censored_exit_time_is_t_final(grid64):
+    """A censored run reports T itself, not the time of its last step."""
+    rep = stability_experiment(grid64, eps=0.01, T=0.99, dt=0.1, n_outputs=5)
+    assert not rep.blew_up
+    assert rep.exit_time == 0.99
+    assert rep.times[-1] > 0.99
+
+
+def test_run_calls_step_through_module_global(grid64, monkeypatch):
+    """The run loop looks `step` up at call time, so a wrapper sees every step."""
+    calls = count_calls(monkeypatch, boussinesq, "step")
+    stability_experiment(grid64, eps=0.01, T=0.5, dt=0.05, n_outputs=5)
+    assert len(calls) == round(0.5 / 0.05)
+
+
+@pytest.mark.parametrize("dealias", [0.0, 1.5])
+def test_dealias_fraction_validated(grid64, dealias):
+    """Outside (0, 1] the fraction would zero the fields or turn dealiasing off."""
+    st = small_state(grid64)
+    st.dealias = dealias
+    with pytest.raises(SpectralError):
+        step(st)
+    with pytest.raises(SpectralError):
+        stability_experiment(grid64, eps=0.01, T=0.1, dt=0.05, dealias=dealias)

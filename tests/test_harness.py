@@ -209,3 +209,63 @@ def test_report_numbers_are_plain_floats(tmp_path, experiment, params):
             float(cell)
     for name in ("report.csv", "report.txt"):
         assert "np." not in (tmp_path / name).read_text()
+
+
+EVOLUTION_INI = """\
+[experiment]
+name = {experiment}
+seed = 1
+
+[grid]
+N = 16
+L = 10.0
+
+[params]
+t_final = 0.1
+dt = 0.05
+n_outputs = 2
+{extra}
+"""
+
+
+@pytest.mark.parametrize("experiment", ["sqg", "bouss"])
+@pytest.mark.parametrize("line, bad", [
+    ("dt = 0.05", "dt = 0"),
+    ("dt = 0.05", "dt = -0.1"),
+    ("dt = 0.05", "dt = abc"),
+    ("dt = 0.05", "dt = nan"),
+    ("dt = 0.05", "dt = inf"),
+    ("t_final = 0.1", "t_final = -1"),
+    ("t_final = 0.1", "t_final = 0"),
+    ("t_final = 0.1", "t_final = inf"),
+    ("n_outputs = 2", "n_outputs = 0"),
+    ("n_outputs = 2", "n_outputs = two"),
+])
+def test_cli_bad_time_params_exit_two(tmp_path, capsys, experiment, line, bad):
+    ini = EVOLUTION_INI.format(experiment=experiment, extra="")
+    assert line in ini
+    path = write_config(tmp_path, ini.replace(line, bad))
+    assert main([experiment, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_cli_unknown_branch_exit_two(tmp_path, capsys):
+    path = write_config(tmp_path, EVOLUTION_INI.format(experiment="bouss",
+                                                       extra="branch = stabel"))
+    assert main(["bouss", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_cli_sweep_member_config_error_exit_two(tmp_path, capsys):
+    ini = EVOLUTION_INI.format(experiment="sweep",
+                               extra="target = bouss\neps_list = 0.02,0.01")
+    path = write_config(tmp_path, ini.replace("dt = 0.05", "dt = 0"))
+    assert main(["sweep", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment", ["sqg", "bouss"])
+def test_cli_valid_time_params_run(tmp_path, capsys, experiment):
+    path = write_config(tmp_path, EVOLUTION_INI.format(experiment=experiment, extra=""))
+    assert main([experiment, "--config", path, "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from anisodisp import sqg
 from anisodisp.semigroup import SemigroupParams, evolve_linear
 from anisodisp.spectral import (
     Grid2D,
@@ -9,6 +10,7 @@ from anisodisp.spectral import (
     forward_transform,
     l2_norm,
     linf_norm,
+    sobolev_norm,
 )
 from anisodisp.sqg import (
     BlowUpError,
@@ -31,9 +33,13 @@ def small_state(grid, eps=0.05, dt=0.01, seed=1):
 
 
 def test_state_validation(grid64):
+    """The dealias fraction is checked where the mask is built, before any step."""
     f = random_field(grid64)
-    with pytest.raises(SpectralError):
-        SQGState(theta=f, dealias=1.5)
+    for bad in (0.0, 1.5):
+        with pytest.raises(SpectralError):
+            step(SQGState(theta=f.copy(), dealias=bad))
+        with pytest.raises(SpectralError):
+            run_and_diagnose(f, T=0.1, dt=0.05, dealias=bad)
 
 
 def test_velocity_perpendicular_to_gradient(grid64):
@@ -211,3 +217,60 @@ def test_cfl_raised_after_first_stage(grid64, monkeypatch):
     with pytest.raises(CFLError):
         step(st)
     assert len(calls) == 1
+
+
+def stepped_states(theta0, dt, nsteps):
+    """The states run_and_diagnose steps through: the masked start, then `step`."""
+    st = SQGState(theta=theta0.copy(), dt=dt)
+    st.theta.coeffs *= _dealias_mask(st.theta.grid, 2.0 / 3.0)
+    states = [st]
+    for _ in range(nsteps):
+        states.append(step(states[-1]))
+    return states
+
+
+def test_norm_cap_stops_at_crossing_step(grid64):
+    """A cap just above 1 stops the run at the first step whose H^s norm crosses it."""
+    theta0 = small_state(grid64, eps=0.3, dt=0.02, seed=6).theta
+    states = stepped_states(theta0, 0.02, 20)
+    factor = 1.0 + 1e-3
+    h = [sobolev_norm(st.theta, 4.5) for st in states]
+    crossing = next(n for n in range(1, 21) if h[n] > factor * h[0])
+    assert crossing > 1
+    diag = run_and_diagnose(theta0, T=0.4, dt=0.02, n_outputs=20, blowup_factor=factor)
+    assert diag.blew_up
+    assert diag.final_state.time == states[crossing].time
+    np.testing.assert_array_equal(diag.final_state.theta.coeffs,
+                                  states[crossing].theta.coeffs)
+    # the cap is checked before the step's output is recorded
+    assert diag.times[-1] == states[crossing - 1].time
+    assert diag.bootstrap_exit_time is None
+
+
+def test_nan_keeps_last_finite_state(grid64, monkeypatch):
+    """A NaN inside step 4 ends the run with the state after step 3."""
+    theta0 = small_state(grid64).theta
+    original = _Workspace.nonlinear
+    calls = []
+
+    def poisoned(self, c):
+        calls.append(1)
+        rhs, umax = original(self, c)
+        return (rhs * np.nan if len(calls) == 4 * 3 + 2 else rhs), umax
+
+    monkeypatch.setattr(_Workspace, "nonlinear", poisoned)
+    diag = run_and_diagnose(theta0, T=1.0, dt=0.05, n_outputs=20)
+    monkeypatch.undo()
+    states = stepped_states(theta0, 0.05, 3)
+    assert diag.blew_up
+    assert diag.final_state.time == states[3].time
+    np.testing.assert_array_equal(diag.final_state.theta.coeffs, states[3].theta.coeffs)
+    assert diag.times == [st.time for st in states]
+    assert np.all(np.isfinite(diag.h_s))
+
+
+def test_run_calls_step_through_module_global(grid64, monkeypatch):
+    """The run loop looks `step` up at call time, so a wrapper sees every step."""
+    calls = count_calls(monkeypatch, sqg, "step")
+    run_and_diagnose(small_state(grid64).theta, T=0.5, dt=0.05, n_outputs=5)
+    assert len(calls) == round(0.5 / 0.05)
