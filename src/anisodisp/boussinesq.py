@@ -18,6 +18,7 @@ from .spectral import (
     SpectralError,
     SpectralField,
     apply_multiplier,
+    forward_transform,
     half_spectrum,
     l2_norm,
     sobolev_norm,
@@ -47,10 +48,7 @@ class BoussState:
 
 def velocity(omega):
     """u = (-d2, d1)(-Lap)^{-1} omega; u2 = d1 (-Lap)^{-1} omega."""
-    return (
-        apply_multiplier(omega, MultiplierSpec.velocity_bouss(1)),
-        apply_multiplier(omega, MultiplierSpec.velocity_bouss(2)),
-    )
+    return tuple(apply_multiplier(omega, MultiplierSpec.velocity_bouss(j)) for j in (1, 2))
 
 
 def mode_energy(omega, rho):
@@ -59,12 +57,13 @@ def mode_energy(omega, rho):
     return E, float(np.sum(E))
 
 
-def _propagator_arrays(xi1, r, t, branch):
+def _propagator_arrays(xi1, xi2, r, t, branch):
     """(c, [s_om, s_rho]): omega' = c om + s_om rho, rho' = c rho + s_rho om.
 
-    xi1 and r = |xi| (1 at the zero mode) may be the full or the half lattice.
+    xi1, xi2 and r = |xi| (1 at the zero mode): the full or the half lattice.
     """
-    beta = xi1 / r
+    # the rate xi_1/|xi|: the generator's symbol is -i xi_1/|xi|
+    beta = -MultiplierSpec.generator(1.0).on(xi1, xi2).imag
     stable = branch == "stable"
     c = (np.cos if stable else np.cosh)(beta * t)
     s = (np.sin if stable else np.sinh)(beta * t)
@@ -74,7 +73,7 @@ def _propagator_arrays(xi1, r, t, branch):
 def linear_propagator(state, t):
     """Exact per-mode solution of the linearized system, advanced by t."""
     grid = state.omega.grid
-    P = _propagator_arrays(grid.xi1, grid.xi_mod_safe, t, state.branch)
+    P = _propagator_arrays(grid.xi1, grid.xi2, grid.xi_mod_safe, t, state.branch)
     y = _Workspace.propagate(P, np.stack([state.omega.coeffs, state.rho.coeffs]))
     fo, fr = (SpectralField(grid, c).zero_nyquist().enforce_hermitian() for c in y)
     return replace(state, omega=fo, rho=fr, time=state.time + t)
@@ -95,10 +94,9 @@ class _Workspace(_HalfSpectrumWorkspace):
 
     def __init__(self, grid, dealias, branch):
         super().__init__(grid, dealias)
-        xi_sq = half_spectrum(grid.xi_sq).copy()
-        xi_sq[0, 0] = 1.0
-        self.velocity = np.stack([-1j * self.xi2 / xi_sq, 1j * self.xi1 / xi_sq])
-        self.grad = np.stack([1j * self.xi1, 1j * self.xi2])
+        self.velocity = self.symbols(MultiplierSpec.velocity_bouss, 1, 2)
+        self.grad = self.symbols(MultiplierSpec.deriv, 1, 2)
+        self.r = half_spectrum(grid.xi_mod_safe)
         self.branch = branch
 
     def propagator(self, dt):
@@ -106,7 +104,8 @@ class _Workspace(_HalfSpectrumWorkspace):
         key = round(dt, 15)
         if key not in self._props:
             self._props[key] = tuple(
-                _propagator_arrays(self.xi1, self.r, t, self.branch) for t in (dt, dt / 2.0)
+                _propagator_arrays(self.xi1, self.xi2, self.r, t, self.branch)
+                for t in (dt, dt / 2.0)
             )
         return self._props[key]
 
@@ -174,8 +173,6 @@ def default_profiles(grid):
     X, Y = grid.meshgrid()
     w = np.exp(-(X**2 + Y**2) / 4.0) * np.sin(2.0 * np.pi * X / grid.L * 4.0)
     r = np.exp(-((X - 2.0) ** 2 + Y**2) / 4.0) * np.sin(2.0 * np.pi * Y / grid.L * 4.0)
-    from .spectral import forward_transform
-
     fo = forward_transform(w, grid).zero_mean()
     fr = forward_transform(r, grid).zero_mean()
     return fo, fr

@@ -34,17 +34,9 @@ def main(argv=None):
         return int(exc.code) if exc.code else 0
     try:
         cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    if cfg.experiment != args.experiment:
-        print(
-            f"config names experiment {cfg.experiment!r} but "
-            f"{args.experiment!r} was requested",
-            file=sys.stderr,
-        )
-        return 2
-    try:
+        if cfg.experiment != args.experiment:
+            raise ConfigError(f"config names experiment {cfg.experiment!r} but "
+                              f"{args.experiment!r} was requested")
         report = run(cfg, jobs=args.jobs)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

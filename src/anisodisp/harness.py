@@ -149,31 +149,29 @@ def _fmt(x):
     return str(x)
 
 
-def _pf(params, key, default):
+def _pf(params, key, default, within="(-inf, inf)", kind=float):
+    """params[key], or the default, as `kind`; it must lie in the interval
+    `within`, written like "(0, 0.1]"."""
     try:
-        return float(params.get(key, default))
+        value = kind(params.get(key, default))
     except ValueError as exc:
         raise ConfigError(f"malformed params.{key}: {exc}") from exc
+    lo, hi = (float(x) for x in within[1:-1].split(","))
+    if not ((lo <= value if within[0] == "[" else lo < value)
+            and (value <= hi if within[-1] == "]" else value < hi)):
+        raise ConfigError(f"params.{key} must lie in {within}, got {value}")
+    return value
 
 
-def _pi(params, key, default):
-    try:
-        return int(params.get(key, default))
-    except ValueError as exc:
-        raise ConfigError(f"malformed params.{key}: {exc}") from exc
+def _pl(params, key, default, within="(-inf, inf)"):
+    """A comma-separated list of floats, each checked as `_pf` checks one."""
+    return [_pf({key: s}, key, None, within) for s in params.get(key, default).split(",")]
 
 
 def _time_params(p, n_outputs):
     """(t_final, dt, n_outputs) of an evolution config, range-checked."""
-    T = _pf(p, "t_final", 10.0)
-    dt = _pf(p, "dt", 0.05)
-    n = _pi(p, "n_outputs", n_outputs)
-    for key, value in (("t_final", T), ("dt", dt)):
-        if not (np.isfinite(value) and value > 0.0):
-            raise ConfigError(f"params.{key} must be finite and > 0, got {value}")
-    if n < 1:
-        raise ConfigError(f"params.n_outputs must be >= 1, got {n}")
-    return T, dt, n
+    return (_pf(p, "t_final", 10.0, "(0, inf)"), _pf(p, "dt", 0.05, "(0, inf)"),
+            _pf(p, "n_outputs", n_outputs, "[1, inf)", int))
 
 
 def make_profile(grid, kind, seed=1, width=1.0, amplitude=1.0):
@@ -207,11 +205,11 @@ def make_profile(grid, kind, seed=1, width=1.0, amplitude=1.0):
 def _run_lin_decay(cfg):
     grid = Grid2D(cfg.N, cfg.L)
     p = cfg.params
-    alpha = _pf(p, "alpha", 1.0)
-    t_lo = _pf(p, "t_lo", 10.0)
-    t_hi = _pf(p, "t_hi", 100.0)
-    n_times = _pi(p, "n_times", 12)
-    width = _pf(p, "width", 1.0)
+    alpha = _pf(p, "alpha", 1.0, "[1, 2]")
+    t_lo = _pf(p, "t_lo", 10.0, "(0, inf)")
+    t_hi = _pf(p, "t_hi", 100.0, "(0, inf)")
+    n_times = _pf(p, "n_times", 12, kind=int)
+    width = _pf(p, "width", 1.0, "(0, inf)")
     profile = p.get("profile", "gaussian")
     f0 = make_profile(grid, profile, seed=cfg.seed, width=width)
     bank = LPBank(grid)
@@ -243,8 +241,8 @@ def _run_sharpness(cfg):
     p = cfg.params
     t_lo = _pf(p, "t_lo", 20.0)
     t_hi = _pf(p, "t_hi", 100.0)
-    n_times = _pi(p, "n_times", 400)
-    width = _pf(p, "width", 1.0)
+    n_times = _pf(p, "n_times", 400, kind=int)
+    width = _pf(p, "width", 1.0, "(0, inf)")
     # the shell profile keeps the spectrum away from xi = 0, where the phase
     # is singular; box periodization then stays below the two-path tolerance
     profile = p.get("profile", "shell")
@@ -274,10 +272,11 @@ def _run_sharpness(cfg):
 
 def _run_kernel(cfg):
     p = cfg.params
-    alpha = _pf(p, "alpha", 1.0)
-    times = [float(s) for s in p.get("times", "10,30,100").split(",")]
-    n_lambda = _pi(p, "n_lambda", 30)
-    lam_grid = np.geomspace(_pf(p, "lambda_lo", 0.02), _pf(p, "lambda_hi", 1.0), n_lambda)
+    alpha = _pf(p, "alpha", 1.0, "[1, 2]")
+    times = _pl(p, "times", "10,30,100", "(0, inf)")
+    n_lambda = _pf(p, "n_lambda", 30, kind=int)
+    lam_grid = np.geomspace(_pf(p, "lambda_lo", 0.02, "(0, inf)"),
+                            _pf(p, "lambda_hi", 1.0, "(0, inf)"), n_lambda)
     phase = oscillatory.PhaseSpec(v=(0.0, 0.0), alpha=alpha)
     out = ExperimentReport(config=cfg)
     col_t, col_k, col_lam_star, col_budget = [], [], [], []
@@ -313,12 +312,12 @@ def _run_sqg(cfg):
     p = cfg.params
     eps = _pf(p, "eps", 0.02)
     T, dt, n_outputs = _time_params(p, 50)
-    width = _pf(p, "width", 2.0)
+    width = _pf(p, "width", 2.0, "(0, inf)")
     profile = p.get("profile", "gaussian")
     f0 = make_profile(grid, profile, seed=cfg.seed, width=width, amplitude=eps)
     diag = sqg.run_and_diagnose(
         f0, T, dt,
-        alpha=_pf(p, "alpha", 1.0),
+        alpha=_pf(p, "alpha", 1.0, "[1, 2]"),
         delta=_pf(p, "delta", 0.5),
         n_outputs=n_outputs,
     )
@@ -344,7 +343,7 @@ def _run_bouss(cfg):
         raise ConfigError(f"params.branch must be stable or unstable, got {branch!r}")
     rep = boussinesq.stability_experiment(
         grid,
-        eps=_pf(p, "eps", 0.02),
+        eps=_pf(p, "eps", 0.02, "(0, 0.1]"),
         T=T,
         dt=dt,
         branch=branch,
@@ -378,7 +377,7 @@ def _sweep_member(args):
 
 def _run_sweep(cfg, jobs=1):
     p = cfg.params
-    eps_list = [float(s) for s in p.get("eps_list", "0.04,0.02,0.01").split(",")]
+    eps_list = _pl(p, "eps_list", "0.04,0.02,0.01")
     target = p.get("target", "sqg")
     out = ExperimentReport(config=cfg)
     args = [

@@ -27,8 +27,7 @@ class SemigroupParams:
     t: float = 0.0
 
     def __post_init__(self):
-        if not 1.0 <= self.alpha <= 2.0:
-            raise SpectralError(f"alpha must lie in [1, 2], got {self.alpha}")
+        MultiplierSpec.generator(self.alpha)  # validates alpha
         if self.t < 0.0:
             raise SpectralError(f"time must be nonnegative, got {self.t}")
 
@@ -191,11 +190,9 @@ def _origin_evaluator(f0):
     for any complex coefficients.  The (times, phases) matrix is evaluated
     in row blocks under a fixed byte budget.
     """
-    grid = f0.grid
-    phase = grid.xi1 / grid.xi_mod_safe
-    phase[0, 0] = 0.0
+    # the generator's symbol is -i xi_1/|xi|, 0 at the zero mode
+    ph = -MultiplierSpec.generator(1.0).symbol(f0.grid).imag.ravel()
     c = f0.coeffs.ravel()
-    ph = phase.ravel()
     keep = np.abs(c) > 1e-18 * np.max(np.abs(c))
     c = c[keep]
     ph = ph[keep]

@@ -54,11 +54,8 @@ class Grid2D:
         self.xi1 = scale * self.k1 + 0.0 * self.k2
         self.xi2 = scale * self.k2 + 0.0 * self.k1
         self.xi_sq = self.xi1**2 + self.xi2**2
-        # |xi| with the zero mode patched to 1; multipliers define their own
-        # value at xi = 0 and never read this entry.
         self.xi_mod = np.sqrt(self.xi_sq)
-        self.xi_mod_safe = self.xi_mod.copy()
-        self.xi_mod_safe[0, 0] = 1.0
+        self.xi_mod_safe = np.sqrt(_modulus_sq(self.xi1, self.xi2))
         # Nyquist rows have no Hermitian partner on the lattice
         ny = self.N // 2
         self.nyquist_mask = np.zeros((self.N, self.N), dtype=bool)
@@ -168,23 +165,74 @@ def full_spectrum(half):
     return full
 
 
-class MultiplierSpec:
-    """A Fourier multiplier m(xi) identified by a symbolic tag.
+def _modulus_sq(xi1, xi2):
+    """|xi|^2, set to 1 at the zero mode so that quotients stay finite there."""
+    q = xi1**2 + xi2**2
+    q[0, 0] = 1.0
+    return q
 
-    Zero-mode convention: symbols singular at xi = 0 (Riesz, InvFracLap,
-    velocities, semigroup phase) take the value 0 there; evolved fields are
-    kept zero-mean throughout.
+
+def _at_zero(m, value):
+    m[0, 0] = value
+    return m
+
+
+def _riesz(xi1, xi2, j, alpha=1.0):
+    # -i xi_j / |xi|^alpha: the Riesz transform R_j, and for j = 1 the generator
+    # of the semigroup; the quotient is real, so -Im(m) is exactly xi_j/|xi|^alpha
+    xj = xi1 if j == 1 else xi2
+    return _at_zero(-1j * (xj / np.sqrt(_modulus_sq(xi1, xi2)) ** alpha), 0.0)
+
+
+def _frac_lap(xi1, xi2, s):
+    # |xi|^s; at xi = 0 it is |0|^s = 0 for s > 0, the identity's 1 for s = 0,
+    # and the singular convention 0 for s < 0
+    return _at_zero(np.sqrt(_modulus_sq(xi1, xi2)) ** s + 0j, 1.0 if s == 0 else 0.0)
+
+
+# Every Fourier symbol m(xi1, xi2, **params) of the package, each written once.
+# The lattice may be the full (N, N) one or the (N, N//2 + 1) half that rfft2
+# stores; both hold xi = 0 at [0, 0], whose value each entry sets itself.
+SYMBOLS = {
+    "Deriv": lambda xi1, xi2, j: _at_zero(1j * (xi1 if j == 1 else xi2), 0.0),
+    "Riesz": _riesz,
+    "FracLap": _frac_lap,
+    "InvFracLap": lambda xi1, xi2, s: _frac_lap(xi1, xi2, -s),
+    "Generator": lambda xi1, xi2, alpha: _riesz(xi1, xi2, 1, alpha),
+    # exp(t * generator); 1 at xi = 0
+    "SemigroupPhase": lambda xi1, xi2, alpha, t: np.exp(t * _riesz(xi1, xi2, 1, alpha)),
+    # u = (-R2, R1) theta
+    "VelocitySQG": lambda xi1, xi2, component: (
+        -_riesz(xi1, xi2, 2) if component == 1 else _riesz(xi1, xi2, 1)),
+    # u = (-d2, d1) (-Lap)^{-1} omega, so that u2 = d1 (-Lap)^{-1} omega
+    "VelocityBouss": lambda xi1, xi2, component: _at_zero(
+        (-1j * xi2 if component == 1 else 1j * xi1) / _modulus_sq(xi1, xi2), 0.0),
+}
+
+
+def _one_or_two(what, j):
+    if j not in (1, 2):
+        raise SpectralError(f"{what} must be 1 or 2, got {j}")
+    return j
+
+
+class MultiplierSpec:
+    """A Fourier multiplier m(xi): an entry of `SYMBOLS` and its parameters.
+
+    Zero-mode convention: symbols singular at xi = 0 (Riesz, FracLap with
+    s < 0, InvFracLap with s > 0, velocities, the generator) take the value 0
+    there; evolved fields are kept zero-mean throughout.
     """
 
     def __init__(self, tag, **params):
+        if tag not in SYMBOLS:
+            raise SpectralError(f"unknown multiplier tag {tag!r}")
         self.tag = tag
         self.params = params
 
     @classmethod
     def riesz(cls, j):
-        if j not in (1, 2):
-            raise SpectralError(f"Riesz component must be 1 or 2, got {j}")
-        return cls("Riesz", j=j)
+        return cls("Riesz", j=_one_or_two("Riesz component", j))
 
     @classmethod
     def frac_lap(cls, s):
@@ -196,73 +244,39 @@ class MultiplierSpec:
 
     @classmethod
     def deriv(cls, j):
-        if j not in (1, 2):
-            raise SpectralError(f"derivative direction must be 1 or 2, got {j}")
-        return cls("Deriv", j=j)
+        return cls("Deriv", j=_one_or_two("derivative direction", j))
+
+    @classmethod
+    def generator(cls, alpha):
+        """-i xi_1 / |xi|^alpha, the symbol of the semigroup's generator."""
+        if not 1.0 <= alpha <= 2.0:
+            raise SpectralError(f"alpha must lie in [1, 2], got {alpha}")
+        return cls("Generator", alpha=float(alpha))
 
     @classmethod
     def semigroup_phase(cls, alpha, t):
-        if not 1.0 <= alpha <= 2.0:
-            raise SpectralError(f"alpha must lie in [1, 2], got {alpha}")
+        cls.generator(alpha)  # validates alpha
         if t < 0:
             raise SpectralError(f"time must be nonnegative, got {t}")
         return cls("SemigroupPhase", alpha=float(alpha), t=float(t))
 
     @classmethod
     def velocity_sqg(cls, component):
-        if component not in (1, 2):
-            raise SpectralError(f"velocity component must be 1 or 2, got {component}")
-        return cls("VelocitySQG", component=component)
+        return cls("VelocitySQG", component=_one_or_two("velocity component", component))
 
     @classmethod
     def velocity_bouss(cls, component):
-        if component not in (1, 2):
-            raise SpectralError(f"velocity component must be 1 or 2, got {component}")
-        return cls("VelocityBouss", component=component)
+        return cls("VelocityBouss", component=_one_or_two("velocity component", component))
+
+    def on(self, xi1, xi2):
+        """Evaluate m on the lattice (xi1, xi2), full or half."""
+        return SYMBOLS[self.tag](xi1, xi2, **self.params)
 
     def symbol(self, grid):
         """Evaluate m(xi) on the full lattice of `grid`."""
-        xi1, xi2 = grid.xi1, grid.xi2
-        r = grid.xi_mod_safe
-        tag = self.tag
-        if tag == "Riesz":
-            xj = xi1 if self.params["j"] == 1 else xi2
-            m = -1j * xj / r
-        elif tag == "FracLap":
-            m = r ** self.params["s"] + 0j
-        elif tag == "InvFracLap":
-            m = r ** (-self.params["s"]) + 0j
-        elif tag == "Deriv":
-            xj = xi1 if self.params["j"] == 1 else xi2
-            m = 1j * xj + 0.0 * r
-        elif tag == "SemigroupPhase":
-            alpha, t = self.params["alpha"], self.params["t"]
-            m = np.exp(-1j * t * xi1 / r**alpha)
-        elif tag == "VelocitySQG":
-            # u = (-R2, R1) theta
-            if self.params["component"] == 1:
-                m = 1j * xi2 / r
-            else:
-                m = -1j * xi1 / r
-        elif tag == "VelocityBouss":
-            # u = (-d2, d1) (-Lap)^{-1} omega, so that u2 = d1 (-Lap)^{-1} omega
-            if self.params["component"] == 1:
-                m = -1j * xi2 / grid.xi_sq.clip(min=1e-300)
-            else:
-                m = 1j * xi1 / grid.xi_sq.clip(min=1e-300)
-        else:
-            raise SpectralError(f"unknown multiplier tag {tag!r}")
-        m = np.asarray(m, dtype=np.complex128)
-        # singular-at-origin symbols are defined as 0 at the zero mode;
-        # FracLap(s>0) and Deriv vanish there anyway, SemigroupPhase -> 1
-        if tag == "SemigroupPhase":
-            m[0, 0] = 1.0
-        elif tag == "FracLap" and self.params["s"] <= 0:
-            m[0, 0] = 0.0
-        elif tag in ("Riesz", "InvFracLap", "VelocitySQG", "VelocityBouss"):
-            m[0, 0] = 0.0
+        m = self.on(grid.xi1, grid.xi2)
         if not np.all(np.isfinite(m)):
-            raise AssertionError(f"multiplier {tag} not finite on the lattice")
+            raise AssertionError(f"multiplier {self.tag} not finite on the lattice")
         return m
 
     def __repr__(self):
@@ -289,17 +303,11 @@ def l2_norm(field):
     return field.grid.L * float(np.linalg.norm(field.coeffs))
 
 
-def sobolev_weight(grid, s, homogeneous=False):
-    """Weight of the discrete H^s norm: (1 + |xi|^2)^s, or |xi|^{2s} (0 at
-    the zero mode) for the homogeneous Hdot^s."""
+def sobolev_weight(grid, s):
+    """Weight (1 + |xi|^2)^s of the discrete H^s norm."""
     if not -2.0 <= s <= 8.0:
         raise SpectralError(f"Sobolev index must lie in [-2, 8], got {s}")
-    if homogeneous:
-        w = grid.xi_sq**s
-        w[0, 0] = 0.0
-    else:
-        w = (1.0 + grid.xi_sq) ** s
-    return w
+    return (1.0 + grid.xi_sq) ** s
 
 
 def weighted_norm(field, weight):
@@ -307,9 +315,9 @@ def weighted_norm(field, weight):
     return field.grid.L * float(np.sqrt(np.sum(weight * np.abs(field.coeffs) ** 2)))
 
 
-def sobolev_norm(field, s, homogeneous=False):
-    """Discrete H^s (or homogeneous Hdot^s) norm."""
-    return weighted_norm(field, sobolev_weight(field.grid, s, homogeneous))
+def sobolev_norm(field, s):
+    """Discrete H^s norm."""
+    return weighted_norm(field, sobolev_weight(field.grid, s))
 
 
 def linf_norm(field):

@@ -57,10 +57,7 @@ class SQGState:
 
 def velocity(theta):
     """u = (-R2 theta, R1 theta); divergence-free by construction."""
-    return (
-        apply_multiplier(theta, MultiplierSpec.velocity_sqg(1)),
-        apply_multiplier(theta, MultiplierSpec.velocity_sqg(2)),
-    )
+    return tuple(apply_multiplier(theta, MultiplierSpec.velocity_sqg(j)) for j in (1, 2))
 
 
 def _dealias_mask(grid, fraction):
@@ -78,14 +75,17 @@ class _HalfSpectrumWorkspace:
     def __init__(self, grid, dealias):
         self.grid = grid
         self.xi1, self.xi2 = half_spectrum(grid.xi1), half_spectrum(grid.xi2)
-        self.r = half_spectrum(grid.xi_mod_safe)
         self.mask = _dealias_mask(grid, dealias)
         self.half_mask = half_spectrum(self.mask)
         self._props = {}
 
+    def symbols(self, factory, *args):
+        """The symbols of `factory(a)` for each a in args on the half lattice, stacked."""
+        return np.stack([factory(a).on(self.xi1, self.xi2) for a in args])
+
     def grad_norms(self, y):
         """(max |grad u|, max |grad f|) for the (u1, u2, f) of grad_fields(y)."""
-        spec = (self.grad_fields(y)[:, None] * self.grad).reshape(6, *self.r.shape)
+        spec = (self.grad_fields(y)[:, None] * self.grad).reshape(6, *self.xi1.shape)
         g = np.abs(sfft.irfft2(spec, axes=(-2, -1), norm="forward"))
         return float(np.max(g[:4])), float(np.max(g[4:]))
 
@@ -95,11 +95,11 @@ class _Workspace(_HalfSpectrumWorkspace):
 
     def __init__(self, grid, alpha, dealias):
         super().__init__(grid, dealias)
-        xi1, xi2, r = self.xi1, self.xi2, self.r
         # u1, u2, d1 theta, d2 theta: the four fields of u . grad theta
-        self.transport = np.stack([1j * xi2 / r, -1j * xi1 / r, 1j * xi1, 1j * xi2])
+        self.transport = np.concatenate([self.symbols(MultiplierSpec.velocity_sqg, 1, 2),
+                                         self.symbols(MultiplierSpec.deriv, 1, 2)])
         self.grad = self.transport[2:]
-        self.lam = -1j * xi1 / r**alpha
+        self.lam = MultiplierSpec.generator(alpha).on(self.xi1, self.xi2)
 
     def propagator(self, dt):
         """(exp(lam dt), exp(lam dt / 2)), built once per dt."""

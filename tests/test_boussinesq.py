@@ -13,7 +13,14 @@ from anisodisp.boussinesq import (
     step,
     velocity,
 )
-from anisodisp.spectral import Grid2D, SpectralError, SpectralField, sobolev_norm
+from anisodisp.spectral import (
+    Grid2D,
+    MultiplierSpec,
+    SpectralError,
+    SpectralField,
+    half_spectrum,
+    sobolev_norm,
+)
 from anisodisp.sqg import CFLError, _dealias_mask
 from conftest import count_calls, random_field
 
@@ -35,6 +42,14 @@ def test_grids_must_match(grid64):
     rh = random_field(Grid2D(32, 10.0))
     with pytest.raises(SpectralError):
         BoussState(omega=om, rho=rh)
+
+
+def test_workspace_symbols_come_from_the_table(grid64):
+    ws = _Workspace(grid64, 2.0 / 3.0, "stable")
+    pairs = [(ws.velocity, MultiplierSpec.velocity_bouss), (ws.grad, MultiplierSpec.deriv)]
+    for arrays, factory in pairs:
+        for j, row in enumerate(arrays, start=1):
+            assert np.array_equal(row, half_spectrum(factory(j).symbol(grid64))), factory(j)
 
 
 def test_velocity_divergence_free(grid64):

@@ -1,3 +1,4 @@
+import importlib
 import os
 
 import numpy as np
@@ -184,6 +185,9 @@ dt = 50.0
     ("L = 10.0", "L = nan"),
     ("L = 10.0", "L = inf"),
     ("seed = 1", "seed = x"),
+    ("alpha = 1.0", "alpha = 3"),
+    ("times = 10,30", "times = 10,x"),
+    ("times = 10,30", "times = 0,10"),
 ])
 def test_cli_malformed_grid_exit_two(tmp_path, capsys, line, bad):
     assert line in KERNEL_INI
@@ -249,6 +253,23 @@ def test_cli_bad_time_params_exit_two(tmp_path, capsys, experiment, line, bad):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("experiment, extra", [
+    ("lin-decay", "alpha = 3"),
+    ("lin-decay", "width = 0"),
+    ("lin-decay", "t_lo = 0"),
+    ("sqg", "alpha = 0"),
+    ("sqg", "alpha = nan"),
+    ("sqg", "width = 0"),
+    ("bouss", "eps = 0.5"),
+    ("sweep", "target = bouss\neps_list = 0.02,0.5"),
+    ("sweep", "eps_list = a,b"),
+])
+def test_cli_out_of_range_param_exit_two(tmp_path, capsys, experiment, extra):
+    path = write_config(tmp_path, EVOLUTION_INI.format(experiment=experiment, extra=extra))
+    assert main([experiment, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_cli_unknown_branch_exit_two(tmp_path, capsys):
     path = write_config(tmp_path, EVOLUTION_INI.format(experiment="bouss",
                                                        extra="branch = stabel"))
@@ -269,3 +290,12 @@ def test_cli_valid_time_params_run(tmp_path, capsys, experiment):
     path = write_config(tmp_path, EVOLUTION_INI.format(experiment=experiment, extra=""))
     assert main([experiment, "--config", path, "--out", str(tmp_path / "o")]) == 0
     capsys.readouterr()
+
+
+def test_benchmark_trace_targets_resolve(monkeypatch):
+    """Every entry point the benchmark's tracer wraps still exists, so renaming
+    one fails here and not at the next traced benchmark run."""
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+    tracing = importlib.import_module("tracing")
+    for owner, attr, *_ in tracing._targets():
+        assert attr in owner.__dict__, (owner, attr)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from anisodisp.spectral import (
+    SYMBOLS,
     Grid2D,
     MultiplierSpec,
     SpectralError,
@@ -116,6 +117,8 @@ def test_multiplier_validation():
         MultiplierSpec.semigroup_phase(0.5, 1.0)
     with pytest.raises(SpectralError):
         MultiplierSpec.semigroup_phase(1.0, -1.0)
+    with pytest.raises(SpectralError):
+        MultiplierSpec.generator(2.5)
 
 
 def test_riesz_is_skew_adjoint(grid64):
@@ -172,6 +175,49 @@ def test_multiplier_keeps_field_real(grid64):
     ):
         g = apply_multiplier(f, m)
         assert g.hermitian_defect() <= 1e-13
+
+
+@pytest.mark.parametrize("s", [-1.5, -0.5, 0.0, 0.5, 1.0, 2.0])
+def test_frac_lap_zero_mode(grid64, s):
+    """|0|^s is 0 for s > 0, the identity's 1 for s = 0, and the singular
+    convention 0 for s < 0; inv_frac_lap(s) is frac_lap(-s) entry for entry."""
+    m = MultiplierSpec.frac_lap(s).symbol(grid64)
+    assert m[0, 0] == (1.0 if s == 0 else 0.0)
+    assert np.array_equal(MultiplierSpec.inv_frac_lap(-s).symbol(grid64), m)
+
+
+# one instance of every table entry, with its documented value at xi = 0
+TABLE_ZERO_MODES = [
+    (MultiplierSpec.deriv(1), 0.0),
+    (MultiplierSpec.deriv(2), 0.0),
+    (MultiplierSpec.riesz(1), 0.0),
+    (MultiplierSpec.riesz(2), 0.0),
+    (MultiplierSpec.frac_lap(0.5), 0.0),
+    (MultiplierSpec.inv_frac_lap(0.5), 0.0),
+    (MultiplierSpec.generator(1.5), 0.0),
+    (MultiplierSpec.semigroup_phase(1.5, 7.0), 1.0),
+    (MultiplierSpec.velocity_sqg(1), 0.0),
+    (MultiplierSpec.velocity_sqg(2), 0.0),
+    (MultiplierSpec.velocity_bouss(1), 0.0),
+    (MultiplierSpec.velocity_bouss(2), 0.0),
+]
+
+
+def test_table_entries_hermitian_with_zero_mode(grid64):
+    """m(-k) == conj(m(k)) exactly off the Nyquist lines, so a multiplier maps
+    real fields to real fields, and each entry has its documented m(0)."""
+    assert {m.tag for m, _ in TABLE_ZERO_MODES} == set(SYMBOLS)
+    neg = -np.arange(grid64.N) % grid64.N
+    inner = ~grid64.nyquist_mask
+    for mult, zero in TABLE_ZERO_MODES:
+        m = mult.symbol(grid64)
+        assert np.array_equal(m[neg][:, neg][inner], np.conj(m)[inner]), mult
+        assert m[0, 0] == zero, mult
+
+
+def test_unknown_tag_rejected():
+    with pytest.raises(SpectralError):
+        MultiplierSpec("NoSuchSymbol")
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,11 @@ from anisodisp import sqg
 from anisodisp.semigroup import SemigroupParams, evolve_linear
 from anisodisp.spectral import (
     Grid2D,
+    MultiplierSpec,
     SpectralError,
     SpectralField,
     forward_transform,
+    half_spectrum,
     l2_norm,
     linf_norm,
     sobolev_norm,
@@ -40,6 +42,21 @@ def test_state_validation(grid64):
             step(SQGState(theta=f.copy(), dealias=bad))
         with pytest.raises(SpectralError):
             run_and_diagnose(f, T=0.1, dt=0.05, dealias=bad)
+
+
+def test_workspace_symbols_come_from_the_table(grid64):
+    ws = _Workspace(grid64, 1.5, 2.0 / 3.0)
+    specs = (MultiplierSpec.velocity_sqg(1), MultiplierSpec.velocity_sqg(2),
+             MultiplierSpec.deriv(1), MultiplierSpec.deriv(2))
+    for row, spec in zip(ws.transport, specs):
+        assert np.array_equal(row, half_spectrum(spec.symbol(grid64))), spec
+    assert np.array_equal(ws.lam, half_spectrum(MultiplierSpec.generator(1.5).symbol(grid64)))
+
+
+@pytest.mark.parametrize("alpha", [0.5, 2.5, float("nan")])
+def test_workspace_rejects_alpha_outside_range(grid64, alpha):
+    with pytest.raises(SpectralError):
+        _Workspace(grid64, alpha, 2.0 / 3.0)
 
 
 def test_velocity_perpendicular_to_gradient(grid64):
