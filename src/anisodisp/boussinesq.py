@@ -19,6 +19,7 @@ from .spectral import (
     SpectralField,
     apply_multiplier,
     forward_transform,
+    full_spectrum,
     half_spectrum,
     l2_norm,
     sobolev_norm,
@@ -60,7 +61,7 @@ def mode_energy(omega, rho):
 def _propagator_arrays(xi1, xi2, r, t, branch):
     """(c, [s_om, s_rho]): omega' = c om + s_om rho, rho' = c rho + s_rho om.
 
-    xi1, xi2 and r = |xi| (1 at the zero mode): the full or the half lattice.
+    xi1, xi2 and r = |xi| (1 at the zero mode) on the half lattice.
     """
     # the rate xi_1/|xi|: the generator's symbol is -i xi_1/|xi|
     beta = -MultiplierSpec.generator(1.0).on(xi1, xi2).imag
@@ -70,12 +71,17 @@ def _propagator_arrays(xi1, xi2, r, t, branch):
     return c + 0j, np.stack([1j * r * s, (1j if stable else -1j) * s / r])
 
 
+def _half_pair(state):
+    return np.stack([half_spectrum(state.omega.coeffs), half_spectrum(state.rho.coeffs)])
+
+
 def linear_propagator(state, t):
     """Exact per-mode solution of the linearized system, advanced by t."""
     grid = state.omega.grid
-    P = _propagator_arrays(grid.xi1, grid.xi2, grid.xi_mod_safe, t, state.branch)
-    y = _Workspace.propagate(P, np.stack([state.omega.coeffs, state.rho.coeffs]))
-    fo, fr = (SpectralField(grid, c).zero_nyquist().enforce_hermitian() for c in y)
+    xi1, xi2, r = (half_spectrum(a) for a in (grid.xi1, grid.xi2, grid.xi_mod_safe))
+    P = _propagator_arrays(xi1, xi2, r, t, state.branch)
+    y = full_spectrum(_Workspace.propagate(P, _half_pair(state)))
+    fo, fr = (SpectralField(grid, c).zero_nyquist() for c in y)
     return replace(state, omega=fo, rho=fr, time=state.time + t)
 
 
@@ -128,15 +134,11 @@ class _Workspace(_HalfSpectrumWorkspace):
         return np.stack([self.velocity[0] * y[0], self.velocity[1] * y[0], y[1]])
 
 
-def _half_pair(state):
-    return np.stack([half_spectrum(state.omega.coeffs), half_spectrum(state.rho.coeffs)])
-
-
 def step(state, workspace=None):
     """One `_if_rk4` step of the perturbed system on the stacked half spectra."""
     ws = workspace or _Workspace(state.omega.grid, state.dealias, state.branch)
     full = _if_rk4(ws, _half_pair(state) * ws.half_mask, state)
-    fo, fr = (SpectralField(state.omega.grid, c).zero_nyquist() for c in full)
+    fo, fr = (SpectralField(state.omega.grid, c) for c in full)
     return replace(state, omega=fo, rho=fr, time=state.time + state.dt)
 
 
@@ -155,17 +157,11 @@ class StabilityReport:
     initial_norms: dict = field(default_factory=dict)
     blew_up: bool = False
 
-    def rows(self):
-        for i in range(len(self.times)):
-            yield {
-                "t": self.times[i],
-                "Hs_omega": self.hs_omega[i],
-                "Hs1_rho": self.hs1_rho[i],
-                "E_total": self.e_total[i],
-                "gradU_inf": self.grad_u_inf[i],
-                "gradRho_inf": self.grad_rho_inf[i],
-                "integral": self.integral[i],
-            }
+    def columns(self):
+        """The report columns, [(name, values)] in order."""
+        return [("t", self.times), ("Hs_omega", self.hs_omega), ("Hs1_rho", self.hs1_rho),
+                ("E_total", self.e_total), ("gradU_inf", self.grad_u_inf),
+                ("gradRho_inf", self.grad_rho_inf), ("integral", self.integral)]
 
 
 def default_profiles(grid):

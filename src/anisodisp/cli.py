@@ -6,6 +6,7 @@ Exit codes: 0 all checks pass, 1 a check failed, 2 usage error, 3 numeric failur
 import argparse
 import sys
 
+from .fitting import FitError
 from .harness import EXPERIMENTS, ConfigError, load_config, run
 from .oscillatory import QuadratureBudgetError
 from .spectral import SpectralError
@@ -41,7 +42,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (CFLError, BlowUpError, QuadratureBudgetError, SpectralError) as exc:
+    except (CFLError, BlowUpError, FitError, QuadratureBudgetError, SpectralError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     report.write(args.out)

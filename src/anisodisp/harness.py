@@ -27,6 +27,8 @@ from .spectral import (
 )
 
 EXPERIMENTS = ("lin-decay", "sharpness", "kernel", "sqg", "bouss", "sweep")
+# the Sobolev indices 4 + delta and 5 + gamma must lie in [-2, 8]
+DELTA_RANGE, GAMMA_RANGE = "[-6, 4]", "[-7, 3]"
 
 
 class ConfigError(ValueError):
@@ -208,7 +210,7 @@ def _run_lin_decay(cfg):
     alpha = _pf(p, "alpha", 1.0, "[1, 2]")
     t_lo = _pf(p, "t_lo", 10.0, "(0, inf)")
     t_hi = _pf(p, "t_hi", 100.0, "(0, inf)")
-    n_times = _pf(p, "n_times", 12, kind=int)
+    n_times = _pf(p, "n_times", 12, "[5, inf)", int)  # fit_power_law needs 5 points
     width = _pf(p, "width", 1.0, "(0, inf)")
     profile = p.get("profile", "gaussian")
     f0 = make_profile(grid, profile, seed=cfg.seed, width=width)
@@ -241,7 +243,7 @@ def _run_sharpness(cfg):
     p = cfg.params
     t_lo = _pf(p, "t_lo", 20.0)
     t_hi = _pf(p, "t_hi", 100.0)
-    n_times = _pf(p, "n_times", 400, kind=int)
+    n_times = _pf(p, "n_times", 400, "[1, inf)", int)
     width = _pf(p, "width", 1.0, "(0, inf)")
     # the shell profile keeps the spectrum away from xi = 0, where the phase
     # is singular; box periodization then stays below the two-path tolerance
@@ -274,9 +276,10 @@ def _run_kernel(cfg):
     p = cfg.params
     alpha = _pf(p, "alpha", 1.0, "[1, 2]")
     times = _pl(p, "times", "10,30,100", "(0, inf)")
-    n_lambda = _pf(p, "n_lambda", 30, kind=int)
-    lam_grid = np.geomspace(_pf(p, "lambda_lo", 0.02, "(0, inf)"),
-                            _pf(p, "lambda_hi", 1.0, "(0, inf)"), n_lambda)
+    n_lambda = _pf(p, "n_lambda", 30, "[1, inf)", int)
+    # split_bound takes a splitting scale in (0, 1]
+    lam_grid = np.geomspace(_pf(p, "lambda_lo", 0.02, "(0, 1]"),
+                            _pf(p, "lambda_hi", 1.0, "(0, 1]"), n_lambda)
     phase = oscillatory.PhaseSpec(v=(0.0, 0.0), alpha=alpha)
     out = ExperimentReport(config=cfg)
     col_t, col_k, col_lam_star, col_budget = [], [], [], []
@@ -318,13 +321,11 @@ def _run_sqg(cfg):
     diag = sqg.run_and_diagnose(
         f0, T, dt,
         alpha=_pf(p, "alpha", 1.0, "[1, 2]"),
-        delta=_pf(p, "delta", 0.5),
+        delta=_pf(p, "delta", 0.5, DELTA_RANGE),
         n_outputs=n_outputs,
     )
     out = ExperimentReport(config=cfg)
-    rows = list(diag.rows())
-    keys = ["t", "H_s", "L2", "gradU_inf", "gradTheta_inf", "integral", "envelope"]
-    out.columns = [(k, [r[k] for r in rows]) for k in keys]
+    out.columns = diag.columns()
     out.metadata["fitted_c"] = _fmt(diag.fitted_c)
     out.metadata["bootstrap_exit_time"] = str(diag.bootstrap_exit_time)
     out.metadata["blew_up"] = str(diag.blew_up)
@@ -347,14 +348,12 @@ def _run_bouss(cfg):
         T=T,
         dt=dt,
         branch=branch,
-        delta=_pf(p, "delta", 0.5),
-        gamma=_pf(p, "gamma", 0.5),
+        delta=_pf(p, "delta", 0.5, DELTA_RANGE),
+        gamma=_pf(p, "gamma", 0.5, GAMMA_RANGE),
         n_outputs=n_outputs,
     )
     out = ExperimentReport(config=cfg)
-    rows = list(rep.rows())
-    keys = ["t", "Hs_omega", "Hs1_rho", "E_total", "gradU_inf", "gradRho_inf", "integral"]
-    out.columns = [(k, [r[k] for r in rows]) for k in keys]
+    out.columns = rep.columns()
     out.metadata["exit_time"] = _fmt(float(rep.exit_time))
     out.metadata["branch"] = rep.branch
     for k, v in rep.initial_norms.items():
@@ -379,6 +378,8 @@ def _run_sweep(cfg, jobs=1):
     p = cfg.params
     eps_list = _pl(p, "eps_list", "0.04,0.02,0.01")
     target = p.get("target", "sqg")
+    if target not in ("sqg", "bouss"):
+        raise ConfigError(f"params.target must be sqg or bouss, got {target!r}")
     out = ExperimentReport(config=cfg)
     args = [
         (
@@ -398,7 +399,7 @@ def _run_sweep(cfg, jobs=1):
     for sub in subs:
         if target == "sqg":
             et = sub.metadata.get("bootstrap_exit_time", "None")
-            tf = _pf(sub.config.params, "t_final", 10.0)
+            tf = _time_params(sub.config.params, 1)[0]
             exits.append(tf if et == "None" else float(et))
         else:
             exits.append(float(sub.metadata["exit_time"]))

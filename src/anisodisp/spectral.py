@@ -8,7 +8,10 @@ Fourier coefficients c_k normalized so that
 
 i.e. the forward transform divides by N^2.  With this choice a plane wave
 cos(2 pi x1 / L) has exactly two coefficients of value 1/2, and Parseval
-reads ||f||_{L^2} = L * sqrt(sum |c_k|^2).
+reads ||f||_{L^2} = L * sqrt(sum |c_k|^2).  All transforms are the real ones
+(rfft2/irfft2, norm="forward") on the k2 >= 0 half; `full_spectrum` rebuilds
+the rest by conjugate reflection, so fields made here are Hermitian by
+construction and `enforce_hermitian` is only for coefficients from outside.
 """
 
 import struct
@@ -97,12 +100,11 @@ class SpectralField:
         return SpectralField(self.grid, self.coeffs.copy())
 
     def to_physical(self):
-        return np.real(
-            sfft.ifft2(self.grid.center_phase * self.coeffs) * self.grid.N**2
-        )
+        phase = half_spectrum(self.grid.center_phase)
+        return sfft.irfft2(phase * half_spectrum(self.coeffs), norm="forward")
 
     def enforce_hermitian(self):
-        """Symmetrize c(-k) = conj(c(k)); removes roundoff-level imaginary parts."""
+        """Symmetrize c(-k) = conj(c(k)), for coefficients set from outside."""
         c = self.coeffs
         flipped = np.conj(c[::-1, ::-1])
         self.coeffs = 0.5 * (c + np.roll(flipped, (1, 1), axis=(0, 1)))
@@ -129,11 +131,10 @@ def forward_transform(values, grid):
         raise SpectralError(
             f"field shape {values.shape} does not match grid N={grid.N}"
         )
-    coeffs = grid.center_phase * sfft.fft2(values) / grid.N**2
-    f = SpectralField(grid, coeffs)
-    if np.isrealobj(values):
-        f.enforce_hermitian()
-    return f
+    if np.iscomplexobj(values):
+        raise SpectralError("physical values must be real")
+    half = half_spectrum(grid.center_phase) * sfft.rfft2(values, norm="forward")
+    return SpectralField(grid, full_spectrum(half))
 
 
 def inverse_transform(field):
@@ -270,14 +271,14 @@ class MultiplierSpec:
 
     def on(self, xi1, xi2):
         """Evaluate m on the lattice (xi1, xi2), full or half."""
-        return SYMBOLS[self.tag](xi1, xi2, **self.params)
-
-    def symbol(self, grid):
-        """Evaluate m(xi) on the full lattice of `grid`."""
-        m = self.on(grid.xi1, grid.xi2)
+        m = SYMBOLS[self.tag](xi1, xi2, **self.params)
         if not np.all(np.isfinite(m)):
             raise AssertionError(f"multiplier {self.tag} not finite on the lattice")
         return m
+
+    def symbol(self, grid):
+        """Evaluate m(xi) on the full lattice of `grid`."""
+        return self.on(grid.xi1, grid.xi2)
 
     def __repr__(self):
         ps = ", ".join(f"{k}={v}" for k, v in self.params.items())
@@ -285,11 +286,12 @@ class MultiplierSpec:
 
 
 def apply_multiplier(field, mult):
-    """Coefficientwise product with the symbol; re-enforces realness conventions."""
-    out = SpectralField(field.grid, field.coeffs * mult.symbol(field.grid))
-    out.zero_nyquist()
-    out.enforce_hermitian()
-    return out
+    """Coefficientwise product with the symbol on the half lattice, rebuilt by
+    conjugate reflection, with the Nyquist lines zeroed.  Every symbol has
+    m(-xi) = conj(m(xi)), so a real field maps to a real field."""
+    g = field.grid
+    m = mult.on(half_spectrum(g.xi1), half_spectrum(g.xi2))
+    return SpectralField(g, full_spectrum(half_spectrum(field.coeffs) * m)).zero_nyquist()
 
 
 def inner_product(f, g):

@@ -121,6 +121,14 @@ def test_unstable_growth_rate_unit_frequency():
     assert abs(rate - 1.0) <= 1e-10
 
 
+@pytest.mark.parametrize("branch", ["stable", "unstable"])
+def test_linear_propagator_exactly_hermitian(grid64, branch):
+    om, rh = random_pair(grid64, seed=9)
+    st = linear_propagator(BoussState(omega=om, rho=rh, branch=branch), 1.7)
+    assert st.omega.hermitian_defect() == 0.0
+    assert st.rho.hermitian_defect() == 0.0
+
+
 def test_linear_propagator_group_law(grid64):
     om, rh = random_pair(grid64, seed=6)
     st = BoussState(omega=om, rho=rh, branch="stable")
@@ -260,6 +268,21 @@ def test_step_output_exactly_hermitian(grid64):
     st = step(small_state(grid64))
     assert st.omega.hermitian_defect() == 0.0
     assert st.rho.hermitian_defect() == 0.0
+
+
+@pytest.mark.parametrize("branch", ["stable", "unstable"])
+@pytest.mark.parametrize("dealias", [2.0 / 3.0, 1.0])
+def test_stepped_nyquist_lines_exactly_zero(grid64, branch, dealias):
+    """The dealias mask excludes |k_j| = N/2, so a step zeroes the Nyquist
+    lines of its input without a separate pass."""
+    st = small_state(grid64)
+    st.branch, st.dealias = branch, dealias
+    for f in (st.omega, st.rho):
+        f.coeffs[grid64.nyquist_mask] = 1e-3
+    for _ in range(3):
+        st = step(st)
+        assert not np.any(st.omega.coeffs[grid64.nyquist_mask])
+        assert not np.any(st.rho.coeffs[grid64.nyquist_mask])
 
 
 def test_cfl_raised_after_first_stage(grid64, monkeypatch):

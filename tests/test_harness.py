@@ -178,6 +178,14 @@ dt = 50.0
     assert main(["sqg", "--config", path, "--out", str(tmp_path / "o")]) == 3
 
 
+def test_cli_trimmed_fit_window_exit_three(tmp_path, capsys):
+    """The wrap-around cap L/4 = 10 leaves one fit point: a numeric failure."""
+    ini = "[experiment]\nname = lin-decay\n\n[grid]\nN = 64\nL = 40.0\n"
+    path = write_config(tmp_path, ini)
+    assert main(["lin-decay", "--config", path, "--out", str(tmp_path / "o")]) == 3
+    assert "numeric failure: need at least 5 points" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("line, bad", [
     ("N = 16", "N = abc"),
     ("N = 16", "N = 100"),
@@ -263,6 +271,18 @@ def test_cli_bad_time_params_exit_two(tmp_path, capsys, experiment, line, bad):
     ("bouss", "eps = 0.5"),
     ("sweep", "target = bouss\neps_list = 0.02,0.5"),
     ("sweep", "eps_list = a,b"),
+    ("lin-decay", "n_times = 0"),
+    ("lin-decay", "n_times = 1"),
+    ("lin-decay", "n_times = 2"),
+    ("sharpness", "n_times = 0"),
+    ("kernel", "n_lambda = 0"),
+    ("kernel", "lambda_lo = 2"),
+    ("kernel", "lambda_hi = 2"),
+    ("sweep", "target = kernel"),
+    ("sweep", "target = lin-decay"),
+    ("sqg", "delta = -9"),
+    ("bouss", "delta = -9"),
+    ("bouss", "gamma = 10"),
 ])
 def test_cli_out_of_range_param_exit_two(tmp_path, capsys, experiment, extra):
     path = write_config(tmp_path, EVOLUTION_INI.format(experiment=experiment, extra=extra))

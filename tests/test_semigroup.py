@@ -60,7 +60,7 @@ def test_group_law(grid64):
 def test_evolved_field_stays_real(grid64):
     f = random_field(grid64, seed=3)
     g = evolve_linear(f, SemigroupParams(1.0, 17.0))
-    assert g.hermitian_defect() <= 1e-13
+    assert g.hermitian_defect() == 0.0
 
 
 def test_plane_wave_does_not_decay(grid64):

@@ -47,6 +47,11 @@ def test_forward_rejects_shape_mismatch(grid64):
         forward_transform(np.zeros((32, 32)), grid64)
 
 
+def test_forward_rejects_complex_values(grid64):
+    with pytest.raises(SpectralError):
+        forward_transform(np.ones((64, 64)) + 1j, grid64)
+
+
 def test_plane_wave_coefficients(grid64):
     """cos(2 pi x / L) has exactly two coefficients of value 1/2."""
     X, _ = grid64.meshgrid()
@@ -174,7 +179,7 @@ def test_multiplier_keeps_field_real(grid64):
         MultiplierSpec.velocity_bouss(2),
     ):
         g = apply_multiplier(f, m)
-        assert g.hermitian_defect() <= 1e-13
+        assert g.hermitian_defect() == 0.0
 
 
 @pytest.mark.parametrize("s", [-1.5, -0.5, 0.0, 0.5, 1.0, 2.0])
@@ -213,6 +218,32 @@ def test_table_entries_hermitian_with_zero_mode(grid64):
         m = mult.symbol(grid64)
         assert np.array_equal(m[neg][:, neg][inner], np.conj(m)[inner]), mult
         assert m[0, 0] == zero, mult
+
+
+def test_multiplier_on_half_lattice_equals_full_product(grid64):
+    """The half-lattice product rebuilt by reflection is the full product
+    with its Nyquist lines zeroed, bit for bit, and exactly Hermitian."""
+    f = random_field(grid64, seed=14)
+    f.coeffs[grid64.nyquist_mask] = 0.25  # real, so f stays Hermitian
+    for mult, _ in TABLE_ZERO_MODES:
+        want = f.coeffs * mult.symbol(grid64)
+        want[grid64.nyquist_mask] = 0.0
+        g = apply_multiplier(f, mult)
+        assert np.array_equal(g.coeffs, want), mult
+        assert g.hermitian_defect() == 0.0, mult
+
+
+def test_non_finite_symbol_rejected(grid64, monkeypatch):
+    """One finiteness check in `on` guards the multipliers, the workspaces'
+    half-lattice symbols and `symbol`."""
+    monkeypatch.setitem(SYMBOLS, "NaN", lambda xi1, xi2: np.full(xi1.shape, np.nan))
+    mult = MultiplierSpec("NaN")
+    with pytest.raises(AssertionError):
+        mult.symbol(grid64)
+    with pytest.raises(AssertionError):
+        mult.on(grid64.xi1[:, :33], grid64.xi2[:, :33])
+    with pytest.raises(AssertionError):
+        apply_multiplier(random_field(grid64), mult)
 
 
 def test_unknown_tag_rejected():

@@ -227,6 +227,18 @@ def test_step_output_exactly_hermitian(grid64):
     assert st.theta.hermitian_defect() == 0.0
 
 
+@pytest.mark.parametrize("dealias", [2.0 / 3.0, 1.0])
+def test_stepped_nyquist_lines_exactly_zero(grid64, dealias):
+    """The dealias mask excludes |k_j| = N/2, so a step zeroes the Nyquist
+    lines of its input without a separate pass."""
+    st = small_state(grid64, seed=8)
+    st.dealias = dealias
+    st.theta.coeffs[grid64.nyquist_mask] = 1e-3
+    for _ in range(3):
+        st = step(st)
+        assert not np.any(st.theta.coeffs[grid64.nyquist_mask])
+
+
 def test_cfl_raised_after_first_stage(grid64, monkeypatch):
     """The CFL check reads the first stage's velocity and stops the step there."""
     calls = count_calls(monkeypatch, _Workspace, "nonlinear")
