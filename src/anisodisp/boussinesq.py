@@ -11,7 +11,6 @@ exact propagator as the integrating factor for RK4.
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.fft as sfft
 
 from .spectral import (
     MultiplierSpec,
@@ -122,15 +121,12 @@ class _Workspace(_HalfSpectrumWorkspace):
 
     def nonlinear(self, y):
         """(-dealias(u.grad omega), -dealias(u.grad rho)) stacked, and max |u|."""
-        spec = np.concatenate([self.velocity * y[0], self.grad[0] * y, self.grad[1] * y])
-        u1, u2, ox, rx, oy, ry = sfft.irfft2(spec, axes=(-2, -1), norm="forward")
-        adv = sfft.rfft2(np.stack([u1 * ox + u2 * oy, u1 * rx + u2 * ry]),
-                         axes=(-2, -1), norm="forward")
-        adv *= self.half_mask
-        umax = float(max(np.max(np.abs(u1)), np.max(np.abs(u2))))
-        return -adv, umax
+        y = y[..., : self.K]
+        return self.advection(
+            np.concatenate([self.velocity * y[0], self.grad[0] * y, self.grad[1] * y]))
 
     def grad_fields(self, y):
+        """(u1, u2, rho) on the kept columns y of the stacked half spectra."""
         return np.stack([self.velocity[0] * y[0], self.velocity[1] * y[0], y[1]])
 
 

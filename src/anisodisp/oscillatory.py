@@ -184,8 +184,8 @@ def kernel_direct(p, t, j=0, tol=1e-8, max_points=6e7):
     direction) with step-halving verification.  Raises QuadratureBudgetError
     rather than returning a silently inaccurate value.
     """
-    if t <= 0.0:
-        raise SpectralError("kernel quadrature needs t > 0")
+    if not 0.0 < t < np.inf:
+        raise SpectralError(f"kernel quadrature needs a finite t > 0, got {t}")
     r_lo, r_hi = 2.0 ** (j - 1), 2.0 ** (j + 1)
     vmag = float(np.hypot(*p.v))
     m_psi = t * (vmag * r_hi + r_lo ** (1.0 - p.alpha))
@@ -228,8 +228,8 @@ def split_bound(p, t, lam):
     """
     if not 0.0 < lam <= 1.0:
         raise SpectralError(f"cut parameter must lie in (0, 1], got {lam}")
-    if t <= 0.0:
-        raise SpectralError("split bound needs t > 0")
+    if not 0.0 < t < np.inf:
+        raise SpectralError(f"split bound needs a finite t > 0, got {t}")
     near = STRIP_WIDTH * BUMP_SUP * lam
     ss = find_stationary(p)
     weights = [

@@ -28,8 +28,8 @@ class SemigroupParams:
 
     def __post_init__(self):
         MultiplierSpec.generator(self.alpha)  # validates alpha
-        if self.t < 0.0:
-            raise SpectralError(f"time must be nonnegative, got {self.t}")
+        if not 0.0 <= self.t < np.inf:
+            raise SpectralError(f"time must be nonnegative and finite, got {self.t}")
 
 
 def evolve_linear(f, params):
@@ -111,8 +111,8 @@ def bessel_j0_series(t):
     form, so it shares nothing with the trapezoid path below.
     """
     t = float(t)
-    if t < 0:
-        raise SpectralError("J0 argument must be nonnegative")
+    if not 0.0 <= t < np.inf:
+        raise SpectralError(f"J0 argument must be nonnegative and finite, got {t}")
     if t > 12.0:
         return float(j0(t))
     total = 1.0
@@ -132,8 +132,8 @@ def bessel_j0_quadrature(t, tol=1e-13, max_n=1 << 21):
     successive refinements agree.
     """
     t = float(t)
-    if t < 0:
-        raise SpectralError("J0 argument must be nonnegative")
+    if not 0.0 <= t < np.inf:
+        raise SpectralError(f"J0 argument must be nonnegative and finite, got {t}")
     n = 64
     prev = None
     while n <= max_n:

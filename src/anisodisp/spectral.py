@@ -27,15 +27,15 @@ class SpectralError(ValueError):
     pass
 
 
-# Byte budget for the temporaries of one block of a row-blocked evaluation
-# (the sharpness origin sum, the kernel quadrature).
+# Default byte budget for the temporaries of one block of a row-blocked
+# evaluation (the sharpness origin sum, the kernel quadrature).
 CHUNK_BYTES = 32 << 20
 
 
-def row_blocks(n_rows, row_bytes):
-    """Slices covering range(n_rows) whose rows take at most CHUNK_BYTES of
-    temporaries at row_bytes each (and at least one row per block)."""
-    step = max(1, CHUNK_BYTES // max(1, row_bytes))
+def row_blocks(n_rows, row_bytes, budget=CHUNK_BYTES):
+    """Slices covering range(n_rows) whose rows take at most `budget` bytes
+    of temporaries at row_bytes each (and at least one row per block)."""
+    step = max(1, budget // max(1, row_bytes))
     for start in range(0, n_rows, step):
         yield slice(start, min(start + step, n_rows))
 
@@ -257,8 +257,8 @@ class MultiplierSpec:
     @classmethod
     def semigroup_phase(cls, alpha, t):
         cls.generator(alpha)  # validates alpha
-        if t < 0:
-            raise SpectralError(f"time must be nonnegative, got {t}")
+        if not 0.0 <= t < np.inf:
+            raise SpectralError(f"time must be nonnegative and finite, got {t}")
         return cls("SemigroupPhase", alpha=float(alpha), t=float(t))
 
     @classmethod

@@ -21,6 +21,7 @@ from .spectral import (
     full_spectrum,
     half_spectrum,
     l2_norm,
+    row_blocks,
     sobolev_weight,
     weighted_norm,
 )
@@ -67,26 +68,79 @@ def _dealias_mask(grid, fraction):
     return (np.abs(grid.k1) < cutoff) & (np.abs(grid.k2) < cutoff)
 
 
+# Byte budget of one block of real fields (N*N*8 bytes each) in the row pass
+# of `to_physical`: whole stacks at N = 64, 4 fields at N = 128 and one field
+# per call from N = 256 on, where a batched pass was measured slower
+# (scripts/fft_blocks.py times the crossover).
+ROW_PASS_BYTES = 512 << 10
+
+
 class _HalfSpectrumWorkspace:
     """What the SQG and Boussinesq workspaces share, on the (N, N//2 + 1) half
     lattice that `rfft2` stores (transforms use norm="forward", the field
-    normalization); a subclass adds its symbols, `grad` and `grad_fields`."""
+    normalization); a subclass adds its symbols, `grad`, `grad_fields` and
+    `nonlinear`.
+
+    The dealias mask keeps only the first K columns, so the symbols live on
+    those and the transforms skip the rest: `to_physical` and `to_spectral`
+    equal `irfft2` and `rfft2(...) * half_mask` exactly, since a zero column
+    transforms to zeros.  They share one buffer pair sized for 6 fields."""
 
     def __init__(self, grid, dealias):
         self.grid = grid
         self.xi1, self.xi2 = half_spectrum(grid.xi1), half_spectrum(grid.xi2)
         self.mask = _dealias_mask(grid, dealias)
         self.half_mask = half_spectrum(self.mask)
+        self.K = int(np.count_nonzero(self.half_mask[0]))
         self._props = {}
+        # the half buffer's columns from K on are never written and stay zero
+        self._half = np.zeros((6,) + self.xi1.shape, dtype=np.complex128)
+        self._phys = np.empty((6, grid.N, grid.N))
 
     def symbols(self, factory, *args):
-        """The symbols of `factory(a)` for each a in args on the half lattice, stacked."""
-        return np.stack([factory(a).on(self.xi1, self.xi2) for a in args])
+        """The symbols of `factory(a)` for each a in args on the K kept
+        columns of the half lattice, stacked."""
+        K = self.K
+        return np.stack([factory(a).on(self.xi1[:, :K], self.xi2[:, :K]) for a in args])
+
+    def to_physical(self, spec):
+        """`irfft2` of a stack of half spectra given on the K kept columns.
+
+        Returns a view of the workspace's physical buffer, valid until the
+        next transform."""
+        n = len(spec)
+        half, phys = self._half[:n], self._phys[:n]
+        half[..., : self.K] = sfft.ifft(spec, axis=-2, norm="forward")
+        for blk in row_blocks(n, phys[0].nbytes, ROW_PASS_BYTES):
+            phys[blk] = sfft.irfft(half[blk], axis=-1, norm="forward")
+        return phys
+
+    def to_spectral(self, stack):
+        """`rfft2(stack) * half_mask` of a stack of real fields, as a new array."""
+        cols = sfft.rfft(stack, axis=-1, norm="forward")[..., : self.K]
+        out = np.zeros(stack.shape[:-1] + (self.xi1.shape[-1],), dtype=np.complex128)
+        np.multiply(sfft.fft(cols, axis=-2, norm="forward", overwrite_x=True),
+                    self.half_mask[:, : self.K], out=out[..., : self.K])
+        return out
+
+    def advection(self, spec):
+        """(-dealias(u . grad f), max |u|) for a stack f of m fields, from the
+        half spectra (u1, u2, d1 f, d2 f), 2 + 2m of them, on the K kept columns."""
+        phys = self.to_physical(spec)
+        u1, u2 = phys[:2]
+        dx, dy = np.split(phys[2:], 2)
+        np.multiply(u1, dx, out=dx)
+        np.multiply(u2, dy, out=dy)
+        dx += dy
+        adv = self.to_spectral(dx)
+        umax = float(np.max(np.abs(phys[:2], out=phys[:2])))
+        return np.negative(adv, out=adv), umax
 
     def grad_norms(self, y):
         """(max |grad u|, max |grad f|) for the (u1, u2, f) of grad_fields(y)."""
-        spec = (self.grad_fields(y)[:, None] * self.grad).reshape(6, *self.xi1.shape)
-        g = np.abs(sfft.irfft2(spec, axes=(-2, -1), norm="forward"))
+        spec = self.grad_fields(y[..., : self.K])[:, None] * self.grad
+        g = self.to_physical(spec.reshape(6, *self.grad.shape[1:]))
+        np.abs(g, out=g)
         return float(np.max(g[:4])), float(np.max(g[4:]))
 
 
@@ -113,13 +167,11 @@ class _Workspace(_HalfSpectrumWorkspace):
 
     def nonlinear(self, c):
         """-dealias(u . grad theta) on the half spectrum; returns (rhs, max |u|)."""
-        u1, u2, tx, ty = sfft.irfft2(self.transport * c, axes=(-2, -1), norm="forward")
-        adv = sfft.rfft2(u1 * tx + u2 * ty, norm="forward")
-        adv *= self.half_mask
-        umax = float(max(np.max(np.abs(u1)), np.max(np.abs(u2))))
-        return -adv, umax
+        adv, umax = self.advection(self.transport * c[..., : self.K])
+        return adv[0], umax
 
     def grad_fields(self, c):
+        """(u1, u2, theta) on the kept columns c of the half spectrum."""
         return np.stack([self.transport[0] * c, self.transport[1] * c, c])
 
 

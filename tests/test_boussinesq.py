@@ -47,9 +47,12 @@ def test_grids_must_match(grid64):
 def test_workspace_symbols_come_from_the_table(grid64):
     ws = _Workspace(grid64, 2.0 / 3.0, "stable")
     pairs = [(ws.velocity, MultiplierSpec.velocity_bouss), (ws.grad, MultiplierSpec.deriv)]
+    # stored on the K columns the dealias mask keeps
+    assert not ws.half_mask[:, ws.K:].any()
     for arrays, factory in pairs:
         for j, row in enumerate(arrays, start=1):
-            assert np.array_equal(row, half_spectrum(factory(j).symbol(grid64))), factory(j)
+            expected = half_spectrum(factory(j).symbol(grid64))[:, : ws.K]
+            assert np.array_equal(row, expected), factory(j)
 
 
 def test_velocity_divergence_free(grid64):
@@ -253,6 +256,24 @@ def small_state(grid, amplitude=0.01, dt=0.02, seed=10):
     om.coeffs *= amplitude
     rh.coeffs *= amplitude
     return BoussState(omega=om, rho=rh, dt=dt, branch="stable")
+
+
+@pytest.mark.parametrize("branch", ["stable", "unstable"])
+def test_nonlinear_buffers_do_not_alias(grid64, branch):
+    """Results live in new arrays: the transform buffers are the workspace's own."""
+    ws = _Workspace(grid64, 2.0 / 3.0, branch)
+    st = small_state(grid64, amplitude=0.3)
+    y = np.stack([half_spectrum(st.omega.coeffs), half_spectrum(st.rho.coeffs)])
+    y *= ws.half_mask
+    y0 = y.copy()
+    rhs, _ = ws.nonlinear(y)
+    assert np.array_equal(y, y0)
+    rhs0 = rhs.copy()
+    ws.nonlinear(2.0 * y)
+    ws.grad_norms(3.0 * y)
+    assert np.array_equal(rhs, rhs0)
+    ws.grad_norms(y)
+    assert np.array_equal(y, y0)
 
 
 def test_four_nonlinear_calls_per_step(grid64, monkeypatch):

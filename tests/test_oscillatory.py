@@ -207,6 +207,15 @@ def test_split_bound_validation():
         split_bound(p, -1.0, 0.5)
 
 
+@pytest.mark.parametrize("t", [float("nan"), float("inf")])
+def test_non_finite_time_rejected(t):
+    p = PhaseSpec(v=(0.0, 0.0))
+    with pytest.raises(SpectralError):
+        kernel_direct(p, t)
+    with pytest.raises(SpectralError):
+        split_bound(p, t, 0.5)
+
+
 def test_budget_curves_cross_at_t_inv_half():
     p = PhaseSpec(v=(0.0, 0.0), alpha=1.0)
     for t in (10.0, 100.0):

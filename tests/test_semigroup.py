@@ -19,6 +19,7 @@ from anisodisp.semigroup import (
 )
 from anisodisp.spectral import (
     Grid2D,
+    MultiplierSpec,
     SpectralError,
     forward_transform,
     l2_norm,
@@ -32,6 +33,18 @@ def test_params_validated():
         SemigroupParams(0.9, 1.0)
     with pytest.raises(SpectralError):
         SemigroupParams(1.0, -0.1)
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf")])
+def test_non_finite_time_rejected(t):
+    with pytest.raises(SpectralError):
+        SemigroupParams(1.0, t)
+    with pytest.raises(SpectralError):
+        MultiplierSpec.semigroup_phase(1.0, t)
+    with pytest.raises(SpectralError):
+        bessel_j0_series(t)
+    with pytest.raises(SpectralError):
+        bessel_j0_quadrature(t)
 
 
 def test_t_zero_is_identity(grid64):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft as sfft
 
 from anisodisp import sqg
 from anisodisp.semigroup import SemigroupParams, evolve_linear
@@ -48,8 +49,10 @@ def test_workspace_symbols_come_from_the_table(grid64):
     ws = _Workspace(grid64, 1.5, 2.0 / 3.0)
     specs = (MultiplierSpec.velocity_sqg(1), MultiplierSpec.velocity_sqg(2),
              MultiplierSpec.deriv(1), MultiplierSpec.deriv(2))
+    # the transport symbols are stored on the K columns the dealias mask keeps
+    assert not ws.half_mask[:, ws.K:].any()
     for row, spec in zip(ws.transport, specs):
-        assert np.array_equal(row, half_spectrum(spec.symbol(grid64))), spec
+        assert np.array_equal(row, half_spectrum(spec.symbol(grid64))[:, : ws.K]), spec
     assert np.array_equal(ws.lam, half_spectrum(MultiplierSpec.generator(1.5).symbol(grid64)))
 
 
@@ -237,6 +240,39 @@ def test_stepped_nyquist_lines_exactly_zero(grid64, dealias):
     for _ in range(3):
         st = step(st)
         assert not np.any(st.theta.coeffs[grid64.nyquist_mask])
+
+
+@pytest.mark.parametrize("N", [16, 64, 128, 256])
+@pytest.mark.parametrize("dealias", [2.0 / 3.0, 1.0])
+def test_pruned_transforms_equal_full_real_transforms(N, dealias):
+    """to_physical and to_spectral skip the columns the dealias mask drops
+    and block the row pass by ROW_PASS_BYTES (whole stacks at N <= 64, a
+    4 + 2 split of 6 fields at N = 128, one field per call at N = 256), and
+    still give exactly the values of irfft2 and rfft2 * half_mask."""
+    ws = _Workspace(Grid2D(N, 10.0), 1.0, dealias)
+    rng = np.random.default_rng(N)
+    for n in (1, 4, 6):
+        x = rng.standard_normal((n, N, N))
+        spec = sfft.rfft2(x, norm="forward") * ws.half_mask
+        got = ws.to_physical(spec[..., : ws.K])
+        assert got.shape == (n, N, N)
+        assert np.array_equal(got, sfft.irfft2(spec, norm="forward"))
+        assert np.array_equal(ws.to_spectral(x), spec)
+
+
+def test_nonlinear_buffers_do_not_alias(grid64):
+    """Results live in new arrays: the transform buffers are the workspace's own."""
+    ws = _Workspace(grid64, 1.0, 2.0 / 3.0)
+    y = half_spectrum(small_state(grid64, eps=0.3, seed=11).theta.coeffs) * ws.half_mask
+    y0 = y.copy()
+    rhs, _ = ws.nonlinear(y)
+    assert np.array_equal(y, y0)
+    rhs0 = rhs.copy()
+    ws.nonlinear(2.0 * y)
+    ws.grad_norms(3.0 * y)
+    assert np.array_equal(rhs, rhs0)
+    ws.grad_norms(y)
+    assert np.array_equal(y, y0)
 
 
 def test_cfl_raised_after_first_stage(grid64, monkeypatch):
