@@ -27,8 +27,44 @@ from .spectral import (
 )
 
 EXPERIMENTS = ("lin-decay", "sharpness", "kernel", "sqg", "bouss", "sweep")
+
+# The parameter contract: each experiment's params as key -> (default,
+# interval or choices, kind), the default written as in an INI file and an
+# interval like "(0, 0.1]".  A `list` is comma-separated floats, each checked.
+_POSITIVE = "(0, inf)"
+_ALPHA = ("1.0", "[1, 2]", float)
 # the Sobolev indices 4 + delta and 5 + gamma must lie in [-2, 8]
-DELTA_RANGE, GAMMA_RANGE = "[-6, 4]", "[-7, 3]"
+_DELTA = ("0.5", "[-6, 4]", float)
+_T_HI = ("100.0", _POSITIVE, float)
+_WIDTH = ("1.0", _POSITIVE, float)
+_TIME = {"t_final": ("10.0", _POSITIVE, float), "dt": ("0.05", _POSITIVE, float)}
+_PROFILES = ("gaussian", "bump", "shell", "random")
+PARAMS = {
+    "lin-decay": {"alpha": _ALPHA, "t_lo": ("10.0", _POSITIVE, float), "t_hi": _T_HI,
+                  # fit_power_law needs 5 points
+                  "n_times": ("12", "[5, inf)", int), "width": _WIDTH,
+                  "profile": ("gaussian", _PROFILES, str)},
+    # the shell profile keeps the spectrum away from xi = 0, where the phase
+    # is singular; box periodization then stays below the two-path tolerance
+    "sharpness": {"t_lo": ("20.0", _POSITIVE, float), "t_hi": _T_HI,
+                  "n_times": ("400", "[1, inf)", int), "width": _WIDTH,
+                  "profile": ("shell", _PROFILES, str)},
+    # split_bound takes a splitting scale in (0, 1]
+    "kernel": {"alpha": _ALPHA, "times": ("10,30,100", _POSITIVE, list),
+               "n_lambda": ("30", "[1, inf)", int), "lambda_lo": ("0.02", "(0, 1]", float),
+               "lambda_hi": ("1.0", "(0, 1]", float)},
+    "sqg": {"eps": ("0.02", "(-inf, inf)", float), **_TIME,
+            "n_outputs": ("50", "[1, inf)", int), "width": ("2.0", _POSITIVE, float),
+            "profile": ("gaussian", _PROFILES, str), "alpha": _ALPHA, "delta": _DELTA},
+    "bouss": {**_TIME, "n_outputs": ("60", "[1, inf)", int),
+              "branch": ("stable", ("stable", "unstable"), str),
+              "eps": ("0.02", "(0, 0.1]", float), "delta": _DELTA,
+              "gamma": ("0.5", "[-7, 3]", float)},
+    # a sweep also reads its target's keys but eps; each eps_list value
+    # lies in the target's eps interval
+    "sweep": {"target": ("sqg", ("sqg", "bouss"), str),
+              "eps_list": ("0.04,0.02,0.01", None, list)},
+}
 
 
 class ConfigError(ValueError):
@@ -68,20 +104,23 @@ class ExperimentConfig:
 
 def load_config(path):
     cp = configparser.ConfigParser()
-    read = cp.read(path)
+    try:
+        read = cp.read(path)
+        params = dict(cp.items("params")) if cp.has_section("params") else {}
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"malformed config file {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     try:
         name = cp.get("experiment", "name")
-    except (configparser.NoSectionError, configparser.NoOptionError) as exc:
+    except configparser.Error as exc:
         raise ConfigError(f"missing experiment.name: {exc}") from exc
     try:
         seed = cp.getint("experiment", "seed", fallback=1)
         N = cp.getint("grid", "N", fallback=256)
         L = cp.getfloat("grid", "L", fallback=400.0)
-    except ValueError as exc:
+    except (ValueError, configparser.Error) as exc:
         raise ConfigError(f"malformed grid or seed value: {exc}") from exc
-    params = dict(cp.items("params")) if cp.has_section("params") else {}
     return ExperimentConfig(experiment=name, N=N, L=L, seed=seed, params=params)
 
 
@@ -151,13 +190,21 @@ def _fmt(x):
     return str(x)
 
 
-def _pf(params, key, default, within="(-inf, inf)", kind=float):
-    """params[key], or the default, as `kind`; it must lie in the interval
-    `within`, written like "(0, 0.1]"."""
+def _value(params, key, entry):
+    """params[key], or the entry's default, as the entry's kind; it must lie
+    in the entry's interval or be one of its choices."""
+    default, within, kind = entry
+    if kind is list:
+        return [_value({key: s}, key, (None, within, float))
+                for s in params.get(key, default).split(",")]
     try:
         value = kind(params.get(key, default))
     except ValueError as exc:
         raise ConfigError(f"malformed params.{key}: {exc}") from exc
+    if isinstance(within, tuple):
+        if value not in within:
+            raise ConfigError(f"params.{key} must be one of {', '.join(within)}, got {value!r}")
+        return value
     lo, hi = (float(x) for x in within[1:-1].split(","))
     if not ((lo <= value if within[0] == "[" else lo < value)
             and (value <= hi if within[-1] == "]" else value < hi)):
@@ -165,15 +212,25 @@ def _pf(params, key, default, within="(-inf, inf)", kind=float):
     return value
 
 
-def _pl(params, key, default, within="(-inf, inf)"):
-    """A comma-separated list of floats, each checked as `_pf` checks one."""
-    return [_pf({key: s}, key, None, within) for s in params.get(key, default).split(",")]
-
-
-def _time_params(p, n_outputs):
-    """(t_final, dt, n_outputs) of an evolution config, range-checked."""
-    return (_pf(p, "t_final", 10.0, "(0, inf)"), _pf(p, "dt", 0.05, "(0, inf)"),
-            _pf(p, "n_outputs", n_outputs, "[1, inf)", int))
+def parse_params(experiment, params):
+    """The checked values of a config's raw params, read through the
+    experiment's PARAMS table; a key the table lacks is a ConfigError."""
+    table = PARAMS[experiment]
+    if experiment == "sweep":
+        target = _value(params, "target", table["target"])
+        table = dict(PARAMS[target], **table)
+        table["eps_list"] = (table["eps_list"][0], table.pop("eps")[1], list)
+    unknown = sorted(set(params) - set(table))
+    if unknown:
+        raise ConfigError(f"unknown params {', '.join(unknown)}")
+    p = {key: _value(params, key, entry) for key, entry in table.items()}
+    if "t_lo" in p and not p["t_lo"] < p["t_hi"]:
+        raise ConfigError(f"params.t_lo must be below params.t_hi, got {p['t_lo']} >= {p['t_hi']}")
+    # the run loop takes round(t_final / dt) steps
+    steps = p["t_final"] / p["dt"] if "dt" in p else 1.0
+    if not (steps < np.inf and abs(steps - round(steps)) <= 1e-9 * steps):
+        raise ConfigError(f"params.t_final / params.dt must be a whole number, got {steps!r}")
+    return p
 
 
 def make_profile(grid, kind, seed=1, width=1.0, amplitude=1.0):
@@ -204,18 +261,12 @@ def make_profile(grid, kind, seed=1, width=1.0, amplitude=1.0):
 # ---------------------------------------------------------------------------
 # experiment drivers
 
-def _run_lin_decay(cfg):
+def _run_lin_decay(cfg, p):
     grid = Grid2D(cfg.N, cfg.L)
-    p = cfg.params
-    alpha = _pf(p, "alpha", 1.0, "[1, 2]")
-    t_lo = _pf(p, "t_lo", 10.0, "(0, inf)")
-    t_hi = _pf(p, "t_hi", 100.0, "(0, inf)")
-    n_times = _pf(p, "n_times", 12, "[5, inf)", int)  # fit_power_law needs 5 points
-    width = _pf(p, "width", 1.0, "(0, inf)")
-    profile = p.get("profile", "gaussian")
-    f0 = make_profile(grid, profile, seed=cfg.seed, width=width)
+    alpha = p["alpha"]
+    f0 = make_profile(grid, p["profile"], seed=cfg.seed, width=p["width"])
     bank = LPBank(grid)
-    times = np.geomspace(t_lo, t_hi, n_times)
+    times = np.geomspace(p["t_lo"], p["t_hi"], p["n_times"])
     rep = semigroup.measure_decay(f0, semigroup.SemigroupParams(alpha, 0.0), times, bank)
     out = ExperimentReport(config=cfg)
     out.columns = [
@@ -238,19 +289,11 @@ def _run_lin_decay(cfg):
     return out
 
 
-def _run_sharpness(cfg):
+def _run_sharpness(cfg, p):
     grid = Grid2D(cfg.N, cfg.L)
-    p = cfg.params
-    t_lo = _pf(p, "t_lo", 20.0)
-    t_hi = _pf(p, "t_hi", 100.0)
-    n_times = _pf(p, "n_times", 400, "[1, inf)", int)
-    width = _pf(p, "width", 1.0, "(0, inf)")
-    # the shell profile keeps the spectrum away from xi = 0, where the phase
-    # is singular; box periodization then stays below the two-path tolerance
-    profile = p.get("profile", "shell")
-    f0 = make_profile(grid, profile, seed=cfg.seed, width=width)
-    times = np.linspace(t_lo, t_hi, n_times)
-    rep = semigroup.sharpness_check(f0, times, crossing_window=(t_lo, t_hi))
+    f0 = make_profile(grid, p["profile"], seed=cfg.seed, width=p["width"])
+    times = np.linspace(p["t_lo"], p["t_hi"], p["n_times"])
+    rep = semigroup.sharpness_check(f0, times, crossing_window=(p["t_lo"], p["t_hi"]))
     out = ExperimentReport(config=cfg)
     out.columns = [
         ("t", list(rep.times)),
@@ -272,19 +315,13 @@ def _run_sharpness(cfg):
     return out
 
 
-def _run_kernel(cfg):
-    p = cfg.params
-    alpha = _pf(p, "alpha", 1.0, "[1, 2]")
-    times = _pl(p, "times", "10,30,100", "(0, inf)")
-    n_lambda = _pf(p, "n_lambda", 30, "[1, inf)", int)
-    # split_bound takes a splitting scale in (0, 1]
-    lam_grid = np.geomspace(_pf(p, "lambda_lo", 0.02, "(0, 1]"),
-                            _pf(p, "lambda_hi", 1.0, "(0, 1]"), n_lambda)
-    phase = oscillatory.PhaseSpec(v=(0.0, 0.0), alpha=alpha)
+def _run_kernel(cfg, p):
+    lam_grid = np.geomspace(p["lambda_lo"], p["lambda_hi"], p["n_lambda"])
+    phase = oscillatory.PhaseSpec(v=(0.0, 0.0), alpha=p["alpha"])
     out = ExperimentReport(config=cfg)
     col_t, col_k, col_lam_star, col_budget = [], [], [], []
     all_ok_min, all_ok_dom = True, True
-    for t in times:
+    for t in p["times"]:
         kval = abs(oscillatory.kernel_direct(phase, t))
         sums = [sum(oscillatory.split_bound(phase, t, lam)) for lam in lam_grid]
         i_min = int(np.argmin(sums))
@@ -310,20 +347,12 @@ def _run_kernel(cfg):
     return out
 
 
-def _run_sqg(cfg):
+def _run_sqg(cfg, p):
     grid = Grid2D(cfg.N, cfg.L)
-    p = cfg.params
-    eps = _pf(p, "eps", 0.02)
-    T, dt, n_outputs = _time_params(p, 50)
-    width = _pf(p, "width", 2.0, "(0, inf)")
-    profile = p.get("profile", "gaussian")
-    f0 = make_profile(grid, profile, seed=cfg.seed, width=width, amplitude=eps)
-    diag = sqg.run_and_diagnose(
-        f0, T, dt,
-        alpha=_pf(p, "alpha", 1.0, "[1, 2]"),
-        delta=_pf(p, "delta", 0.5, DELTA_RANGE),
-        n_outputs=n_outputs,
-    )
+    f0 = make_profile(grid, p["profile"], seed=cfg.seed, width=p["width"],
+                      amplitude=p["eps"])
+    diag = sqg.run_and_diagnose(f0, p["t_final"], p["dt"], alpha=p["alpha"],
+                                delta=p["delta"], n_outputs=p["n_outputs"])
     out = ExperimentReport(config=cfg)
     out.columns = diag.columns()
     out.metadata["fitted_c"] = _fmt(diag.fitted_c)
@@ -335,23 +364,10 @@ def _run_sqg(cfg):
     return out
 
 
-def _run_bouss(cfg):
-    grid = Grid2D(cfg.N, cfg.L)
-    p = cfg.params
-    T, dt, n_outputs = _time_params(p, 60)
-    branch = p.get("branch", "stable")
-    if branch not in ("stable", "unstable"):
-        raise ConfigError(f"params.branch must be stable or unstable, got {branch!r}")
+def _run_bouss(cfg, p):
     rep = boussinesq.stability_experiment(
-        grid,
-        eps=_pf(p, "eps", 0.02, "(0, 0.1]"),
-        T=T,
-        dt=dt,
-        branch=branch,
-        delta=_pf(p, "delta", 0.5, DELTA_RANGE),
-        gamma=_pf(p, "gamma", 0.5, GAMMA_RANGE),
-        n_outputs=n_outputs,
-    )
+        Grid2D(cfg.N, cfg.L), eps=p["eps"], T=p["t_final"], dt=p["dt"], branch=p["branch"],
+        delta=p["delta"], gamma=p["gamma"], n_outputs=p["n_outputs"])
     out = ExperimentReport(config=cfg)
     out.columns = rep.columns()
     out.metadata["exit_time"] = _fmt(float(rep.exit_time))
@@ -363,32 +379,16 @@ def _run_bouss(cfg):
 
 
 def _sweep_member(args):
-    cfg_dict, eps = args
-    cfg = ExperimentConfig(**cfg_dict)
-    cfg.params = dict(cfg.params)
-    cfg.params["eps"] = repr(eps)
-    target = cfg.params.get("target", "sqg")
-    member = ExperimentConfig(
-        experiment=target, N=cfg.N, L=cfg.L, seed=cfg.seed, params=cfg.params
-    )
-    return run(member)
+    cfg, p, eps = args
+    # a member's config keeps the sweep's params, so its hash covers them
+    member = ExperimentConfig(experiment=p["target"], N=cfg.N, L=cfg.L, seed=cfg.seed,
+                              params=dict(cfg.params, eps=repr(eps)))
+    return (_run_sqg if p["target"] == "sqg" else _run_bouss)(member, dict(p, eps=eps))
 
 
-def _run_sweep(cfg, jobs=1):
-    p = cfg.params
-    eps_list = _pl(p, "eps_list", "0.04,0.02,0.01")
-    target = p.get("target", "sqg")
-    if target not in ("sqg", "bouss"):
-        raise ConfigError(f"params.target must be sqg or bouss, got {target!r}")
+def _run_sweep(cfg, p, jobs=1):
     out = ExperimentReport(config=cfg)
-    args = [
-        (
-            dict(experiment=cfg.experiment, N=cfg.N, L=cfg.L, seed=cfg.seed,
-                 params=dict(cfg.params)),
-            eps,
-        )
-        for eps in eps_list
-    ]
+    args = [(cfg, p, eps) for eps in p["eps_list"]]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as ex:
             subs = list(ex.map(_sweep_member, args))
@@ -397,13 +397,12 @@ def _run_sweep(cfg, jobs=1):
     out.subreports = subs
     exits = []
     for sub in subs:
-        if target == "sqg":
+        if p["target"] == "sqg":
             et = sub.metadata.get("bootstrap_exit_time", "None")
-            tf = _time_params(sub.config.params, 1)[0]
-            exits.append(tf if et == "None" else float(et))
+            exits.append(p["t_final"] if et == "None" else float(et))
         else:
             exits.append(float(sub.metadata["exit_time"]))
-    out.columns = [("eps", eps_list), ("exit_time", exits)]
+    out.columns = [("eps", p["eps_list"]), ("exit_time", exits)]
     monotone = all(exits[i] <= exits[i + 1] + 1e-12 for i in range(len(exits) - 1))
     out.add_check("exit_time_nondecreasing_as_eps_decreases", monotone,
                   f"exits={exits}")
@@ -412,6 +411,7 @@ def _run_sweep(cfg, jobs=1):
 
 def run(config, jobs=1):
     """Dispatch a config to its experiment driver; deterministic per (config, seed)."""
+    p = parse_params(config.experiment, config.params)
     driver = {
         "lin-decay": _run_lin_decay,
         "sharpness": _run_sharpness,
@@ -420,5 +420,5 @@ def run(config, jobs=1):
         "bouss": _run_bouss,
     }
     if config.experiment == "sweep":
-        return _run_sweep(config, jobs=jobs)
-    return driver[config.experiment](config)
+        return _run_sweep(config, p, jobs=jobs)
+    return driver[config.experiment](config, p)

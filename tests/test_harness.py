@@ -1,11 +1,19 @@
+import contextlib
 import importlib
+import io
 import os
+import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anisodisp.cli import main
 from anisodisp.harness import (
+    EXPERIMENTS,
+    PARAMS,
     ConfigError,
     ExperimentConfig,
     ExperimentReport,
@@ -240,16 +248,21 @@ n_outputs = 2
 """
 
 
-@pytest.mark.parametrize("experiment", ["sqg", "bouss"])
+PARAMS_INI = EVOLUTION_INI.replace("t_final = 0.1\ndt = 0.05\nn_outputs = 2\n", "")
+
+
+@pytest.mark.parametrize("experiment", ["sqg", "bouss", "sweep"])
 @pytest.mark.parametrize("line, bad", [
     ("dt = 0.05", "dt = 0"),
     ("dt = 0.05", "dt = -0.1"),
     ("dt = 0.05", "dt = abc"),
     ("dt = 0.05", "dt = nan"),
     ("dt = 0.05", "dt = inf"),
+    ("dt = 0.05", "dt = 0.07"),
     ("t_final = 0.1", "t_final = -1"),
     ("t_final = 0.1", "t_final = 0"),
     ("t_final = 0.1", "t_final = inf"),
+    ("t_final = 0.1", "t_final = 0.12"),
     ("n_outputs = 2", "n_outputs = 0"),
     ("n_outputs = 2", "n_outputs = two"),
 ])
@@ -258,13 +271,16 @@ def test_cli_bad_time_params_exit_two(tmp_path, capsys, experiment, line, bad):
     assert line in ini
     path = write_config(tmp_path, ini.replace(line, bad))
     assert main([experiment, "--config", path, "--out", str(tmp_path / "o")]) == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err and re.search(rf"params\.{bad.split()[0]}\b", err)
 
 
 @pytest.mark.parametrize("experiment, extra", [
     ("lin-decay", "alpha = 3"),
     ("lin-decay", "width = 0"),
     ("lin-decay", "t_lo = 0"),
+    ("lin-decay", "t_lo = 40\nt_hi = 40"),
+    ("lin-decay", "profile = sawtooth"),
     ("sqg", "alpha = 0"),
     ("sqg", "alpha = nan"),
     ("sqg", "width = 0"),
@@ -275,6 +291,10 @@ def test_cli_bad_time_params_exit_two(tmp_path, capsys, experiment, line, bad):
     ("lin-decay", "n_times = 1"),
     ("lin-decay", "n_times = 2"),
     ("sharpness", "n_times = 0"),
+    ("sharpness", "t_lo = -5"),
+    ("sharpness", "t_lo = 0"),
+    ("sharpness", "t_hi = 0"),
+    ("sharpness", "t_lo = 50\nt_hi = 30"),
     ("kernel", "n_lambda = 0"),
     ("kernel", "lambda_lo = 2"),
     ("kernel", "lambda_hi = 2"),
@@ -285,9 +305,42 @@ def test_cli_bad_time_params_exit_two(tmp_path, capsys, experiment, line, bad):
     ("bouss", "gamma = 10"),
 ])
 def test_cli_out_of_range_param_exit_two(tmp_path, capsys, experiment, extra):
-    path = write_config(tmp_path, EVOLUTION_INI.format(experiment=experiment, extra=extra))
+    """Each case holds only its experiment's keys, and the error names the
+    key of its last line."""
+    key = extra.splitlines()[-1].split(" =")[0]
+    template = EVOLUTION_INI if experiment in ("sqg", "bouss", "sweep") else PARAMS_INI
+    path = write_config(tmp_path, template.format(experiment=experiment, extra=extra))
     assert main([experiment, "--config", path, "--out", str(tmp_path / "o")]) == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err and re.search(rf"params\.{key}\b", err)
+
+
+@pytest.mark.parametrize("experiment, extra", [
+    ("lin-decay", "t_finall = 3"),
+    ("sharpness", "alpha = 1.0"),
+    ("kernel", "width = 1.0"),
+    ("sqg", "dealias = 0.5"),
+    ("bouss", "profile = random"),
+    ("sweep", "branch = unstable"),  # an sqg target has no branch
+    ("sweep", "target = bouss\neps = 0.02"),  # eps_list sets each member's eps
+])
+def test_cli_unknown_param_exit_two(tmp_path, capsys, experiment, extra):
+    key = extra.splitlines()[-1].split(" =")[0]
+    template = EVOLUTION_INI if experiment in ("sqg", "bouss", "sweep") else PARAMS_INI
+    path = write_config(tmp_path, template.format(experiment=experiment, extra=extra))
+    assert main([experiment, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: unknown params {key}\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    KERNEL_INI + "alpha = 2.0\n",  # a duplicated key
+    KERNEL_INI.replace("times = 10,30", "times = 10%"),  # an interpolation
+    "alpha = 1.0\n" + KERNEL_INI,  # a key before any section
+])
+def test_cli_unparsable_ini_exit_two(tmp_path, capsys, text):
+    path = write_config(tmp_path, text)
+    assert main(["kernel", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert "config error: malformed config file" in capsys.readouterr().err
 
 
 def test_cli_unknown_branch_exit_two(tmp_path, capsys):
@@ -319,3 +372,76 @@ def test_benchmark_trace_targets_resolve(monkeypatch):
     tracing = importlib.import_module("tracing")
     for owner, attr, *_ in tracing._targets():
         assert attr in owner.__dict__, (owner, attr)
+
+
+def _range_cell(within):
+    if within is None:
+        return "each in the target's `eps` range"
+    if isinstance(within, tuple):
+        return ", ".join(f"`{c}`" for c in within)
+    return f"`{within}`"
+
+
+def test_readme_param_tables_match_code():
+    """README's key table for each experiment is the code's, row for row."""
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+        readme = fh.read()
+    for experiment in EXPERIMENTS:
+        rows = [f"#### `{experiment}`", "", "| key | default | range | kind |",
+                "|---|---|---|---|"]
+        rows += [f"| `{key}` | `{default}` | {_range_cell(within)} | {kind.__name__} |"
+                 for key, (default, within, kind) in PARAMS[experiment].items()]
+        assert "\n".join(rows) + "\n\n" in readme + "\n", experiment
+
+
+def test_sweep_jobs_match_serial():
+    cfg = ExperimentConfig(experiment="sweep", N=16, L=10.0, params={
+        "target": "bouss", "eps_list": "0.02,0.01", "t_final": "0.2"})
+    serial, parallel = run(cfg), run(cfg, jobs=2)
+    for a, b in zip([serial] + serial.subreports, [parallel] + parallel.subreports):
+        assert a.summary_text() == b.summary_text()
+        assert a.csv_text() == b.csv_text()
+
+
+def _value_pool(default, within, kind):
+    """Valid, boundary, malformed and out-of-range values for one key."""
+    pool = [default, "", "abc", "nan", "inf", "-1", "0", "0.5", "7%"]
+    if isinstance(within, tuple):
+        pool += [*within, within[0].upper()]
+    elif within is not None:
+        pool += within[1:-1].split(", ")
+    if kind is list:
+        pool += ["10,x", "0.02,", "0.04,0.01"]
+    return pool
+
+
+@st.composite
+def _fuzzed_ini(draw):
+    experiment = draw(st.sampled_from(EXPERIMENTS))
+    table = dict(PARAMS[experiment])
+    if experiment == "sweep":  # the keys of both targets, each unknown to the other
+        table = {**PARAMS["sqg"], **PARAMS["bouss"], **table}
+    keys = draw(st.lists(st.sampled_from([*table, "t_finall", "dealias", "seed"]),
+                         unique=True, max_size=4))
+    lines = [f"{k} = {draw(st.sampled_from(_value_pool(*table.get(k, ('1', None, float)))))}"
+             for k in keys]
+    if lines and draw(st.booleans()):
+        lines.append(lines[0])  # a duplicated key
+    return experiment, PARAMS_INI.format(experiment=experiment, extra="\n".join(lines))
+
+
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@given(_fuzzed_ini())
+def test_fuzzed_ini_exits_with_a_contract_code(case):
+    """Any INI over the table's keys exits 0, 1, 2 or 3; an exception or a
+    warning (an error under this suite's filter) fails the test instead."""
+    experiment, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.ini")
+        with open(path, "w") as fh:
+            fh.write(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([experiment, "--config", path, "--out", os.path.join(tmp, "o")])
+    assert code in (0, 1, 2, 3)
+    assert (code == 2) == err.getvalue().startswith("config error: "), err.getvalue()
