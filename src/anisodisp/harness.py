@@ -27,6 +27,8 @@ from .spectral import (
 )
 
 EXPERIMENTS = ("lin-decay", "sharpness", "kernel", "sqg", "bouss", "sweep")
+# each section's keys, lowercased by configparser; PARAMS checks the params keys
+SECTION_KEYS = {"experiment": {"name", "seed"}, "grid": {"n", "l"}, "params": set()}
 
 # The parameter contract: each experiment's params as key -> (default,
 # interval or choices, kind), the default written as in an INI file and an
@@ -86,6 +88,8 @@ class ExperimentConfig:
             Grid2D(self.N, self.L)  # validates N, L
         except SpectralError as exc:
             raise ConfigError(str(exc)) from exc
+        if self.seed < 0:
+            raise ConfigError(f"experiment.seed must be >= 0, got {self.seed}")
 
     def canonical_text(self):
         lines = [
@@ -106,20 +110,24 @@ def load_config(path):
     cp = configparser.ConfigParser()
     try:
         read = cp.read(path)
-        params = dict(cp.items("params")) if cp.has_section("params") else {}
+        sections = {section: dict(cp.items(section)) for section in cp.sections()}
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
+    for section, keys in sections.items():
+        if section not in SECTION_KEYS:
+            raise ConfigError(f"unknown section [{section}]")
+        unknown = sorted(set(keys) - SECTION_KEYS[section])
+        if unknown and section != "params":
+            raise ConfigError(f"unknown {section} keys {', '.join(unknown)}")
+    experiment, grid, params = (sections.get(s, {}) for s in ("experiment", "grid", "params"))
     try:
-        name = cp.get("experiment", "name")
-    except configparser.Error as exc:
-        raise ConfigError(f"missing experiment.name: {exc}") from exc
-    try:
-        seed = cp.getint("experiment", "seed", fallback=1)
-        N = cp.getint("grid", "N", fallback=256)
-        L = cp.getfloat("grid", "L", fallback=400.0)
-    except (ValueError, configparser.Error) as exc:
+        name, seed = experiment["name"], int(experiment.get("seed", "1"))
+        N, L = int(grid.get("n", "256")), float(grid.get("l", "400.0"))
+    except KeyError:
+        raise ConfigError("missing experiment.name") from None
+    except ValueError as exc:
         raise ConfigError(f"malformed grid or seed value: {exc}") from exc
     return ExperimentConfig(experiment=name, N=N, L=L, seed=seed, params=params)
 
@@ -389,6 +397,7 @@ def _sweep_member(args):
 def _run_sweep(cfg, p, jobs=1):
     out = ExperimentReport(config=cfg)
     args = [(cfg, p, eps) for eps in p["eps_list"]]
+    jobs = min(jobs, len(args), len(os.sched_getaffinity(0)))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as ex:
             subs = list(ex.map(_sweep_member, args))

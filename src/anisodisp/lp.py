@@ -13,7 +13,7 @@ supported in 1/4 <= r <= 4.
 
 import numpy as np
 
-from .spectral import SpectralField, SpectralError, l1_norm, l2_norm, linf_norm
+from .spectral import SpectralField, SpectralError, lp_norm
 
 
 def _smooth_step(s):
@@ -93,7 +93,18 @@ class LPBank:
         return float(np.max(np.abs(total - 1.0)))
 
     def besov_norm(self, field, a, b, c=1):
-        """Homogeneous Besov norm: ell^c over j of 2^{ja} ||Q_j f||_{L^b}.
+        """Homogeneous Besov norm: ell^c over j of the `per_shell` sequence."""
+        if c not in (1, 2) and not np.isinf(c):
+            raise SpectralError(f"Besov summability must be 1, 2 or inf, got {c}")
+        terms = np.array(list(self.per_shell(field, a, b).values()))
+        if c == 1:
+            return float(np.sum(terms))
+        if c == 2:
+            return float(np.sqrt(np.sum(terms**2)))
+        return float(np.max(terms))
+
+    def per_shell(self, field, a, b):
+        """The sequence 2^{ja} ||Q_j f||_{L^b} indexed by j.
 
         Q_j uses the fattened bump, matching how the shell pieces enter the
         decay estimate.  L^1/L^inf norms are physical-space quadratures.
@@ -102,27 +113,8 @@ class LPBank:
             raise SpectralError(f"Besov regularity must lie in [0, 6], got {a}")
         if b not in (1, 2) and not np.isinf(b):
             raise SpectralError(f"Besov integrability must be 1, 2 or inf, got {b}")
-        if c not in (1, 2) and not np.isinf(c):
-            raise SpectralError(f"Besov summability must be 1, 2 or inf, got {c}")
-        norm_b = {1: l1_norm, 2: l2_norm}.get(b, linf_norm)
-        terms = []
+        terms = {}
         for j in self.j_range:
             piece = self.project(field, j, fattened=True)
-            if np.max(np.abs(piece.coeffs)) == 0.0:
-                terms.append(0.0)
-                continue
-            terms.append(2.0 ** (j * a) * norm_b(piece))
-        terms = np.array(terms)
-        if c == 1:
-            return float(np.sum(terms))
-        if c == 2:
-            return float(np.sqrt(np.sum(terms**2)))
-        return float(np.max(terms)) if terms.size else 0.0
-
-    def per_shell(self, field, a, b):
-        """The sequence 2^{ja} ||Q_j f||_{L^b} indexed by j, for diagnostics."""
-        norm_b = {1: l1_norm, 2: l2_norm}.get(b, linf_norm)
-        return {
-            j: 2.0 ** (j * a) * norm_b(self.project(field, j, fattened=True))
-            for j in self.j_range
-        }
+            terms[j] = 2.0 ** (j * a) * lp_norm(piece, b) if np.any(piece.coeffs) else 0.0
+        return terms

@@ -221,7 +221,7 @@ def step(state, workspace=None):
 
 
 def _integrate(rep, state, advance, record, norm, T, n_outputs, cap, exit_factor=None):
-    """Step `state` to T by `advance`, recording n_outputs evenly spaced outputs.
+    """Step `state` to T by `advance`, recording output k at step ceil(k T / (n_outputs dt)).
 
     `record(state)` appends an output's diagnostics to `rep` and returns the
     blow-up-criterion rate, whose trapezoid integral goes to `rep.integral`.
@@ -229,24 +229,23 @@ def _integrate(rep, state, advance, record, norm, T, n_outputs, cap, exit_factor
     norm blows up (or exits after its outputs).  Returns the last state and
     the time of an early stop, None if the run reached T."""
     norm0 = norm(state)
-    out_times = np.linspace(0.0, T, n_outputs + 1)
+    steps = round(T / state.dt)
+    out_steps = {-(-k * steps // n_outputs) for k in range(1, n_outputs + 1)}
     rate = record(state)
     rep.times.append(state.time)
     rep.integral.append(0.0)
     running = 0.0
-    next_out = 1
     try:
-        for _ in range(int(round(T / state.dt))):
+        for i in range(1, steps + 1):
             state = advance(state)
             current = norm(state)
             if norm0 > 0 and current > cap * norm0:
                 raise BlowUpError(state.time, state, reason="norm cap exceeded")
-            while next_out <= n_outputs and state.time >= out_times[next_out] - 1e-12:
+            if i in out_steps:
                 rate_prev, rate = rate, record(state)
                 running += 0.5 * (rate_prev + rate) * (state.time - rep.times[-1])
                 rep.times.append(state.time)
                 rep.integral.append(running)
-                next_out += 1
             if exit_factor is not None and current > exit_factor * norm0:
                 return state, state.time
     except BlowUpError:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anisodisp import harness
 from anisodisp.cli import main
 from anisodisp.harness import (
     EXPERIMENTS,
@@ -365,6 +366,34 @@ def test_cli_valid_time_params_run(tmp_path, capsys, experiment):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("experiment", ["sqg", "bouss"])
+def test_cli_long_run_writes_every_output(tmp_path, capsys, experiment):
+    """1,000 steps of accumulated float time still give the 10 outputs and t = 0."""
+    ini = EVOLUTION_INI.format(experiment=experiment, extra="n_outputs = 10")
+    ini = ini.replace("t_final = 0.1\ndt = 0.05\nn_outputs = 2\n", "t_final = 100\ndt = 0.1\n")
+    path = write_config(tmp_path, ini)
+    assert main([experiment, "--config", path, "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    times = [float(line.split(",")[0])
+             for line in (tmp_path / "o" / "report.csv").read_text().splitlines()[1:]]
+    assert times == pytest.approx([10.0 * k for k in range(11)], rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("text, named", [
+    (KERNEL_INI.replace("[params]", "[param]").replace("alpha = 1.0", "alpha = 1.5"),
+     "unknown section [param]"),
+    (KERNEL_INI.replace("L = 10.0", "L = 10.0\ndx = 0.1"), "unknown grid keys dx"),
+    (KERNEL_INI.replace("seed = 1", "seed = 1\nseeds = 2"), "unknown experiment keys seeds"),
+    (PARAMS_INI.format(experiment="lin-decay", extra="profile = random").replace(
+        "seed = 1", "seed = -1"), "experiment.seed must be >= 0, got -1"),
+], ids=["params-misspelt", "grid-key", "experiment-key", "negative-seed"])
+def test_cli_unknown_section_or_key_exit_two(tmp_path, capsys, text, named):
+    experiment = text.split("name = ")[1].split()[0]
+    path = write_config(tmp_path, text)
+    assert main([experiment, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: {named}\n" in capsys.readouterr().err
+
+
 def test_benchmark_trace_targets_resolve(monkeypatch):
     """Every entry point the benchmark's tracer wraps still exists, so renaming
     one fails here and not at the next traced benchmark run."""
@@ -403,6 +432,34 @@ def test_sweep_jobs_match_serial():
         assert a.csv_text() == b.csv_text()
 
 
+@pytest.mark.parametrize("cpus, jobs, workers", [
+    (8, 1000, 3), (2, 1000, 2), (8, 2, 2), (1, 1000, None), (8, 1, None)])
+def test_sweep_pool_is_capped(monkeypatch, cpus, jobs, workers):
+    """The pool has at most one worker per member and per usable CPU; with one,
+    the members run in this process.  A fake pool runs the members serially."""
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    cfg = ExperimentConfig(experiment="sweep", N=16, L=10.0, params={
+        "target": "bouss", "eps_list": "0.04,0.02,0.01", "t_final": "0.2"})
+    assert len(run(cfg, jobs=jobs).subreports) == 3
+    assert started == ([] if workers is None else [workers])
+
+
 def _value_pool(default, within, kind):
     """Valid, boundary, malformed and out-of-range values for one key."""
     pool = [default, "", "abc", "nan", "inf", "-1", "0", "0.5", "7%"]
@@ -427,15 +484,26 @@ def _fuzzed_ini(draw):
              for k in keys]
     if lines and draw(st.booleans()):
         lines.append(lines[0])  # a duplicated key
-    return experiment, PARAMS_INI.format(experiment=experiment, extra="\n".join(lines))
+    text = PARAMS_INI.format(experiment=experiment, extra="\n".join(lines))
+    rejected = False
+    if draw(st.booleans()):  # one change outside [params]; `rejected` ones must exit 2
+        old, new, rejected = draw(st.sampled_from([
+            ("seed = 1", "seed = 0", False), ("seed = 1", "seed = 7", False),
+            ("seed = 1", "seed = x", False), ("seed = 1", "seed = -1", True),
+            ("seed = 1", "seed = 1\nseeds = 2", True), ("N = 16", "N = 16\ndx = 0.1", True),
+            ("N = 16", "N = 16\nn = 16", False), ("[params]", "[param]", True),
+            ("[params]", "[Params]", True), ("[params]", "[grid]", False)]))
+        text = text.replace(old, new)
+    return experiment, text, rejected
 
 
 @settings(max_examples=80, derandomize=True, deadline=None, database=None)
 @given(_fuzzed_ini())
 def test_fuzzed_ini_exits_with_a_contract_code(case):
     """Any INI over the table's keys exits 0, 1, 2 or 3; an exception or a
-    warning (an error under this suite's filter) fails the test instead."""
-    experiment, text = case
+    warning (an error under this suite's filter) fails the test instead.  A
+    negative seed, an unknown section or an unknown key outside [params] exits 2."""
+    experiment, text, rejected = case
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cfg.ini")
         with open(path, "w") as fh:
@@ -444,4 +512,5 @@ def test_fuzzed_ini_exits_with_a_contract_code(case):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main([experiment, "--config", path, "--out", os.path.join(tmp, "o")])
     assert code in (0, 1, 2, 3)
+    assert code == 2 or not rejected
     assert (code == 2) == err.getvalue().startswith("config error: "), err.getvalue()

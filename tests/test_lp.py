@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from anisodisp.lp import LPBank, bump, bump_fattened, chi, shell_field
-from anisodisp.spectral import Grid2D, SpectralError, forward_transform
+from anisodisp.spectral import Grid2D, SpectralError, SpectralField, forward_transform
 from conftest import random_field
 
 
@@ -85,6 +85,18 @@ def test_besov_validation(grid64):
         bank.besov_norm(f, 7.0, 1)
     with pytest.raises(SpectralError):
         bank.besov_norm(f, 1.0, 3)
+
+
+def test_per_shell_validation(grid64):
+    """per_shell makes besov_norm's regularity and integrability checks."""
+    bank = LPBank(grid64)
+    f = random_field(grid64)
+    with pytest.raises(SpectralError):
+        bank.per_shell(f, 1.0, 3)
+    with pytest.raises(SpectralError):
+        bank.per_shell(f, 7.0, 2)
+    with pytest.raises(SpectralError):  # every piece is zero, so no norm is taken
+        bank.per_shell(SpectralField(grid64, np.zeros_like(f.coeffs)), 1.0, 3)
 
 
 def test_besov_single_shell_scaling(grid64):

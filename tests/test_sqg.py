@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.fft as sfft
@@ -339,3 +341,31 @@ def test_run_calls_step_through_module_global(grid64, monkeypatch):
     calls = count_calls(monkeypatch, sqg, "step")
     run_and_diagnose(small_state(grid64).theta, T=0.5, dt=0.05, n_outputs=5)
     assert len(calls) == round(0.5 / 0.05)
+
+
+@pytest.mark.parametrize("t_final, dt, n_outputs, out_steps", [
+    (400.0, 0.1, 40, range(0, 4001, 100)),
+    (100.0, 0.1, 10, range(0, 1001, 100)),
+    (100.0, 0.1, 1, [0, 1000]),
+    (1.0, 0.1, 3, [0, 4, 7, 10]),  # k T / n_outputs between steps: the next step
+    (0.1, 0.05, 4, [0, 1, 2]),  # more outputs than steps: one row per step
+])
+def test_outputs_fall_on_scheduled_steps(t_final, dt, n_outputs, out_steps):
+    """Output k is recorded at the first step at or after k t_final / n_outputs,
+    however far the accumulated float time has drifted, and once per step."""
+    rep = SimpleNamespace(times=[], integral=[], blew_up=False)
+    recorded = []
+
+    def record(st):
+        recorded.append(st.step)
+        return 1.0
+
+    state = SimpleNamespace(time=0.0, dt=dt, step=0)
+    final, stop = sqg._integrate(
+        rep, state, lambda st: SimpleNamespace(time=st.time + dt, dt=dt, step=st.step + 1),
+        record, lambda st: 1.0, t_final, n_outputs, np.inf)
+    assert stop is None and final.step == round(t_final / dt)
+    assert recorded == list(out_steps)
+    assert len(rep.times) == len(rep.integral) == len(recorded)
+    assert all(a < b for a, b in zip(rep.times, rep.times[1:]))
+    assert rep.times[-1] == final.time
