@@ -41,24 +41,27 @@ _T_HI = ("100.0", _POSITIVE, float)
 _WIDTH = ("1.0", _POSITIVE, float)
 _TIME = {"t_final": ("10.0", _POSITIVE, float), "dt": ("0.05", _POSITIVE, float)}
 _PROFILES = ("gaussian", "bump", "shell", "random")
+# bounds on the work a config asks for: time steps and sharpness scan points
+# (16 per unit of the window); the grids of times and lambdas stop at 100000
+MAX_STEPS = MAX_SCAN_POINTS = 1_000_000
 PARAMS = {
     "lin-decay": {"alpha": _ALPHA, "t_lo": ("10.0", _POSITIVE, float), "t_hi": _T_HI,
                   # fit_power_law needs 5 points
-                  "n_times": ("12", "[5, inf)", int), "width": _WIDTH,
+                  "n_times": ("12", "[5, 100000]", int), "width": _WIDTH,
                   "profile": ("gaussian", _PROFILES, str)},
     # the shell profile keeps the spectrum away from xi = 0, where the phase
     # is singular; box periodization then stays below the two-path tolerance
     "sharpness": {"t_lo": ("20.0", _POSITIVE, float), "t_hi": _T_HI,
-                  "n_times": ("400", "[1, inf)", int), "width": _WIDTH,
+                  "n_times": ("400", "[1, 100000]", int), "width": _WIDTH,
                   "profile": ("shell", _PROFILES, str)},
     # split_bound takes a splitting scale in (0, 1]
     "kernel": {"alpha": _ALPHA, "times": ("10,30,100", _POSITIVE, list),
-               "n_lambda": ("30", "[1, inf)", int), "lambda_lo": ("0.02", "(0, 1]", float),
+               "n_lambda": ("30", "[1, 100000]", int), "lambda_lo": ("0.02", "(0, 1]", float),
                "lambda_hi": ("1.0", "(0, 1]", float)},
     "sqg": {"eps": ("0.02", "(-inf, inf)", float), **_TIME,
-            "n_outputs": ("50", "[1, inf)", int), "width": ("2.0", _POSITIVE, float),
+            "n_outputs": ("50", "[1, 100000]", int), "width": ("2.0", _POSITIVE, float),
             "profile": ("gaussian", _PROFILES, str), "alpha": _ALPHA, "delta": _DELTA},
-    "bouss": {**_TIME, "n_outputs": ("60", "[1, inf)", int),
+    "bouss": {**_TIME, "n_outputs": ("60", "[1, 100000]", int),
               "branch": ("stable", ("stable", "unstable"), str),
               "eps": ("0.02", "(0, 0.1]", float), "delta": _DELTA,
               "gamma": ("0.5", "[-7, 3]", float)},
@@ -238,6 +241,13 @@ def parse_params(experiment, params):
     steps = p["t_final"] / p["dt"] if "dt" in p else 1.0
     if not (steps < np.inf and abs(steps - round(steps)) <= 1e-9 * steps):
         raise ConfigError(f"params.t_final / params.dt must be a whole number, got {steps!r}")
+    if round(steps) > MAX_STEPS:
+        raise ConfigError(f"params.t_final / params.dt asks for {round(steps)} steps, "
+                          f"more than {MAX_STEPS}")
+    points = 16 * (p["t_hi"] - p["t_lo"]) if experiment == "sharpness" else 0.0
+    if points > MAX_SCAN_POINTS:
+        raise ConfigError(f"params.t_hi - params.t_lo asks for {int(points)} scan points, "
+                          f"more than {MAX_SCAN_POINTS}")
     return p
 
 
@@ -327,29 +337,21 @@ def _run_kernel(cfg, p):
     lam_grid = np.geomspace(p["lambda_lo"], p["lambda_hi"], p["n_lambda"])
     phase = oscillatory.PhaseSpec(v=(0.0, 0.0), alpha=p["alpha"])
     out = ExperimentReport(config=cfg)
-    col_t, col_k, col_lam_star, col_budget = [], [], [], []
+    rows = []
     all_ok_min, all_ok_dom = True, True
     for t in p["times"]:
         kval = abs(oscillatory.kernel_direct(phase, t))
         sums = [sum(oscillatory.split_bound(phase, t, lam)) for lam in lam_grid]
         i_min = int(np.argmin(sums))
-        lam_star = lam_grid[i_min]
         # within one grid cell of t^{-1/2}
         target = t**-0.5
         i_target = int(np.argmin(np.abs(np.log(lam_grid) - np.log(target))))
         all_ok_min &= abs(i_min - i_target) <= 1
         budget = sum(oscillatory.split_bound(phase, t, target))
         all_ok_dom &= kval <= 3.0 * budget
-        col_t.append(t)
-        col_k.append(kval)
-        col_lam_star.append(float(lam_star))
-        col_budget.append(budget)
-    out.columns = [
-        ("t", col_t),
-        ("kernel_abs", col_k),
-        ("lambda_min", col_lam_star),
-        ("budget_at_tinvhalf", col_budget),
-    ]
+        rows.append((t, kval, float(lam_grid[i_min]), budget))
+    names = ("t", "kernel_abs", "lambda_min", "budget_at_tinvhalf")
+    out.columns = [(name, list(col)) for name, col in zip(names, zip(*rows))]
     out.add_check("minimizer_at_t_inv_half", all_ok_min)
     out.add_check("kernel_below_3x_budget", all_ok_dom)
     return out

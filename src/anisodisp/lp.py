@@ -13,7 +13,7 @@ supported in 1/4 <= r <= 4.
 
 import numpy as np
 
-from .spectral import SpectralField, SpectralError, lp_norm
+from .spectral import SpectralField, SpectralError, half_spectrum, half_to_physical
 
 
 def _smooth_step(s):
@@ -74,16 +74,13 @@ class LPBank:
             raise SpectralError("grid too coarse for any dyadic shell")
         self.j_range = range(self.j_min, self.j_max + 1)
 
-    def shell_weights(self, j, fattened=False):
-        prof = bump_fattened if fattened else bump
-        return prof(self.grid.xi_mod * 2.0 ** (-j))
-
     def project(self, field, j, fattened=False):
         if j not in self.j_range:
             raise SpectralError(
                 f"shell index {j} outside resolved range [{self.j_min}, {self.j_max}]"
             )
-        return SpectralField(field.grid, field.coeffs * self.shell_weights(j, fattened))
+        prof = bump_fattened if fattened else bump
+        return SpectralField(field.grid, field.coeffs * prof(self.grid.xi_mod * 2.0 ** (-j)))
 
     def partition_defect(self, xi_mod):
         """max |sum_j psi(2^-j xi) - 1| over the given moduli (valid shell band)."""
@@ -107,14 +104,27 @@ class LPBank:
         """The sequence 2^{ja} ||Q_j f||_{L^b} indexed by j.
 
         Q_j uses the fattened bump, matching how the shell pieces enter the
-        decay estimate.  L^1/L^inf norms are physical-space quadratures.
+        decay estimate.  The pieces stay on the half lattice of a real field:
+        L^1/L^inf norms are physical-space quadratures, and the L^2 norm is
+        Parseval's sum with the columns k2 = 1 .. N/2 - 1 counted twice.
         """
         if not 0.0 <= a <= 6.0:
             raise SpectralError(f"Besov regularity must lie in [0, 6], got {a}")
         if b not in (1, 2) and not np.isinf(b):
             raise SpectralError(f"Besov integrability must be 1, 2 or inf, got {b}")
+        g = self.grid
+        half = half_spectrum(field.coeffs)
+        xi = half_spectrum(g.xi_mod)
+        twice = np.r_[1.0, np.full(xi.shape[-1] - 2, 2.0), 1.0]
         terms = {}
         for j in self.j_range:
-            piece = self.project(field, j, fattened=True)
-            terms[j] = 2.0 ** (j * a) * lp_norm(piece, b) if np.any(piece.coeffs) else 0.0
+            piece = half * bump_fattened(xi * 2.0 ** (-j))
+            if not np.any(piece):
+                norm = 0.0
+            elif b == 2:
+                norm = g.L * float(np.sqrt(np.sum(twice * np.abs(piece) ** 2)))
+            else:
+                vals = np.abs(half_to_physical(g, piece))
+                norm = float(np.max(vals)) if np.isinf(b) else float(np.sum(vals)) * g.dx**2
+            terms[j] = 2.0 ** (j * a) * norm
         return terms

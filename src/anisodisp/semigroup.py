@@ -13,10 +13,12 @@ from scipy.special import j0
 
 from .fitting import fit_power_law
 from .spectral import (
+    CHUNK_BYTES,
     MultiplierSpec,
     SpectralError,
     apply_multiplier,
-    linf_norm,
+    half_spectrum,
+    half_to_physical,
     row_blocks,
 )
 
@@ -56,6 +58,23 @@ class DecayReport:
     j_range: tuple = ()
 
 
+def _evolved_linf(f0, alpha, times):
+    """`linf_norm(evolve_linear(f0, ...))` at each time for a Hermitian f0,
+    on the half lattice with the generator's symbol built once."""
+    g = f0.grid
+    gen = MultiplierSpec.generator(alpha).on(half_spectrum(g.xi1), half_spectrum(g.xi2))
+    vals = np.empty(len(times))
+    for i, t in enumerate(times):
+        SemigroupParams(alpha, t)  # validates t
+        # named, so that numpy cannot multiply into the temporary in place,
+        # which can move the last bit
+        m = np.exp(t * gen)
+        y = half_spectrum(f0.coeffs) * m
+        y[g.N // 2] = y[:, -1] = 0.0  # the Nyquist row and column
+        vals[i] = np.max(np.abs(half_to_physical(g, y)))
+    return vals
+
+
 def measure_decay(f0, params_template, times, bank, fit_window=None):
     """L^inf of the evolved field against time, with a log-log rate fit.
 
@@ -69,9 +88,7 @@ def measure_decay(f0, params_template, times, bank, fit_window=None):
     alpha = params_template.alpha
     if abs(f0.coeffs[0, 0]) > 1e-13:
         raise SpectralError("initial data must be zero-mean")
-    vals = np.array(
-        [linf_norm(evolve_linear(f0, SemigroupParams(alpha, t))) for t in times]
-    )
+    vals = _evolved_linf(f0, alpha, times)
     t_cap = reliable_time(f0.grid)
     contaminated = bool(times.max() > t_cap)
     if fit_window is None:
@@ -86,17 +103,9 @@ def measure_decay(f0, params_template, times, bank, fit_window=None):
     mask = (times >= fit_window[0]) & (times <= fit_window[1])
     const = float(np.max(vals[mask] * times[mask] ** rate / besov))
     return DecayReport(
-        times=times,
-        linf_values=vals,
-        fitted_slope=slope,
-        fit_window=tuple(fit_window),
-        residual=residual,
-        alpha=alpha,
-        besov_value=besov,
-        constant_estimate=const,
-        boundary_contaminated=contaminated,
-        j_range=(bank.j_min, bank.j_max),
-    )
+        times=times, linf_values=vals, fitted_slope=slope, fit_window=tuple(fit_window),
+        residual=residual, alpha=alpha, besov_value=besov, constant_estimate=const,
+        boundary_contaminated=contaminated, j_range=(bank.j_min, bank.j_max))
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +197,11 @@ def _origin_evaluator(f0):
         A = Re(C+ + C-),  B = Im(C+ - C-),
 
     for any complex coefficients.  The (times, phases) matrix is evaluated
-    in row blocks under a fixed byte budget.
+    in row blocks under a fixed byte budget.  `at.linspace(lo, hi, n)` is
+    `at(np.linspace(lo, hi, n))` to rounding: with t = T_j + s_m on anchors
+    T_j and M ~ sqrt(n) offsets s_m, A cos(t u) + B sin(t u) is
+    (A cos T_j u + B sin T_j u) cos s_m u + (B cos T_j u - A sin T_j u) sin s_m u,
+    two (anchors x phases)(phases x offsets) products.
     """
     # the generator's symbol is -i xi_1/|xi|, 0 at the zero mode
     ph = -MultiplierSpec.generator(1.0).symbol(f0.grid).imag.ravel()
@@ -210,6 +223,24 @@ def _origin_evaluator(f0):
             out[rows] = np.cos(arg) @ A + np.sin(arg, out=arg) @ B
         return float(out[0]) if np.ndim(t) == 0 else out
 
+    def linspace(lo, hi, n):
+        step = (hi - lo) / max(n - 1, 1)
+        # the offsets' cosines and sines take at most half the byte budget,
+        # a block of anchors the other half
+        M = max(1, min(int(np.ceil(np.sqrt(n))), CHUNK_BYTES // (32 * u.size)))
+        arg = np.multiply.outer(np.arange(M) * step, u)
+        cos_s, sin_s = np.cos(arg).T, np.sin(arg, out=arg).T
+        anchors = lo + np.arange(-(-n // M)) * (M * step)
+        out = np.empty((anchors.size, M))
+        # four float64 temporaries per anchor: the arguments, their cosines
+        # and the two products that make P_j (then Q_j)
+        for rows in row_blocks(anchors.size, 32 * u.size, CHUNK_BYTES // 2):
+            arg = np.multiply.outer(anchors[rows], u)
+            c, s = np.cos(arg), np.sin(arg, out=arg)
+            out[rows] = (c * A + s * B) @ cos_s + (c * B - s * A) @ sin_s
+        return out.ravel()[:n]
+
+    at.linspace = linspace
     return at
 
 
@@ -233,18 +264,16 @@ def sharpness_check(f0, times, crossing_window=None):
 
     # envelope-peak ratios: local maxima of |value| / envelope
     ratio = np.abs(origin_vals) / env
-    peak_idx = [
-        i
-        for i in range(1, len(times) - 1)
-        if ratio[i] >= ratio[i - 1] and ratio[i] >= ratio[i + 1]
-    ]
+    peak_idx = 1 + np.flatnonzero((ratio[1:-1] >= ratio[:-2]) & (ratio[1:-1] >= ratio[2:]))
     peak_times = times[peak_idx]
     peak_ratios = ratio[peak_idx]
 
     # zero crossings, refined by bisection on the lattice sum
     lo, hi = crossing_window if crossing_window else (times.min(), times.max())
-    tgrid = np.linspace(lo, hi, max(64, int((hi - lo) * 16)))
-    vg = at(tgrid)
+    n = max(64, int((hi - lo) * 16))
+    tgrid = np.linspace(lo, hi, n)
+    # the scan only brackets sign changes; brentq refines on the direct sum
+    vg = at.linspace(lo, hi, n)
     crossings = []
     for i in range(len(tgrid) - 1):
         if vg[i] == 0.0:
@@ -253,19 +282,9 @@ def sharpness_check(f0, times, crossing_window=None):
             crossings.append(brentq(at, tgrid[i], tgrid[i + 1], xtol=1e-10))
     crossings = np.array(crossings)
     # predicted zeros of cos(t - pi/4): t = 3 pi / 4 + k pi
-    if crossings.size:
-        ks = np.round((crossings - 3.0 * np.pi / 4.0) / np.pi)
-        predicted = 3.0 * np.pi / 4.0 + ks * np.pi
-    else:
-        predicted = np.array([])
+    ks = np.round((crossings - 3.0 * np.pi / 4.0) / np.pi)
+    predicted = 3.0 * np.pi / 4.0 + ks * np.pi
     return SharpnessReport(
-        times=times,
-        origin_values=origin_vals,
-        radial_reference=reference,
-        envelope=env,
-        max_two_path_reldiff=reldiff,
-        peak_times=peak_times,
-        peak_ratios=peak_ratios,
-        zero_crossings=crossings,
-        nearest_predicted=predicted,
-    )
+        times=times, origin_values=origin_vals, radial_reference=reference, envelope=env,
+        max_two_path_reldiff=reldiff, peak_times=peak_times, peak_ratios=peak_ratios,
+        zero_crossings=crossings, nearest_predicted=predicted)

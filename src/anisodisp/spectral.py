@@ -100,14 +100,11 @@ class SpectralField:
         return SpectralField(self.grid, self.coeffs.copy())
 
     def to_physical(self):
-        phase = half_spectrum(self.grid.center_phase)
-        return sfft.irfft2(phase * half_spectrum(self.coeffs), norm="forward")
+        return half_to_physical(self.grid, half_spectrum(self.coeffs))
 
     def enforce_hermitian(self):
         """Symmetrize c(-k) = conj(c(k)), for coefficients set from outside."""
-        c = self.coeffs
-        flipped = np.conj(c[::-1, ::-1])
-        self.coeffs = 0.5 * (c + np.roll(flipped, (1, 1), axis=(0, 1)))
+        self.coeffs = 0.5 * (self.coeffs + self._reflected())
         return self
 
     def zero_nyquist(self):
@@ -119,9 +116,11 @@ class SpectralField:
         return self
 
     def hermitian_defect(self):
-        c = self.coeffs
-        flipped = np.conj(np.roll(c[::-1, ::-1], (1, 1), axis=(0, 1)))
-        return float(np.max(np.abs(c - flipped)))
+        return float(np.max(np.abs(self.coeffs - self._reflected())))
+
+    def _reflected(self):
+        """conj(c(-k)) at each k."""
+        return np.conj(np.roll(self.coeffs[::-1, ::-1], (1, 1), axis=(0, 1)))
 
 
 def forward_transform(values, grid):
@@ -145,6 +144,12 @@ def half_spectrum(coeffs):
     """The k2 >= 0 half (..., N, N//2 + 1) of a real field's spectrum, the
     part that `scipy.fft.rfft2` returns and `irfft2` reads."""
     return coeffs[..., : coeffs.shape[-1] // 2 + 1]
+
+
+def half_to_physical(grid, half):
+    """Physical values of a real field from its half spectrum: the centre
+    phase, then `irfft2`."""
+    return sfft.irfft2(half_spectrum(grid.center_phase) * half, norm="forward")
 
 
 def full_spectrum(half):

@@ -20,6 +20,7 @@ from anisodisp.harness import (
     ExperimentReport,
     load_config,
     make_profile,
+    parse_params,
     run,
 )
 from anisodisp.spectral import Grid2D, linf_norm
@@ -357,6 +358,46 @@ def test_cli_sweep_member_config_error_exit_two(tmp_path, capsys):
     path = write_config(tmp_path, ini.replace("dt = 0.05", "dt = 0"))
     assert main(["sweep", "--config", path, "--out", str(tmp_path / "o")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment, extra, key", [
+    ("sqg", "dt = 1e-300", "dt"),
+    ("bouss", "dt = 1e-300", "dt"),
+    ("sweep", "dt = 1e-300", "dt"),
+    ("sqg", "n_outputs = 100001", "n_outputs"),
+    ("bouss", "n_outputs = 100001", "n_outputs"),
+    ("lin-decay", "n_times = 100001", "n_times"),
+    ("sharpness", "n_times = 100001", "n_times"),
+    ("kernel", "n_lambda = 100001", "n_lambda"),
+    ("sharpness", "t_lo = 20\nt_hi = 62521", "t_hi"),
+])
+def test_cli_unbounded_work_exit_two(tmp_path, capsys, experiment, extra, key):
+    """A config that asks for more than the bounded work exits 2 before any
+    of it runs, naming the key."""
+    if experiment in ("sqg", "bouss", "sweep"):
+        ini = EVOLUTION_INI.replace("n_outputs = 2\n" if "n_outputs" in extra else
+                                    "dt = 0.05\n", "")
+    else:
+        ini = PARAMS_INI
+    path = write_config(tmp_path, ini.format(experiment=experiment, extra=extra))
+    assert main([experiment, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and re.search(rf"params\.{key}\b", err)
+
+
+@pytest.mark.parametrize("experiment, params, ok", [
+    ("sqg", {"t_final": "100", "dt": "0.0001"}, True),  # 1,000,000 steps
+    ("bouss", {"t_final": "100", "dt": "0.00005"}, False),
+    ("sharpness", {"t_lo": "20", "t_hi": "62520"}, True),  # 1,000,000 scan points
+    ("sharpness", {"t_lo": "20", "t_hi": "62520.5"}, False),
+    ("kernel", {"n_lambda": "100000"}, True),
+])
+def test_work_bounds_are_inclusive(experiment, params, ok):
+    if ok:
+        parse_params(experiment, params)
+    else:
+        with pytest.raises(ConfigError):
+            parse_params(experiment, params)
 
 
 @pytest.mark.parametrize("experiment", ["sqg", "bouss"])

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from anisodisp.lp import LPBank, bump, bump_fattened, chi, shell_field
-from anisodisp.spectral import Grid2D, SpectralError, SpectralField, forward_transform
+from anisodisp.spectral import (
+    Grid2D,
+    SpectralError,
+    SpectralField,
+    forward_transform,
+    gaussian_field,
+    lp_norm,
+)
 from conftest import random_field
 
 
@@ -97,6 +104,36 @@ def test_per_shell_validation(grid64):
         bank.per_shell(f, 7.0, 2)
     with pytest.raises(SpectralError):  # every piece is zero, so no norm is taken
         bank.per_shell(SpectralField(grid64, np.zeros_like(f.coeffs)), 1.0, 3)
+
+
+@pytest.mark.parametrize("make", [
+    lambda g: random_field(g, seed=22, width=3.0),
+    lambda g: gaussian_field(g, width=1.5).zero_mean(),
+    lambda g: shell_field(g, j=1),
+])
+def test_per_shell_equals_full_lattice_projection(make):
+    """The half-lattice shells give the norms of the full projections: the
+    same bits for L^1 and L^inf, Parseval's L^2 to rounding."""
+    grid = Grid2D(128, 60.0)
+    bank = LPBank(grid)
+    f = make(grid)
+    for b in (1, np.inf, 2):
+        got = bank.per_shell(f, 1.5, b)
+        assert list(got) == list(bank.j_range)
+        for j, value in got.items():
+            full = 2.0 ** (j * 1.5) * lp_norm(bank.project(f, j, fattened=True), b)
+            if b == 2:
+                assert abs(value - full) <= 1e-14 * full
+            else:
+                assert value == full
+
+
+def test_per_shell_of_zero_field_is_zero(grid64):
+    bank = LPBank(grid64)
+    zero = SpectralField(grid64, np.zeros((64, 64), dtype=complex))
+    for b in (1, 2, np.inf):
+        assert set(bank.per_shell(zero, 2.0, b).values()) == {0.0}
+    assert bank.besov_norm(zero, 2.0, 1, 1) == 0.0
 
 
 def test_besov_single_shell_scaling(grid64):

@@ -2,11 +2,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
+from anisodisp import semigroup
 from anisodisp.harness import make_profile
 from anisodisp.lp import LPBank, shell_field
 from anisodisp.semigroup import (
     SemigroupParams,
+    _evolved_linf,
     _origin_evaluator,
     bessel_j0,
     bessel_j0_quadrature,
@@ -148,6 +151,28 @@ def test_contamination_flag():
     assert not clean.boundary_contaminated
 
 
+@pytest.mark.parametrize("alpha", [1.0, 1.5])
+def test_measure_decay_equals_full_lattice_path(alpha):
+    """The half-lattice loop gives the bits of linf_norm(evolve_linear(...)),
+    here for white noise, whose Nyquist lines the loop must zero."""
+    grid = Grid2D(128, 80.0)
+    noise = np.random.default_rng(6).standard_normal((128, 128))
+    f = forward_transform(noise, grid).zero_mean()
+    times = np.geomspace(1.0, 30.0, 7)
+    rep = measure_decay(f, SemigroupParams(alpha, 0.0), times, LPBank(grid),
+                        fit_window=(1.0, 30.0))
+    full = [linf_norm(evolve_linear(f, SemigroupParams(alpha, t))) for t in times]
+    assert np.array_equal(rep.linf_values, full)
+
+
+def test_evolved_linf_of_zero_field_is_zero(grid64):
+    f = random_field(grid64)
+    f.coeffs[:] = 0.0
+    assert np.array_equal(_evolved_linf(f, 1.5, [1.0, 2.0]), [0.0, 0.0])
+    with pytest.raises(SpectralError):  # each time is checked
+        _evolved_linf(f, 1.0, [1.0, np.inf])
+
+
 def test_decay_slope_small_grid():
     """Coarse, fast version of the rate fit; the band is generous."""
     grid = Grid2D(256, 200.0)
@@ -209,14 +234,67 @@ def test_origin_evaluator_matches_plain_sum(kind):
         assert abs(s - ref) <= tol
 
 
-def test_origin_evaluator_memory_bounded():
-    """The 1280 x (distinct phases) matrix is evaluated in row blocks."""
+@pytest.mark.parametrize("kind", ["shell", "random", "non-hermitian"])
+@pytest.mark.parametrize("n", [64, 1280, 1281])
+def test_origin_scan_matches_direct_sum(kind, n):
+    """The factored scan on np.linspace(lo, hi, n) gives the direct sum's
+    values; at n = 1280 and 1281 the last anchor's row of offsets is cut."""
+    grid = Grid2D(64, 40.0)
+    if kind == "non-hermitian":
+        f = random_field(grid, seed=7)
+        f.coeffs = f.coeffs + 0.3j * np.abs(f.coeffs)
+    else:
+        f = make_profile(grid, kind, seed=7, width=1.5)
+    at = _origin_evaluator(f)
+    scan = at.linspace(20.0, 100.0, n)
+    direct = at(np.linspace(20.0, 100.0, n))
+    assert scan.shape == (n,)
+    assert np.max(np.abs(scan - direct)) <= 1e-13 * np.sum(np.abs(f.coeffs))
+
+
+def test_origin_scan_memory_follows_budget(monkeypatch):
+    """The offsets take half the byte budget and each block of anchors the
+    other half, so a 1 MiB budget bounds the scan, up to small arrays."""
     f = shell_field(Grid2D(512, 400.0))
+    at = _origin_evaluator(f)
+    direct = at(np.linspace(20.0, 100.0, 1280))
+    monkeypatch.setattr(semigroup, "CHUNK_BYTES", 1 << 20)
     tracemalloc.start()
     try:
-        vals = _origin_evaluator(f)(np.linspace(20.0, 100.0, 1280))
+        vals = at.linspace(20.0, 100.0, 1280)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert vals.shape == (1280,) and np.all(np.isfinite(vals))
-    assert peak < 64 * 2**20
+    assert np.max(np.abs(vals - direct)) <= 1e-13 * np.sum(np.abs(f.coeffs))
+    assert peak < 1.5 * 2**20
+
+
+def test_sharpness_crossings_equal_direct_scan():
+    """The crossings bracketed by the factored scan are exactly those a
+    direct-sum scan brackets and brentq refines."""
+    f = shell_field(Grid2D(512, 400.0))
+    lo, hi = 20.0, 100.0
+    rep = sharpness_check(f, np.linspace(lo, hi, 5), crossing_window=(lo, hi))
+    at = _origin_evaluator(f)
+    tgrid = np.linspace(lo, hi, 1280)
+    vg = at(tgrid)
+    direct = [brentq(at, tgrid[i], tgrid[i + 1], xtol=1e-10)
+              for i in range(len(tgrid) - 1) if vg[i] * vg[i + 1] < 0.0]
+    assert np.all(vg != 0.0) and len(direct) > 20
+    assert np.array_equal(rep.zero_crossings, direct)
+
+
+def test_origin_evaluator_memory_bounded():
+    """The 1280 x (distinct phases) matrix is evaluated in row blocks, and
+    so are the anchor rows of the scan."""
+    f = shell_field(Grid2D(512, 400.0))
+    for evaluate in (lambda: _origin_evaluator(f)(np.linspace(20.0, 100.0, 1280)),
+                     lambda: _origin_evaluator(f).linspace(20.0, 100.0, 1280)):
+        tracemalloc.start()
+        try:
+            vals = evaluate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert vals.shape == (1280,) and np.all(np.isfinite(vals))
+        assert peak < 64 * 2**20
