@@ -1,0 +1,52 @@
+"""Traced memory of each lin-decay phase: config, grid, profile,
+`_evolved_linf` and the Besov norm.
+
+    PYTHONPATH=src python scripts/lattice_memory.py [--N 1024] [--L 400]
+
+The phases run one after another with the lin-decay defaults (a Gaussian of
+width 1, alpha = 1, 12 times in [10, 100]) under `tracemalloc`.  Prints a
+markdown table of each phase's peak and of what the run holds after it, in
+MiB; the last row traces one whole `harness.run` from a fresh start.
+"""
+
+import argparse
+import tracemalloc
+
+import numpy as np
+
+from anisodisp import harness, semigroup
+from anisodisp.lp import LPBank
+from anisodisp.spectral import Grid2D
+
+
+def phase(name, fn):
+    tracemalloc.reset_peak()
+    out = fn()
+    held, peak = tracemalloc.get_traced_memory()
+    print(f"| {name} | {peak / 2**20:.1f} | {held / 2**20:.1f} |")
+    return out
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--N", type=int, default=1024)
+    ap.add_argument("--L", type=float, default=400.0)
+    args = ap.parse_args()
+    print("| phase | peak MiB | held MiB |\n| --- | --- | --- |")
+    tracemalloc.start()
+    cfg = phase("config", lambda: harness.ExperimentConfig("lin-decay", N=args.N, L=args.L))
+    p = harness.parse_params(cfg.experiment, cfg.params)
+    grid = phase("grid", lambda: Grid2D(cfg.N, cfg.L))
+    f0 = phase("profile", lambda: harness.make_profile(grid, p["profile"], width=p["width"]))
+    times = np.geomspace(p["t_lo"], p["t_hi"], p["n_times"])
+    phase("_evolved_linf", lambda: semigroup._evolved_linf(f0, p["alpha"], times))
+    phase("Besov", lambda: LPBank(grid).besov_norm(f0, 2.0, 1, 1))
+    del grid, f0
+    tracemalloc.stop()
+    tracemalloc.start()
+    phase("harness.run", lambda: harness.run(cfg))
+    tracemalloc.stop()
+
+
+if __name__ == "__main__":
+    main()

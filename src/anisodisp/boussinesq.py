@@ -77,8 +77,8 @@ def _half_pair(state):
 def linear_propagator(state, t):
     """Exact per-mode solution of the linearized system, advanced by t."""
     grid = state.omega.grid
-    xi1, xi2, r = (half_spectrum(a) for a in (grid.xi1, grid.xi2, grid.xi_mod_safe))
-    P = _propagator_arrays(xi1, xi2, r, t, state.branch)
+    h = grid.half
+    P = _propagator_arrays(h.xi1, h.xi2, h.xi_mod_safe, t, state.branch)
     y = full_spectrum(_Workspace.propagate(P, _half_pair(state)))
     fo, fr = (SpectralField(grid, c).zero_nyquist() for c in y)
     return replace(state, omega=fo, rho=fr, time=state.time + t)
@@ -101,7 +101,7 @@ class _Workspace(_HalfSpectrumWorkspace):
         super().__init__(grid, dealias)
         self.velocity = self.symbols(MultiplierSpec.velocity_bouss, 1, 2)
         self.grad = self.symbols(MultiplierSpec.deriv, 1, 2)
-        self.r = half_spectrum(grid.xi_mod_safe)
+        self.r = grid.half.xi_mod_safe
         self.branch = branch
 
     def propagator(self, dt):
@@ -162,7 +162,7 @@ class StabilityReport:
 
 def default_profiles(grid):
     """Fixed smooth zero-mean profiles for the unit-size perturbation."""
-    X, Y = grid.meshgrid()
+    X, Y = grid.x[:, None], grid.x[None, :]
     w = np.exp(-(X**2 + Y**2) / 4.0) * np.sin(2.0 * np.pi * X / grid.L * 4.0)
     r = np.exp(-((X - 2.0) ** 2 + Y**2) / 4.0) * np.sin(2.0 * np.pi * Y / grid.L * 4.0)
     fo = forward_transform(w, grid).zero_mean()

@@ -88,7 +88,7 @@ class ExperimentConfig:
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         try:
-            Grid2D(self.N, self.L)  # validates N, L
+            Grid2D.check_grid(self.N, self.L)
         except SpectralError as exc:
             raise ConfigError(str(exc)) from exc
         if self.seed < 0:
@@ -256,7 +256,7 @@ def make_profile(grid, kind, seed=1, width=1.0, amplitude=1.0):
     if kind == "gaussian":
         return gaussian_field(grid, width=width, amplitude=amplitude).zero_mean()
     if kind == "bump":
-        X, Y = grid.meshgrid()
+        X, Y = grid.x[:, None], grid.x[None, :]
         r2 = (X**2 + Y**2) / width**2
         vals = np.where(r2 < 1.0, np.exp(-1.0 / np.maximum(1.0 - r2, 1e-300)), 0.0)
         return forward_transform(amplitude * np.e * vals, grid).zero_mean()

@@ -114,7 +114,7 @@ class LPBank:
             raise SpectralError(f"Besov integrability must be 1, 2 or inf, got {b}")
         g = self.grid
         half = half_spectrum(field.coeffs)
-        xi = half_spectrum(g.xi_mod)
+        xi = g.half.xi_mod
         twice = np.r_[1.0, np.full(xi.shape[-1] - 2, 2.0), 1.0]
         terms = {}
         for j in self.j_range:
@@ -124,7 +124,11 @@ class LPBank:
             elif b == 2:
                 norm = g.L * float(np.sqrt(np.sum(twice * np.abs(piece) ** 2)))
             else:
-                vals = np.abs(half_to_physical(g, piece))
+                vals = half_to_physical(g, piece)
+                np.abs(vals, out=vals)
                 norm = float(np.max(vals)) if np.isinf(b) else float(np.sum(vals)) * g.dx**2
+                del vals
+            # freed before the next shell's arrays are made
+            del piece
             terms[j] = 2.0 ** (j * a) * norm
         return terms

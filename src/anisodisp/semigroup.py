@@ -62,7 +62,7 @@ def _evolved_linf(f0, alpha, times):
     """`linf_norm(evolve_linear(f0, ...))` at each time for a Hermitian f0,
     on the half lattice with the generator's symbol built once."""
     g = f0.grid
-    gen = MultiplierSpec.generator(alpha).on(half_spectrum(g.xi1), half_spectrum(g.xi2))
+    gen = MultiplierSpec.generator(alpha).on(g.half.xi1, g.half.xi2)
     vals = np.empty(len(times))
     for i, t in enumerate(times):
         SemigroupParams(alpha, t)  # validates t
@@ -70,8 +70,12 @@ def _evolved_linf(f0, alpha, times):
         # which can move the last bit
         m = np.exp(t * gen)
         y = half_spectrum(f0.coeffs) * m
+        del m
         y[g.N // 2] = y[:, -1] = 0.0  # the Nyquist row and column
-        vals[i] = np.max(np.abs(half_to_physical(g, y)))
+        phys = half_to_physical(g, y)
+        vals[i] = np.max(np.abs(phys, out=phys))
+        # freed before the next time's arrays are made
+        del y, phys
     return vals
 
 

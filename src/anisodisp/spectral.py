@@ -14,13 +14,10 @@ the rest by conjugate reflection, so fields made here are Hermitian by
 construction and `enforce_hermitian` is only for coefficients from outside.
 """
 
-import struct
+from functools import cached_property
 
 import numpy as np
 import scipy.fft as sfft
-
-MAGIC = b"ADSP"
-DUMP_VERSION = 1
 
 
 class SpectralError(ValueError):
@@ -40,37 +37,80 @@ def row_blocks(n_rows, row_bytes, budget=CHUNK_BYTES):
         yield slice(start, min(start + step, n_rows))
 
 
-class Grid2D:
-    """Periodic N x N grid on a box of side L, with its frequency lattice."""
+class _Lattice:
+    """The frequency arrays xi = (2 pi / L) (k1, k2) and what is derived from
+    them, on the broadcast integer wavenumbers k1 (a column) and k2 (a row);
+    each array is built on first use."""
 
-    def __init__(self, N, L):
-        if N < 16 or (N & (N - 1)) != 0:
-            raise SpectralError(f"N must be a power of two >= 16, got {N}")
-        if not 0 < L < np.inf:
-            raise SpectralError(f"box side must be positive and finite, got {L}")
-        self.N = int(N)
-        self.L = float(L)
-        k = np.fft.fftfreq(self.N, d=1.0 / self.N)  # integer wavenumbers
-        self.k1 = k[:, None]
-        self.k2 = k[None, :]
-        scale = 2.0 * np.pi / self.L
-        self.xi1 = scale * self.k1 + 0.0 * self.k2
-        self.xi2 = scale * self.k2 + 0.0 * self.k1
-        self.xi_sq = self.xi1**2 + self.xi2**2
-        self.xi_mod = np.sqrt(self.xi_sq)
-        self.xi_mod_safe = np.sqrt(_modulus_sq(self.xi1, self.xi2))
-        # Nyquist rows have no Hermitian partner on the lattice
-        ny = self.N // 2
-        self.nyquist_mask = np.zeros((self.N, self.N), dtype=bool)
-        self.nyquist_mask[ny, :] = True
-        self.nyquist_mask[:, ny] = True
-        self.x = np.arange(self.N) * self.L / self.N - self.L / 2.0
-        self.dx = self.L / self.N
+    def __init__(self, k1, k2, L):
+        self.k1, self.k2, self._scale = k1, k2, 2.0 * np.pi / L
+
+    @cached_property
+    def xi1(self):
+        return self._scale * self.k1 + 0.0 * self.k2
+
+    @cached_property
+    def xi2(self):
+        return self._scale * self.k2 + 0.0 * self.k1
+
+    @cached_property
+    def xi_sq(self):
+        return self.xi1**2 + self.xi2**2
+
+    @cached_property
+    def xi_mod(self):
+        return np.sqrt(self.xi_sq)
+
+    @cached_property
+    def xi_mod_safe(self):
+        return np.sqrt(_modulus_sq(self.xi1, self.xi2))
+
+    @cached_property
+    def center_phase(self):
         # physical samples start at -L/2; this checkerboard factor shifts the
         # DFT so coefficients refer to exp(i xi . x) in centered coordinates
         sign1 = np.where(np.mod(self.k1, 2) == 0, 1.0, -1.0)
         sign2 = np.where(np.mod(self.k2, 2) == 0, 1.0, -1.0)
-        self.center_phase = sign1 * sign2
+        return sign1 * sign2
+
+
+class Grid2D(_Lattice):
+    """Periodic N x N grid on a box of side L, with its frequency lattice.
+
+    The (N, N) lattice arrays are built on first use, and `half` holds the
+    same arrays on the (N, N//2 + 1) half lattice that `rfft2` stores.
+    """
+
+    def __init__(self, N, L):
+        self.check_grid(N, L)
+        self.N = int(N)
+        self.L = float(L)
+        self.k = np.fft.fftfreq(self.N, d=1.0 / self.N)  # integer wavenumbers
+        super().__init__(self.k[:, None], self.k[None, :], self.L)
+        self.x = np.arange(self.N) * self.L / self.N - self.L / 2.0
+        self.dx = self.L / self.N
+
+    @staticmethod
+    def check_grid(N, L):
+        """Raise SpectralError unless N is a power of two >= 16 and the box
+        side L is positive and finite."""
+        if N < 16 or (N & (N - 1)) != 0:
+            raise SpectralError(f"N must be a power of two >= 16, got {N}")
+        if not 0 < L < np.inf:
+            raise SpectralError(f"box side must be positive and finite, got {L}")
+
+    @cached_property
+    def half(self):
+        # the columns k2 = 0 .. N/2 - 1 and -N/2 of the full lattice, as
+        # rfft2 orders them (rfftfreq would give +N/2 for the last one)
+        return _Lattice(self.k1, self.k2[:, : self.N // 2 + 1], self.L)
+
+    @cached_property
+    def nyquist_mask(self):
+        # Nyquist rows have no Hermitian partner on the lattice
+        mask = np.zeros((self.N, self.N), dtype=bool)
+        mask[self.N // 2, :] = mask[:, self.N // 2] = True
+        return mask
 
     def __eq__(self, other):
         return isinstance(other, Grid2D) and self.N == other.N and self.L == other.L
@@ -108,7 +148,8 @@ class SpectralField:
         return self
 
     def zero_nyquist(self):
-        self.coeffs[self.grid.nyquist_mask] = 0.0
+        ny = self.grid.N // 2
+        self.coeffs[ny] = self.coeffs[:, ny] = 0.0
         return self
 
     def zero_mean(self):
@@ -132,7 +173,7 @@ def forward_transform(values, grid):
         )
     if np.iscomplexobj(values):
         raise SpectralError("physical values must be real")
-    half = half_spectrum(grid.center_phase) * sfft.rfft2(values, norm="forward")
+    half = grid.half.center_phase * sfft.rfft2(values, norm="forward")
     return SpectralField(grid, full_spectrum(half))
 
 
@@ -149,7 +190,7 @@ def half_spectrum(coeffs):
 def half_to_physical(grid, half):
     """Physical values of a real field from its half spectrum: the centre
     phase, then `irfft2`."""
-    return sfft.irfft2(half_spectrum(grid.center_phase) * half, norm="forward")
+    return sfft.irfft2(grid.half.center_phase * half, norm="forward")
 
 
 def full_spectrum(half):
@@ -295,7 +336,7 @@ def apply_multiplier(field, mult):
     conjugate reflection, with the Nyquist lines zeroed.  Every symbol has
     m(-xi) = conj(m(xi)), so a real field maps to a real field."""
     g = field.grid
-    m = mult.on(half_spectrum(g.xi1), half_spectrum(g.xi2))
+    m = mult.on(g.half.xi1, g.half.xi2)
     return SpectralField(g, full_spectrum(half_spectrum(field.coeffs) * m)).zero_nyquist()
 
 
@@ -348,34 +389,8 @@ def lp_norm(field, p):
 
 def gaussian_field(grid, width=1.0, amplitude=1.0, center=(0.0, 0.0)):
     """amplitude * exp(-|x - center|^2 / width^2) as a SpectralField."""
-    X, Y = grid.meshgrid()
+    x1, x2 = grid.x[:, None], grid.x[None, :]
     vals = amplitude * np.exp(
-        -((X - center[0]) ** 2 + (Y - center[1]) ** 2) / width**2
+        -((x1 - center[0]) ** 2 + (x2 - center[1]) ** 2) / width**2
     )
     return forward_transform(vals, grid)
-
-
-def write_field(path, field):
-    """Binary dump: little-endian header {ADSP, version, N, L}, then N^2 complex pairs."""
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", DUMP_VERSION))
-        fh.write(struct.pack("<I", field.grid.N))
-        fh.write(struct.pack("<d", field.grid.L))
-        # row-major wavenumber order, k2 fastest
-        fh.write(field.coeffs.astype("<c16").tobytes(order="C"))
-
-
-def read_field(path):
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MAGIC:
-            raise SpectralError(f"bad magic {magic!r} in field dump")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != DUMP_VERSION:
-            raise SpectralError(f"unsupported dump version {version}")
-        (N,) = struct.unpack("<I", fh.read(4))
-        (L,) = struct.unpack("<d", fh.read(8))
-        grid = Grid2D(N, L)
-        data = np.frombuffer(fh.read(16 * N * N), dtype="<c16").reshape(N, N)
-        return SpectralField(grid, data.astype(np.complex128))

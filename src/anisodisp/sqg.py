@@ -88,7 +88,7 @@ class _HalfSpectrumWorkspace:
 
     def __init__(self, grid, dealias):
         self.grid = grid
-        self.xi1, self.xi2 = half_spectrum(grid.xi1), half_spectrum(grid.xi2)
+        self.xi1, self.xi2 = grid.half.xi1, grid.half.xi2
         self.mask = _dealias_mask(grid, dealias)
         self.half_mask = half_spectrum(self.mask)
         self.K = int(np.count_nonzero(self.half_mask[0]))

@@ -214,6 +214,50 @@ def test_cli_malformed_grid_exit_two(tmp_path, capsys, line, bad):
     assert "config error" in capsys.readouterr().err
 
 
+def _record_grids(monkeypatch):
+    """The Grid2D objects the harness builds from here on."""
+    grids = []
+
+    class Recorded(Grid2D):
+        def __init__(self, N, L):
+            super().__init__(N, L)
+            grids.append(self)
+
+    monkeypatch.setattr(harness, "Grid2D", Recorded)
+    return grids
+
+
+FULL_LATTICE = ("xi1", "xi2", "xi_sq", "xi_mod", "xi_mod_safe", "nyquist_mask",
+                "center_phase")
+
+
+@pytest.mark.parametrize("experiment, params, needed", [
+    # the half lattice serves every step of lin-decay
+    ("lin-decay", {"t_hi": "20.0"}, ()),
+    # the origin sum reads the full phase, the shell profile the full |xi|
+    ("sharpness", {"t_hi": "30.0", "n_times": "20"}, ("xi1", "xi2", "xi_sq", "xi_mod")),
+])
+def test_runs_build_only_the_full_arrays_they_read(monkeypatch, experiment, params, needed):
+    grids = _record_grids(monkeypatch)
+    run(ExperimentConfig(experiment=experiment, N=64, L=100.0, params=params))
+    [grid] = grids
+    assert [a for a in FULL_LATTICE if a in grid.__dict__] == list(needed)
+    assert ("half" in grid.__dict__) == (experiment == "lin-decay")
+
+
+def test_config_builds_no_grid(tmp_path, monkeypatch, capsys):
+    """N and L are checked without a Grid2D, and a bad one still exits 2."""
+    grids = _record_grids(monkeypatch)
+    ExperimentConfig(experiment="lin-decay", N=1024, L=400.0)
+    assert main(["kernel", "--config", write_config(tmp_path, KERNEL_INI),
+                 "--out", str(tmp_path / "o")]) == 0
+    for line, bad in (("N = 16", "N = 100"), ("L = 10.0", "L = 0")):
+        path = write_config(tmp_path, KERNEL_INI.replace(line, bad))
+        assert main(["kernel", "--config", path]) == 2
+    assert grids == []
+    assert capsys.readouterr().err.count("config error") == 2
+
+
 @pytest.mark.parametrize("experiment, params", [
     ("lin-decay", {"t_lo": "10.0", "t_hi": "40.0", "n_times": "5"}),
     ("sharpness", {"t_lo": "5.0", "t_hi": "20.0", "n_times": "20"}),

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from anisodisp import semigroup
@@ -71,6 +73,42 @@ def test_group_law(grid64):
     a = evolve_linear(evolve_linear(f, p(2.0)), p(3.0))
     b = evolve_linear(f, p(5.0))
     assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-13
+
+
+# property checks on the half-lattice engines, on one small grid
+GRID32 = Grid2D(32, 10.0)
+PROPERTY = settings(max_examples=100, derandomize=True, deadline=None, database=None)
+ALPHAS = st.floats(1.0, 2.0)
+TIMES = st.floats(0.0, 100.0)
+SEEDS = st.integers(0, 2**16)
+
+
+@PROPERTY
+@given(ALPHAS, TIMES, SEEDS)
+def test_evolved_linf_matches_evolve_linear(alpha, t, seed):
+    """White noise, so the Nyquist lines that the loop zeroes carry data."""
+    noise = np.random.default_rng(seed).standard_normal((32, 32))
+    f = forward_transform(noise, GRID32).zero_mean()
+    want = linf_norm(evolve_linear(f, SemigroupParams(alpha, t)))
+    assert _evolved_linf(f, alpha, [t])[0] == want
+
+
+@PROPERTY
+@given(ALPHAS, TIMES, SEEDS)
+def test_unitary_on_half_lattice(alpha, t, seed):
+    f = random_field(GRID32, seed=seed)
+    n0 = l2_norm(f)
+    assert abs(l2_norm(evolve_linear(f, SemigroupParams(alpha, t))) - n0) <= 1e-14 * n0
+
+
+@PROPERTY
+@given(ALPHAS, st.floats(0.0, 50.0), st.floats(0.0, 50.0), SEEDS)
+def test_group_law_on_half_lattice(alpha, t, s, seed):
+    f = random_field(GRID32, seed=seed)
+    p = lambda tau: SemigroupParams(alpha, tau)
+    a = evolve_linear(evolve_linear(f, p(s)), p(t))
+    b = evolve_linear(f, p(t + s))
+    assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-13 * np.max(np.abs(f.coeffs))
 
 
 def test_evolved_field_stays_real(grid64):

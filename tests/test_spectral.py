@@ -16,9 +16,7 @@ from anisodisp.spectral import (
     l2_norm,
     linf_norm,
     lp_norm,
-    read_field,
     sobolev_norm,
-    write_field,
 )
 from conftest import random_field
 
@@ -33,6 +31,47 @@ def test_grid_rejects_bad_sizes():
         Grid2D(48, 10.0)
     with pytest.raises(SpectralError):
         Grid2D(32, -1.0)
+
+
+def _eager_lattice(N, L):
+    """The lattice arrays as Grid2D once built them all in its constructor."""
+    k = np.fft.fftfreq(N, d=1.0 / N)
+    k1, k2 = k[:, None], k[None, :]
+    scale = 2.0 * np.pi / L
+    xi1 = scale * k1 + 0.0 * k2
+    xi2 = scale * k2 + 0.0 * k1
+    xi_sq = xi1**2 + xi2**2
+    q = xi_sq.copy()
+    q[0, 0] = 1.0
+    nyquist_mask = np.zeros((N, N), dtype=bool)
+    nyquist_mask[N // 2, :] = True
+    nyquist_mask[:, N // 2] = True
+    sign1 = np.where(np.mod(k1, 2) == 0, 1.0, -1.0)
+    sign2 = np.where(np.mod(k2, 2) == 0, 1.0, -1.0)
+    return {"xi1": xi1, "xi2": xi2, "xi_sq": xi_sq, "xi_mod": np.sqrt(xi_sq),
+            "xi_mod_safe": np.sqrt(q), "nyquist_mask": nyquist_mask,
+            "center_phase": sign1 * sign2}
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("N", [16, 64, 1024])
+def test_lazy_lattice_equals_eager_formulas(N):
+    """Each lazily built full array, and each array of `grid.half`, has the
+    bits of the eager formula (sliced to the k2 >= 0 columns for the half)."""
+    grid = Grid2D(N, 10.0)
+    want = _eager_lattice(N, 10.0)
+    for name, ref in want.items():
+        assert name not in grid.__dict__, name
+        assert _same_bits(getattr(grid, name), ref), name
+        assert getattr(grid, name) is getattr(grid, name), name
+        if name != "nyquist_mask":
+            assert _same_bits(getattr(grid.half, name), ref[:, : N // 2 + 1]), name
+    if N == 64:
+        # column N/2 is k2 = -N/2, as in fftfreq (rfftfreq would say +N/2)
+        assert np.all(grid.half.xi2[:, N // 2] < 0.0)
 
 
 def test_roundtrip_is_identity(grid64):
@@ -249,22 +288,3 @@ def test_non_finite_symbol_rejected(grid64, monkeypatch):
 def test_unknown_tag_rejected():
     with pytest.raises(SpectralError):
         MultiplierSpec("NoSuchSymbol")
-
-
-# ---------------------------------------------------------------------------
-# binary dump
-
-def test_field_dump_roundtrip(tmp_path, grid64):
-    f = random_field(grid64, seed=13)
-    path = tmp_path / "field.adsp"
-    write_field(path, f)
-    g = read_field(path)
-    assert g.grid == grid64
-    assert np.array_equal(g.coeffs, f.coeffs)
-
-
-def test_field_dump_rejects_bad_magic(tmp_path):
-    path = tmp_path / "junk.adsp"
-    path.write_bytes(b"NOPE" + b"\x00" * 64)
-    with pytest.raises(SpectralError):
-        read_field(path)
