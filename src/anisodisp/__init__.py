@@ -6,7 +6,6 @@ from .spectral import (
     SpectralField,
     MultiplierSpec,
     forward_transform,
-    inverse_transform,
     apply_multiplier,
     sobolev_norm,
     l2_norm,
@@ -23,7 +22,6 @@ __all__ = [
     "SpectralField",
     "MultiplierSpec",
     "forward_transform",
-    "inverse_transform",
     "apply_multiplier",
     "sobolev_norm",
     "l2_norm",

@@ -16,7 +16,6 @@ from .spectral import (
     MultiplierSpec,
     SpectralError,
     SpectralField,
-    apply_multiplier,
     forward_transform,
     full_spectrum,
     half_spectrum,
@@ -25,7 +24,7 @@ from .spectral import (
     sobolev_weight,
     weighted_norm,
 )
-from .sqg import _dealias_mask, _HalfSpectrumWorkspace, _if_rk4, _integrate
+from .sqg import _HalfSpectrumWorkspace, _if_rk4, _integrate
 
 
 @dataclass
@@ -44,11 +43,6 @@ class BoussState:
             raise SpectralError("omega and rho must share a grid")
         self.omega.zero_mean()
         self.rho.zero_mean()
-
-
-def velocity(omega):
-    """u = (-d2, d1)(-Lap)^{-1} omega; u2 = d1 (-Lap)^{-1} omega."""
-    return tuple(apply_multiplier(omega, MultiplierSpec.velocity_bouss(j)) for j in (1, 2))
 
 
 def mode_energy(omega, rho):

@@ -1,9 +1,11 @@
 """Command line entry point: anisodisp <experiment> --config FILE [--jobs K] [--out DIR].
 
-Exit codes: 0 all checks pass, 1 a check failed, 2 usage error, 3 numeric failure.
+Exit codes: 0 all checks pass, 1 a check failed, 2 usage error (a bad config or
+--out among them), 3 numeric failure.
 """
 
 import argparse
+import os
 import sys
 
 from .fitting import FitError
@@ -38,14 +40,19 @@ def main(argv=None):
         if cfg.experiment != args.experiment:
             raise ConfigError(f"config names experiment {cfg.experiment!r} but "
                               f"{args.experiment!r} was requested")
+        # made before the run, so that an unusable --out costs no run
+        os.makedirs(args.out, exist_ok=True)
         report = run(cfg, jobs=args.jobs)
+        report.write(args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (CFLError, BlowUpError, FitError, QuadratureBudgetError, SpectralError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    report.write(args.out)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
     sys.stdout.write(report.summary_text())
     return 0 if report.all_passed() else 1
 

@@ -414,6 +414,8 @@ def _run_sweep(cfg, p, jobs=1):
         else:
             exits.append(float(sub.metadata["exit_time"]))
     out.columns = [("eps", p["eps_list"]), ("exit_time", exits)]
+    # a member with no exit before t_final carries no exit-time information
+    out.metadata["censored"] = f"{sum(e >= p['t_final'] for e in exits)} of {len(exits)}"
     monotone = all(exits[i] <= exits[i + 1] + 1e-12 for i in range(len(exits) - 1))
     out.add_check("exit_time_nondecreasing_as_eps_decreases", monotone,
                   f"exits={exits}")

@@ -177,10 +177,6 @@ def forward_transform(values, grid):
     return SpectralField(grid, full_spectrum(half))
 
 
-def inverse_transform(field):
-    return field.to_physical()
-
-
 def half_spectrum(coeffs):
     """The k2 >= 0 half (..., N, N//2 + 1) of a real field's spectrum, the
     part that `scipy.fft.rfft2` returns and `irfft2` reads."""
@@ -225,16 +221,10 @@ def _at_zero(m, value):
 
 
 def _riesz(xi1, xi2, j, alpha=1.0):
-    # -i xi_j / |xi|^alpha: the Riesz transform R_j, and for j = 1 the generator
-    # of the semigroup; the quotient is real, so -Im(m) is exactly xi_j/|xi|^alpha
+    # -i xi_j / |xi|^alpha: R_j for alpha = 1, and for j = 1 the generator of
+    # the semigroup; the quotient is real, so -Im(m) is exactly xi_j/|xi|^alpha
     xj = xi1 if j == 1 else xi2
     return _at_zero(-1j * (xj / np.sqrt(_modulus_sq(xi1, xi2)) ** alpha), 0.0)
-
-
-def _frac_lap(xi1, xi2, s):
-    # |xi|^s; at xi = 0 it is |0|^s = 0 for s > 0, the identity's 1 for s = 0,
-    # and the singular convention 0 for s < 0
-    return _at_zero(np.sqrt(_modulus_sq(xi1, xi2)) ** s + 0j, 1.0 if s == 0 else 0.0)
 
 
 # Every Fourier symbol m(xi1, xi2, **params) of the package, each written once.
@@ -242,9 +232,6 @@ def _frac_lap(xi1, xi2, s):
 # stores; both hold xi = 0 at [0, 0], whose value each entry sets itself.
 SYMBOLS = {
     "Deriv": lambda xi1, xi2, j: _at_zero(1j * (xi1 if j == 1 else xi2), 0.0),
-    "Riesz": _riesz,
-    "FracLap": _frac_lap,
-    "InvFracLap": lambda xi1, xi2, s: _frac_lap(xi1, xi2, -s),
     "Generator": lambda xi1, xi2, alpha: _riesz(xi1, xi2, 1, alpha),
     # exp(t * generator); 1 at xi = 0
     "SemigroupPhase": lambda xi1, xi2, alpha, t: np.exp(t * _riesz(xi1, xi2, 1, alpha)),
@@ -266,9 +253,9 @@ def _one_or_two(what, j):
 class MultiplierSpec:
     """A Fourier multiplier m(xi): an entry of `SYMBOLS` and its parameters.
 
-    Zero-mode convention: symbols singular at xi = 0 (Riesz, FracLap with
-    s < 0, InvFracLap with s > 0, velocities, the generator) take the value 0
-    there; evolved fields are kept zero-mean throughout.
+    Zero-mode convention: the symbols singular at xi = 0 (the generator and
+    the velocities) take the value 0 there; evolved fields are kept
+    zero-mean throughout.
     """
 
     def __init__(self, tag, **params):
@@ -276,18 +263,6 @@ class MultiplierSpec:
             raise SpectralError(f"unknown multiplier tag {tag!r}")
         self.tag = tag
         self.params = params
-
-    @classmethod
-    def riesz(cls, j):
-        return cls("Riesz", j=_one_or_two("Riesz component", j))
-
-    @classmethod
-    def frac_lap(cls, s):
-        return cls("FracLap", s=float(s))
-
-    @classmethod
-    def inv_frac_lap(cls, s):
-        return cls("InvFracLap", s=float(s))
 
     @classmethod
     def deriv(cls, j):
@@ -340,13 +315,6 @@ def apply_multiplier(field, mult):
     return SpectralField(g, full_spectrum(half_spectrum(field.coeffs) * m)).zero_nyquist()
 
 
-def inner_product(f, g):
-    """Physical L^2 inner product <f, g> via Parseval."""
-    if f.grid != g.grid:
-        raise SpectralError("fields live on different grids")
-    return float(np.real(np.vdot(f.coeffs, g.coeffs)) * f.grid.L**2)
-
-
 def l2_norm(field):
     return field.grid.L * float(np.linalg.norm(field.coeffs))
 
@@ -375,16 +343,6 @@ def linf_norm(field):
 def l1_norm(field):
     """Physical L^1 norm with quadrature weight (L/N)^2."""
     return float(np.sum(np.abs(field.to_physical()))) * field.grid.dx**2
-
-
-def lp_norm(field, p):
-    if p == 1:
-        return l1_norm(field)
-    if p == 2:
-        return l2_norm(field)
-    if np.isinf(p):
-        return linf_norm(field)
-    raise SpectralError(f"only p in {{1, 2, inf}} supported, got {p}")
 
 
 def gaussian_field(grid, width=1.0, amplitude=1.0, center=(0.0, 0.0)):

@@ -17,7 +17,6 @@ from .spectral import (
     MultiplierSpec,
     SpectralError,
     SpectralField,
-    apply_multiplier,
     full_spectrum,
     half_spectrum,
     l2_norm,
@@ -54,11 +53,6 @@ class SQGState:
 
     def __post_init__(self):
         self.theta.zero_mean()
-
-
-def velocity(theta):
-    """u = (-R2 theta, R1 theta); divergence-free by construction."""
-    return tuple(apply_multiplier(theta, MultiplierSpec.velocity_sqg(j)) for j in (1, 2))
 
 
 def _dealias_mask(grid, fraction):
@@ -179,10 +173,6 @@ def _admissible_dt(grid, umax):
     if umax == 0.0:
         return np.inf
     return 0.5 / (umax * np.pi * grid.N / grid.L)
-
-
-def cfl_dt(state, umax):
-    return _admissible_dt(state.theta.grid, umax)
 
 
 def _if_rk4(ws, y, state):

@@ -26,6 +26,12 @@ def random_field(grid, seed=0, width=2.0):
     return f
 
 
+def cosine(a, b):
+    """Re <a, b> / (|a| |b|) of two coefficient arrays: by Parseval, the
+    normalized L^2 inner product of the fields."""
+    return float(np.real(np.vdot(a, b)) / (np.linalg.norm(a) * np.linalg.norm(b)))
+
+
 def count_calls(monkeypatch, owner, name):
     """Wrap owner.name so that each call appends to the returned list."""
     calls = []

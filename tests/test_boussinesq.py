@@ -11,18 +11,19 @@ from anisodisp.boussinesq import (
     mode_energy,
     stability_experiment,
     step,
-    velocity,
 )
 from anisodisp.spectral import (
     Grid2D,
     MultiplierSpec,
     SpectralError,
     SpectralField,
+    apply_multiplier,
+    full_spectrum,
     half_spectrum,
     sobolev_norm,
 )
 from anisodisp.sqg import CFLError, _dealias_mask
-from conftest import count_calls, random_field
+from conftest import cosine, count_calls, random_field
 
 
 def random_pair(grid, seed=1):
@@ -55,22 +56,10 @@ def test_workspace_symbols_come_from_the_table(grid64):
             assert np.array_equal(row, expected), factory(j)
 
 
-def test_velocity_divergence_free(grid64):
-    om = random_field(grid64, seed=2)
-    u1, u2 = velocity(om)
-    from anisodisp.spectral import MultiplierSpec, apply_multiplier
-
-    d1, d2 = MultiplierSpec.deriv(1), MultiplierSpec.deriv(2)
-    div = apply_multiplier(u1, d1).coeffs + apply_multiplier(u2, d2).coeffs
-    assert np.max(np.abs(div)) <= 1e-12
-
-
 def test_vorticity_recovered_from_velocity(grid64):
     """u = perp-grad (-Lap)^{-1} omega, so curl u = d1 u2 - d2 u1 = -omega."""
     om = random_field(grid64, seed=3)
-    u1, u2 = velocity(om)
-    from anisodisp.spectral import MultiplierSpec, apply_multiplier
-
+    u1, u2 = (apply_multiplier(om, MultiplierSpec.velocity_bouss(j)) for j in (1, 2))
     curl = (
         apply_multiplier(u2, MultiplierSpec.deriv(1)).coeffs
         - apply_multiplier(u1, MultiplierSpec.deriv(2)).coeffs
@@ -78,6 +67,17 @@ def test_vorticity_recovered_from_velocity(grid64):
     ref = om.copy()
     ref.zero_nyquist()
     assert np.max(np.abs(curl + ref.coeffs)) <= 1e-12
+
+
+@pytest.mark.parametrize("branch", ["stable", "unstable"])
+def test_nonlinear_term_conserves_energy(grid64, branch):
+    """The stepper's dealiased transport term keeps both quadratic pieces on
+    masked broadband data: <omega/|xi|^2, N_omega> = 0 and <rho, N_rho> = 0."""
+    ws = _Workspace(grid64, 2.0 / 3.0, branch)
+    om, rh = (random_field(grid64, seed=s, width=20.0).coeffs * ws.mask for s in (5, 6))
+    n_om, n_rh = full_spectrum(ws.nonlinear(np.stack([half_spectrum(om), half_spectrum(rh)]))[0])
+    assert abs(cosine(om / grid64.xi_mod_safe**2, n_om)) <= 1e-14
+    assert abs(cosine(rh, n_rh)) <= 1e-14
 
 
 def test_stable_propagator_conserves_mode_energy(grid64):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anisodisp import harness
+from anisodisp import cli, harness
 from anisodisp.cli import main
 from anisodisp.harness import (
     EXPERIMENTS,
@@ -24,6 +24,7 @@ from anisodisp.harness import (
     run,
 )
 from anisodisp.spectral import Grid2D, linf_norm
+from conftest import count_calls
 
 
 KERNEL_INI = """\
@@ -143,6 +144,7 @@ n_outputs = 4
     name, exits = rep.columns[1]
     assert name == "exit_time"
     assert exits == [0.5, 0.5]  # both censored on this tiny horizon
+    assert "censored: 2 of 2\n" in rep.summary_text()
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +155,21 @@ def test_cli_pass_exit_zero(tmp_path, capsys):
     code = main(["kernel", "--config", path, "--out", str(tmp_path / "o")])
     assert code == 0
     assert "overall: PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("under", [None, "sub"])
+def test_cli_unusable_out_exit_two(tmp_path, capsys, monkeypatch, under):
+    """An --out that is a file, or a path under one, exits 2 with one line
+    on stderr, before any experiment runs."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = blocker / under if under else blocker
+    runs = count_calls(monkeypatch, cli, "run")
+    path = write_config(tmp_path, KERNEL_INI)
+    assert main(["kernel", "--config", path, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert runs == [] and captured.out == ""
+    assert captured.err.startswith("output error: ") and captured.err.count("\n") == 1
 
 
 def test_cli_config_error_exit_two(tmp_path):

@@ -1,0 +1,22 @@
+"""The helper scripts under scripts/ still run against the library."""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+
+
+@pytest.mark.parametrize("command", [["lattice_memory.py", "--N", "64"],
+                                     ["fft_blocks.py", "--repeats", "1"]],
+                         ids=["lattice_memory", "fft_blocks"])
+def test_script_prints_its_table(command):
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", *command[:1]),
+                           *command[1:]], capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")))
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[1].startswith("| --- |") and len(lines) > 3
+    assert all(line.startswith("| ") and line.endswith(" |") for line in lines)

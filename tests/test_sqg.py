@@ -11,7 +11,7 @@ from anisodisp.spectral import (
     MultiplierSpec,
     SpectralError,
     SpectralField,
-    forward_transform,
+    full_spectrum,
     half_spectrum,
     l2_norm,
     linf_norm,
@@ -21,14 +21,13 @@ from anisodisp.sqg import (
     BlowUpError,
     CFLError,
     SQGState,
+    _admissible_dt,
     _dealias_mask,
     _Workspace,
-    cfl_dt,
     run_and_diagnose,
     step,
-    velocity,
 )
-from conftest import count_calls, random_field
+from conftest import cosine, count_calls, random_field
 
 
 def small_state(grid, eps=0.05, dt=0.01, seed=1):
@@ -64,23 +63,15 @@ def test_workspace_rejects_alpha_outside_range(grid64, alpha):
         _Workspace(grid64, alpha, 2.0 / 3.0)
 
 
-def test_velocity_perpendicular_to_gradient(grid64):
-    """u = perp-gradient of the stream function, so u . grad is divergence form."""
-    theta = random_field(grid64, seed=2)
-    u1, u2 = velocity(theta)
-    from anisodisp.spectral import MultiplierSpec, apply_multiplier, inner_product
-
-    d1, d2 = MultiplierSpec.deriv(1), MultiplierSpec.deriv(2)
-    div = apply_multiplier(u1, d1).coeffs + apply_multiplier(u2, d2).coeffs
-    assert np.max(np.abs(div)) <= 1e-12
-    # transport by u preserves L^2: <theta, u . grad theta> = 0
-    tx = apply_multiplier(theta, d1)
-    ty = apply_multiplier(theta, d2)
-    adv = forward_transform(
-        u1.to_physical() * tx.to_physical() + u2.to_physical() * ty.to_physical(),
-        grid64,
-    )
-    assert abs(inner_product(theta, adv)) <= 1e-10
+def test_nonlinear_term_conserves_l2(grid64):
+    """<theta, N(theta)> = 0 for the stepper's dealiased transport term on
+    masked broadband data; with dealias 1 (no 2/3 rule) aliasing breaks it,
+    which this sees."""
+    for dealias, conserved in ((2.0 / 3.0, True), (1.0, False)):
+        ws = _Workspace(grid64, 1.0, dealias)
+        theta = random_field(grid64, seed=2, width=20.0).coeffs * ws.mask
+        rhs = full_spectrum(ws.nonlinear(half_spectrum(theta))[0])
+        assert (abs(cosine(theta, rhs)) <= 1e-14) == conserved, dealias
 
 
 def test_dealias_mask_shape(grid64):
@@ -132,9 +123,8 @@ def test_cfl_guard(grid64):
 
 
 def test_cfl_dt_scales_with_velocity(grid64):
-    st = small_state(grid64)
-    assert cfl_dt(st, 2.0) == 2.0 * cfl_dt(st, 4.0)
-    assert cfl_dt(st, 0.0) == np.inf
+    assert _admissible_dt(grid64, 2.0) == 2.0 * _admissible_dt(grid64, 4.0)
+    assert _admissible_dt(grid64, 0.0) == np.inf
 
 
 def test_blowup_error_carries_state(grid64):
