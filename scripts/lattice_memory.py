@@ -40,7 +40,7 @@ def main():
     f0 = phase("profile", lambda: harness.make_profile(grid, p["profile"], width=p["width"]))
     times = np.geomspace(p["t_lo"], p["t_hi"], p["n_times"])
     phase("_evolved_linf", lambda: semigroup._evolved_linf(f0, p["alpha"], times))
-    phase("Besov", lambda: LPBank(grid).besov_norm(f0, 2.0, 1, 1))
+    phase("Besov", lambda: LPBank(grid).besov_norm(f0, 2.0))
     del grid, f0
     tracemalloc.stop()
     tracemalloc.start()

@@ -13,7 +13,7 @@ from .spectral import (
     l1_norm,
 )
 from .lp import LPBank
-from .semigroup import SemigroupParams, evolve_linear, measure_decay, bessel_j0
+from .semigroup import evolve_linear, measure_decay, bessel_j0
 from .oscillatory import PhaseSpec, phase_gradient, hessian_det, find_stationary
 from .fitting import fit_power_law
 
@@ -28,7 +28,6 @@ __all__ = [
     "linf_norm",
     "l1_norm",
     "LPBank",
-    "SemigroupParams",
     "evolve_linear",
     "measure_decay",
     "bessel_j0",

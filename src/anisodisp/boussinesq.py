@@ -33,7 +33,6 @@ class BoussState:
     rho: SpectralField
     time: float = 0.0
     dt: float = 1e-2
-    dealias: float = 2.0 / 3.0
     branch: str = "stable"
 
     def __post_init__(self):
@@ -88,11 +87,11 @@ def diagonal_variables(state):
 
 
 class _Workspace(_HalfSpectrumWorkspace):
-    """Boussinesq symbols for one (grid, dealias, branch) combo; the pair
-    (omega, rho) is stacked on a leading axis of the half lattice."""
+    """Boussinesq symbols for one (grid, branch) pair; the pair (omega, rho)
+    is stacked on a leading axis of the half lattice."""
 
-    def __init__(self, grid, dealias, branch):
-        super().__init__(grid, dealias)
+    def __init__(self, grid, branch):
+        super().__init__(grid)
         self.velocity = self.symbols(MultiplierSpec.velocity_bouss, 1, 2)
         self.grad = self.symbols(MultiplierSpec.deriv, 1, 2)
         self.r = grid.half.xi_mod_safe
@@ -126,7 +125,7 @@ class _Workspace(_HalfSpectrumWorkspace):
 
 def step(state, workspace=None):
     """One `_if_rk4` step of the perturbed system on the stacked half spectra."""
-    ws = workspace or _Workspace(state.omega.grid, state.dealias, state.branch)
+    ws = workspace or _Workspace(state.omega.grid, state.branch)
     full = _if_rk4(ws, _half_pair(state) * ws.half_mask, state)
     fo, fr = (SpectralField(state.omega.grid, c) for c in full)
     return replace(state, omega=fo, rho=fr, time=state.time + state.dt)
@@ -165,8 +164,7 @@ def default_profiles(grid):
 
 
 def stability_experiment(grid, eps, T, dt, branch="stable", delta=0.5, gamma=0.5,
-                         n_outputs=60, dealias=2.0 / 3.0, growth_cap=1e3,
-                         profiles=None):
+                         n_outputs=60, growth_cap=1e3):
     """Integrate eps-size perturbations and report the bootstrap exit time.
 
     Exit is the first step time where ||omega||_{H^{4+delta}} +
@@ -177,11 +175,11 @@ def stability_experiment(grid, eps, T, dt, branch="stable", delta=0.5, gamma=0.5
         raise SpectralError(f"perturbation size must lie in (0, 0.1], got {eps}")
     s_om = 4.0 + delta
     s_rh = 5.0 + gamma
-    fo, fr = profiles if profiles else default_profiles(grid)
-    ws = _Workspace(grid, dealias, branch)
+    fo, fr = default_profiles(grid)
+    ws = _Workspace(grid, branch)
     om0 = SpectralField(grid, eps * fo.coeffs * ws.mask)
     rh0 = SpectralField(grid, eps * fr.coeffs * ws.mask)
-    state = BoussState(omega=om0, rho=rh0, dt=dt, dealias=dealias, branch=branch)
+    state = BoussState(omega=om0, rho=rh0, dt=dt, branch=branch)
 
     rep = StabilityReport(branch=branch, eps=eps)
     rep.initial_norms = {

@@ -20,7 +20,7 @@ def fit_power_law(times, values, window=None):
     lo, hi = window
     mask = (times >= lo) & (times <= hi)
     if np.count_nonzero(mask) < 5:
-        raise FitError(f"need at least 5 points in window {window}")
+        raise FitError(f"need at least 5 points in window ({float(lo)}, {float(hi)})")
     if np.any(values[mask] <= 0.0):
         raise FitError("nonpositive values in fit window")
     lt = np.log(times[mask])

@@ -89,44 +89,29 @@ class LPBank:
             total += bump(xi_mod * 2.0 ** (-j))
         return float(np.max(np.abs(total - 1.0)))
 
-    def besov_norm(self, field, a, b, c=1):
-        """Homogeneous Besov norm: ell^c over j of the `per_shell` sequence."""
-        if c not in (1, 2) and not np.isinf(c):
-            raise SpectralError(f"Besov summability must be 1, 2 or inf, got {c}")
-        terms = np.array(list(self.per_shell(field, a, b).values()))
-        if c == 1:
-            return float(np.sum(terms))
-        if c == 2:
-            return float(np.sqrt(np.sum(terms**2)))
-        return float(np.max(terms))
+    def besov_norm(self, field, a):
+        """Homogeneous Besov norm B^a_{1,1}: the sum of the `per_shell` sequence."""
+        return float(np.sum(list(self.per_shell(field, a).values())))
 
-    def per_shell(self, field, a, b):
-        """The sequence 2^{ja} ||Q_j f||_{L^b} indexed by j.
+    def per_shell(self, field, a):
+        """The sequence 2^{ja} ||Q_j f||_{L^1} indexed by j.
 
         Q_j uses the fattened bump, matching how the shell pieces enter the
-        decay estimate.  The pieces stay on the half lattice of a real field:
-        L^1/L^inf norms are physical-space quadratures, and the L^2 norm is
-        Parseval's sum with the columns k2 = 1 .. N/2 - 1 counted twice.
+        decay estimate.  The pieces stay on the half lattice of a real field,
+        and each L^1 norm is a physical-space quadrature.
         """
         if not 0.0 <= a <= 6.0:
             raise SpectralError(f"Besov regularity must lie in [0, 6], got {a}")
-        if b not in (1, 2) and not np.isinf(b):
-            raise SpectralError(f"Besov integrability must be 1, 2 or inf, got {b}")
         g = self.grid
         half = half_spectrum(field.coeffs)
         xi = g.half.xi_mod
-        twice = np.r_[1.0, np.full(xi.shape[-1] - 2, 2.0), 1.0]
         terms = {}
         for j in self.j_range:
             piece = half * bump_fattened(xi * 2.0 ** (-j))
-            if not np.any(piece):
-                norm = 0.0
-            elif b == 2:
-                norm = g.L * float(np.sqrt(np.sum(twice * np.abs(piece) ** 2)))
-            else:
+            norm = 0.0
+            if np.any(piece):
                 vals = half_to_physical(g, piece)
-                np.abs(vals, out=vals)
-                norm = float(np.max(vals)) if np.isinf(b) else float(np.sum(vals)) * g.dx**2
+                norm = float(np.sum(np.abs(vals, out=vals))) * g.dx**2
                 del vals
             # freed before the next shell's arrays are made
             del piece

@@ -99,15 +99,16 @@ GRAD_TOL = 1e-10
 DEGENERATE_TOL = 1e-8
 
 
-def find_stationary(p, annulus=(0.5, 2.0), seeds=64):
-    """Newton search for stationary points of phi on the annulus.
+def find_stationary(p):
+    """Newton search, from 64 x 64 polar seeds, for stationary points of phi
+    on the annulus 1/2 <= |xi| <= 2 of shell j = 0.
 
     The degenerate continuum (alpha = 1, v = 0: the whole line xi_2 = 0 is
     stationary with singular Hessian) is detected symbolically and returned
     as one representative per arc with the degenerate flag set, never as a
     converged point list.
     """
-    r_lo, r_hi = annulus
+    r_lo, r_hi = 0.5, 2.0
     if p.alpha == 1.0 and p.v[0] == 0.0 and p.v[1] == 0.0:
         mid = np.sqrt(r_lo * r_hi)
         return StationarySet(
@@ -115,8 +116,8 @@ def find_stationary(p, annulus=(0.5, 2.0), seeds=64):
             degenerate_flag=True,
         )
 
-    rr = np.linspace(r_lo, r_hi, seeds)
-    pp = np.linspace(0.0, 2.0 * np.pi, seeds, endpoint=False)
+    rr = np.linspace(r_lo, r_hi, 64)
+    pp = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
     R, PSI = np.meshgrid(rr, pp, indexing="ij")
     pts = np.stack([R * np.cos(PSI), R * np.sin(PSI)], axis=-1).reshape(-1, 2)
     for _ in range(60):

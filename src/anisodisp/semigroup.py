@@ -12,6 +12,7 @@ from scipy.optimize import brentq
 from scipy.special import j0
 
 from .fitting import fit_power_law
+from .lp import LPBank
 from .spectral import (
     CHUNK_BYTES,
     MultiplierSpec,
@@ -23,20 +24,9 @@ from .spectral import (
 )
 
 
-@dataclass(frozen=True)
-class SemigroupParams:
-    alpha: float = 1.0
-    t: float = 0.0
-
-    def __post_init__(self):
-        MultiplierSpec.generator(self.alpha)  # validates alpha
-        if not 0.0 <= self.t < np.inf:
-            raise SpectralError(f"time must be nonnegative and finite, got {self.t}")
-
-
-def evolve_linear(f, params):
+def evolve_linear(f, alpha, t):
     """Apply the semigroup multiplier exp(-i t xi_1 / |xi|^alpha)."""
-    return apply_multiplier(f, MultiplierSpec.semigroup_phase(params.alpha, params.t))
+    return apply_multiplier(f, MultiplierSpec.semigroup_phase(alpha, t))
 
 
 def reliable_time(grid):
@@ -65,7 +55,7 @@ def _evolved_linf(f0, alpha, times):
     gen = MultiplierSpec.generator(alpha).on(g.half.xi1, g.half.xi2)
     vals = np.empty(len(times))
     for i, t in enumerate(times):
-        SemigroupParams(alpha, t)  # validates t
+        MultiplierSpec.semigroup_phase(alpha, t)  # validates t
         # named, so that numpy cannot multiply into the temporary in place,
         # which can move the last bit
         m = np.exp(t * gen)
@@ -79,17 +69,18 @@ def _evolved_linf(f0, alpha, times):
     return vals
 
 
-def measure_decay(f0, params_template, times, bank, fit_window=None):
+def measure_decay(f0, alpha, times, fit_window=None):
     """L^inf of the evolved field against time, with a log-log rate fit.
 
-    The data norm is the homogeneous Besov norm with regularity 2 when
-    alpha = 1 and 1 + alpha otherwise; the constant estimate is the max of
-    ||e^{tA} f||_inf * t^rate / ||f||_B over the fit window.
+    The data norm is the homogeneous Besov norm B^s_{1,1} on the shells that
+    f0's grid resolves, with s = 2 when alpha = 1 and 1 + alpha otherwise;
+    the constant estimate is the max of ||e^{tA} f||_inf * t^rate / ||f||_B
+    over the fit window.
     """
+    bank = LPBank(f0.grid)
     times = np.asarray(sorted(times), dtype=float)
     if np.any(times <= 0.0):
         raise SpectralError("decay measurement needs strictly positive times")
-    alpha = params_template.alpha
     if abs(f0.coeffs[0, 0]) > 1e-13:
         raise SpectralError("initial data must be zero-mean")
     vals = _evolved_linf(f0, alpha, times)
@@ -103,7 +94,7 @@ def measure_decay(f0, params_template, times, bank, fit_window=None):
     slope, _, residual = fit_power_law(times, vals, fit_window)
     reg = 2.0 if alpha == 1.0 else 1.0 + alpha
     rate = 0.5 if alpha == 1.0 else 1.0
-    besov = bank.besov_norm(f0, reg, 1, 1)
+    besov = bank.besov_norm(f0, reg)
     mask = (times >= fit_window[0]) & (times <= fit_window[1])
     const = float(np.max(vals[mask] * times[mask] ** rate / besov))
     return DecayReport(

@@ -15,7 +15,6 @@ import scipy.fft as sfft
 
 from .spectral import (
     MultiplierSpec,
-    SpectralError,
     SpectralField,
     full_spectrum,
     half_spectrum,
@@ -49,16 +48,17 @@ class SQGState:
     time: float = 0.0
     alpha: float = 1.0
     dt: float = 1e-2
-    dealias: float = 2.0 / 3.0
 
     def __post_init__(self):
         self.theta.zero_mean()
 
 
-def _dealias_mask(grid, fraction):
-    if not 0.0 < fraction <= 1.0:
-        raise SpectralError(f"dealias fraction must be in (0, 1], got {fraction}")
-    cutoff = fraction * (grid.N // 2)
+# The 2/3 rule: products keep the modes with |k_j| < DEALIAS * N/2.
+DEALIAS = 2.0 / 3.0
+
+
+def _dealias_mask(grid):
+    cutoff = DEALIAS * (grid.N // 2)
     return (np.abs(grid.k1) < cutoff) & (np.abs(grid.k2) < cutoff)
 
 
@@ -80,10 +80,10 @@ class _HalfSpectrumWorkspace:
     equal `irfft2` and `rfft2(...) * half_mask` exactly, since a zero column
     transforms to zeros.  They share one buffer pair sized for 6 fields."""
 
-    def __init__(self, grid, dealias):
+    def __init__(self, grid):
         self.grid = grid
         self.xi1, self.xi2 = grid.half.xi1, grid.half.xi2
-        self.mask = _dealias_mask(grid, dealias)
+        self.mask = _dealias_mask(grid)
         self.half_mask = half_spectrum(self.mask)
         self.K = int(np.count_nonzero(self.half_mask[0]))
         self._props = {}
@@ -139,10 +139,10 @@ class _HalfSpectrumWorkspace:
 
 
 class _Workspace(_HalfSpectrumWorkspace):
-    """SQG symbols for one (grid, alpha, dealias) combo."""
+    """SQG symbols for one (grid, alpha) pair."""
 
-    def __init__(self, grid, alpha, dealias):
-        super().__init__(grid, dealias)
+    def __init__(self, grid, alpha):
+        super().__init__(grid)
         # u1, u2, d1 theta, d2 theta: the four fields of u . grad theta
         self.transport = np.concatenate([self.symbols(MultiplierSpec.velocity_sqg, 1, 2),
                                          self.symbols(MultiplierSpec.deriv, 1, 2)])
@@ -204,7 +204,7 @@ def _if_rk4(ws, y, state):
 
 def step(state, workspace=None):
     """Advance one dt of `_if_rk4`; raises CFLError / BlowUpError."""
-    ws = workspace or _Workspace(state.theta.grid, state.alpha, state.dealias)
+    ws = workspace or _Workspace(state.theta.grid, state.alpha)
     full = _if_rk4(ws, half_spectrum(state.theta.coeffs) * ws.half_mask, state)
     return replace(state, theta=SpectralField(state.theta.grid, full),
                    time=state.time + state.dt)
@@ -266,8 +266,7 @@ class BootstrapDiagnostics:
                 ("integral", self.integral), ("envelope", self.envelope)]
 
 
-def run_and_diagnose(theta0, T, dt, alpha=1.0, delta=0.5, n_outputs=50,
-                     dealias=2.0 / 3.0, blowup_factor=1e3):
+def run_and_diagnose(theta0, T, dt, alpha=1.0, delta=0.5, n_outputs=50, blowup_factor=1e3):
     """Integrate to T recording the bootstrap/blow-up diagnostics.
 
     Tracks ||theta||_{H^{4+delta}}, ||theta||_{L^2}, ||grad u||_inf,
@@ -278,8 +277,8 @@ def run_and_diagnose(theta0, T, dt, alpha=1.0, delta=0.5, n_outputs=50,
     value (None if that never happens before T).
     """
     s = 4.0 + delta
-    state = SQGState(theta=theta0.copy(), alpha=alpha, dt=dt, dealias=dealias)
-    ws = _Workspace(state.theta.grid, alpha, dealias)
+    state = SQGState(theta=theta0.copy(), alpha=alpha, dt=dt)
+    ws = _Workspace(state.theta.grid, alpha)
     state.theta.coeffs *= ws.mask
 
     diag = BootstrapDiagnostics(s=s)

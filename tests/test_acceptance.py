@@ -26,7 +26,6 @@ from anisodisp.oscillatory import (
     split_bound,
 )
 from anisodisp.semigroup import (
-    SemigroupParams,
     bessel_j0_quadrature,
     bessel_j0_series,
     evolve_linear,
@@ -51,9 +50,8 @@ def report(name, passed, detail):
 def decay_slope(alpha, N=1024, L=400.0):
     grid = Grid2D(N, L)
     f0 = gaussian_field(grid).zero_mean()
-    bank = LPBank(grid)
     times = np.geomspace(10.0, 100.0, 12)
-    return measure_decay(f0, SemigroupParams(alpha, 0.0), times, bank)
+    return measure_decay(f0, alpha, times)
 
 
 # ---------------------------------------------------------------------------
@@ -74,9 +72,8 @@ def test_criterion_1_decay_rate_alpha1():
     f0 = gaussian_field(small).zero_mean()
     contaminated = measure_decay(
         f0,
-        SemigroupParams(1.0, 0.0),
+        1.0,
         np.geomspace(10.0, 100.0, 12),
-        LPBank(small),
         fit_window=(10.0, 100.0),
     )
     report(
@@ -267,7 +264,7 @@ def test_criterion_6_rescaling_identity():
 def test_criterion_7_sqg_l2_conservation():
     grid = Grid2D(256, 10.0)
     f0 = make_profile(grid, "random", seed=1, width=2.0, amplitude=0.05)
-    ws = sqg._Workspace(grid, 1.0, 2.0 / 3.0)
+    ws = sqg._Workspace(grid, 1.0)
     f0.coeffs *= ws.mask
     n0 = l2_norm(f0)
     state = sqg.SQGState(theta=f0.copy(), alpha=1.0, dt=1e-3)
@@ -279,7 +276,7 @@ def test_criterion_7_sqg_l2_conservation():
     # dt^4 order check at a stronger amplitude where truncation dominates
     g2 = Grid2D(64, 10.0)
     f = make_profile(g2, "random", seed=1, width=2.0, amplitude=0.3)
-    ws2 = sqg._Workspace(g2, 1.0, 2.0 / 3.0)
+    ws2 = sqg._Workspace(g2, 1.0)
     f.coeffs *= ws2.mask
     m0 = l2_norm(f)
 
@@ -317,7 +314,7 @@ def test_criterion_8_sqg_bootstrap_trend():
 
     # linear regime: nonlinear-vs-linear deviation <= 10 eps^2 at t = 1,
     # with the quadratic constant validated by eps-halving
-    ws = sqg._Workspace(grid, 1.0, 2.0 / 3.0)
+    ws = sqg._Workspace(grid, 1.0)
 
     def deviation(eps):
         f0 = make_profile(grid, "random", seed=1, width=4.0, amplitude=eps)
@@ -325,7 +322,7 @@ def test_criterion_8_sqg_bootstrap_trend():
         st = sqg.SQGState(theta=f0.copy(), alpha=1.0, dt=0.01)
         for _ in range(100):
             st = sqg.step(st, ws)
-        lin = evolve_linear(f0, SemigroupParams(1.0, 1.0))
+        lin = evolve_linear(f0, 1.0, 1.0)
         return linf_norm(SpectralField(grid, st.theta.coeffs - lin.coeffs))
 
     eps = 1e-4

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from anisodisp import boussinesq
+from anisodisp import boussinesq, sqg
 from anisodisp.boussinesq import (
     BoussState,
     _Workspace,
@@ -46,7 +46,7 @@ def test_grids_must_match(grid64):
 
 
 def test_workspace_symbols_come_from_the_table(grid64):
-    ws = _Workspace(grid64, 2.0 / 3.0, "stable")
+    ws = _Workspace(grid64, "stable")
     pairs = [(ws.velocity, MultiplierSpec.velocity_bouss), (ws.grad, MultiplierSpec.deriv)]
     # stored on the K columns the dealias mask keeps
     assert not ws.half_mask[:, ws.K:].any()
@@ -70,14 +70,18 @@ def test_vorticity_recovered_from_velocity(grid64):
 
 
 @pytest.mark.parametrize("branch", ["stable", "unstable"])
-def test_nonlinear_term_conserves_energy(grid64, branch):
+def test_nonlinear_term_conserves_energy(grid64, monkeypatch, branch):
     """The stepper's dealiased transport term keeps both quadratic pieces on
-    masked broadband data: <omega/|xi|^2, N_omega> = 0 and <rho, N_rho> = 0."""
-    ws = _Workspace(grid64, 2.0 / 3.0, branch)
-    om, rh = (random_field(grid64, seed=s, width=20.0).coeffs * ws.mask for s in (5, 6))
-    n_om, n_rh = full_spectrum(ws.nonlinear(np.stack([half_spectrum(om), half_spectrum(rh)]))[0])
-    assert abs(cosine(om / grid64.xi_mod_safe**2, n_om)) <= 1e-14
-    assert abs(cosine(rh, n_rh)) <= 1e-14
+    masked broadband data: <omega/|xi|^2, N_omega> = 0 and <rho, N_rho> = 0.
+    With DEALIAS = 1 (no 2/3 rule) aliasing breaks both, which this sees."""
+    for dealias, conserved in ((2.0 / 3.0, True), (1.0, False)):
+        monkeypatch.setattr(sqg, "DEALIAS", dealias)
+        ws = _Workspace(grid64, branch)
+        om, rh = (random_field(grid64, seed=s, width=20.0).coeffs * ws.mask for s in (5, 6))
+        y = np.stack([half_spectrum(om), half_spectrum(rh)])
+        n_om, n_rh = full_spectrum(ws.nonlinear(y)[0])
+        assert (abs(cosine(om / grid64.xi_mod_safe**2, n_om)) <= 1e-14) == conserved, dealias
+        assert (abs(cosine(rh, n_rh)) <= 1e-14) == conserved, dealias
 
 
 def test_stable_propagator_conserves_mode_energy(grid64):
@@ -201,7 +205,7 @@ def reference_step(om, rh, grid, dt, branch):
     xi_sq = np.where(grid.xi_sq == 0.0, 1.0, grid.xi_sq)
     d1, d2 = 1j * grid.xi1, 1j * grid.xi2
     u_syms = (-1j * grid.xi2 / xi_sq, 1j * grid.xi1 / xi_sq)
-    mask = _dealias_mask(grid, 2.0 / 3.0)
+    mask = _dealias_mask(grid)
     r = grid.xi_mod_safe
     beta = grid.xi1 / r
 
@@ -243,7 +247,7 @@ def test_step_matches_full_spectrum_reference(grid64, branch):
     rh.coeffs *= 0.05
     st = BoussState(omega=om, rho=rh, dt=0.02, branch=branch)
     ref = [st.omega.coeffs.copy(), st.rho.coeffs.copy()]
-    ws = _Workspace(grid64, 2.0 / 3.0, branch)
+    ws = _Workspace(grid64, branch)
     for _ in range(20):
         st = step(st, ws)
         ref = reference_step(ref[0], ref[1], grid64, 0.02, branch)
@@ -261,7 +265,7 @@ def small_state(grid, amplitude=0.01, dt=0.02, seed=10):
 @pytest.mark.parametrize("branch", ["stable", "unstable"])
 def test_nonlinear_buffers_do_not_alias(grid64, branch):
     """Results live in new arrays: the transform buffers are the workspace's own."""
-    ws = _Workspace(grid64, 2.0 / 3.0, branch)
+    ws = _Workspace(grid64, branch)
     st = small_state(grid64, amplitude=0.3)
     y = np.stack([half_spectrum(st.omega.coeffs), half_spectrum(st.rho.coeffs)])
     y *= ws.half_mask
@@ -279,7 +283,7 @@ def test_nonlinear_buffers_do_not_alias(grid64, branch):
 def test_four_nonlinear_calls_per_step(grid64, monkeypatch):
     calls = count_calls(monkeypatch, _Workspace, "nonlinear")
     st = small_state(grid64)
-    ws = _Workspace(grid64, 2.0 / 3.0, "stable")
+    ws = _Workspace(grid64, "stable")
     for n in range(1, 4):
         st = step(st, ws)
         assert len(calls) == 4 * n
@@ -293,11 +297,12 @@ def test_step_output_exactly_hermitian(grid64):
 
 @pytest.mark.parametrize("branch", ["stable", "unstable"])
 @pytest.mark.parametrize("dealias", [2.0 / 3.0, 1.0])
-def test_stepped_nyquist_lines_exactly_zero(grid64, branch, dealias):
+def test_stepped_nyquist_lines_exactly_zero(grid64, monkeypatch, branch, dealias):
     """The dealias mask excludes |k_j| = N/2, so a step zeroes the Nyquist
     lines of its input without a separate pass."""
+    monkeypatch.setattr(sqg, "DEALIAS", dealias)
     st = small_state(grid64)
-    st.branch, st.dealias = branch, dealias
+    st.branch = branch
     for f in (st.omega, st.rho):
         f.coeffs[grid64.nyquist_mask] = 1e-3
     for _ in range(3):
@@ -320,7 +325,7 @@ def stepped_states(grid, eps, dt, nsteps, branch):
     fo, fr = default_profiles(grid)
     st = BoussState(omega=SpectralField(grid, eps * fo.coeffs),
                     rho=SpectralField(grid, eps * fr.coeffs), dt=dt, branch=branch)
-    mask = _dealias_mask(grid, 2.0 / 3.0)
+    mask = _dealias_mask(grid)
     st.omega.coeffs *= mask
     st.rho.coeffs *= mask
     states = [st]
@@ -367,14 +372,3 @@ def test_run_calls_step_through_module_global(grid64, monkeypatch):
     calls = count_calls(monkeypatch, boussinesq, "step")
     stability_experiment(grid64, eps=0.01, T=0.5, dt=0.05, n_outputs=5)
     assert len(calls) == round(0.5 / 0.05)
-
-
-@pytest.mark.parametrize("dealias", [0.0, 1.5])
-def test_dealias_fraction_validated(grid64, dealias):
-    """Outside (0, 1] the fraction would zero the fields or turn dealiasing off."""
-    st = small_state(grid64)
-    st.dealias = dealias
-    with pytest.raises(SpectralError):
-        step(st)
-    with pytest.raises(SpectralError):
-        stability_experiment(grid64, eps=0.01, T=0.1, dt=0.05, dealias=dealias)

@@ -147,6 +147,33 @@ n_outputs = 4
     assert "censored: 2 of 2\n" in rep.summary_text()
 
 
+@pytest.mark.parametrize("eps_list, exits, passed", [
+    ("3.0,1.5,0.75", [8.0, None, None], True),
+    ("0.75,1.5,3.0", [None, None, 8.0], True),
+    ("1.5,0.75,3.0", [None, 9.0, 8.0], False),
+    ("3.0,0.75,1.5", [8.0, 9.0, None], False),
+    ("-3.0,1.5", [8.0, None], True),  # the perturbation size is |eps|
+])
+def test_sweep_check_reads_members_by_decreasing_eps(monkeypatch, eps_list, exits, passed):
+    """The monotonicity verdict does not depend on the order of eps_list, and
+    the rows keep that order.  Each member's bootstrap exit is set by hand."""
+    exit_of = dict(zip((float(e) for e in eps_list.split(",")), exits))
+
+    def member(args):
+        cfg, p, eps = args
+        sub = ExperimentReport(config=cfg)
+        sub.metadata["bootstrap_exit_time"] = str(exit_of[eps])
+        return sub
+
+    monkeypatch.setattr(harness, "_sweep_member", member)
+    cfg = ExperimentConfig(experiment="sweep", N=16, L=10.0,
+                           params={"eps_list": eps_list, "t_final": "20.0"})
+    rep = run(cfg)
+    want = [20.0 if e is None else e for e in exits]
+    assert rep.columns == [("eps", list(exit_of)), ("exit_time", want)]
+    assert rep.all_passed() == passed
+
+
 # ---------------------------------------------------------------------------
 # CLI exit codes
 
@@ -211,6 +238,17 @@ def test_cli_trimmed_fit_window_exit_three(tmp_path, capsys):
     path = write_config(tmp_path, ini)
     assert main(["lin-decay", "--config", path, "--out", str(tmp_path / "o")]) == 3
     assert "numeric failure: need at least 5 points" in capsys.readouterr().err
+
+
+def test_cli_fit_window_error_has_plain_floats(tmp_path, capsys):
+    """The window's end comes from a numpy array; its numpy-2 repr
+    "np.float64(...)" must not reach the error line."""
+    ini = ("[experiment]\nname = lin-decay\n\n[grid]\nN = 64\nL = 40.0\n\n"
+           "[params]\nt_lo = 1\nt_hi = 10\nn_times = 6\n")
+    path = write_config(tmp_path, ini)
+    assert main(["lin-decay", "--config", path, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err == "numeric failure: need at least 5 points in window (10.0, 10.0)\n"
 
 
 @pytest.mark.parametrize("line, bad", [
@@ -503,6 +541,41 @@ def test_benchmark_trace_targets_resolve(monkeypatch):
     tracing = importlib.import_module("tracing")
     for owner, attr, *_ in tracing._targets():
         assert attr in owner.__dict__, (owner, attr)
+
+
+TRACED_RUNS = {
+    "lin-decay": PARAMS_INI.format(experiment="lin-decay", extra="t_hi = 20.0\nn_times = 5")
+    .replace("N = 16\nL = 10.0", "N = 64\nL = 100.0"),
+    "sharpness": PARAMS_INI.format(experiment="sharpness", extra="t_hi = 30.0\nn_times = 20")
+    .replace("N = 16\nL = 10.0", "N = 64\nL = 100.0"),
+    "kernel": KERNEL_INI.replace("times = 10,30", "times = 10"),
+    "sqg": EVOLUTION_INI.format(experiment="sqg", extra=""),
+    "bouss": EVOLUTION_INI.format(experiment="bouss", extra=""),
+    "sweep": EVOLUTION_INI.format(experiment="sweep", extra="target = bouss\neps_list = 0.02,0.01"),
+}
+
+
+def test_benchmark_tracer_hooks_record_a_traced_run(tmp_path, monkeypatch, capsys):
+    """The benchmark's tracer, installed around one small CLI run of each
+    experiment.  Its hooks read call arguments and `_props`, so a change to
+    either must show here as a missing count, not as a broken `--trace 1`."""
+    assert set(TRACED_RUNS) == set(EXPERIMENTS)
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+    tracer = importlib.import_module("tracing").Tracer()
+    tracer.install()
+    try:
+        codes = [cli.main([name, "--config", write_config(tmp_path, text, f"{name}.ini"),
+                           "--out", str(tmp_path / name)])
+                 for name, text in TRACED_RUNS.items()]
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert set(codes) <= {0, 1}, codes
+    for name in ("oscillatory.quadrature", "boussinesq.propagator", "harness.report_write"):
+        assert tracer.counts[f"{name}.calls"] > 0, name
+    for name in ("oscillatory.quadrature_points", "boussinesq.propagator.hits",
+                 "harness.report_bytes"):
+        assert tracer.counts[name] > 0, name
 
 
 def _range_cell(within):

@@ -9,8 +9,6 @@ from anisodisp.spectral import (
     forward_transform,
     gaussian_field,
     l1_norm,
-    l2_norm,
-    linf_norm,
 )
 from conftest import random_field
 
@@ -90,22 +88,19 @@ def test_projection_reconstructs_band_limited(grid64):
 def test_besov_validation(grid64):
     bank = LPBank(grid64)
     f = random_field(grid64)
-    with pytest.raises(SpectralError):
-        bank.besov_norm(f, 7.0, 1)
-    with pytest.raises(SpectralError):
-        bank.besov_norm(f, 1.0, 3)
+    for a in (-0.5, 7.0):
+        with pytest.raises(SpectralError):
+            bank.besov_norm(f, a)
 
 
 def test_per_shell_validation(grid64):
-    """per_shell makes besov_norm's regularity and integrability checks."""
+    """per_shell makes besov_norm's regularity check, before any shell."""
     bank = LPBank(grid64)
     f = random_field(grid64)
     with pytest.raises(SpectralError):
-        bank.per_shell(f, 1.0, 3)
-    with pytest.raises(SpectralError):
-        bank.per_shell(f, 7.0, 2)
+        bank.per_shell(f, 7.0)
     with pytest.raises(SpectralError):  # every piece is zero, so no norm is taken
-        bank.per_shell(SpectralField(grid64, np.zeros_like(f.coeffs)), 1.0, 3)
+        bank.per_shell(SpectralField(grid64, np.zeros_like(f.coeffs)), 7.0)
 
 
 @pytest.mark.parametrize("make", [
@@ -114,39 +109,34 @@ def test_per_shell_validation(grid64):
     lambda g: shell_field(g, j=1),
 ])
 def test_per_shell_equals_full_lattice_projection(make):
-    """The half-lattice shells give the norms of the full projections: the
-    same bits for L^1 and L^inf, Parseval's L^2 to rounding."""
+    """The half-lattice shells give the bits of the L^1 norms of the full
+    projections."""
     grid = Grid2D(128, 60.0)
     bank = LPBank(grid)
     f = make(grid)
-    for b, norm in ((1, l1_norm), (np.inf, linf_norm), (2, l2_norm)):
-        got = bank.per_shell(f, 1.5, b)
-        assert list(got) == list(bank.j_range)
-        for j, value in got.items():
-            full = 2.0 ** (j * 1.5) * norm(bank.project(f, j, fattened=True))
-            if b == 2:
-                assert abs(value - full) <= 1e-14 * full
-            else:
-                assert value == full
+    got = bank.per_shell(f, 1.5)
+    assert list(got) == list(bank.j_range)
+    for j, value in got.items():
+        assert value == 2.0 ** (j * 1.5) * l1_norm(bank.project(f, j, fattened=True))
 
 
 def test_per_shell_of_zero_field_is_zero(grid64):
     bank = LPBank(grid64)
     zero = SpectralField(grid64, np.zeros((64, 64), dtype=complex))
-    for b in (1, 2, np.inf):
-        assert set(bank.per_shell(zero, 2.0, b).values()) == {0.0}
-    assert bank.besov_norm(zero, 2.0, 1, 1) == 0.0
+    assert set(bank.per_shell(zero, 2.0).values()) == {0.0}
+    assert bank.besov_norm(zero, 2.0) == 0.0
 
 
 def test_besov_single_shell_scaling(grid64):
-    """For a one-shell field the norm is 2^{ja} times its L^b norm."""
+    """Each term of a one-shell field is 2^{ja} times its a = 0 term, and
+    the norm is the sum of the terms."""
     bank = LPBank(grid64)
     f = shell_field(grid64, j=1)
-    from anisodisp.spectral import l2_norm
-
-    per = bank.per_shell(f, 2.0, 2)
-    val = bank.besov_norm(f, 2.0, 2, np.inf)
-    assert abs(val - max(per.values())) <= 1e-12 * val
+    base = bank.per_shell(f, 0.0)
+    per = bank.per_shell(f, 2.0)
+    for j, value in per.items():
+        assert abs(value - 4.0**j * base[j]) <= 1e-14 * value
+    assert abs(bank.besov_norm(f, 2.0) - sum(per.values())) <= 1e-14 * sum(per.values())
     assert per[1] > 0.0
 
 
@@ -155,7 +145,7 @@ def test_besov_monotone_in_regularity(grid64):
     f = random_field(grid64, seed=21)
     # weights 2^{ja} grow with a on shells j >= 1; restrict support there
     f.coeffs *= grid64.xi_mod >= 2.0
-    assert bank.besov_norm(f, 3.0, 1, 1) >= bank.besov_norm(f, 2.0, 1, 1)
+    assert bank.besov_norm(f, 3.0) >= bank.besov_norm(f, 2.0)
 
 
 def test_shell_field_properties(grid64):

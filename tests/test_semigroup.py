@@ -8,9 +8,8 @@ from scipy.optimize import brentq
 
 from anisodisp import semigroup
 from anisodisp.harness import make_profile
-from anisodisp.lp import LPBank, shell_field
+from anisodisp.lp import shell_field
 from anisodisp.semigroup import (
-    SemigroupParams,
     _evolved_linf,
     _origin_evaluator,
     bessel_j0,
@@ -33,17 +32,18 @@ from anisodisp.spectral import (
 from conftest import random_field
 
 
-def test_params_validated():
+def test_params_validated(grid32):
+    f = random_field(grid32)
     with pytest.raises(SpectralError):
-        SemigroupParams(0.9, 1.0)
+        evolve_linear(f, 0.9, 1.0)
     with pytest.raises(SpectralError):
-        SemigroupParams(1.0, -0.1)
+        evolve_linear(f, 1.0, -0.1)
 
 
 @pytest.mark.parametrize("t", [float("nan"), float("inf")])
-def test_non_finite_time_rejected(t):
+def test_non_finite_time_rejected(grid32, t):
     with pytest.raises(SpectralError):
-        SemigroupParams(1.0, t)
+        evolve_linear(random_field(grid32), 1.0, t)
     with pytest.raises(SpectralError):
         MultiplierSpec.semigroup_phase(1.0, t)
     with pytest.raises(SpectralError):
@@ -54,7 +54,7 @@ def test_non_finite_time_rejected(t):
 
 def test_t_zero_is_identity(grid64):
     f = random_field(grid64)
-    g = evolve_linear(f, SemigroupParams(1.0, 0.0))
+    g = evolve_linear(f, 1.0, 0.0)
     ref = f.copy()
     ref.zero_nyquist()
     assert np.max(np.abs(g.coeffs - ref.coeffs)) <= 1e-15
@@ -64,14 +64,13 @@ def test_unitary_on_l2(grid64):
     f = random_field(grid64, seed=1)
     n0 = l2_norm(f)
     for t in (0.5, 5.0, 50.0):
-        assert abs(l2_norm(evolve_linear(f, SemigroupParams(1.3, t))) - n0) <= 1e-12 * n0
+        assert abs(l2_norm(evolve_linear(f, 1.3, t)) - n0) <= 1e-12 * n0
 
 
 def test_group_law(grid64):
     f = random_field(grid64, seed=2)
-    p = lambda t: SemigroupParams(1.5, t)
-    a = evolve_linear(evolve_linear(f, p(2.0)), p(3.0))
-    b = evolve_linear(f, p(5.0))
+    a = evolve_linear(evolve_linear(f, 1.5, 2.0), 1.5, 3.0)
+    b = evolve_linear(f, 1.5, 5.0)
     assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-13
 
 
@@ -89,7 +88,7 @@ def test_evolved_linf_matches_evolve_linear(alpha, t, seed):
     """White noise, so the Nyquist lines that the loop zeroes carry data."""
     noise = np.random.default_rng(seed).standard_normal((32, 32))
     f = forward_transform(noise, GRID32).zero_mean()
-    want = linf_norm(evolve_linear(f, SemigroupParams(alpha, t)))
+    want = linf_norm(evolve_linear(f, alpha, t))
     assert _evolved_linf(f, alpha, [t])[0] == want
 
 
@@ -98,22 +97,21 @@ def test_evolved_linf_matches_evolve_linear(alpha, t, seed):
 def test_unitary_on_half_lattice(alpha, t, seed):
     f = random_field(GRID32, seed=seed)
     n0 = l2_norm(f)
-    assert abs(l2_norm(evolve_linear(f, SemigroupParams(alpha, t))) - n0) <= 1e-14 * n0
+    assert abs(l2_norm(evolve_linear(f, alpha, t)) - n0) <= 1e-14 * n0
 
 
 @PROPERTY
 @given(ALPHAS, st.floats(0.0, 50.0), st.floats(0.0, 50.0), SEEDS)
 def test_group_law_on_half_lattice(alpha, t, s, seed):
     f = random_field(GRID32, seed=seed)
-    p = lambda tau: SemigroupParams(alpha, tau)
-    a = evolve_linear(evolve_linear(f, p(s)), p(t))
-    b = evolve_linear(f, p(t + s))
+    a = evolve_linear(evolve_linear(f, alpha, s), alpha, t)
+    b = evolve_linear(f, alpha, t + s)
     assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-13 * np.max(np.abs(f.coeffs))
 
 
 def test_evolved_field_stays_real(grid64):
     f = random_field(grid64, seed=3)
-    g = evolve_linear(f, SemigroupParams(1.0, 17.0))
+    g = evolve_linear(f, 1.0, 17.0)
     assert g.hermitian_defect() == 0.0
 
 
@@ -122,7 +120,7 @@ def test_plane_wave_does_not_decay(grid64):
     f = forward_transform(np.cos(2.0 * np.pi * X * 3 / grid64.L), grid64)
     base = linf_norm(f)
     for t in (1.0, 10.0, 40.0):
-        g = evolve_linear(f, SemigroupParams(1.0, t))
+        g = evolve_linear(f, 1.0, t)
         # coefficient moduli are untouched; the physical sup only moves by
         # the sampling error of a phase-shifted cosine, O((pi/N)^2)
         assert np.max(np.abs(np.abs(g.coeffs) - np.abs(f.coeffs))) <= 1e-14
@@ -170,22 +168,18 @@ def test_j0_rejects_negative():
 def test_measure_decay_requires_zero_mean(grid64):
     f = random_field(grid64)
     f.coeffs[0, 0] = 1.0
-    bank = LPBank(grid64)
     with pytest.raises(SpectralError):
-        measure_decay(f, SemigroupParams(1.0, 0.0), [1.0, 2.0, 4.0], bank)
+        measure_decay(f, 1.0, [1.0, 2.0, 4.0])
 
 
 def test_contamination_flag():
     grid = Grid2D(64, 160.0)
     f = random_field(grid, seed=4)
-    bank = LPBank(grid)
     times = np.geomspace(10.0, 60.0, 8)  # beyond L/4 = 40
-    rep = measure_decay(f, SemigroupParams(1.0, 0.0), times, bank)
+    rep = measure_decay(f, 1.0, times)
     assert rep.boundary_contaminated
     assert rep.fit_window[1] <= reliable_time(grid) + 1e-12
-    clean = measure_decay(
-        f, SemigroupParams(1.0, 0.0), np.geomspace(10.0, 39.0, 8), bank
-    )
+    clean = measure_decay(f, 1.0, np.geomspace(10.0, 39.0, 8))
     assert not clean.boundary_contaminated
 
 
@@ -197,9 +191,8 @@ def test_measure_decay_equals_full_lattice_path(alpha):
     noise = np.random.default_rng(6).standard_normal((128, 128))
     f = forward_transform(noise, grid).zero_mean()
     times = np.geomspace(1.0, 30.0, 7)
-    rep = measure_decay(f, SemigroupParams(alpha, 0.0), times, LPBank(grid),
-                        fit_window=(1.0, 30.0))
-    full = [linf_norm(evolve_linear(f, SemigroupParams(alpha, t))) for t in times]
+    rep = measure_decay(f, alpha, times, fit_window=(1.0, 30.0))
+    full = [linf_norm(evolve_linear(f, alpha, t)) for t in times]
     assert np.array_equal(rep.linf_values, full)
 
 
@@ -217,9 +210,8 @@ def test_decay_slope_small_grid():
     from anisodisp.spectral import gaussian_field
 
     f = gaussian_field(grid).zero_mean()
-    bank = LPBank(grid)
     times = np.geomspace(10.0, 50.0, 8)
-    rep = measure_decay(f, SemigroupParams(1.0, 0.0), times, bank)
+    rep = measure_decay(f, 1.0, times)
     assert -0.7 <= rep.fitted_slope <= -0.3
     assert rep.constant_estimate > 0.0
 

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anisodisp.spectral import (
     SYMBOLS,
     Grid2D,
     MultiplierSpec,
     SpectralError,
+    SpectralField,
     apply_multiplier,
     forward_transform,
     gaussian_field,
@@ -168,17 +171,42 @@ def test_riesz_is_skew_adjoint(grid64):
         assert abs(inner(f, apply_multiplier(f, r))) <= 1e-12
 
 
-def test_multipliers_commute(grid64):
-    f = random_field(grid64, seed=9)
-    pairs = [
-        (MultiplierSpec.velocity_sqg(2), MultiplierSpec.generator(1.5)),
-        (MultiplierSpec.deriv(2), MultiplierSpec.semigroup_phase(1.0, 3.0)),
-        (MultiplierSpec.velocity_sqg(1), MultiplierSpec.velocity_bouss(2)),
-    ]
-    for m1, m2 in pairs:
-        a = apply_multiplier(apply_multiplier(f, m1), m2)
-        b = apply_multiplier(apply_multiplier(f, m2), m1)
-        assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-12
+# random multipliers: a SYMBOLS entry with its parameters drawn from their ranges
+GRID32 = Grid2D(32, 10.0)
+PROPERTY = settings(max_examples=100, derandomize=True, deadline=None, database=None)
+_ALPHAS = st.floats(1.0, 2.0)
+_ONE_OR_TWO = st.sampled_from([1, 2])
+SYMBOL_PARAMS = {
+    "Deriv": {"j": _ONE_OR_TWO},
+    "Generator": {"alpha": _ALPHAS},
+    "SemigroupPhase": {"alpha": _ALPHAS, "t": st.floats(0.0, 100.0)},
+    "VelocitySQG": {"component": _ONE_OR_TWO},
+    "VelocityBouss": {"component": _ONE_OR_TWO},
+}
+
+
+@st.composite
+def multipliers(draw):
+    tag = draw(st.sampled_from(sorted(SYMBOLS)))
+    return MultiplierSpec(tag, **{k: draw(v) for k, v in SYMBOL_PARAMS[tag].items()})
+
+
+def white_noise(seed):
+    """A random real field; its Nyquist lines carry data."""
+    return forward_transform(np.random.default_rng(seed).standard_normal((32, 32)), GRID32)
+
+
+def test_symbol_params_cover_the_table():
+    assert set(SYMBOL_PARAMS) == set(SYMBOLS)
+
+
+@PROPERTY
+@given(multipliers(), multipliers(), st.integers(0, 2**16))
+def test_multipliers_commute(m1, m2, seed):
+    f = white_noise(seed)
+    a = apply_multiplier(apply_multiplier(f, m1), m2).coeffs
+    b = apply_multiplier(apply_multiplier(f, m2), m1).coeffs
+    assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(a)), (m1, m2)
 
 
 def test_velocities_divergence_free(grid64):
@@ -191,15 +219,19 @@ def test_velocities_divergence_free(grid64):
         assert np.max(np.abs(div)) <= 1e-12
 
 
-def test_multiplier_keeps_field_real(grid64):
-    f = random_field(grid64, seed=12)
-    for m in (
-        MultiplierSpec.velocity_sqg(1),
-        MultiplierSpec.semigroup_phase(1.5, 7.0),
-        MultiplierSpec.velocity_bouss(2),
-    ):
-        g = apply_multiplier(f, m)
-        assert g.hermitian_defect() == 0.0
+@PROPERTY
+@given(multipliers(), st.integers(0, 2**16))
+def test_multiplier_keeps_field_real(m, seed):
+    """The full-lattice product of a real field and the symbol is real in
+    physical space, and `apply_multiplier`, which writes the conjugate half
+    by reflection, gives exactly its coefficients."""
+    f = white_noise(seed)
+    full = SpectralField(GRID32, f.coeffs * m.symbol(GRID32)).zero_nyquist()
+    values = np.fft.ifft2(full.coeffs)
+    assert np.max(np.abs(values.imag)) <= 1e-14 * np.max(np.abs(values.real)), m
+    g = apply_multiplier(f, m)
+    assert g.hermitian_defect() == 0.0, m
+    assert np.array_equal(g.coeffs, full.coeffs), m
 
 
 # one instance of every table entry, with its documented value at xi = 0

@@ -5,7 +5,7 @@ import pytest
 import scipy.fft as sfft
 
 from anisodisp import sqg
-from anisodisp.semigroup import SemigroupParams, evolve_linear
+from anisodisp.semigroup import evolve_linear
 from anisodisp.spectral import (
     Grid2D,
     MultiplierSpec,
@@ -36,18 +36,8 @@ def small_state(grid, eps=0.05, dt=0.01, seed=1):
     return SQGState(theta=f, alpha=1.0, dt=dt)
 
 
-def test_state_validation(grid64):
-    """The dealias fraction is checked where the mask is built, before any step."""
-    f = random_field(grid64)
-    for bad in (0.0, 1.5):
-        with pytest.raises(SpectralError):
-            step(SQGState(theta=f.copy(), dealias=bad))
-        with pytest.raises(SpectralError):
-            run_and_diagnose(f, T=0.1, dt=0.05, dealias=bad)
-
-
 def test_workspace_symbols_come_from_the_table(grid64):
-    ws = _Workspace(grid64, 1.5, 2.0 / 3.0)
+    ws = _Workspace(grid64, 1.5)
     specs = (MultiplierSpec.velocity_sqg(1), MultiplierSpec.velocity_sqg(2),
              MultiplierSpec.deriv(1), MultiplierSpec.deriv(2))
     # the transport symbols are stored on the K columns the dealias mask keeps
@@ -60,23 +50,24 @@ def test_workspace_symbols_come_from_the_table(grid64):
 @pytest.mark.parametrize("alpha", [0.5, 2.5, float("nan")])
 def test_workspace_rejects_alpha_outside_range(grid64, alpha):
     with pytest.raises(SpectralError):
-        _Workspace(grid64, alpha, 2.0 / 3.0)
+        _Workspace(grid64, alpha)
 
 
-def test_nonlinear_term_conserves_l2(grid64):
+def test_nonlinear_term_conserves_l2(grid64, monkeypatch):
     """<theta, N(theta)> = 0 for the stepper's dealiased transport term on
-    masked broadband data; with dealias 1 (no 2/3 rule) aliasing breaks it,
-    which this sees."""
+    masked broadband data; with DEALIAS = 1 (no 2/3 rule) aliasing breaks
+    it, which this sees."""
     for dealias, conserved in ((2.0 / 3.0, True), (1.0, False)):
-        ws = _Workspace(grid64, 1.0, dealias)
+        monkeypatch.setattr(sqg, "DEALIAS", dealias)
+        ws = _Workspace(grid64, 1.0)
         theta = random_field(grid64, seed=2, width=20.0).coeffs * ws.mask
         rhs = full_spectrum(ws.nonlinear(half_spectrum(theta))[0])
         assert (abs(cosine(theta, rhs)) <= 1e-14) == conserved, dealias
 
 
 def test_dealias_mask_shape(grid64):
-    mask = _dealias_mask(grid64, 2.0 / 3.0)
-    cutoff = 2.0 / 3.0 * (grid64.N // 2)
+    mask = _dealias_mask(grid64)
+    cutoff = sqg.DEALIAS * (grid64.N // 2)
     assert mask[0, 0]
     assert not mask[grid64.N // 2, 0]
     assert bool(mask[int(cutoff) + 1, 0]) is False
@@ -91,7 +82,7 @@ def test_single_mode_matches_linear(grid64):
     st = SQGState(theta=f.copy(), alpha=1.0, dt=0.05)
     for _ in range(10):
         st = step(st)
-    lin = evolve_linear(f, SemigroupParams(1.0, 0.5))
+    lin = evolve_linear(f, 1.0, 0.5)
     assert np.max(np.abs(st.theta.coeffs - lin.coeffs)) <= 1e-12
 
 
@@ -130,7 +121,7 @@ def test_cfl_dt_scales_with_velocity(grid64):
 def test_blowup_error_carries_state(grid64):
     st = small_state(grid64)
     st.theta.coeffs *= np.nan
-    ws = _Workspace(grid64, 1.0, 2.0 / 3.0)
+    ws = _Workspace(grid64, 1.0)
     with pytest.raises(BlowUpError):
         # NaN input propagates to a NaN output
         step(st, ws)
@@ -178,7 +169,7 @@ def reference_step(c, grid, dt, alpha=1.0):
     """Plain full-spectrum IF-RK4 step with complex numpy transforms."""
     N2 = grid.N**2
     r = grid.xi_mod_safe
-    mask = _dealias_mask(grid, 2.0 / 3.0)
+    mask = _dealias_mask(grid)
     syms = (1j * grid.xi2 / r, -1j * grid.xi1 / r, 1j * grid.xi1, 1j * grid.xi2)
 
     def rhs(c):
@@ -201,7 +192,7 @@ def reference_step(c, grid, dt, alpha=1.0):
 def test_step_matches_full_spectrum_reference(grid64):
     st = small_state(grid64, eps=0.3, dt=0.02, seed=6)
     ref = st.theta.coeffs.copy()
-    ws = _Workspace(grid64, 1.0, 2.0 / 3.0)
+    ws = _Workspace(grid64, 1.0)
     for _ in range(20):
         st = step(st, ws)
         ref = reference_step(ref, grid64, 0.02)
@@ -211,7 +202,7 @@ def test_step_matches_full_spectrum_reference(grid64):
 def test_four_nonlinear_calls_per_step(grid64, monkeypatch):
     calls = count_calls(monkeypatch, _Workspace, "nonlinear")
     st = small_state(grid64)
-    ws = _Workspace(grid64, 1.0, 2.0 / 3.0)
+    ws = _Workspace(grid64, 1.0)
     for n in range(1, 4):
         st = step(st, ws)
         assert len(calls) == 4 * n
@@ -223,11 +214,11 @@ def test_step_output_exactly_hermitian(grid64):
 
 
 @pytest.mark.parametrize("dealias", [2.0 / 3.0, 1.0])
-def test_stepped_nyquist_lines_exactly_zero(grid64, dealias):
+def test_stepped_nyquist_lines_exactly_zero(grid64, monkeypatch, dealias):
     """The dealias mask excludes |k_j| = N/2, so a step zeroes the Nyquist
     lines of its input without a separate pass."""
+    monkeypatch.setattr(sqg, "DEALIAS", dealias)
     st = small_state(grid64, seed=8)
-    st.dealias = dealias
     st.theta.coeffs[grid64.nyquist_mask] = 1e-3
     for _ in range(3):
         st = step(st)
@@ -236,12 +227,13 @@ def test_stepped_nyquist_lines_exactly_zero(grid64, dealias):
 
 @pytest.mark.parametrize("N", [16, 64, 128, 256])
 @pytest.mark.parametrize("dealias", [2.0 / 3.0, 1.0])
-def test_pruned_transforms_equal_full_real_transforms(N, dealias):
+def test_pruned_transforms_equal_full_real_transforms(monkeypatch, N, dealias):
     """to_physical and to_spectral skip the columns the dealias mask drops
     and block the row pass by ROW_PASS_BYTES (whole stacks at N <= 64, a
     4 + 2 split of 6 fields at N = 128, one field per call at N = 256), and
     still give exactly the values of irfft2 and rfft2 * half_mask."""
-    ws = _Workspace(Grid2D(N, 10.0), 1.0, dealias)
+    monkeypatch.setattr(sqg, "DEALIAS", dealias)
+    ws = _Workspace(Grid2D(N, 10.0), 1.0)
     rng = np.random.default_rng(N)
     for n in (1, 4, 6):
         x = rng.standard_normal((n, N, N))
@@ -254,7 +246,7 @@ def test_pruned_transforms_equal_full_real_transforms(N, dealias):
 
 def test_nonlinear_buffers_do_not_alias(grid64):
     """Results live in new arrays: the transform buffers are the workspace's own."""
-    ws = _Workspace(grid64, 1.0, 2.0 / 3.0)
+    ws = _Workspace(grid64, 1.0)
     y = half_spectrum(small_state(grid64, eps=0.3, seed=11).theta.coeffs) * ws.half_mask
     y0 = y.copy()
     rhs, _ = ws.nonlinear(y)
@@ -279,7 +271,7 @@ def test_cfl_raised_after_first_stage(grid64, monkeypatch):
 def stepped_states(theta0, dt, nsteps):
     """The states run_and_diagnose steps through: the masked start, then `step`."""
     st = SQGState(theta=theta0.copy(), dt=dt)
-    st.theta.coeffs *= _dealias_mask(st.theta.grid, 2.0 / 3.0)
+    st.theta.coeffs *= _dealias_mask(st.theta.grid)
     states = [st]
     for _ in range(nsteps):
         states.append(step(states[-1]))
