@@ -24,16 +24,17 @@ from .spectral import (
     sobolev_weight,
     weighted_norm,
 )
-from .sqg import _HalfSpectrumWorkspace, _if_rk4, _integrate
+from .sqg import _Clock, _HalfSpectrumWorkspace, _if_rk4, _integrate
 
 
 @dataclass
-class BoussState:
+class BoussState(_Clock):
     omega: SpectralField
     rho: SpectralField
-    time: float = 0.0
+    t0: float = 0.0
     dt: float = 1e-2
     branch: str = "stable"
+    steps: int = 0
 
     def __post_init__(self):
         if self.branch not in ("stable", "unstable"):
@@ -74,7 +75,7 @@ def linear_propagator(state, t):
     P = _propagator_arrays(h.xi1, h.xi2, h.xi_mod_safe, t, state.branch)
     y = full_spectrum(_Workspace.propagate(P, _half_pair(state)))
     fo, fr = (SpectralField(grid, c).zero_nyquist() for c in y)
-    return replace(state, omega=fo, rho=fr, time=state.time + t)
+    return replace(state, omega=fo, rho=fr, t0=state.time + t, steps=0)
 
 
 def diagonal_variables(state):
@@ -128,7 +129,7 @@ def step(state, workspace=None):
     ws = workspace or _Workspace(state.omega.grid, state.branch)
     full = _if_rk4(ws, _half_pair(state) * ws.half_mask, state)
     fo, fr = (SpectralField(state.omega.grid, c) for c in full)
-    return replace(state, omega=fo, rho=fr, time=state.time + state.dt)
+    return replace(state, omega=fo, rho=fr, steps=state.steps + 1)
 
 
 @dataclass

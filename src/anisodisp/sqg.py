@@ -42,12 +42,22 @@ class BlowUpError(RuntimeError):
         self.state = state
 
 
+class _Clock:
+    """A stepped state's time, t0 + steps * dt: exact at every step, where a
+    running sum of dt would accumulate rounding."""
+
+    @property
+    def time(self):
+        return self.t0 + self.steps * self.dt
+
+
 @dataclass
-class SQGState:
+class SQGState(_Clock):
     theta: SpectralField
-    time: float = 0.0
+    t0: float = 0.0
     alpha: float = 1.0
     dt: float = 1e-2
+    steps: int = 0
 
     def __post_init__(self):
         self.theta.zero_mean()
@@ -206,8 +216,7 @@ def step(state, workspace=None):
     """Advance one dt of `_if_rk4`; raises CFLError / BlowUpError."""
     ws = workspace or _Workspace(state.theta.grid, state.alpha)
     full = _if_rk4(ws, half_spectrum(state.theta.coeffs) * ws.half_mask, state)
-    return replace(state, theta=SpectralField(state.theta.grid, full),
-                   time=state.time + state.dt)
+    return replace(state, theta=SpectralField(state.theta.grid, full), steps=state.steps + 1)
 
 
 def _integrate(rep, state, advance, record, norm, T, n_outputs, cap, exit_factor=None):

@@ -136,6 +136,16 @@ def test_linear_propagator_exactly_hermitian(grid64, branch):
     assert st.rho.hermitian_defect() == 0.0
 
 
+def test_time_is_step_count_times_dt(grid64):
+    """Steps count from the state's t0, which `linear_propagator` moves."""
+    st = small_state(grid64, dt=0.1)
+    for _ in range(10):
+        st = step(st)
+    assert (st.steps, st.time) == (10, 1.0)
+    st = linear_propagator(st, 0.25)
+    assert (st.t0, st.steps, st.time) == (1.25, 0, 1.25)
+
+
 def test_linear_propagator_group_law(grid64):
     om, rh = random_pair(grid64, seed=6)
     st = BoussState(omega=om, rho=rh, branch="stable")

@@ -94,12 +94,23 @@ def test_l2_conserved_short_run(grid64):
     assert abs(l2_norm(st.theta) - n0) <= 1e-10 * n0
 
 
+def test_time_is_step_count_times_dt(grid64):
+    """Ten steps of dt = 0.1 end at exactly 1.0, where a running sum of dt
+    reads 0.9999999999999999; a state started at t0 counts from there."""
+    st = small_state(grid64, dt=0.1)
+    for _ in range(10):
+        st = step(st)
+    assert (st.steps, st.time) == (10, 1.0)
+    st = step(SQGState(theta=st.theta, t0=st.time, alpha=st.alpha, dt=0.1))
+    assert (st.steps, st.time) == (1, 1.1)
+
+
 def test_reversibility(grid64):
     st = small_state(grid64, dt=0.02, seed=3)
     start = st.theta.copy()
     for _ in range(10):
         st = step(st)
-    st = SQGState(theta=st.theta, time=st.time, alpha=st.alpha, dt=-st.dt)
+    st = SQGState(theta=st.theta, t0=st.time, alpha=st.alpha, dt=-st.dt)
     for _ in range(10):
         st = step(st)
     diff = np.max(np.abs(st.theta.coeffs - start.coeffs))
