@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import boussinesq, oscillatory, semigroup, sqg
-from .fitting import FitError, fit_power_law
 from .lp import shell_field
 from .spectral import (
     Grid2D,

@@ -5,7 +5,6 @@ import os
 import re
 import tempfile
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
