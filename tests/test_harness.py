@@ -558,7 +558,7 @@ TRACED_RUNS = {
 def test_benchmark_tracer_hooks_record_a_traced_run(tmp_path, monkeypatch, capsys):
     """The benchmark's tracer, installed around one small CLI run of each
     experiment.  Its hooks read call arguments and `_props`, so a change to
-    either must show here as a missing count, not as a broken `--trace 1`."""
+    either fails here rather than under `perfbench/run.py --trace 1`."""
     assert set(TRACED_RUNS) == set(EXPERIMENTS)
     monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
     tracer = importlib.import_module("tracing").Tracer()

@@ -174,14 +174,14 @@ def test_riesz_is_skew_adjoint(grid64):
 # random multipliers: a SYMBOLS entry with its parameters drawn from their ranges
 GRID32 = Grid2D(32, 10.0)
 PROPERTY = settings(max_examples=100, derandomize=True, deadline=None, database=None)
-_ALPHAS = st.floats(1.0, 2.0)
-_ONE_OR_TWO = st.sampled_from([1, 2])
+ALPHAS = st.floats(1.0, 2.0)
+ONE_OR_TWO = st.sampled_from([1, 2])
 SYMBOL_PARAMS = {
-    "Deriv": {"j": _ONE_OR_TWO},
-    "Generator": {"alpha": _ALPHAS},
-    "SemigroupPhase": {"alpha": _ALPHAS, "t": st.floats(0.0, 100.0)},
-    "VelocitySQG": {"component": _ONE_OR_TWO},
-    "VelocityBouss": {"component": _ONE_OR_TWO},
+    "Deriv": {"j": ONE_OR_TWO},
+    "Generator": {"alpha": ALPHAS},
+    "SemigroupPhase": {"alpha": ALPHAS, "t": st.floats(0.0, 100.0)},
+    "VelocitySQG": {"component": ONE_OR_TWO},
+    "VelocityBouss": {"component": ONE_OR_TWO},
 }
 
 
