@@ -95,7 +95,7 @@ class _Workspace(_HalfSpectrumWorkspace):
         super().__init__(grid)
         self.velocity = self.symbols(MultiplierSpec.velocity_bouss, 1, 2)
         self.grad = self.symbols(MultiplierSpec.deriv, 1, 2)
-        self.r = grid.half.xi_mod_safe
+        self.r = np.ascontiguousarray(grid.half.xi_mod_safe[:, : self.K])
         self.branch = branch
 
     def propagator(self, dt):
@@ -114,8 +114,8 @@ class _Workspace(_HalfSpectrumWorkspace):
         return c * y + s * y[::-1]
 
     def nonlinear(self, y):
-        """(-dealias(u.grad omega), -dealias(u.grad rho)) stacked, and max |u|."""
-        y = y[..., : self.K]
+        """(-dealias(u.grad omega), -dealias(u.grad rho)) stacked on the kept
+        columns, and max |u|."""
         return self.advection(
             np.concatenate([self.velocity * y[0], self.grad[0] * y, self.grad[1] * y]))
 
@@ -127,7 +127,7 @@ class _Workspace(_HalfSpectrumWorkspace):
 def step(state, workspace=None):
     """One `_if_rk4` step of the perturbed system on the stacked half spectra."""
     ws = workspace or _Workspace(state.omega.grid, state.branch)
-    full = _if_rk4(ws, _half_pair(state) * ws.half_mask, state)
+    full = _if_rk4(ws, _half_pair(state)[..., : ws.K] * ws.mask_K, state)
     fo, fr = (SpectralField(state.omega.grid, c) for c in full)
     return replace(state, omega=fo, rho=fr, steps=state.steps + 1)
 

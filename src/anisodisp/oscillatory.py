@@ -16,6 +16,7 @@ xi_2 = 0 when alpha = 1 and nowhere (away from the origin) when alpha > 1.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -37,6 +38,11 @@ class PhaseSpec:
             raise SpectralError(f"alpha must lie in [1, 2], got {self.alpha}")
         if not np.all(np.isfinite(self.v)):
             raise SpectralError("velocity parameter must be finite")
+
+    @cached_property
+    def stationary(self):
+        """`find_stationary(self)`, searched once per PhaseSpec."""
+        return find_stationary(self)
 
 
 @dataclass
@@ -232,7 +238,7 @@ def split_bound(p, t, lam):
     if not 0.0 < t < np.inf:
         raise SpectralError(f"split bound needs a finite t > 0, got {t}")
     near = STRIP_WIDTH * BUMP_SUP * lam
-    ss = find_stationary(p)
+    ss = p.stationary
     weights = [
         abs(hessian_det(p, q)) ** -0.5
         for q in ss.points

@@ -8,7 +8,6 @@ so there is no time-discretization error; the semigroup is unitary on L^2.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import j0
 
 from .fitting import fit_power_law
@@ -263,7 +262,9 @@ def sharpness_check(f0, times, crossing_window=None):
     peak_times = times[peak_idx]
     peak_ratios = ratio[peak_idx]
 
-    # zero crossings, refined by bisection on the lattice sum
+    # zero crossings, refined by bisection on the lattice sum (scipy.optimize
+    # is imported here, by its one user, since it slows every CLI start)
+    from scipy.optimize import brentq
     lo, hi = crossing_window if crossing_window else (times.min(), times.max())
     n = max(64, int((hi - lo) * 16))
     tgrid = np.linspace(lo, hi, n)

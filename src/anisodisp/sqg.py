@@ -19,7 +19,6 @@ from .spectral import (
     full_spectrum,
     half_spectrum,
     l2_norm,
-    row_blocks,
     sobolev_weight,
     weighted_norm,
 )
@@ -72,78 +71,67 @@ def _dealias_mask(grid):
     return (np.abs(grid.k1) < cutoff) & (np.abs(grid.k2) < cutoff)
 
 
-# Byte budget of one block of real fields (N*N*8 bytes each) in the row pass
-# of `to_physical`: whole stacks at N = 64, 4 fields at N = 128 and one field
-# per call from N = 256 on, where a batched pass was measured slower
-# (scripts/fft_blocks.py times the crossover).
-ROW_PASS_BYTES = 512 << 10
-
-
 class _HalfSpectrumWorkspace:
-    """What the SQG and Boussinesq workspaces share, on the (N, N//2 + 1) half
-    lattice that `rfft2` stores (transforms use norm="forward", the field
-    normalization); a subclass adds its symbols, `grad`, `grad_fields` and
-    `nonlinear`.
-
-    The dealias mask keeps only the first K columns, so the symbols live on
-    those and the transforms skip the rest: `to_physical` and `to_spectral`
-    equal `irfft2` and `rfft2(...) * half_mask` exactly, since a zero column
-    transforms to zeros.  They share one buffer pair sized for 6 fields."""
+    """What the SQG and Boussinesq workspaces share: symbols, stage arrays and
+    transforms on the first K columns of the (N, N//2 + 1) half lattice that
+    `rfft2` stores, the ones the dealias mask keeps.  The transforms
+    (norm="forward", the field normalization) equal `irfft2` and `rfft2` on
+    those columns exactly, since a zero column transforms to zeros.  A
+    subclass adds its symbols, `grad`, `grad_fields` and `nonlinear`."""
 
     def __init__(self, grid):
         self.grid = grid
-        self.xi1, self.xi2 = grid.half.xi1, grid.half.xi2
         self.mask = _dealias_mask(grid)
-        self.half_mask = half_spectrum(self.mask)
-        self.K = int(np.count_nonzero(self.half_mask[0]))
+        half_mask = half_spectrum(self.mask)
+        self.K = K = int(np.count_nonzero(half_mask[0]))
+        self.mask_K = np.ascontiguousarray(half_mask[:, :K])
+        self.xi1, self.xi2 = (np.ascontiguousarray(a[:, :K])
+                              for a in (grid.half.xi1, grid.half.xi2))
         self._props = {}
-        # the half buffer's columns from K on are never written and stay zero
-        self._half = np.zeros((6,) + self.xi1.shape, dtype=np.complex128)
-        self._phys = np.empty((6, grid.N, grid.N))
 
     def symbols(self, factory, *args):
         """The symbols of `factory(a)` for each a in args on the K kept
-        columns of the half lattice, stacked."""
-        K = self.K
-        return np.stack([factory(a).on(self.xi1[:, :K], self.xi2[:, :K]) for a in args])
+        columns, stacked."""
+        return np.stack([factory(a).on(self.xi1, self.xi2) for a in args])
 
-    def to_physical(self, spec):
-        """`irfft2` of a stack of half spectra given on the K kept columns.
-
-        Returns a view of the workspace's physical buffer, valid until the
-        next transform."""
-        n = len(spec)
-        half, phys = self._half[:n], self._phys[:n]
-        half[..., : self.K] = sfft.ifft(spec, axis=-2, norm="forward")
-        for blk in row_blocks(n, phys[0].nbytes, ROW_PASS_BYTES):
-            phys[blk] = sfft.irfft(half[blk], axis=-1, norm="forward")
-        return phys
+    def to_physical(self, spec, overwrite_x=False):
+        """`irfft2` of a stack of half spectra given on the K kept columns, as
+        a new array; with `overwrite_x`, as in `scipy.fft`, the column pass
+        may reuse the memory of `spec`."""
+        cols = sfft.ifft(spec, axis=-2, norm="forward", overwrite_x=overwrite_x)
+        # irfft zero-pads the K columns to the N//2 + 1 of the half lattice
+        return sfft.irfft(cols, n=self.grid.N, axis=-1, norm="forward")
 
     def to_spectral(self, stack):
-        """`rfft2(stack) * half_mask` of a stack of real fields, as a new array."""
+        """`rfft2(stack)[..., :K] * mask_K` of a stack of real fields."""
         cols = sfft.rfft(stack, axis=-1, norm="forward")[..., : self.K]
-        out = np.zeros(stack.shape[:-1] + (self.xi1.shape[-1],), dtype=np.complex128)
-        np.multiply(sfft.fft(cols, axis=-2, norm="forward", overwrite_x=True),
-                    self.half_mask[:, : self.K], out=out[..., : self.K])
-        return out
+        return sfft.fft(cols, axis=-2, norm="forward", overwrite_x=True) * self.mask_K
+
+    def full(self, kept):
+        """The full Hermitian spectrum of a stack given on the K kept columns,
+        zero on the other columns of the half lattice."""
+        half = np.zeros(kept.shape[:-1] + (self.grid.N // 2 + 1,), dtype=np.complex128)
+        half[..., : self.K] = kept
+        return full_spectrum(half)
 
     def advection(self, spec):
         """(-dealias(u . grad f), max |u|) for a stack f of m fields, from the
-        half spectra (u1, u2, d1 f, d2 f), 2 + 2m of them, on the K kept columns."""
-        phys = self.to_physical(spec)
-        u1, u2 = phys[:2]
-        dx, dy = np.split(phys[2:], 2)
-        np.multiply(u1, dx, out=dx)
-        np.multiply(u2, dy, out=dy)
-        dx += dy
-        adv = self.to_spectral(dx)
-        umax = float(np.max(np.abs(phys[:2], out=phys[:2])))
+        half spectra (u1, u2, d1 f, d2 f), 2 + 2m of them, on the K kept
+        columns; `spec` must be a new array, whose memory this reuses."""
+        phys = self.to_physical(spec, overwrite_x=True)
+        u = phys[:2]
+        grads = phys[2:].reshape(2, -1, *phys.shape[1:])
+        grads *= u[:, None]
+        grads[0] += grads[1]
+        adv = self.to_spectral(grads[0])
+        umax = float(np.max(np.abs(u, out=u)))
         return np.negative(adv, out=adv), umax
 
     def grad_norms(self, y):
-        """(max |grad u|, max |grad f|) for the (u1, u2, f) of grad_fields(y)."""
+        """(max |grad u|, max |grad f|) for the (u1, u2, f) of grad_fields(y),
+        from the half spectra y."""
         spec = self.grad_fields(y[..., : self.K])[:, None] * self.grad
-        g = self.to_physical(spec.reshape(6, *self.grad.shape[1:]))
+        g = self.to_physical(spec.reshape(6, *self.grad.shape[1:]), overwrite_x=True)
         np.abs(g, out=g)
         return float(np.max(g[:4])), float(np.max(g[4:]))
 
@@ -170,8 +158,8 @@ class _Workspace(_HalfSpectrumWorkspace):
         return P * c
 
     def nonlinear(self, c):
-        """-dealias(u . grad theta) on the half spectrum; returns (rhs, max |u|)."""
-        adv, umax = self.advection(self.transport * c[..., : self.K])
+        """-dealias(u . grad theta) on the kept columns; returns (rhs, max |u|)."""
+        adv, umax = self.advection(self.transport * c)
         return adv[0], umax
 
     def grad_fields(self, c):
@@ -186,13 +174,15 @@ def _admissible_dt(grid, umax):
 
 
 def _if_rk4(ws, y, state):
-    """One integrating-factor RK4 step of y' = L y + N(y) on the half spectrum.
+    """One integrating-factor RK4 step of y' = L y + N(y) on the K kept
+    columns of the half spectrum.
 
     `ws.nonlinear(y)` is (N(y), max |u|); `ws.propagator(dt)` holds the exact
     propagators of L over dt and dt/2, applied by `ws.propagate`.  The CFL
     check uses the velocity of the first stage.  Returns the full Hermitian
-    spectrum of the result; for y and N(y) zero outside the dealias mask,
-    which excludes |k_j| = N/2, its Nyquist lines are exactly 0.
+    spectrum of the result, zero outside the kept columns; for y and N(y)
+    zero outside the dealias mask, which excludes |k_j| = N/2, its Nyquist
+    lines are exactly 0.
     """
     dt = state.dt
     k1, umax = ws.nonlinear(y)
@@ -209,13 +199,13 @@ def _if_rk4(ws, y, state):
         raise BlowUpError(state.time, state)
     # rebuilt before the stage arrays are freed: rebuilt after them, an N=64
     # Boussinesq step took 3-4x the minor page faults (glibc heap trimming)
-    return full_spectrum(yn)
+    return ws.full(yn)
 
 
 def step(state, workspace=None):
     """Advance one dt of `_if_rk4`; raises CFLError / BlowUpError."""
     ws = workspace or _Workspace(state.theta.grid, state.alpha)
-    full = _if_rk4(ws, half_spectrum(state.theta.coeffs) * ws.half_mask, state)
+    full = _if_rk4(ws, half_spectrum(state.theta.coeffs)[..., : ws.K] * ws.mask_K, state)
     return replace(state, theta=SpectralField(state.theta.grid, full), steps=state.steps + 1)
 
 

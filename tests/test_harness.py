@@ -3,13 +3,15 @@ import importlib
 import io
 import os
 import re
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anisodisp import cli, harness
+from anisodisp import cli, harness, oscillatory
 from anisodisp.cli import main
 from anisodisp.harness import (
     EXPERIMENTS,
@@ -97,6 +99,25 @@ def test_reports_byte_identical(tmp_path):
     r2 = run(cfg)
     assert r1.csv_text() == r2.csv_text()
     assert r1.summary_text() == r2.summary_text()
+
+
+def test_kernel_run_searches_stationary_points_once(tmp_path, monkeypatch):
+    """With alpha != 1 the search is a real Newton run, and every split_bound
+    of a kernel run (31 cuts per time) reads the same PhaseSpec: one search."""
+    calls = count_calls(monkeypatch, oscillatory, "find_stationary")
+    run(load_config(write_config(tmp_path, KERNEL_INI.replace("alpha = 1.0", "alpha = 1.5"))))
+    assert len(calls) == 1
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    """Only the sharpness crossing refinement needs scipy.optimize, the
+    slowest import of the package, so importing the CLI does not load it."""
+    code = "import sys, anisodisp.cli; print('scipy.optimize' in sys.modules)"
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_report_write(tmp_path):

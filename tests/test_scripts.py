@@ -10,8 +10,8 @@ ROOT = os.path.join(os.path.dirname(__file__), "..")
 
 
 @pytest.mark.parametrize("command", [["lattice_memory.py", "--N", "64"],
-                                     ["fft_blocks.py", "--repeats", "1"]],
-                         ids=["lattice_memory", "fft_blocks"])
+                                     ["step_timing.py", "--steps", "1"]],
+                         ids=["lattice_memory", "step_timing"])
 def test_script_prints_its_table(command):
     proc = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", *command[:1]),
                            *command[1:]], capture_output=True, text=True, timeout=60,

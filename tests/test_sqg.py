@@ -11,7 +11,6 @@ from anisodisp.spectral import (
     MultiplierSpec,
     SpectralError,
     SpectralField,
-    full_spectrum,
     half_spectrum,
     l2_norm,
     linf_norm,
@@ -40,11 +39,13 @@ def test_workspace_symbols_come_from_the_table(grid64):
     ws = _Workspace(grid64, 1.5)
     specs = (MultiplierSpec.velocity_sqg(1), MultiplierSpec.velocity_sqg(2),
              MultiplierSpec.deriv(1), MultiplierSpec.deriv(2))
-    # the transport symbols are stored on the K columns the dealias mask keeps
-    assert not ws.half_mask[:, ws.K:].any()
+    # the symbols and the mask are stored on the K columns the dealias mask keeps
+    assert not half_spectrum(ws.mask)[:, ws.K:].any()
+    assert np.array_equal(ws.mask_K, half_spectrum(ws.mask)[:, : ws.K])
     for row, spec in zip(ws.transport, specs):
         assert np.array_equal(row, half_spectrum(spec.symbol(grid64))[:, : ws.K]), spec
-    assert np.array_equal(ws.lam, half_spectrum(MultiplierSpec.generator(1.5).symbol(grid64)))
+    lam = half_spectrum(MultiplierSpec.generator(1.5).symbol(grid64))[:, : ws.K]
+    assert np.array_equal(ws.lam, lam)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 2.5, float("nan")])
@@ -61,7 +62,7 @@ def test_nonlinear_term_conserves_l2(grid64, monkeypatch):
         monkeypatch.setattr(sqg, "DEALIAS", dealias)
         ws = _Workspace(grid64, 1.0)
         theta = random_field(grid64, seed=2, width=20.0).coeffs * ws.mask
-        rhs = full_spectrum(ws.nonlinear(half_spectrum(theta))[0])
+        rhs = ws.full(ws.nonlinear(half_spectrum(theta)[:, : ws.K])[0])
         assert (abs(cosine(theta, rhs)) <= 1e-14) == conserved, dealias
 
 
@@ -236,38 +237,44 @@ def test_stepped_nyquist_lines_exactly_zero(grid64, monkeypatch, dealias):
         assert not np.any(st.theta.coeffs[grid64.nyquist_mask])
 
 
-@pytest.mark.parametrize("N", [16, 64, 128, 256])
+@pytest.mark.parametrize("N", [16, 64, 128, 256, 512])
 @pytest.mark.parametrize("dealias", [2.0 / 3.0, 1.0])
 def test_pruned_transforms_equal_full_real_transforms(monkeypatch, N, dealias):
-    """to_physical and to_spectral skip the columns the dealias mask drops
-    and block the row pass by ROW_PASS_BYTES (whole stacks at N <= 64, a
-    4 + 2 split of 6 fields at N = 128, one field per call at N = 256), and
-    still give exactly the values of irfft2 and rfft2 * half_mask."""
+    """to_physical and to_spectral work on the K columns the dealias mask
+    keeps, and still give exactly the values of irfft2 and rfft2 * the half
+    mask, whose dropped columns are exactly zero."""
     monkeypatch.setattr(sqg, "DEALIAS", dealias)
     ws = _Workspace(Grid2D(N, 10.0), 1.0)
     rng = np.random.default_rng(N)
     for n in (1, 4, 6):
         x = rng.standard_normal((n, N, N))
-        spec = sfft.rfft2(x, norm="forward") * ws.half_mask
+        spec = sfft.rfft2(x, norm="forward") * half_spectrum(ws.mask)
+        assert not spec[..., ws.K:].any()
         got = ws.to_physical(spec[..., : ws.K])
         assert got.shape == (n, N, N)
         assert np.array_equal(got, sfft.irfft2(spec, norm="forward"))
-        assert np.array_equal(ws.to_spectral(x), spec)
+        assert np.array_equal(ws.to_spectral(x), spec[..., : ws.K])
 
 
 def test_nonlinear_buffers_do_not_alias(grid64):
-    """Results live in new arrays: the transform buffers are the workspace's own."""
+    """Results live in new arrays, and the transforms, `nonlinear` and
+    `grad_norms` leave their arguments bit for bit unchanged: the in-place
+    column passes touch only arrays the workspace made."""
     ws = _Workspace(grid64, 1.0)
-    y = half_spectrum(small_state(grid64, eps=0.3, seed=11).theta.coeffs) * ws.half_mask
-    y0 = y.copy()
+    half = half_spectrum(small_state(grid64, eps=0.3, seed=11).theta.coeffs)
+    y = half[:, : ws.K] * ws.mask_K
+    x = np.random.default_rng(11).standard_normal((2, 64, 64))
+    args = (half.copy(), y.copy(), x.copy())
     rhs, _ = ws.nonlinear(y)
-    assert np.array_equal(y, y0)
     rhs0 = rhs.copy()
     ws.nonlinear(2.0 * y)
-    ws.grad_norms(3.0 * y)
+    ws.grad_norms(3.0 * half)
     assert np.array_equal(rhs, rhs0)
-    ws.grad_norms(y)
-    assert np.array_equal(y, y0)
+    ws.grad_norms(half)
+    ws.to_physical(y)
+    ws.to_spectral(x)
+    for arg, arg0 in zip((half, y, x), args):
+        assert np.array_equal(arg, arg0)
 
 
 def test_cfl_raised_after_first_stage(grid64, monkeypatch):
