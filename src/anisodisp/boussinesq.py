@@ -100,13 +100,12 @@ class _Workspace(_HalfSpectrumWorkspace):
 
     def propagator(self, dt):
         """`_propagator_arrays` for dt and for dt / 2, built once per dt."""
-        key = round(dt, 15)
-        if key not in self._props:
-            self._props[key] = tuple(
+        if dt not in self._props:
+            self._props[dt] = tuple(
                 _propagator_arrays(self.xi1, self.xi2, self.r, t, self.branch)
                 for t in (dt, dt / 2.0)
             )
-        return self._props[key]
+        return self._props[dt]
 
     @staticmethod
     def propagate(P, y):
@@ -165,7 +164,7 @@ def default_profiles(grid):
 
 
 def stability_experiment(grid, eps, T, dt, branch="stable", delta=0.5, gamma=0.5,
-                         n_outputs=60, growth_cap=1e3):
+                         n_outputs=60):
     """Integrate eps-size perturbations and report the bootstrap exit time.
 
     Exit is the first step time where ||omega||_{H^{4+delta}} +
@@ -205,6 +204,6 @@ def stability_experiment(grid, eps, T, dt, branch="stable", delta=0.5, gamma=0.5
         return weighted_norm(st.omega, w_om) + weighted_norm(st.rho, w_rh)
 
     _, stop = _integrate(rep, state, lambda st: step(st, ws), record, norm,
-                         T, n_outputs, growth_cap, exit_factor=2.0)
+                         T, n_outputs, exit_factor=2.0)
     rep.exit_time = T if stop is None else stop
     return rep

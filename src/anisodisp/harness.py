@@ -309,7 +309,7 @@ def _run_sharpness(cfg, p):
     grid = Grid2D(cfg.N, cfg.L)
     f0 = make_profile(grid, p["profile"], seed=cfg.seed, width=p["width"])
     times = np.linspace(p["t_lo"], p["t_hi"], p["n_times"])
-    rep = semigroup.sharpness_check(f0, times, crossing_window=(p["t_lo"], p["t_hi"]))
+    rep = semigroup.sharpness_check(f0, times)
     out = ExperimentReport(config=cfg)
     out.columns = [
         ("t", list(rep.times)),

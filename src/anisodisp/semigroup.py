@@ -40,7 +40,6 @@ class DecayReport:
     fitted_slope: float
     fit_window: tuple
     residual: float
-    alpha: float
     besov_value: float
     constant_estimate: float
     boundary_contaminated: bool
@@ -98,7 +97,7 @@ def measure_decay(f0, alpha, times, fit_window=None):
     const = float(np.max(vals[mask] * times[mask] ** rate / besov))
     return DecayReport(
         times=times, linf_values=vals, fitted_slope=slope, fit_window=tuple(fit_window),
-        residual=residual, alpha=alpha, besov_value=besov, constant_estimate=const,
+        residual=residual, besov_value=besov, constant_estimate=const,
         boundary_contaminated=contaminated, j_range=(bank.j_min, bank.j_max))
 
 
@@ -128,21 +127,26 @@ def bessel_j0_series(t):
     return total
 
 
-def bessel_j0_quadrature(t, tol=1e-13, max_n=1 << 21):
+# the trapezoid's agreement tolerance and its largest panel count
+J0_QUAD_TOL = 1e-13
+J0_QUAD_MAX_N = 1 << 21
+
+
+def bessel_j0_quadrature(t):
     """(1/2 pi) * integral over [0, 2 pi) of exp(-i t cos theta).
 
     Trapezoid on the periodic integrand, doubling the panel count until two
-    successive refinements agree.
+    successive refinements agree to J0_QUAD_TOL.
     """
     t = float(t)
     if not 0.0 <= t < np.inf:
         raise SpectralError(f"J0 argument must be nonnegative and finite, got {t}")
     n = 64
     prev = None
-    while n <= max_n:
+    while n <= J0_QUAD_MAX_N:
         theta = np.arange(n) * (2.0 * np.pi / n)
         val = float(np.mean(np.cos(t * np.cos(theta))))
-        if prev is not None and abs(val - prev) <= tol:
+        if prev is not None and abs(val - prev) <= J0_QUAD_TOL:
             return val
         prev = val
         n *= 2
@@ -174,14 +178,14 @@ class SharpnessReport:
     radial_reference: np.ndarray
     envelope: np.ndarray
     max_two_path_reldiff: float
-    peak_times: np.ndarray = field(default_factory=lambda: np.array([]))
     peak_ratios: np.ndarray = field(default_factory=lambda: np.array([]))
     zero_crossings: np.ndarray = field(default_factory=lambda: np.array([]))
     nearest_predicted: np.ndarray = field(default_factory=lambda: np.array([]))
 
 
 def _origin_evaluator(f0):
-    """Closure t -> Re sum_k c_k exp(-i t xi_1/|xi|) (the evolved field at x=0).
+    """Closure times -> Re sum_k c_k exp(-i t xi_1/|xi|) at each t of a 1-D
+    array (the evolved field at x=0).
 
     The phase xi_1/|xi| depends only on the direction of xi, and -xi has the
     negated phase, so the modes are first grouped by u = |phase|.  With C+
@@ -208,14 +212,13 @@ def _origin_evaluator(f0):
     B = np.bincount(group, weights=np.where(ph < 0.0, -c.imag, c.imag),
                     minlength=u.size)
 
-    def at(t):
-        tt = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.empty(tt.shape)
+    def at(times):
+        out = np.empty(len(times))
         # two float64 temporaries per entry: the arguments and their cosines
-        for rows in row_blocks(tt.size, 16 * u.size):
-            arg = np.multiply.outer(tt[rows], u)
+        for rows in row_blocks(out.size, 16 * u.size):
+            arg = np.multiply.outer(times[rows], u)
             out[rows] = np.cos(arg) @ A + np.sin(arg, out=arg) @ B
-        return float(out[0]) if np.ndim(t) == 0 else out
+        return out
 
     def linspace(lo, hi, n):
         step = (hi - lo) / max(n - 1, 1)
@@ -238,7 +241,7 @@ def _origin_evaluator(f0):
     return at
 
 
-def sharpness_check(f0, times, crossing_window=None):
+def sharpness_check(f0, times):
     """Two-path check of the t^{-1/2} sharpness statement at the origin.
 
     Path one evaluates the evolved field at x = 0 from its lattice sum; path
@@ -259,28 +262,22 @@ def sharpness_check(f0, times, crossing_window=None):
     # envelope-peak ratios: local maxima of |value| / envelope
     ratio = np.abs(origin_vals) / env
     peak_idx = 1 + np.flatnonzero((ratio[1:-1] >= ratio[:-2]) & (ratio[1:-1] >= ratio[2:]))
-    peak_times = times[peak_idx]
     peak_ratios = ratio[peak_idx]
 
-    # zero crossings, refined by bisection on the lattice sum (scipy.optimize
-    # is imported here, by its one user, since it slows every CLI start)
-    from scipy.optimize import brentq
-    lo, hi = crossing_window if crossing_window else (times.min(), times.max())
+    # zero crossings: the linear interpolant of each sign change on the scan,
+    # a scan sample of exactly 0 being a crossing at its own time
+    lo, hi = times.min(), times.max()
     n = max(64, int((hi - lo) * 16))
     tgrid = np.linspace(lo, hi, n)
-    # the scan only brackets sign changes; brentq refines on the direct sum
     vg = at.linspace(lo, hi, n)
-    crossings = []
-    for i in range(len(tgrid) - 1):
-        if vg[i] == 0.0:
-            crossings.append(tgrid[i])
-        elif vg[i] * vg[i + 1] < 0.0:
-            crossings.append(brentq(at, tgrid[i], tgrid[i + 1], xtol=1e-10))
-    crossings = np.array(crossings)
+    v0, v1 = vg[:-1], vg[1:]
+    i = np.flatnonzero((v0 == 0.0) | (v0 * v1 < 0.0))
+    dv = np.where(v0[i] == 0.0, 1.0, v1[i] - v0[i])
+    crossings = tgrid[i] - v0[i] * (tgrid[i + 1] - tgrid[i]) / dv
     # predicted zeros of cos(t - pi/4): t = 3 pi / 4 + k pi
     ks = np.round((crossings - 3.0 * np.pi / 4.0) / np.pi)
     predicted = 3.0 * np.pi / 4.0 + ks * np.pi
     return SharpnessReport(
         times=times, origin_values=origin_vals, radial_reference=reference, envelope=env,
-        max_two_path_reldiff=reldiff, peak_times=peak_times, peak_ratios=peak_ratios,
+        max_two_path_reldiff=reldiff, peak_ratios=peak_ratios,
         zero_crossings=crossings, nearest_predicted=predicted)

@@ -345,10 +345,8 @@ def l1_norm(field):
     return float(np.sum(np.abs(field.to_physical()))) * field.grid.dx**2
 
 
-def gaussian_field(grid, width=1.0, amplitude=1.0, center=(0.0, 0.0)):
-    """amplitude * exp(-|x - center|^2 / width^2) as a SpectralField."""
+def gaussian_field(grid, width=1.0, amplitude=1.0):
+    """amplitude * exp(-|x|^2 / width^2) as a SpectralField."""
     x1, x2 = grid.x[:, None], grid.x[None, :]
-    vals = amplitude * np.exp(
-        -((x1 - center[0]) ** 2 + (x2 - center[1]) ** 2) / width**2
-    )
+    vals = amplitude * np.exp(-(x1**2 + x2**2) / width**2)
     return forward_transform(vals, grid)

@@ -64,6 +64,8 @@ class SQGState(_Clock):
 
 # The 2/3 rule: products keep the modes with |k_j| < DEALIAS * N/2.
 DEALIAS = 2.0 / 3.0
+# A run whose monitored norm exceeds NORM_CAP times its initial value blows up.
+NORM_CAP = 1e3
 
 
 def _dealias_mask(grid):
@@ -209,12 +211,12 @@ def step(state, workspace=None):
     return replace(state, theta=SpectralField(state.theta.grid, full), steps=state.steps + 1)
 
 
-def _integrate(rep, state, advance, record, norm, T, n_outputs, cap, exit_factor=None):
+def _integrate(rep, state, advance, record, norm, T, n_outputs, exit_factor=None):
     """Step `state` to T by `advance`, recording output k at step ceil(k T / (n_outputs dt)).
 
     `record(state)` appends an output's diagnostics to `rep` and returns the
     blow-up-criterion rate, whose trapezoid integral goes to `rep.integral`.
-    A step whose `norm` exceeds `cap` (or `exit_factor`) times the initial
+    A step whose `norm` exceeds NORM_CAP (or `exit_factor`) times the initial
     norm blows up (or exits after its outputs).  Returns the last state and
     the time of an early stop, None if the run reached T."""
     norm0 = norm(state)
@@ -228,7 +230,7 @@ def _integrate(rep, state, advance, record, norm, T, n_outputs, cap, exit_factor
         for i in range(1, steps + 1):
             state = advance(state)
             current = norm(state)
-            if norm0 > 0 and current > cap * norm0:
+            if norm0 > 0 and current > NORM_CAP * norm0:
                 raise BlowUpError(state.time, state, reason="norm cap exceeded")
             if i in out_steps:
                 rate_prev, rate = rate, record(state)
@@ -265,7 +267,7 @@ class BootstrapDiagnostics:
                 ("integral", self.integral), ("envelope", self.envelope)]
 
 
-def run_and_diagnose(theta0, T, dt, alpha=1.0, delta=0.5, n_outputs=50, blowup_factor=1e3):
+def run_and_diagnose(theta0, T, dt, alpha=1.0, delta=0.5, n_outputs=50):
     """Integrate to T recording the bootstrap/blow-up diagnostics.
 
     Tracks ||theta||_{H^{4+delta}}, ||theta||_{L^2}, ||grad u||_inf,
@@ -291,10 +293,8 @@ def run_and_diagnose(theta0, T, dt, alpha=1.0, delta=0.5, n_outputs=50, blowup_f
         diag.grad_theta_inf.append(gt)
         return gu + gt
 
-    diag.final_state, _ = _integrate(
-        diag, state, lambda st: step(st, ws), record,
-        lambda st: weighted_norm(st.theta, weight), T, n_outputs, blowup_factor,
-    )
+    diag.final_state, _ = _integrate(diag, state, lambda st: step(st, ws), record,
+                                     lambda st: weighted_norm(st.theta, weight), T, n_outputs)
     h0 = diag.h_s[0]
     hs = np.array(diag.h_s)
     integ = np.array(diag.integral)

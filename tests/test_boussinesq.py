@@ -56,6 +56,17 @@ def test_workspace_symbols_come_from_the_table(grid64):
             assert np.array_equal(row, expected), factory(j)
 
 
+@pytest.mark.parametrize("workspace", [
+    lambda g: _Workspace(g, "stable"), lambda g: _Workspace(g, "unstable"),
+    lambda g: sqg._Workspace(g, 1.0)], ids=["stable", "unstable", "sqg"])
+def test_propagator_cache_keys_on_exact_dt(grid64, workspace):
+    """Time steps that agree to 15 decimals still get their own propagators."""
+    ws = workspace(grid64)
+    a, b = ws.propagator(1e-16), ws.propagator(4e-16)
+    assert a is not b
+    assert ws.propagator(1e-16) is a and len(ws._props) == 2
+
+
 def test_vorticity_recovered_from_velocity(grid64):
     """u = perp-grad (-Lap)^{-1} omega, so curl u = d1 u2 - d2 u1 = -omega."""
     om = random_field(grid64, seed=3)
@@ -346,13 +357,14 @@ def stepped_states(grid, eps, dt, nsteps, branch):
     return states, norms
 
 
-def test_growth_cap_exit_at_crossing_step(grid64):
-    """growth_cap=1.5 stops the unstable run at the step that crosses it."""
+def test_growth_cap_exit_at_crossing_step(grid64, monkeypatch):
+    """A norm cap of 1.5 stops the unstable run at the step that crosses it."""
     states, norms = stepped_states(grid64, 0.01, 0.05, 20, "unstable")
     crossing = next(n for n in range(1, 21) if norms[n] > 1.5 * norms[0])
     assert crossing > 1
+    monkeypatch.setattr(sqg, "NORM_CAP", 1.5)
     rep = stability_experiment(grid64, eps=0.01, T=2.0, dt=0.05, branch="unstable",
-                               n_outputs=40, growth_cap=1.5)
+                               n_outputs=40)
     assert rep.blew_up
     assert rep.exit_time == states[crossing].time
     # the cap is checked before the step's output is recorded

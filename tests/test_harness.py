@@ -109,12 +109,14 @@ def test_kernel_run_searches_stationary_points_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def test_cli_import_leaves_out_scipy_optimize():
-    """Only the sharpness crossing refinement needs scipy.optimize, the
-    slowest import of the package, so importing the CLI does not load it."""
-    code = "import sys, anisodisp.cli; print('scipy.optimize' in sys.modules)"
+def test_sharpness_run_leaves_out_scipy_optimize(tmp_path):
+    """The sharpness crossings come from the scan itself, so a sharpness run
+    through the CLI's modules never loads scipy.optimize."""
+    path = write_config(tmp_path, TRACED_RUNS["sharpness"])
+    code = ("import sys; from anisodisp.cli import load_config, run; "
+            "run(load_config(sys.argv[1])); print('scipy.optimize' in sys.modules)")
     src = os.path.join(os.path.dirname(__file__), "..", "src")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, "-c", code, path], capture_output=True, text=True,
                           timeout=60, env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"

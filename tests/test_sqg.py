@@ -296,7 +296,7 @@ def stepped_states(theta0, dt, nsteps):
     return states
 
 
-def test_norm_cap_stops_at_crossing_step(grid64):
+def test_norm_cap_stops_at_crossing_step(grid64, monkeypatch):
     """A cap just above 1 stops the run at the first step whose H^s norm crosses it."""
     theta0 = small_state(grid64, eps=0.3, dt=0.02, seed=6).theta
     states = stepped_states(theta0, 0.02, 20)
@@ -304,7 +304,8 @@ def test_norm_cap_stops_at_crossing_step(grid64):
     h = [sobolev_norm(st.theta, 4.5) for st in states]
     crossing = next(n for n in range(1, 21) if h[n] > factor * h[0])
     assert crossing > 1
-    diag = run_and_diagnose(theta0, T=0.4, dt=0.02, n_outputs=20, blowup_factor=factor)
+    monkeypatch.setattr(sqg, "NORM_CAP", factor)
+    diag = run_and_diagnose(theta0, T=0.4, dt=0.02, n_outputs=20)
     assert diag.blew_up
     assert diag.final_state.time == states[crossing].time
     np.testing.assert_array_equal(diag.final_state.theta.coeffs,
@@ -363,7 +364,7 @@ def test_outputs_fall_on_scheduled_steps(t_final, dt, n_outputs, out_steps):
     state = SimpleNamespace(time=0.0, dt=dt, step=0)
     final, stop = sqg._integrate(
         rep, state, lambda st: SimpleNamespace(time=st.time + dt, dt=dt, step=st.step + 1),
-        record, lambda st: 1.0, t_final, n_outputs, np.inf)
+        record, lambda st: 1.0, t_final, n_outputs)
     assert stop is None and final.step == round(t_final / dt)
     assert recorded == list(out_steps)
     assert len(rep.times) == len(rep.integral) == len(recorded)
