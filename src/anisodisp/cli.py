@@ -15,6 +15,17 @@ from .spectral import SpectralError
 from .sqg import BlowUpError, CFLError
 
 
+def _jobs(text):
+    """The --jobs value: a whole number of at least 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="anisodisp",
@@ -23,7 +34,7 @@ def build_parser():
     )
     ap.add_argument("experiment", choices=EXPERIMENTS)
     ap.add_argument("--config", required=True, help="INI config file")
-    ap.add_argument("--jobs", type=int, default=1, help="parallel sweep members")
+    ap.add_argument("--jobs", type=_jobs, default=1, help="parallel sweep members")
     ap.add_argument("--out", default="out", help="report output directory")
     return ap
 

@@ -17,7 +17,6 @@ construction and `enforce_hermitian` is only for coefficients from outside.
 from functools import cached_property
 
 import numpy as np
-import scipy.fft as sfft
 
 
 class SpectralError(ValueError):
@@ -173,20 +172,20 @@ def forward_transform(values, grid):
         )
     if np.iscomplexobj(values):
         raise SpectralError("physical values must be real")
-    half = grid.half.center_phase * sfft.rfft2(values, norm="forward")
+    half = grid.half.center_phase * np.fft.rfft2(values, norm="forward")
     return SpectralField(grid, full_spectrum(half))
 
 
 def half_spectrum(coeffs):
     """The k2 >= 0 half (..., N, N//2 + 1) of a real field's spectrum, the
-    part that `scipy.fft.rfft2` returns and `irfft2` reads."""
+    part that `rfft2` returns and `irfft2` reads."""
     return coeffs[..., : coeffs.shape[-1] // 2 + 1]
 
 
 def half_to_physical(grid, half):
     """Physical values of a real field from its half spectrum: the centre
     phase, then `irfft2`."""
-    return sfft.irfft2(grid.half.center_phase * half, norm="forward")
+    return np.fft.irfft2(grid.half.center_phase * half, norm="forward")
 
 
 def full_spectrum(half):

@@ -11,7 +11,6 @@ exactly; any drift measures the RK4 truncation error.  The stepper
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.fft as sfft
 
 from .spectral import (
     MultiplierSpec,
@@ -98,16 +97,15 @@ class _HalfSpectrumWorkspace:
 
     def to_physical(self, spec, overwrite_x=False):
         """`irfft2` of a stack of half spectra given on the K kept columns, as
-        a new array; with `overwrite_x`, as in `scipy.fft`, the column pass
-        may reuse the memory of `spec`."""
-        cols = sfft.ifft(spec, axis=-2, norm="forward", overwrite_x=overwrite_x)
+        a new array; with `overwrite_x` the column pass writes into `spec`."""
+        cols = np.fft.ifft(spec, axis=-2, norm="forward", out=spec if overwrite_x else None)
         # irfft zero-pads the K columns to the N//2 + 1 of the half lattice
-        return sfft.irfft(cols, n=self.grid.N, axis=-1, norm="forward")
+        return np.fft.irfft(cols, n=self.grid.N, axis=-1, norm="forward")
 
     def to_spectral(self, stack):
         """`rfft2(stack)[..., :K] * mask_K` of a stack of real fields."""
-        cols = sfft.rfft(stack, axis=-1, norm="forward")[..., : self.K]
-        return sfft.fft(cols, axis=-2, norm="forward", overwrite_x=True) * self.mask_K
+        cols = np.fft.rfft(stack, axis=-1, norm="forward")[..., : self.K]
+        return np.fft.fft(cols, axis=-2, norm="forward", out=cols) * self.mask_K
 
     def full(self, kept):
         """The full Hermitian spectrum of a stack given on the K kept columns,

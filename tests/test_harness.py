@@ -109,19 +109,6 @@ def test_kernel_run_searches_stationary_points_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def test_sharpness_run_leaves_out_scipy_optimize(tmp_path):
-    """The sharpness crossings come from the scan itself, so a sharpness run
-    through the CLI's modules never loads scipy.optimize."""
-    path = write_config(tmp_path, TRACED_RUNS["sharpness"])
-    code = ("import sys; from anisodisp.cli import load_config, run; "
-            "run(load_config(sys.argv[1])); print('scipy.optimize' in sys.modules)")
-    src = os.path.join(os.path.dirname(__file__), "..", "src")
-    proc = subprocess.run([sys.executable, "-c", code, path], capture_output=True, text=True,
-                          timeout=60, env=dict(os.environ, PYTHONPATH=src))
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
-
-
 def test_report_write(tmp_path):
     cfg = load_config(write_config(tmp_path, KERNEL_INI))
     rep = run(cfg)
@@ -233,6 +220,19 @@ def test_cli_experiment_mismatch_exit_two(tmp_path):
 def test_cli_usage_error_exit_two(capsys):
     assert main(["no-such-experiment", "--config", "x"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_cli_jobs_below_one_exit_two(tmp_path, capsys, monkeypatch, jobs):
+    """A --jobs below 1 is a usage error named on stderr, before any run."""
+    runs = count_calls(monkeypatch, cli, "run")
+    path = write_config(tmp_path, EVOLUTION_INI.format(
+        experiment="sweep", extra="target = bouss\neps_list = 0.02,0.01"))
+    assert main(["sweep", "--config", path, "--jobs", jobs,
+                 "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert runs == [] and captured.out == ""
+    assert f"argument --jobs: must be at least 1, got {jobs}" in captured.err
 
 
 def test_cli_numeric_failure_exit_three(tmp_path):
@@ -576,6 +576,21 @@ TRACED_RUNS = {
     "bouss": EVOLUTION_INI.format(experiment="bouss", extra=""),
     "sweep": EVOLUTION_INI.format(experiment="sweep", extra="target = bouss\neps_list = 0.02,0.01"),
 }
+
+
+@pytest.mark.parametrize("experiment", TRACED_RUNS)
+def test_runs_load_no_scipy(tmp_path, experiment):
+    """Every transform is numpy's and J0 is computed in the package, so a run
+    of each experiment through the CLI's modules loads no part of scipy."""
+    path = write_config(tmp_path, TRACED_RUNS[experiment])
+    code = ("import sys; from anisodisp.cli import load_config, run; "
+            "run(load_config(sys.argv[1])); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    proc = subprocess.run([sys.executable, "-c", code, path], capture_output=True, text=True,
+                          timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_benchmark_tracer_hooks_record_a_traced_run(tmp_path, monkeypatch, capsys):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
+from scipy.special import j0
 
 from anisodisp import semigroup
 from anisodisp.harness import make_profile
@@ -155,6 +156,15 @@ def test_j0_envelope_tracks_asymptotics():
     for t in (20.0, 35.0, 50.0):
         pred = j0_asymptotic_envelope(t) * np.cos(t - np.pi / 4.0)
         assert abs(bessel_j0(t) - pred) <= 0.3 * j0_asymptotic_envelope(t)
+
+
+def test_j0_series_matches_scipy_beyond_12():
+    """The Hankel branch of the series path against scipy's J0 on (12, 200],
+    and on both sides of the switch at t = 12."""
+    for t in np.linspace(12.0, 200.0, 2001)[1:]:
+        assert abs(bessel_j0_series(t) - j0(t)) <= 1e-12, t
+    for t in (12.0 - 1e-9, 12.0, 12.0 + 1e-9):
+        assert abs(bessel_j0_series(t) - j0(t)) <= 1e-12, t
 
 
 def test_j0_rejects_negative():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft as sfft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +12,9 @@ from anisodisp.spectral import (
     SpectralField,
     apply_multiplier,
     forward_transform,
+    full_spectrum,
     gaussian_field,
+    half_to_physical,
     l1_norm,
     l2_norm,
     linf_norm,
@@ -78,6 +81,18 @@ def test_roundtrip_is_identity(grid64):
     vals = rng.standard_normal((64, 64))
     back = forward_transform(vals, grid64).to_physical()
     assert np.max(np.abs(back - vals)) <= 1e-12 * np.max(np.abs(vals))
+
+
+@pytest.mark.parametrize("N", [16, 64, 256, 1024])
+def test_transforms_equal_scipy_fft(N):
+    """`numpy.fft` gives the bits of `scipy.fft`, the independent reference
+    here: both wrap pocketfft."""
+    grid = Grid2D(N, 10.0)
+    vals = np.random.default_rng(N).standard_normal((N, N))
+    half = grid.half.center_phase * sfft.rfft2(vals, norm="forward")
+    assert np.array_equal(forward_transform(vals, grid).coeffs, full_spectrum(half))
+    assert np.array_equal(half_to_physical(grid, half),
+                          sfft.irfft2(grid.half.center_phase * half, norm="forward"))
 
 
 def test_forward_rejects_shape_mismatch(grid64):

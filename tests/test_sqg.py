@@ -241,8 +241,9 @@ def test_stepped_nyquist_lines_exactly_zero(grid64, monkeypatch, dealias):
 @pytest.mark.parametrize("dealias", [2.0 / 3.0, 1.0])
 def test_pruned_transforms_equal_full_real_transforms(monkeypatch, N, dealias):
     """to_physical and to_spectral work on the K columns the dealias mask
-    keeps, and still give exactly the values of irfft2 and rfft2 * the half
-    mask, whose dropped columns are exactly zero."""
+    keeps with `numpy.fft`, and still give exactly the values of
+    `scipy.fft`'s irfft2 and rfft2 * the half mask, whose dropped columns are
+    exactly zero."""
     monkeypatch.setattr(sqg, "DEALIAS", dealias)
     ws = _Workspace(Grid2D(N, 10.0), 1.0)
     rng = np.random.default_rng(N)
