@@ -100,12 +100,8 @@ class _Workspace(_HalfSpectrumWorkspace):
 
     def propagator(self, dt):
         """`_propagator_arrays` for dt and for dt / 2, built once per dt."""
-        if dt not in self._props:
-            self._props[dt] = tuple(
-                _propagator_arrays(self.xi1, self.xi2, self.r, t, self.branch)
-                for t in (dt, dt / 2.0)
-            )
-        return self._props[dt]
+        return self._cached_propagators(
+            dt, lambda t: _propagator_arrays(self.xi1, self.xi2, self.r, t, self.branch))
 
     @staticmethod
     def propagate(P, y):
@@ -117,10 +113,6 @@ class _Workspace(_HalfSpectrumWorkspace):
         columns, and max |u|."""
         return self.advection(
             np.concatenate([self.velocity * y[0], self.grad[0] * y, self.grad[1] * y]))
-
-    def grad_fields(self, y):
-        """(u1, u2, rho) on the kept columns y of the stacked half spectra."""
-        return np.stack([self.velocity[0] * y[0], self.velocity[1] * y[0], y[1]])
 
 
 def step(state, workspace=None):
@@ -134,7 +126,6 @@ def step(state, workspace=None):
 @dataclass
 class StabilityReport:
     branch: str
-    eps: float
     times: list = field(default_factory=list)
     hs_omega: list = field(default_factory=list)
     hs1_rho: list = field(default_factory=list)
@@ -181,7 +172,7 @@ def stability_experiment(grid, eps, T, dt, branch="stable", delta=0.5, gamma=0.5
     rh0 = SpectralField(grid, eps * fr.coeffs * ws.mask)
     state = BoussState(omega=om0, rho=rh0, dt=dt, branch=branch)
 
-    rep = StabilityReport(branch=branch, eps=eps)
+    rep = StabilityReport(branch=branch)
     rep.initial_norms = {
         "omega_H4d": sobolev_norm(state.omega, s_om),
         "omega_Hm1": sobolev_norm(state.omega, -1.0),

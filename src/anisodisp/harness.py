@@ -9,7 +9,6 @@ import configparser
 import hashlib
 import io
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +24,6 @@ from .spectral import (
     linf_norm,
 )
 
-EXPERIMENTS = ("lin-decay", "sharpness", "kernel", "sqg", "bouss", "sweep")
 # each section's keys, lowercased by configparser; PARAMS checks the params keys
 SECTION_KEYS = {"experiment": {"name", "seed"}, "grid": {"n", "l"}, "params": set()}
 
@@ -43,6 +41,8 @@ _PROFILES = ("gaussian", "bump", "shell", "random")
 # bounds on the work a config asks for: time steps and sharpness scan points
 # (16 per unit of the window); the grids of times and lambdas stop at 100000
 MAX_STEPS = MAX_SCAN_POINTS = 1_000_000
+# and on grid.N: a Boussinesq run peaks at about 1.5 GB at N = 2048, 4x that at 4096
+MAX_N = 2048
 PARAMS = {
     "lin-decay": {"alpha": _ALPHA, "t_lo": ("10.0", _POSITIVE, float), "t_hi": _T_HI,
                   # fit_power_law needs 5 points
@@ -69,6 +69,7 @@ PARAMS = {
     "sweep": {"target": ("sqg", ("sqg", "bouss"), str),
               "eps_list": ("0.04,0.02,0.01", None, list)},
 }
+EXPERIMENTS = tuple(PARAMS)
 
 
 class ConfigError(ValueError):
@@ -90,6 +91,8 @@ class ExperimentConfig:
             Grid2D.check_grid(self.N, self.L)
         except SpectralError as exc:
             raise ConfigError(str(exc)) from exc
+        if self.N > MAX_N:
+            raise ConfigError(f"grid.N must be at most {MAX_N}, got {self.N}")
         if self.seed < 0:
             raise ConfigError(f"experiment.seed must be >= 0, got {self.seed}")
 
@@ -270,7 +273,11 @@ def make_profile(grid, kind, seed=1, width=1.0, amplitude=1.0):
         f = SpectralField(grid, c)
         f.enforce_hermitian().zero_nyquist().zero_mean()
         # unit sup norm, so `amplitude` is the actual perturbation size
-        f.coeffs *= amplitude / linf_norm(f)
+        sup = linf_norm(f)
+        if sup == 0.0:
+            raise ConfigError(f"params.width = {width} is too small: the random profile's "
+                              "envelope underflows on every mode")
+        f.coeffs *= amplitude / sup
         return f
     raise ConfigError(f"unknown profile kind {kind!r}")
 
@@ -391,7 +398,7 @@ def _sweep_member(args):
     # a member's config keeps the sweep's params, so its hash covers them
     member = ExperimentConfig(experiment=p["target"], N=cfg.N, L=cfg.L, seed=cfg.seed,
                               params=dict(cfg.params, eps=repr(eps)))
-    return (_run_sqg if p["target"] == "sqg" else _run_bouss)(member, dict(p, eps=eps))
+    return _DRIVERS[p["target"]](member, dict(p, eps=eps))
 
 
 def _run_sweep(cfg, p, jobs=1):
@@ -399,6 +406,8 @@ def _run_sweep(cfg, p, jobs=1):
     args = [(cfg, p, eps) for eps in p["eps_list"]]
     jobs = min(jobs, len(args), len(os.sched_getaffinity(0)))
     if jobs > 1:
+        # imported here: it loads multiprocessing, which only a pool uses
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as ex:
             subs = list(ex.map(_sweep_member, args))
     else:
@@ -423,16 +432,13 @@ def _run_sweep(cfg, p, jobs=1):
     return out
 
 
+_DRIVERS = {"lin-decay": _run_lin_decay, "sharpness": _run_sharpness, "kernel": _run_kernel,
+            "sqg": _run_sqg, "bouss": _run_bouss}
+
+
 def run(config, jobs=1):
     """Dispatch a config to its experiment driver; deterministic per (config, seed)."""
     p = parse_params(config.experiment, config.params)
-    driver = {
-        "lin-decay": _run_lin_decay,
-        "sharpness": _run_sharpness,
-        "kernel": _run_kernel,
-        "sqg": _run_sqg,
-        "bouss": _run_bouss,
-    }
     if config.experiment == "sweep":
         return _run_sweep(config, p, jobs=jobs)
-    return driver[config.experiment](config, p)
+    return _DRIVERS[config.experiment](config, p)

@@ -78,7 +78,8 @@ class _HalfSpectrumWorkspace:
     `rfft2` stores, the ones the dealias mask keeps.  The transforms
     (norm="forward", the field normalization) equal `irfft2` and `rfft2` on
     those columns exactly, since a zero column transforms to zeros.  A
-    subclass adds its symbols, `grad`, `grad_fields` and `nonlinear`."""
+    subclass adds its symbols, among them `velocity` (that of the first field)
+    and `grad`, its `propagator` formula, `propagate` and `nonlinear`."""
 
     def __init__(self, grid):
         self.grid = grid
@@ -94,6 +95,12 @@ class _HalfSpectrumWorkspace:
         """The symbols of `factory(a)` for each a in args on the K kept
         columns, stacked."""
         return np.stack([factory(a).on(self.xi1, self.xi2) for a in args])
+
+    def _cached_propagators(self, dt, build):
+        """(build(dt), build(dt / 2)), built once per dt."""
+        if dt not in self._props:
+            self._props[dt] = (build(dt), build(dt / 2.0))
+        return self._props[dt]
 
     def to_physical(self, spec, overwrite_x=False):
         """`irfft2` of a stack of half spectra given on the K kept columns, as
@@ -114,6 +121,7 @@ class _HalfSpectrumWorkspace:
         half[..., : self.K] = kept
         return full_spectrum(half)
 
+    # each system keeps its own `nonlinear`: sharing either one raised the other's faults per step
     def advection(self, spec):
         """(-dealias(u . grad f), max |u|) for a stack f of m fields, from the
         half spectra (u1, u2, d1 f, d2 f), 2 + 2m of them, on the K kept
@@ -128,9 +136,10 @@ class _HalfSpectrumWorkspace:
         return np.negative(adv, out=adv), umax
 
     def grad_norms(self, y):
-        """(max |grad u|, max |grad f|) for the (u1, u2, f) of grad_fields(y),
-        from the half spectra y."""
-        spec = self.grad_fields(y[..., : self.K])[:, None] * self.grad
+        """(max |grad u|, max |grad f|) from a stack y of half spectra, u the
+        velocity of its first field and f its last field."""
+        c = y[..., : self.K]
+        spec = np.concatenate([self.velocity * c[0], c[-1:]])[:, None] * self.grad
         g = self.to_physical(spec.reshape(6, *self.grad.shape[1:]), overwrite_x=True)
         np.abs(g, out=g)
         return float(np.max(g[:4])), float(np.max(g[4:]))
@@ -144,14 +153,12 @@ class _Workspace(_HalfSpectrumWorkspace):
         # u1, u2, d1 theta, d2 theta: the four fields of u . grad theta
         self.transport = np.concatenate([self.symbols(MultiplierSpec.velocity_sqg, 1, 2),
                                          self.symbols(MultiplierSpec.deriv, 1, 2)])
-        self.grad = self.transport[2:]
+        self.velocity, self.grad = self.transport[:2], self.transport[2:]
         self.lam = MultiplierSpec.generator(alpha).on(self.xi1, self.xi2)
 
     def propagator(self, dt):
         """(exp(lam dt), exp(lam dt / 2)), built once per dt."""
-        if dt not in self._props:
-            self._props[dt] = (np.exp(self.lam * dt), np.exp(self.lam * (dt / 2.0)))
-        return self._props[dt]
+        return self._cached_propagators(dt, lambda t: np.exp(self.lam * t))
 
     @staticmethod
     def propagate(P, c):
@@ -161,10 +168,6 @@ class _Workspace(_HalfSpectrumWorkspace):
         """-dealias(u . grad theta) on the kept columns; returns (rhs, max |u|)."""
         adv, umax = self.advection(self.transport * c)
         return adv[0], umax
-
-    def grad_fields(self, c):
-        """(u1, u2, theta) on the kept columns c of the half spectrum."""
-        return np.stack([self.transport[0] * c, self.transport[1] * c, c])
 
 
 def _admissible_dt(grid, umax):
@@ -252,7 +255,6 @@ class BootstrapDiagnostics:
     grad_theta_inf: list = field(default_factory=list)
     integral: list = field(default_factory=list)
     envelope: list = field(default_factory=list)
-    s: float = 4.5
     fitted_c: float = 0.0
     bootstrap_exit_time: float = None
     blew_up: bool = False
@@ -280,11 +282,11 @@ def run_and_diagnose(theta0, T, dt, alpha=1.0, delta=0.5, n_outputs=50):
     ws = _Workspace(state.theta.grid, alpha)
     state.theta.coeffs *= ws.mask
 
-    diag = BootstrapDiagnostics(s=s)
+    diag = BootstrapDiagnostics()
     weight = sobolev_weight(state.theta.grid, s)
 
     def record(st):
-        gu, gt = ws.grad_norms(half_spectrum(st.theta.coeffs))
+        gu, gt = ws.grad_norms(half_spectrum(st.theta.coeffs)[None])
         diag.h_s.append(weighted_norm(st.theta, weight))
         diag.l2.append(l2_norm(st.theta))
         diag.grad_u_inf.append(gu)

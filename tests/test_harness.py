@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import importlib
 import io
@@ -506,6 +507,36 @@ def test_cli_unbounded_work_exit_two(tmp_path, capsys, experiment, extra, key):
     assert "config error" in err and re.search(rf"params\.{key}\b", err)
 
 
+@pytest.mark.parametrize("experiment, N", [
+    ("lin-decay", 4096), ("lin-decay", 8192), ("sqg", 8192), ("bouss", 1048576)])
+def test_cli_grid_above_max_n_exit_two(tmp_path, capsys, monkeypatch, experiment, N):
+    """A grid above MAX_N exits 2 naming grid.N, before the run starts; a run
+    that does start fails the test at once, so none of these grids is built."""
+    monkeypatch.setattr(cli, "run", lambda *args, **kwargs: pytest.fail("the run started"))
+    ini = (PARAMS_INI if experiment == "lin-decay" else EVOLUTION_INI).format(
+        experiment=experiment, extra="")
+    path = write_config(tmp_path, ini.replace("N = 16", f"N = {N}"))
+    assert main([experiment, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: grid.N must be at most 2048, got {N}\n"
+
+
+def test_max_n_is_inclusive():
+    """MAX_N itself passes the check; nothing is built or run here."""
+    assert harness.MAX_N == 2048
+    assert ExperimentConfig(experiment="lin-decay", N=2048, L=400.0).N == 2048
+
+
+@pytest.mark.parametrize("experiment, N", [("sqg", 16), ("lin-decay", 64)])
+def test_cli_random_profile_underflow_exit_two(tmp_path, capsys, experiment, N):
+    """A random profile whose envelope underflows on every mode but the mean
+    is zero after the mean is removed; it exits 2 naming params.width."""
+    ini = (PARAMS_INI if experiment == "lin-decay" else EVOLUTION_INI).format(
+        experiment=experiment, extra="profile = random\nwidth = 0.001")
+    path = write_config(tmp_path, ini.replace("N = 16", f"N = {N}"))
+    assert main([experiment, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("config error: params.width = 0.001 ")
+
+
 @pytest.mark.parametrize("experiment, params, ok", [
     ("sqg", {"t_final": "100", "dt": "0.0001"}, True),  # 1,000,000 steps
     ("bouss", {"t_final": "100", "dt": "0.00005"}, False),
@@ -593,6 +624,23 @@ def test_runs_load_no_scipy(tmp_path, experiment):
     assert proc.stdout == "[]\n"
 
 
+@pytest.mark.parametrize("module, top, loaded", [
+    ("anisodisp.spectral", "anisodisp", ["anisodisp", "anisodisp.spectral"]),
+    ("anisodisp.cli", "multiprocessing", []),
+])
+def test_import_loads_only_what_it_uses(module, top, loaded):
+    """In a fresh interpreter: the package re-exports nothing, so a module
+    loads no other module of it that it does not import; and the process
+    pool, which loads multiprocessing, is imported only by a sweep that uses it."""
+    code = (f"import sys, {module}; "
+            f"print(sorted(m for m in sys.modules if m.split('.')[0] == {top!r}))")
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{loaded}\n"
+
+
 def test_benchmark_tracer_hooks_record_a_traced_run(tmp_path, monkeypatch, capsys):
     """The benchmark's tracer, installed around one small CLI run of each
     experiment.  Its hooks read call arguments and `_props`, so a change to
@@ -665,7 +713,7 @@ def test_sweep_pool_is_capped(monkeypatch, cpus, jobs, workers):
         def map(self, fn, args):
             return map(fn, args)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     cfg = ExperimentConfig(experiment="sweep", N=16, L=10.0, params={
         "target": "bouss", "eps_list": "0.04,0.02,0.01", "t_final": "0.2"})

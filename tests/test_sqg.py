@@ -269,9 +269,9 @@ def test_nonlinear_buffers_do_not_alias(grid64):
     rhs, _ = ws.nonlinear(y)
     rhs0 = rhs.copy()
     ws.nonlinear(2.0 * y)
-    ws.grad_norms(3.0 * half)
+    ws.grad_norms(3.0 * half[None])
     assert np.array_equal(rhs, rhs0)
-    ws.grad_norms(half)
+    ws.grad_norms(half[None])
     ws.to_physical(y)
     ws.to_spectral(x)
     for arg, arg0 in zip((half, y, x), args):
