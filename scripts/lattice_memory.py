@@ -1,15 +1,17 @@
-"""Traced memory of each lin-decay phase: config, grid, profile,
-`_evolved_linf` and the Besov norm.
+"""Traced memory and wall time of each lin-decay phase: config, grid,
+profile, `_evolved_linf` and the Besov norm.
 
     PYTHONPATH=src python scripts/lattice_memory.py [--N 1024] [--L 400]
 
 The phases run one after another with the lin-decay defaults (a Gaussian of
 width 1, alpha = 1, 12 times in [10, 100]) under `tracemalloc`.  Prints a
 markdown table of each phase's peak and of what the run holds after it, in
-MiB; the last row traces one whole `harness.run` from a fresh start.
+MiB, and of its wall time (`perf_counter`, under tracing) in ms; the last
+row traces one whole `harness.run` from a fresh start.
 """
 
 import argparse
+import time
 import tracemalloc
 
 import numpy as np
@@ -21,9 +23,11 @@ from anisodisp.spectral import Grid2D
 
 def phase(name, fn):
     tracemalloc.reset_peak()
+    start = time.perf_counter()
     out = fn()
+    ms = 1e3 * (time.perf_counter() - start)
     held, peak = tracemalloc.get_traced_memory()
-    print(f"| {name} | {peak / 2**20:.1f} | {held / 2**20:.1f} |")
+    print(f"| {name} | {peak / 2**20:.1f} | {held / 2**20:.1f} | {ms:.1f} |")
     return out
 
 
@@ -32,7 +36,7 @@ def main():
     ap.add_argument("--N", type=int, default=1024)
     ap.add_argument("--L", type=float, default=400.0)
     args = ap.parse_args()
-    print("| phase | peak MiB | held MiB |\n| --- | --- | --- |")
+    print("| phase | peak MiB | held MiB | ms |\n| --- | --- | --- | --- |")
     tracemalloc.start()
     cfg = phase("config", lambda: harness.ExperimentConfig("lin-decay", N=args.N, L=args.L))
     p = harness.parse_params(cfg.experiment, cfg.params)

@@ -98,7 +98,9 @@ class LPBank:
 
         Q_j uses the fattened bump, matching how the shell pieces enter the
         decay estimate.  The pieces stay on the half lattice of a real field,
-        and each L^1 norm is a physical-space quadrature.
+        and each L^1 norm is a physical-space quadrature.  A piece is built
+        and transformed only on the first K columns of the half lattice, those
+        with |xi_2| < 4 * 2^j, outside which the bump is exactly 0.
         """
         if not 0.0 <= a <= 6.0:
             raise SpectralError(f"Besov regularity must lie in [0, 6], got {a}")
@@ -107,7 +109,9 @@ class LPBank:
         xi = g.half.xi_mod
         terms = {}
         for j in self.j_range:
-            piece = half * bump_fattened(xi * 2.0 ** (-j))
+            # row 0 holds each column's smallest |xi|, rising column by column
+            K = int(np.count_nonzero(xi[0] * 2.0 ** (-j) < 4.0))
+            piece = half[:, :K] * bump_fattened(xi[:, :K] * 2.0 ** (-j))
             norm = 0.0
             if np.any(piece):
                 vals = half_to_physical(g, piece)

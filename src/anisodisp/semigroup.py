@@ -47,15 +47,20 @@ class DecayReport:
 
 def _evolved_linf(f0, alpha, times):
     """`linf_norm(evolve_linear(f0, ...))` at each time for a Hermitian f0,
-    on the half lattice with the generator's symbol built once."""
+    on the half lattice with the generator's symbol built once.
+
+    The generator is odd in k1, so the phase is evaluated on the rows
+    k1 = 0 .. N/2 only, and each row -k1 is the conjugate of row k1."""
     g = f0.grid
-    gen = MultiplierSpec.generator(alpha).on(g.half.xi1, g.half.xi2)
+    ny = g.N // 2
+    gen = MultiplierSpec.generator(alpha).on(g.half.xi1[: ny + 1], g.half.xi2[: ny + 1])
     vals = np.empty(len(times))
     for i, t in enumerate(times):
         MultiplierSpec.semigroup_phase(alpha, t)  # validates t
-        # named, so that numpy cannot multiply into the temporary in place,
-        # which can move the last bit
-        m = np.exp(t * gen)
+        m = np.empty((g.N, gen.shape[1]), dtype=np.complex128)
+        np.exp(t * gen, out=m[: ny + 1])
+        np.conjugate(m[ny - 1 : 0 : -1], out=m[ny + 1 :])
+        # a new array: multiplying into m in place can move the last bit
         y = half_spectrum(f0.coeffs) * m
         del m
         y[g.N // 2] = y[:, -1] = 0.0  # the Nyquist row and column
@@ -220,7 +225,9 @@ def _origin_evaluator(f0):
     `at(np.linspace(lo, hi, n))` to rounding: with t = T_j + s_m on anchors
     T_j and M ~ sqrt(n) offsets s_m, A cos(t u) + B sin(t u) is
     (A cos T_j u + B sin T_j u) cos s_m u + (B cos T_j u - A sin T_j u) sin s_m u,
-    two (anchors x phases)(phases x offsets) products.
+    two (anchors x phases)(phases x offsets) products.  The sums over the
+    phases are `np.einsum` reductions, not BLAS products, whose split across
+    threads would make the last digits depend on the thread count.
     """
     # the generator's symbol is -i xi_1/|xi|, 0 at the zero mode
     ph = -MultiplierSpec.generator(1.0).symbol(f0.grid).imag.ravel()
@@ -238,7 +245,8 @@ def _origin_evaluator(f0):
         # two float64 temporaries per entry: the arguments and their cosines
         for rows in row_blocks(out.size, 16 * u.size):
             arg = np.multiply.outer(times[rows], u)
-            out[rows] = np.cos(arg) @ A + np.sin(arg, out=arg) @ B
+            out[rows] = (np.einsum("ij,j->i", np.cos(arg), A)
+                         + np.einsum("ij,j->i", np.sin(arg, out=arg), B))
         return out
 
     def linspace(lo, hi, n):
@@ -247,7 +255,7 @@ def _origin_evaluator(f0):
         # a block of anchors the other half
         M = max(1, min(int(np.ceil(np.sqrt(n))), CHUNK_BYTES // (32 * u.size)))
         arg = np.multiply.outer(np.arange(M) * step, u)
-        cos_s, sin_s = np.cos(arg).T, np.sin(arg, out=arg).T
+        cos_s, sin_s = np.cos(arg), np.sin(arg, out=arg)
         anchors = lo + np.arange(-(-n // M)) * (M * step)
         out = np.empty((anchors.size, M))
         # four float64 temporaries per anchor: the arguments, their cosines
@@ -255,7 +263,8 @@ def _origin_evaluator(f0):
         for rows in row_blocks(anchors.size, 32 * u.size, CHUNK_BYTES // 2):
             arg = np.multiply.outer(anchors[rows], u)
             c, s = np.cos(arg), np.sin(arg, out=arg)
-            out[rows] = (c * A + s * B) @ cos_s + (c * B - s * A) @ sin_s
+            out[rows] = (np.einsum("ju,mu->jm", c * A + s * B, cos_s)
+                         + np.einsum("ju,mu->jm", c * B - s * A, sin_s))
         return out.ravel()[:n]
 
     at.linspace = linspace

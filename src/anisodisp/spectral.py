@@ -184,8 +184,14 @@ def half_spectrum(coeffs):
 
 def half_to_physical(grid, half):
     """Physical values of a real field from its half spectrum: the centre
-    phase, then `irfft2`."""
-    return np.fft.irfft2(grid.half.center_phase * half, norm="forward")
+    phase, then `irfft2`.  `half` may hold only the first K columns of the
+    (N, N//2 + 1) half lattice, the rest being zero: the column pass runs in
+    place on the centre-phase product, and `irfft` zero-pads the K columns,
+    which gives exactly the values of `irfft2` on the whole half spectrum,
+    since a zero column transforms to zeros."""
+    cols = grid.half.center_phase[:, : half.shape[-1]] * half
+    np.fft.ifft(cols, axis=-2, norm="forward", out=cols)
+    return np.fft.irfft(cols, n=grid.N, axis=-1, norm="forward")
 
 
 def full_spectrum(half):
@@ -315,7 +321,9 @@ def apply_multiplier(field, mult):
 
 
 def l2_norm(field):
-    return field.grid.L * float(np.linalg.norm(field.coeffs))
+    """L * sqrt(sum |c_k|^2), summed by numpy: a BLAS dot splits the sum
+    across its threads, which moves the last digits with the thread count."""
+    return weighted_norm(field, 1.0)
 
 
 def sobolev_weight(grid, s):

@@ -641,6 +641,36 @@ def test_import_loads_only_what_it_uses(module, top, loaded):
     assert proc.stdout == f"{loaded}\n"
 
 
+# an sqg run at N = 128 and a 1000-time sharpness scan at N = 256 are big
+# enough for OpenBLAS to split a dot or a matrix-vector product across threads
+BLAS_RUNS = {
+    "sqg": EVOLUTION_INI.format(experiment="sqg", extra="profile = random\nwidth = 2.0")
+    .replace("N = 16", "N = 128"),
+    "sharpness": PARAMS_INI.format(experiment="sharpness", extra="t_hi = 40.0\nn_times = 1000")
+    .replace("N = 16\nL = 10.0", "N = 256\nL = 400.0"),
+}
+
+
+def test_reports_do_not_depend_on_blas_threads(tmp_path):
+    """A BLAS sum split across threads moves its last digits with the thread
+    count; the package sums with numpy, so the reports are byte-identical
+    under one and two OpenBLAS threads."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        for experiment, text in BLAS_RUNS.items():
+            path = write_config(tmp_path, text, name=f"{experiment}.ini")
+            proc = subprocess.run(
+                [sys.executable, "-m", "anisodisp.cli", experiment, "--config", path,
+                 "--out", str(out / experiment)], capture_output=True, text=True, timeout=120,
+                env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads))
+            assert proc.returncode == 0, proc.stderr
+        reports.append({p.relative_to(out): p.read_bytes() for p in out.rglob("report.*")})
+    assert len(reports[0]) == 4
+    assert reports[0] == reports[1]
+
+
 def test_benchmark_tracer_hooks_record_a_traced_run(tmp_path, monkeypatch, capsys):
     """The benchmark's tracer, installed around one small CLI run of each
     experiment.  Its hooks read call arguments and `_props`, so a change to

@@ -20,3 +20,4 @@ def test_script_prints_its_table(command):
     lines = proc.stdout.splitlines()
     assert lines[1].startswith("| --- |") and len(lines) > 3
     assert all(line.startswith("| ") and line.endswith(" |") for line in lines)
+    assert len({line.count("|") for line in lines}) == 1  # every row has every column

@@ -93,6 +93,12 @@ def test_transforms_equal_scipy_fft(N):
     assert np.array_equal(forward_transform(vals, grid).coeffs, full_spectrum(half))
     assert np.array_equal(half_to_physical(grid, half),
                           sfft.irfft2(grid.half.center_phase * half, norm="forward"))
+    # a half spectrum cut to its first K columns stands for zeros beyond them
+    K = N // 4 + 1
+    cut = half.copy()
+    cut[:, K:] = 0.0
+    assert np.array_equal(half_to_physical(grid, half[:, :K]),
+                          sfft.irfft2(grid.half.center_phase * cut, norm="forward"))
 
 
 def test_forward_rejects_shape_mismatch(grid64):
