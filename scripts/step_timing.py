@@ -8,11 +8,16 @@ reused across steps, as the run loop does.  After two untimed steps, which
 build the propagators, it times `--steps` steps one by one.  Prints a
 markdown table of the 25th-percentile ms per step (`perf_counter`) and the
 minor page faults per step (`getrusage`) at N = 64, 128, 256 and 512.
+
+Each row runs in a fresh interpreter, one at a time: the faults per step
+depend on what the process allocated and imported before it steps.
 """
 
 import argparse
+import multiprocessing
 import resource
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -21,25 +26,29 @@ from anisodisp.harness import make_profile
 from anisodisp.spectral import Grid2D, SpectralField
 
 DT = 0.01
+STEPPERS = ("sqg", "bouss stable", "bouss unstable")
 
 
-def steppers(grid):
-    """(name, start state, one-step function) for each stepper."""
-    ws = sqg._Workspace(grid, 1.0)
-    theta = make_profile(grid, "random", seed=1, width=2.0, amplitude=0.05)
-    theta.coeffs *= ws.mask
-    yield "sqg", sqg.SQGState(theta=theta, dt=DT), lambda st, ws=ws: sqg.step(st, ws)
+def stepper(name, grid):
+    """(start state, one-step function) of the named stepper."""
+    if name == "sqg":
+        ws = sqg._Workspace(grid, 1.0)
+        theta = make_profile(grid, "random", seed=1, width=2.0, amplitude=0.05)
+        theta.coeffs *= ws.mask
+        return sqg.SQGState(theta=theta, dt=DT), lambda st: sqg.step(st, ws)
+    branch = name.split()[1]
     fo, fr = boussinesq.default_profiles(grid)
-    for branch in ("stable", "unstable"):
-        ws = boussinesq._Workspace(grid, branch)
-        st = boussinesq.BoussState(omega=SpectralField(grid, 0.01 * fo.coeffs * ws.mask),
-                                   rho=SpectralField(grid, 0.01 * fr.coeffs * ws.mask),
-                                   dt=DT, branch=branch)
-        yield f"bouss {branch}", st, lambda st, ws=ws: boussinesq.step(st, ws)
+    ws = boussinesq._Workspace(grid, branch)
+    st = boussinesq.BoussState(omega=SpectralField(grid, 0.01 * fo.coeffs * ws.mask),
+                               rho=SpectralField(grid, 0.01 * fr.coeffs * ws.mask),
+                               dt=DT, branch=branch)
+    return st, lambda st: boussinesq.step(st, ws)
 
 
-def time_steps(state, advance, steps):
-    """(25th-percentile ms per step, minor page faults per step)."""
+def time_steps(name, N, steps):
+    """(25th-percentile ms per step, minor page faults per step) of the named
+    stepper at N."""
+    state, advance = stepper(name, Grid2D(N, 10.0))
     for _ in range(2):
         state = advance(state)
     times = []
@@ -59,10 +68,13 @@ def main():
     if args.steps < 1:
         ap.error("--steps must be at least 1")
     print("| stepper | N | ms per step (p25) | minor faults per step |\n"
-          "| --- | --- | --- | --- |")
-    for N in (64, 128, 256, 512):
-        for name, state, advance in steppers(Grid2D(N, 10.0)):
-            ms, faults = time_steps(state, advance, args.steps)
+          "| --- | --- | --- | --- |", flush=True)
+    rows = [(name, N) for N in (64, 128, 256, 512) for name in STEPPERS]
+    # one worker, replaced after each row
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn"),
+                             max_tasks_per_child=1) as pool:
+        results = pool.map(time_steps, *zip(*rows), [args.steps] * len(rows))
+        for (name, N), (ms, faults) in zip(rows, results):
             print(f"| {name} | {N} | {ms:.3f} | {faults:.1f} |", flush=True)
 
 

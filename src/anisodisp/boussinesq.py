@@ -154,18 +154,16 @@ def default_profiles(grid):
     return fo, fr
 
 
-def stability_experiment(grid, eps, T, dt, branch="stable", delta=0.5, gamma=0.5,
-                         n_outputs=60):
+def stability_experiment(grid, eps, T, dt, branch="stable", n_outputs=60):
     """Integrate eps-size perturbations and report the bootstrap exit time.
 
-    Exit is the first step time where ||omega||_{H^{4+delta}} +
-    ||rho||_{H^{5+gamma}} exceeds twice its initial value; censored runs
+    Exit is the first step time where ||omega||_{H^{4.5}} +
+    ||rho||_{H^{5.5}} exceeds twice its initial value; censored runs
     report exit_time = T, and a blown-up run the time of its last state.
     """
     if not 0.0 < eps <= 0.1:
         raise SpectralError(f"perturbation size must lie in (0, 0.1], got {eps}")
-    s_om = 4.0 + delta
-    s_rh = 5.0 + gamma
+    s_om, s_rh = 4.5, 5.5
     fo, fr = default_profiles(grid)
     ws = _Workspace(grid, branch)
     om0 = SpectralField(grid, eps * fo.coeffs * ws.mask)

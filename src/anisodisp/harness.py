@@ -32,44 +32,36 @@ SECTION_KEYS = {"experiment": {"name", "seed"}, "grid": {"n", "l"}, "params": se
 # interval like "(0, 0.1]".  A `list` is comma-separated floats, each checked.
 _POSITIVE = "(0, inf)"
 _ALPHA = ("1.0", "[1, 2]", float)
-# the Sobolev indices 4 + delta and 5 + gamma must lie in [-2, 8]
-_DELTA = ("0.5", "[-6, 4]", float)
 _T_HI = ("100.0", _POSITIVE, float)
-_WIDTH = ("1.0", _POSITIVE, float)
 _TIME = {"t_final": ("10.0", _POSITIVE, float), "dt": ("0.05", _POSITIVE, float)}
 _PROFILES = ("gaussian", "bump", "shell", "random")
 # bounds on the work a config asks for: time steps and sharpness scan points
-# (16 per unit of the window); the grids of times and lambdas stop at 100000
+# (16 per unit of the window); the grids of times stop at 100000
 MAX_STEPS = MAX_SCAN_POINTS = 1_000_000
 # and on grid.N: a Boussinesq run peaks at about 1.5 GB at N = 2048, 4x that at 4096
 MAX_N = 2048
 PARAMS = {
     "lin-decay": {"alpha": _ALPHA, "t_lo": ("10.0", _POSITIVE, float), "t_hi": _T_HI,
                   # fit_power_law needs 5 points
-                  "n_times": ("12", "[5, 100000]", int), "width": _WIDTH,
+                  "n_times": ("12", "[5, 100000]", int), "width": ("1.0", _POSITIVE, float),
                   "profile": ("gaussian", _PROFILES, str)},
-    # the shell profile keeps the spectrum away from xi = 0, where the phase
-    # is singular; box periodization then stays below the two-path tolerance
     "sharpness": {"t_lo": ("20.0", _POSITIVE, float), "t_hi": _T_HI,
-                  "n_times": ("400", "[1, 100000]", int), "width": _WIDTH,
-                  "profile": ("shell", _PROFILES, str)},
-    # split_bound takes a splitting scale in (0, 1]
-    "kernel": {"alpha": _ALPHA, "times": ("10,30,100", _POSITIVE, list),
-               "n_lambda": ("30", "[1, 100000]", int), "lambda_lo": ("0.02", "(0, 1]", float),
-               "lambda_hi": ("1.0", "(0, 1]", float)},
+                  "n_times": ("400", "[1, 100000]", int)},
+    "kernel": {"alpha": _ALPHA, "times": ("10,30,100", _POSITIVE, list)},
     "sqg": {"eps": ("0.02", "(-inf, inf)", float), **_TIME,
             "n_outputs": ("50", "[1, 100000]", int), "width": ("2.0", _POSITIVE, float),
-            "profile": ("gaussian", _PROFILES, str), "alpha": _ALPHA, "delta": _DELTA},
+            "profile": ("gaussian", _PROFILES, str), "alpha": _ALPHA},
     "bouss": {**_TIME, "n_outputs": ("60", "[1, 100000]", int),
               "branch": ("stable", ("stable", "unstable"), str),
-              "eps": ("0.02", "(0, 0.1]", float), "delta": _DELTA,
-              "gamma": ("0.5", "[-7, 3]", float)},
+              "eps": ("0.02", "(0, 0.1]", float)},
     # a sweep also reads its target's keys but eps; each eps_list value
     # lies in the target's eps interval
     "sweep": {"target": ("sqg", ("sqg", "bouss"), str),
               "eps_list": ("0.04,0.02,0.01", None, list)},
 }
 EXPERIMENTS = tuple(PARAMS)
+# the kernel run's splitting scales, in the (0, 1] that split_bound takes
+LAMBDAS = np.geomspace(0.02, 1.0, 30)
 
 
 class ConfigError(ValueError):
@@ -143,7 +135,7 @@ class ExperimentReport:
     columns: list = field(default_factory=list)  # (name, values) in order
     constants: dict = field(default_factory=dict)  # name -> (value, window, residual)
     checks: list = field(default_factory=list)  # (name, passed, detail)
-    metadata: dict = field(default_factory=dict)
+    metadata: dict = field(default_factory=dict)  # name -> value, formatted when written
     subreports: list = field(default_factory=list)
 
     def add_check(self, name, passed, detail=""):
@@ -172,7 +164,7 @@ class ExperimentReport:
         buf.write(f"grid: N={self.config.N} L={_fmt(self.config.L)}\n")
         buf.write(f"seed: {self.config.seed}\n")
         for k in sorted(self.metadata):
-            buf.write(f"{k}: {self.metadata[k]}\n")
+            buf.write(f"{k}: {_fmt(self.metadata[k])}\n")
         for name in sorted(self.constants):
             value, window, residual = self.constants[name]
             buf.write(
@@ -298,10 +290,10 @@ def _run_lin_decay(cfg, p):
         ("fitted_slope", [rep.fitted_slope] * len(rep.times)),
     ]
     out.constants["decay_slope"] = (rep.fitted_slope, rep.fit_window, rep.residual)
-    out.metadata["besov_value"] = _fmt(rep.besov_value)
-    out.metadata["constant_estimate"] = _fmt(rep.constant_estimate)
-    out.metadata["j_range"] = str(rep.j_range)
-    out.metadata["boundary_contaminated"] = str(rep.boundary_contaminated)
+    out.metadata["besov_value"] = rep.besov_value
+    out.metadata["constant_estimate"] = rep.constant_estimate
+    out.metadata["j_range"] = rep.j_range
+    out.metadata["boundary_contaminated"] = rep.boundary_contaminated
     lo, hi = (-0.6, -0.4) if alpha == 1.0 else ((-1.15, -0.85) if alpha < 2.0 else (-1.1, -0.9))
     out.add_check(
         "slope_in_band",
@@ -313,8 +305,9 @@ def _run_lin_decay(cfg, p):
 
 
 def _run_sharpness(cfg, p):
-    grid = Grid2D(cfg.N, cfg.L)
-    f0 = make_profile(grid, p["profile"], seed=cfg.seed, width=p["width"])
+    # the shell profile keeps the spectrum away from xi = 0, where the phase
+    # is singular; box periodization then stays below the two-path tolerance
+    f0 = shell_field(Grid2D(cfg.N, cfg.L))
     times = np.linspace(p["t_lo"], p["t_hi"], p["n_times"])
     rep = semigroup.sharpness_check(f0, times)
     out = ExperimentReport(config=cfg)
@@ -324,7 +317,7 @@ def _run_sharpness(cfg, p):
         ("radial_reference", list(rep.radial_reference)),
         ("envelope", list(rep.envelope)),
     ]
-    out.metadata["max_two_path_reldiff"] = _fmt(rep.max_two_path_reldiff)
+    out.metadata["max_two_path_reldiff"] = rep.max_two_path_reldiff
     out.add_check("two_path_agreement", rep.max_two_path_reldiff <= 1e-6,
                   f"reldiff={rep.max_two_path_reldiff:.2e}")
     peaks_ok = rep.peak_ratios.size > 0 and np.all(np.abs(rep.peak_ratios - 1.0) <= 0.05)
@@ -339,22 +332,21 @@ def _run_sharpness(cfg, p):
 
 
 def _run_kernel(cfg, p):
-    lam_grid = np.geomspace(p["lambda_lo"], p["lambda_hi"], p["n_lambda"])
     phase = oscillatory.PhaseSpec(v=(0.0, 0.0), alpha=p["alpha"])
     out = ExperimentReport(config=cfg)
     rows = []
     all_ok_min, all_ok_dom = True, True
     for t in p["times"]:
         kval = abs(oscillatory.kernel_direct(phase, t))
-        sums = [sum(oscillatory.split_bound(phase, t, lam)) for lam in lam_grid]
+        sums = [sum(oscillatory.split_bound(phase, t, lam)) for lam in LAMBDAS]
         i_min = int(np.argmin(sums))
         # within one grid cell of t^{-1/2}
         target = t**-0.5
-        i_target = int(np.argmin(np.abs(np.log(lam_grid) - np.log(target))))
+        i_target = int(np.argmin(np.abs(np.log(LAMBDAS) - np.log(target))))
         all_ok_min &= abs(i_min - i_target) <= 1
         budget = sum(oscillatory.split_bound(phase, t, target))
         all_ok_dom &= kval <= 3.0 * budget
-        rows.append((t, kval, float(lam_grid[i_min]), budget))
+        rows.append((t, kval, float(LAMBDAS[i_min]), budget))
     names = ("t", "kernel_abs", "lambda_min", "budget_at_tinvhalf")
     out.columns = [(name, list(col)) for name, col in zip(names, zip(*rows))]
     out.add_check("minimizer_at_t_inv_half", all_ok_min)
@@ -367,12 +359,12 @@ def _run_sqg(cfg, p):
     f0 = make_profile(grid, p["profile"], seed=cfg.seed, width=p["width"],
                       amplitude=p["eps"])
     diag = sqg.run_and_diagnose(f0, p["t_final"], p["dt"], alpha=p["alpha"],
-                                delta=p["delta"], n_outputs=p["n_outputs"])
+                                n_outputs=p["n_outputs"])
     out = ExperimentReport(config=cfg)
     out.columns = diag.columns()
-    out.metadata["fitted_c"] = _fmt(diag.fitted_c)
-    out.metadata["bootstrap_exit_time"] = str(diag.bootstrap_exit_time)
-    out.metadata["blew_up"] = str(diag.blew_up)
+    out.metadata["fitted_c"] = diag.fitted_c
+    out.metadata["bootstrap_exit_time"] = diag.bootstrap_exit_time
+    out.metadata["blew_up"] = diag.blew_up
     env_ok = all(e >= h * (1.0 - 1e-9) for e, h in zip(diag.envelope, diag.h_s))
     out.add_check("gronwall_envelope_dominates", env_ok)
     out.add_check("no_blowup", not diag.blew_up)
@@ -382,13 +374,13 @@ def _run_sqg(cfg, p):
 def _run_bouss(cfg, p):
     rep = boussinesq.stability_experiment(
         Grid2D(cfg.N, cfg.L), eps=p["eps"], T=p["t_final"], dt=p["dt"], branch=p["branch"],
-        delta=p["delta"], gamma=p["gamma"], n_outputs=p["n_outputs"])
+        n_outputs=p["n_outputs"])
     out = ExperimentReport(config=cfg)
     out.columns = rep.columns()
-    out.metadata["exit_time"] = _fmt(float(rep.exit_time))
+    out.metadata["exit_time"] = float(rep.exit_time)
     out.metadata["branch"] = rep.branch
     for k, v in rep.initial_norms.items():
-        out.metadata[f"initial_{k}"] = _fmt(v)
+        out.metadata[f"initial_{k}"] = v
     out.add_check("finite_series", all(np.isfinite(rep.e_total)))
     return out
 
@@ -416,10 +408,10 @@ def _run_sweep(cfg, p, jobs=1):
     exits = []
     for sub in subs:
         if p["target"] == "sqg":
-            et = sub.metadata.get("bootstrap_exit_time", "None")
-            exits.append(p["t_final"] if et == "None" else float(et))
+            et = sub.metadata["bootstrap_exit_time"]
+            exits.append(p["t_final"] if et is None else et)
         else:
-            exits.append(float(sub.metadata["exit_time"]))
+            exits.append(sub.metadata["exit_time"])
     out.columns = [("eps", p["eps_list"]), ("exit_time", exits)]
     # a member with no exit before t_final carries no exit-time information
     out.metadata["censored"] = f"{sum(e >= p['t_final'] for e in exits)} of {len(exits)}"

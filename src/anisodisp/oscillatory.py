@@ -1,8 +1,8 @@
 """Direct analysis of the phase phi(xi) = v . xi - xi_1/|xi|^alpha.
 
-Closed-form gradient and Hessian, stationary-point search on the unit
-annulus, brute-force oscillatory quadrature of the shell-localized kernel,
-and the near/far splitting budget whose optimal cut reproduces the
+Closed-form gradient, Hessian and stationary set on the unit annulus,
+brute-force oscillatory quadrature of the shell-localized kernel, and the
+near/far splitting budget whose optimal cut reproduces the
 t^{-1/2} decay.
 
 Note on signs: the closed forms below are the ones that match central
@@ -106,57 +106,49 @@ DEGENERATE_TOL = 1e-8
 
 
 def find_stationary(p):
-    """Newton search, from 64 x 64 polar seeds, for stationary points of phi
-    on the annulus 1/2 <= |xi| <= 2 of shell j = 0.
+    """Stationary points of phi on the annulus 1/2 <= |xi| <= 2 of shell
+    j = 0, in closed form.
 
-    The degenerate continuum (alpha = 1, v = 0: the whole line xi_2 = 0 is
-    stationary with singular Hessian) is detected symbolically and returned
-    as one representative per arc with the degenerate flag set, never as a
-    converged point list.
+    With xi = r (cos th, sin th), grad phi = 0 reads v = r^{-alpha} w(th),
+    w = (1 - alpha cos^2 th, -alpha cos th sin th).  So w is parallel to v,
+    that is cos(2 th + atan2(v_1, v_2)) = (2 - alpha) v_2 / (alpha |v|),
+    which has at most four roots th in [0, 2 pi); w points the same way as
+    v; and r = (|w| / |v|)^{1/alpha}.
+
+    At v = 0 the gradient vanishes only where w does: nowhere when
+    alpha > 1, and on the whole line xi_2 = 0, with singular Hessian, when
+    alpha = 1.  That continuum is returned as one representative per arc
+    with the degenerate flag set, never as a point list.
     """
     r_lo, r_hi = 0.5, 2.0
-    if p.alpha == 1.0 and p.v[0] == 0.0 and p.v[1] == 0.0:
+    v1, v2 = p.v
+    a = p.alpha
+    if v1 == 0.0 and v2 == 0.0:
+        if a > 1.0:
+            return StationarySet(points=[], degenerate_flag=False)
         mid = np.sqrt(r_lo * r_hi)
-        return StationarySet(
-            points=[np.array([mid, 0.0]), np.array([-mid, 0.0])],
-            degenerate_flag=True,
-        )
+        return StationarySet(points=[np.array([mid, 0.0]), np.array([-mid, 0.0])],
+                             degenerate_flag=True)
 
-    rr = np.linspace(r_lo, r_hi, 64)
-    pp = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
-    R, PSI = np.meshgrid(rr, pp, indexing="ij")
-    pts = np.stack([R * np.cos(PSI), R * np.sin(PSI)], axis=-1).reshape(-1, 2)
-    for _ in range(60):
-        g = phase_gradient(p, pts)
-        H = phase_hessian(p, pts)
-        det = H[:, 0, 0] * H[:, 1, 1] - H[:, 0, 1] * H[:, 1, 0]
-        ok = np.abs(det) > 1e-14
-        step = np.zeros_like(pts)
-        inv = 1.0 / np.where(ok, det, 1.0)
-        step[:, 0] = inv * (H[:, 1, 1] * g[:, 0] - H[:, 0, 1] * g[:, 1])
-        step[:, 1] = inv * (-H[:, 1, 0] * g[:, 0] + H[:, 0, 0] * g[:, 1])
-        step[~ok] = 0.0
-        # keep iterates from collapsing into the singular origin
-        new = pts - step
-        rad = np.hypot(new[:, 0], new[:, 1])
-        bad = (rad < 0.05) | ~np.isfinite(rad)
-        new[bad] = pts[bad]
-        pts = new
-
-    g = phase_gradient(p, pts)
-    res = np.hypot(g[:, 0], g[:, 1])
-    rad = np.hypot(pts[:, 0], pts[:, 1])
-    margin = 1e-9
-    keep = (res <= GRAD_TOL) & (rad >= r_lo - margin) & (rad <= r_hi + margin)
-    cands = pts[keep]
+    vmag = np.hypot(v1, v2)
+    # arccos((2 - alpha) v_2 / (alpha |v|)), without the cancellation of
+    # 1 - cos^2 near the tangent case
+    acos = np.arctan2(np.sqrt((a * v1) ** 2 + 4.0 * (a - 1.0) * v2**2), (2.0 - a) * v2)
+    beta = np.arctan2(v1, v2)
+    th = np.array([(sign * acos - beta) / 2.0 + n * np.pi
+                   for sign in (1.0, -1.0) for n in (0, 1)])
+    c, s = np.cos(th), np.sin(th)
+    w1, w2 = 1.0 - a * c**2, -a * c * s
+    r = (np.hypot(w1, w2) / vmag) ** (1.0 / a)
+    keep = (w1 * v1 + w2 * v2 > 0.0) & (r >= r_lo - 1e-9) & (r <= r_hi + 1e-9)
     found = []
-    for q in cands:
+    for q in np.stack([r * c, r * s], axis=-1)[keep]:
         if not any(np.hypot(*(q - f)) < 1e-6 for f in found):
             found.append(q)
-    degenerate = any(
-        abs(hessian_det(p, q)) <= DEGENERATE_TOL for q in found
-    )
     residuals = [float(np.hypot(*phase_gradient(p, q))) for q in found]
+    if any(res > GRAD_TOL for res in residuals):
+        raise SpectralError(f"stationary point residual {max(residuals):.1e} exceeds {GRAD_TOL}")
+    degenerate = any(abs(hessian_det(p, q)) <= DEGENERATE_TOL for q in found)
     return StationarySet(points=found, degenerate_flag=degenerate, residuals=residuals)
 
 

@@ -267,23 +267,22 @@ class BootstrapDiagnostics:
                 ("integral", self.integral), ("envelope", self.envelope)]
 
 
-def run_and_diagnose(theta0, T, dt, alpha=1.0, delta=0.5, n_outputs=50):
+def run_and_diagnose(theta0, T, dt, alpha=1.0, n_outputs=50):
     """Integrate to T recording the bootstrap/blow-up diagnostics.
 
-    Tracks ||theta||_{H^{4+delta}}, ||theta||_{L^2}, ||grad u||_inf,
+    Tracks ||theta||_{H^{4.5}}, ||theta||_{L^2}, ||grad u||_inf,
     ||grad theta||_inf, the running blow-up-criterion integral, and the
     Gronwall envelope with the constant c fitted as the smallest value that
     dominates the whole recorded series.  The bootstrap exit time is the
-    first output time where the H^{4+delta} norm exceeds twice its initial
+    first output time where the H^{4.5} norm exceeds twice its initial
     value (None if that never happens before T).
     """
-    s = 4.0 + delta
     state = SQGState(theta=theta0.copy(), alpha=alpha, dt=dt)
     ws = _Workspace(state.theta.grid, alpha)
     state.theta.coeffs *= ws.mask
 
     diag = BootstrapDiagnostics()
-    weight = sobolev_weight(state.theta.grid, s)
+    weight = sobolev_weight(state.theta.grid, 4.5)
 
     def record(st):
         gu, gt = ws.grad_norms(half_spectrum(st.theta.coeffs)[None])

@@ -103,8 +103,8 @@ def test_reports_byte_identical(tmp_path):
 
 
 def test_kernel_run_searches_stationary_points_once(tmp_path, monkeypatch):
-    """With alpha != 1 the search is a real Newton run, and every split_bound
-    of a kernel run (31 cuts per time) reads the same PhaseSpec: one search."""
+    """Every split_bound of a kernel run (31 cuts per time) reads the same
+    PhaseSpec: one search."""
     calls = count_calls(monkeypatch, oscillatory, "find_stationary")
     run(load_config(write_config(tmp_path, KERNEL_INI.replace("alpha = 1.0", "alpha = 1.5"))))
     assert len(calls) == 1
@@ -172,7 +172,7 @@ def test_sweep_check_reads_members_by_decreasing_eps(monkeypatch, eps_list, exit
     def member(args):
         cfg, p, eps = args
         sub = ExperimentReport(config=cfg)
-        sub.metadata["bootstrap_exit_time"] = str(exit_of[eps])
+        sub.metadata["bootstrap_exit_time"] = exit_of[eps]
         return sub
 
     monkeypatch.setattr(harness, "_sweep_member", member)
@@ -419,14 +419,8 @@ def test_cli_bad_time_params_exit_two(tmp_path, capsys, experiment, line, bad):
     ("sharpness", "t_lo = 0"),
     ("sharpness", "t_hi = 0"),
     ("sharpness", "t_lo = 50\nt_hi = 30"),
-    ("kernel", "n_lambda = 0"),
-    ("kernel", "lambda_lo = 2"),
-    ("kernel", "lambda_hi = 2"),
     ("sweep", "target = kernel"),
     ("sweep", "target = lin-decay"),
-    ("sqg", "delta = -9"),
-    ("bouss", "delta = -9"),
-    ("bouss", "gamma = 10"),
 ])
 def test_cli_out_of_range_param_exit_two(tmp_path, capsys, experiment, extra):
     """Each case holds only its experiment's keys, and the error names the
@@ -447,6 +441,16 @@ def test_cli_out_of_range_param_exit_two(tmp_path, capsys, experiment, extra):
     ("bouss", "profile = random"),
     ("sweep", "branch = unstable"),  # an sqg target has no branch
     ("sweep", "target = bouss\neps = 0.02"),  # eps_list sets each member's eps
+    # fixed values, not keys: a config that sets one, even to the value the
+    # run uses, exits 2
+    ("kernel", "n_lambda = 30"),
+    ("kernel", "lambda_lo = 0.02"),
+    ("kernel", "lambda_hi = 1.0"),
+    ("sharpness", "width = 1.0"),
+    ("sharpness", "profile = shell"),
+    ("sqg", "delta = 0.5"),
+    ("bouss", "delta = 0.5"),
+    ("bouss", "gamma = 0.5"),
 ])
 def test_cli_unknown_param_exit_two(tmp_path, capsys, experiment, extra):
     key = extra.splitlines()[-1].split(" =")[0]
@@ -490,7 +494,6 @@ def test_cli_sweep_member_config_error_exit_two(tmp_path, capsys):
     ("bouss", "n_outputs = 100001", "n_outputs"),
     ("lin-decay", "n_times = 100001", "n_times"),
     ("sharpness", "n_times = 100001", "n_times"),
-    ("kernel", "n_lambda = 100001", "n_lambda"),
     ("sharpness", "t_lo = 20\nt_hi = 62521", "t_hi"),
 ])
 def test_cli_unbounded_work_exit_two(tmp_path, capsys, experiment, extra, key):
@@ -542,7 +545,6 @@ def test_cli_random_profile_underflow_exit_two(tmp_path, capsys, experiment, N):
     ("bouss", {"t_final": "100", "dt": "0.00005"}, False),
     ("sharpness", {"t_lo": "20", "t_hi": "62520"}, True),  # 1,000,000 scan points
     ("sharpness", {"t_lo": "20", "t_hi": "62520.5"}, False),
-    ("kernel", {"n_lambda": "100000"}, True),
 ])
 def test_work_bounds_are_inclusive(experiment, params, ok):
     if ok:

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.optimize import least_squares
 
 from anisodisp.lp import bump
 from anisodisp.oscillatory import (
@@ -140,6 +141,62 @@ def test_alpha2_negative_v_has_stationary_points():
     ss = find_stationary(p)
     assert 1 <= len(ss.points) <= 2
     assert not ss.degenerate_flag
+
+
+def _scanned_stationary_points(p, n_r=301, n_th=720):
+    """Zeros of grad phi on the annulus 1/2 <= |xi| <= 2, found without the
+    closed form: every local minimum of |grad phi| on a polar grid, refined
+    by least squares on grad phi, kept if it is a zero in the annulus."""
+    r = np.linspace(0.5, 2.0, n_r)
+    th = np.arange(n_th) * (2.0 * np.pi / n_th)
+    xi = np.stack([r[:, None] * np.cos(th), r[:, None] * np.sin(th)], axis=-1)
+    g = np.linalg.norm(phase_gradient(p, xi), axis=-1)
+    padded = np.pad(g, ((1, 1), (0, 0)), constant_values=np.inf)
+    is_min = np.ones_like(g, dtype=bool)
+    for dr in (-1, 0, 1):
+        for dth in (-1, 0, 1):
+            if dr or dth:
+                is_min &= g <= np.roll(padded, dth, axis=1)[1 + dr:n_r + 1 + dr]
+    zeros = []
+    for start in xi[is_min]:
+        fit = least_squares(lambda q: phase_gradient(p, q), start,
+                            jac=lambda q: phase_hessian(p, q), method="lm",
+                            xtol=1e-15, ftol=1e-15, gtol=1e-15)
+        q = fit.x
+        if (np.hypot(*phase_gradient(p, q)) <= 1e-6 and 0.5 <= np.hypot(*q) <= 2.0
+                and not any(np.hypot(*(q - z)) < 1e-3 for z in zeros)):
+            zeros.append(q)
+    return zeros
+
+
+_rng = np.random.default_rng(19)
+_SEEDED = [((float(a), float(b)), float(alpha)) for (a, b), alpha in zip(
+    _rng.uniform(-1.5, 1.5, (6, 2)), _rng.choice([1.0, 1.25, 1.5, 1.75, 2.0], 6))]
+
+
+@pytest.mark.parametrize("v, alpha, n_points", [
+    ((1.0, 0.0), 1.0, 2),
+    ((-0.5, 0.0), 2.0, 2),
+    ((0.4, 0.3), 1.5, 2),
+    ((1e-4, 0.01), 1.0, 2),  # next to the tangent case, near the line xi_2 = 0
+    ((3.0, 1.0), 1.25, 0),  # every root has |xi| < 1/2
+    ((0.0, 0.3), 1.0, 0),  # tangent: |v_2 (2 - alpha) / (alpha |v|)| = 1
+    *[(v, alpha, None) for v, alpha in _SEEDED],
+])
+def test_closed_form_finds_every_stationary_point(v, alpha, n_points):
+    """The closed form returns exactly the zeros that a dense scan of
+    |grad phi| finds.  phi is odd, so its stationary points come in pairs
+    +-xi and a count is never odd."""
+    p = PhaseSpec(v=v, alpha=alpha)
+    ss = find_stationary(p)
+    zeros = _scanned_stationary_points(p)
+    for z in zeros:
+        assert min(np.hypot(*(z - q)) for q in ss.points) <= 1e-3
+    assert len(ss.points) == len(zeros)
+    assert n_points is None or len(ss.points) == n_points
+    for q in ss.points:
+        assert min(np.hypot(*(q + f)) for f in ss.points) <= 1e-12
+    assert all(res <= GRAD_TOL for res in ss.residuals)
 
 
 # ---------------------------------------------------------------------------
