@@ -1,13 +1,16 @@
 """Traced memory and wall time of each lin-decay phase: config, grid,
-profile, `_evolved_linf` and the Besov norm.
+profile, `_evolved_linf` and the Besov norm; then of one sharpness check.
 
     PYTHONPATH=src python scripts/lattice_memory.py [--N 1024] [--L 400]
 
 The phases run one after another with the lin-decay defaults (a Gaussian of
-width 1, alpha = 1, 12 times in [10, 100]) under `tracemalloc`.  Prints a
-markdown table of each phase's peak and of what the run holds after it, in
-MiB, and of its wall time (`perf_counter`, under tracing) in ms; the last
-row traces one whole `harness.run` from a fresh start.
+width 1, alpha = 1, 12 times in [10, 100]) under `tracemalloc`.  The
+`sharpness` row is one `sharpness_check` of the shell profile with the
+sharpness defaults (400 times in [20, 100]) on the grid of
+`configs/sharpness.ini`, N = 512, whatever --N is.  Prints a markdown table
+of each phase's peak and of what the run holds after it, in MiB, and of its
+wall time (`perf_counter`, under tracing) in ms; the last row traces one
+whole lin-decay `harness.run` from a fresh start.
 """
 
 import argparse
@@ -17,7 +20,7 @@ import tracemalloc
 import numpy as np
 
 from anisodisp import harness, semigroup
-from anisodisp.lp import LPBank
+from anisodisp.lp import LPBank, shell_field
 from anisodisp.spectral import Grid2D
 
 
@@ -46,6 +49,10 @@ def main():
     phase("_evolved_linf", lambda: semigroup._evolved_linf(f0, p["alpha"], times))
     phase("Besov", lambda: LPBank(grid).besov_norm(f0, 2.0))
     del grid, f0
+    sp = harness.parse_params("sharpness", {})
+    shell = shell_field(Grid2D(512, args.L))
+    phase("sharpness", lambda: semigroup.sharpness_check(
+        shell, sp["t_lo"], sp["t_hi"], sp["n_times"]))
     tracemalloc.stop()
     tracemalloc.start()
     phase("harness.run", lambda: harness.run(cfg))

@@ -47,27 +47,31 @@ class DecayReport:
 
 def _evolved_linf(f0, alpha, times):
     """`linf_norm(evolve_linear(f0, ...))` at each time for a Hermitian f0,
-    on the half lattice with the generator's symbol built once.
+    on the half lattice with the generator's symbol built once and every
+    array of the loop allocated before it.
 
-    The generator is odd in k1, so the phase is evaluated on the rows
-    k1 = 0 .. N/2 only, and each row -k1 is the conjugate of row k1."""
+    The generator is -i ph with ph = xi_1/|xi|^alpha real, so the phase is
+    cos(-t ph) + i sin(-t ph), the bits numpy's complex `exp` gives.  It is
+    odd in k1, so it is evaluated on the rows k1 = 0 .. N/2 only, and each
+    row -k1 is the conjugate of row k1."""
     g = f0.grid
     ny = g.N // 2
-    gen = MultiplierSpec.generator(alpha).on(g.half.xi1[: ny + 1], g.half.xi2[: ny + 1])
+    half = half_spectrum(f0.coeffs)
+    ph = -MultiplierSpec.generator(alpha).on(g.half.xi1[: ny + 1], g.half.xi2[: ny + 1]).imag
+    arg = np.empty_like(ph)
+    m = np.empty(half.shape, dtype=np.complex128)
+    phys = np.empty((g.N, g.N))
     vals = np.empty(len(times))
     for i, t in enumerate(times):
         MultiplierSpec.semigroup_phase(alpha, t)  # validates t
-        m = np.empty((g.N, gen.shape[1]), dtype=np.complex128)
-        np.exp(t * gen, out=m[: ny + 1])
+        np.multiply(-t, ph, out=arg)
+        np.cos(arg, out=m.real[: ny + 1])
+        np.sin(arg, out=m.imag[: ny + 1])
         np.conjugate(m[ny - 1 : 0 : -1], out=m[ny + 1 :])
-        # a new array: multiplying into m in place can move the last bit
-        y = half_spectrum(f0.coeffs) * m
-        del m
-        y[g.N // 2] = y[:, -1] = 0.0  # the Nyquist row and column
-        phys = half_to_physical(g, y)
-        vals[i] = np.max(np.abs(phys, out=phys))
-        # freed before the next time's arrays are made
-        del y, phys
+        np.multiply(half, m, out=m)
+        m[ny] = m[:, -1] = 0.0  # the Nyquist row and column
+        half_to_physical(g, m, out=phys, overwrite_x=True)
+        vals[i] = max(phys.max(), -phys.min())
     return vals
 
 
@@ -225,9 +229,11 @@ def _origin_evaluator(f0):
     `at(np.linspace(lo, hi, n))` to rounding: with t = T_j + s_m on anchors
     T_j and M ~ sqrt(n) offsets s_m, A cos(t u) + B sin(t u) is
     (A cos T_j u + B sin T_j u) cos s_m u + (B cos T_j u - A sin T_j u) sin s_m u,
-    two (anchors x phases)(phases x offsets) products.  The sums over the
-    phases are `np.einsum` reductions, not BLAS products, whose split across
-    threads would make the last digits depend on the thread count.
+    two (anchors x phases)(phases x offsets) products.  `sharpness_check`
+    reads only `at.linspace`; the direct `at` is the reference it is tested
+    against.  The sums over the phases are `np.einsum` reductions, not BLAS
+    products, whose split across threads would make the last digits depend
+    on the thread count.
     """
     # the generator's symbol is -i xi_1/|xi|, 0 at the zero mode
     ph = -MultiplierSpec.generator(1.0).symbol(f0.grid).imag.ravel()
@@ -271,19 +277,21 @@ def _origin_evaluator(f0):
     return at
 
 
-def sharpness_check(f0, times):
-    """Two-path check of the t^{-1/2} sharpness statement at the origin.
+def sharpness_check(f0, t_lo, t_hi, n_times):
+    """Two-path check of the t^{-1/2} sharpness statement at the origin, at
+    the n_times times np.linspace(t_lo, t_hi, n_times).
 
-    Path one evaluates the evolved field at x = 0 from its lattice sum; path
-    two uses the radial reduction f(0) * J0(t).  For smooth radial data the
-    two agree to spectral accuracy, which validates the reduction on the grid.
+    Path one evaluates the evolved field at x = 0 from its lattice sum (the
+    factored scan `at.linspace`); path two uses the radial reduction
+    f(0) * J0(t).  For smooth radial data the two agree to spectral
+    accuracy, which validates the reduction on the grid.
     """
-    times = np.asarray(sorted(times), dtype=float)
+    times = np.linspace(t_lo, t_hi, n_times)
     f0_origin = float(np.sum(f0.coeffs).real)
     if abs(f0_origin) < 1e-12:
         raise SpectralError("sharpness check requires f(0) != 0")
     at = _origin_evaluator(f0)
-    origin_vals = at(times)
+    origin_vals = at.linspace(t_lo, t_hi, n_times)
     reference = np.array([f0_origin * bessel_j0(t) for t in times])
     scale = np.maximum(np.abs(reference), 1e-3 * abs(f0_origin))
     reldiff = float(np.max(np.abs(origin_vals - reference) / scale))
@@ -296,10 +304,9 @@ def sharpness_check(f0, times):
 
     # zero crossings: the linear interpolant of each sign change on the scan,
     # a scan sample of exactly 0 being a crossing at its own time
-    lo, hi = times.min(), times.max()
-    n = max(64, int((hi - lo) * 16))
-    tgrid = np.linspace(lo, hi, n)
-    vg = at.linspace(lo, hi, n)
+    n = max(64, int((t_hi - t_lo) * 16))
+    tgrid = np.linspace(t_lo, t_hi, n)
+    vg = at.linspace(t_lo, t_hi, n)
     v0, v1 = vg[:-1], vg[1:]
     i = np.flatnonzero((v0 == 0.0) | (v0 * v1 < 0.0))
     dv = np.where(v0[i] == 0.0, 1.0, v1[i] - v0[i])

@@ -182,16 +182,21 @@ def half_spectrum(coeffs):
     return coeffs[..., : coeffs.shape[-1] // 2 + 1]
 
 
-def half_to_physical(grid, half):
+def half_to_physical(grid, half, out=None, overwrite_x=False):
     """Physical values of a real field from its half spectrum: the centre
     phase, then `irfft2`.  `half` may hold only the first K columns of the
     (N, N//2 + 1) half lattice, the rest being zero: the column pass runs in
     place on the centre-phase product, and `irfft` zero-pads the K columns,
     which gives exactly the values of `irfft2` on the whole half spectrum,
-    since a zero column transforms to zeros."""
-    cols = grid.half.center_phase[:, : half.shape[-1]] * half
+    since a zero column transforms to zeros.
+
+    With `overwrite_x` the centre phase and the column pass run in `half`
+    itself, which is left holding neither input nor output; `out`, if given,
+    is the (..., N, N) float array the values are written to."""
+    phase = grid.half.center_phase[:, : half.shape[-1]]
+    cols = np.multiply(phase, half, out=half) if overwrite_x else phase * half
     np.fft.ifft(cols, axis=-2, norm="forward", out=cols)
-    return np.fft.irfft(cols, n=grid.N, axis=-1, norm="forward")
+    return np.fft.irfft(cols, n=grid.N, axis=-1, norm="forward", out=out)
 
 
 def full_spectrum(half):

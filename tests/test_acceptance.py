@@ -110,8 +110,7 @@ def test_criterion_2_decay_rate_alpha_family():
 def test_criterion_3_sharpness():
     grid = Grid2D(512, 400.0)
     f0 = shell_field(grid)
-    times = np.linspace(20.0, 100.0, 400)
-    rep = sharpness_check(f0, times)
+    rep = sharpness_check(f0, 20.0, 100.0, 400)
     ok_two_path = rep.max_two_path_reldiff <= 1e-6
     ok_peaks = rep.peak_ratios.size > 0 and np.all(
         np.abs(rep.peak_ratios - 1.0) <= 0.05

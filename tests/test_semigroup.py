@@ -214,6 +214,23 @@ def test_evolved_linf_of_zero_field_is_zero(grid64):
         _evolved_linf(f, 1.0, [1.0, np.inf])
 
 
+@pytest.mark.parametrize("n_times", [1, 12])
+def test_evolved_linf_memory_bounded(n_times):
+    """The time loop allocates nothing per time: at N = 256 the traced peak
+    stays below 3 half-lattice complex arrays, for 1 time and for 12."""
+    grid = Grid2D(256, 400.0)
+    f = make_profile(grid, "gaussian")
+    grid.half.xi1, grid.half.xi2, grid.half.center_phase  # built before tracing
+    times = np.geomspace(10.0, 100.0, n_times)
+    tracemalloc.start()
+    try:
+        _evolved_linf(f, 1.0, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * grid.N * (grid.N // 2 + 1) * 16
+
+
 def test_decay_slope_small_grid():
     """Coarse, fast version of the rate fit; the band is generous."""
     grid = Grid2D(256, 200.0)
@@ -233,13 +250,13 @@ def test_sharpness_requires_nonzero_origin(grid64):
     f = shell_field(grid64)
     f.coeffs[:] = 0.0
     with pytest.raises(SpectralError):
-        sharpness_check(f, [1.0, 2.0])
+        sharpness_check(f, 1.0, 2.0, 2)
 
 
 def test_sharpness_two_paths_small_grid():
     grid = Grid2D(256, 200.0)
     f = shell_field(grid)
-    rep = sharpness_check(f, np.linspace(1.0, 50.0, 50))
+    rep = sharpness_check(f, 1.0, 50.0, 50)
     # the coarse lattice leaves ~2e-6; the production grid is checked elsewhere
     assert rep.max_two_path_reldiff <= 1e-5
 
@@ -272,10 +289,11 @@ def test_origin_evaluator_matches_plain_sum(kind):
 
 
 @pytest.mark.parametrize("kind", ["shell", "random", "non-hermitian"])
-@pytest.mark.parametrize("n", [64, 1280, 1281])
+@pytest.mark.parametrize("n", [64, 400, 1280, 1281])
 def test_origin_scan_matches_direct_sum(kind, n):
     """The factored scan on np.linspace(lo, hi, n) gives the direct sum's
-    values; at n = 1280 and 1281 the last anchor's row of offsets is cut."""
+    values; n = 400 is the report series (20 anchors x 20 offsets), and at
+    n = 1280 and 1281 the last anchor's row of offsets is cut."""
     grid = Grid2D(64, 40.0)
     if kind == "non-hermitian":
         f = random_field(grid, seed=7)
@@ -311,7 +329,7 @@ def test_sharpness_crossings_interpolate_direct_scan():
     per bracket, within 1e-4 of the direct sum's root found by brentq."""
     f = shell_field(Grid2D(512, 400.0))
     lo, hi = 20.0, 100.0
-    rep = sharpness_check(f, np.linspace(lo, hi, 5))
+    rep = sharpness_check(f, lo, hi, 5)
     at = _origin_evaluator(f)
     tgrid = np.linspace(lo, hi, 1280)
     vg = at(tgrid)
@@ -327,7 +345,8 @@ def test_sharpness_crossings_interpolate_direct_scan():
 
 def test_sharpness_zero_sample_is_a_crossing(monkeypatch):
     """A scan sample of exactly 0 is a crossing at its own time, without a
-    0/0 from the flat interval after it (a warning fails the suite)."""
+    0/0 from the flat interval after it (a warning fails the suite).  Only
+    the n-point crossing scan is stubbed, not the 2-point report series."""
     f = shell_field(Grid2D(64, 40.0))
     n = 64
     tgrid = np.linspace(20.0, 21.0, n)
@@ -338,11 +357,12 @@ def test_sharpness_zero_sample_is_a_crossing(monkeypatch):
 
     def flat_scan(f0):
         at = evaluator(f0)
-        at.linspace = lambda lo, hi, m: vg
+        scan = at.linspace
+        at.linspace = lambda lo, hi, m: vg if m == n else scan(lo, hi, m)
         return at
 
     monkeypatch.setattr(semigroup, "_origin_evaluator", flat_scan)
-    rep = sharpness_check(f, [20.0, 21.0])
+    rep = sharpness_check(f, 20.0, 21.0, 2)
     expected = [tgrid[10], tgrid[11], tgrid[29] + 0.5 * (tgrid[30] - tgrid[29])]
     assert np.array_equal(rep.zero_crossings, expected)
 

@@ -91,8 +91,12 @@ def test_transforms_equal_scipy_fft(N):
     vals = np.random.default_rng(N).standard_normal((N, N))
     half = grid.half.center_phase * sfft.rfft2(vals, norm="forward")
     assert np.array_equal(forward_transform(vals, grid).coeffs, full_spectrum(half))
-    assert np.array_equal(half_to_physical(grid, half),
-                          sfft.irfft2(grid.half.center_phase * half, norm="forward"))
+    want = sfft.irfft2(grid.half.center_phase * half, norm="forward")
+    assert np.array_equal(half_to_physical(grid, half), want)
+    # in place on its input and into a caller's array, the same bits
+    out = np.empty((N, N))
+    assert half_to_physical(grid, half.copy(), out=out, overwrite_x=True) is out
+    assert np.array_equal(out, want)
     # a half spectrum cut to its first K columns stands for zeros beyond them
     K = N // 4 + 1
     cut = half.copy()
