@@ -34,7 +34,8 @@ def build_parser():
     )
     ap.add_argument("experiment", choices=EXPERIMENTS)
     ap.add_argument("--config", required=True, help="INI config file")
-    ap.add_argument("--jobs", type=_jobs, default=1, help="parallel sweep members")
+    ap.add_argument("--jobs", type=_jobs, help="sweep worker processes "
+                    "(default: one per member, at most one per usable CPU)")
     ap.add_argument("--out", default="out", help="report output directory")
     return ap
 

@@ -23,12 +23,19 @@ from .spectral import (
 )
 
 
+# Both errors pickle as their constructor arguments, so that a sweep member's
+# error reaches the calling process from a pool worker intact.
+
 class CFLError(RuntimeError):
     def __init__(self, dt, dt_required):
         super().__init__(
             f"CFL violated: dt={dt} exceeds the admissible {dt_required:.3e}"
         )
+        self.dt = dt
         self.dt_required = dt_required
+
+    def __reduce__(self):
+        return type(self), (self.dt, self.dt_required)
 
 
 class BlowUpError(RuntimeError):
@@ -38,6 +45,10 @@ class BlowUpError(RuntimeError):
         super().__init__(f"blow-up signal at t={time}: {reason}")
         self.time = time
         self.state = state
+        self.reason = reason
+
+    def __reduce__(self):
+        return type(self), (self.time, self.state, self.reason)
 
 
 class _Clock:

@@ -157,16 +157,9 @@ n_outputs = 4
     assert "censored: 2 of 2\n" in rep.summary_text()
 
 
-@pytest.mark.parametrize("eps_list, exits, passed", [
-    ("3.0,1.5,0.75", [8.0, None, None], True),
-    ("0.75,1.5,3.0", [None, None, 8.0], True),
-    ("1.5,0.75,3.0", [None, 9.0, 8.0], False),
-    ("3.0,0.75,1.5", [8.0, 9.0, None], False),
-    ("-3.0,1.5", [8.0, None], True),  # the perturbation size is |eps|
-])
-def test_sweep_check_reads_members_by_decreasing_eps(monkeypatch, eps_list, exits, passed):
-    """The monotonicity verdict does not depend on the order of eps_list, and
-    the rows keep that order.  Each member's bootstrap exit is set by hand."""
+def _sweep_with_exits(monkeypatch, eps_list, exits):
+    """A sweep over eps_list whose members' bootstrap exits are set by hand
+    (None: no exit before t_final = 20)."""
     exit_of = dict(zip((float(e) for e in eps_list.split(",")), exits))
 
     def member(args):
@@ -178,10 +171,42 @@ def test_sweep_check_reads_members_by_decreasing_eps(monkeypatch, eps_list, exit
     monkeypatch.setattr(harness, "_sweep_member", member)
     cfg = ExperimentConfig(experiment="sweep", N=16, L=10.0,
                            params={"eps_list": eps_list, "t_final": "20.0"})
-    rep = run(cfg)
+    return run(cfg, jobs=1)  # the stub lives in this process only
+
+
+@pytest.mark.parametrize("eps_list, exits, passed", [
+    ("3.0,1.5,0.75", [8.0, None, None], True),
+    ("0.75,1.5,3.0", [None, None, 8.0], True),
+    ("1.5,0.75,3.0", [None, 9.0, 8.0], False),
+    ("3.0,0.75,1.5", [8.0, 9.0, None], False),
+    ("-3.0,1.5", [8.0, None], True),  # the perturbation size is |eps|
+])
+def test_sweep_check_reads_members_by_decreasing_eps(monkeypatch, eps_list, exits, passed):
+    """The monotonicity verdict does not depend on the order of eps_list, and
+    the rows keep that order."""
+    rep = _sweep_with_exits(monkeypatch, eps_list, exits)
+    eps = [float(e) for e in eps_list.split(",")]
     want = [20.0 if e is None else e for e in exits]
-    assert rep.columns == [("eps", list(exit_of)), ("exit_time", want)]
+    assert rep.columns == [("eps", eps), ("exit_time", want)]
     assert rep.all_passed() == passed
+
+
+@pytest.mark.parametrize("eps_list, exits, passed, vacuous", [
+    ("0.04,0.02,0.01", [None, None, None], True, "3 of 3"),
+    ("0.02", [None], True, "1 of 1"),
+    ("0.02", [8.0], True, "0 of 1"),
+    # one exit among censored members is a comparison, and can fail
+    ("0.04,0.02,0.01", [8.0, None, None], True, None),
+    ("0.04,0.02,0.01", [None, None, 8.0], False, None),
+])
+def test_sweep_check_says_when_it_compares_nothing(monkeypatch, eps_list, exits, passed,
+                                                   vacuous):
+    """With no member exiting before t_final, or a single member, the check
+    compares nothing; its detail says so and its verdict stays a PASS."""
+    (name, ok, detail), = _sweep_with_exits(monkeypatch, eps_list, exits).checks
+    assert name == "exit_time_nondecreasing_as_eps_decreases" and ok == passed
+    want = [20.0 if e is None else e for e in exits]
+    assert detail == f"exits={want}" + (f"; vacuous: {vacuous} censored" if vacuous else "")
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +259,29 @@ def test_cli_jobs_below_one_exit_two(tmp_path, capsys, monkeypatch, jobs):
     captured = capsys.readouterr()
     assert runs == [] and captured.out == ""
     assert f"argument --jobs: must be at least 1, got {jobs}" in captured.err
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two usable CPUs, so that a sweep of two or more members takes the pool
+    on any host."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+def test_cli_pooled_member_failure_exit_three(tmp_path, capsys, two_cpus):
+    """A member's CFLError reaches the CLI from a pool worker as it does from
+    this process: exit 3 and the same one line on stderr."""
+    path = write_config(tmp_path, EVOLUTION_INI.format(
+        experiment="sweep", extra="target = sqg\neps_list = 5.0,0.01")
+        .replace("N = 16", "N = 64").replace("t_final = 0.1\ndt = 0.05",
+                                             "t_final = 1.0\ndt = 0.5"))
+    errs = []
+    for jobs in ([], ["--jobs", "1"]):
+        assert main(["sweep", "--config", path, "--out", str(tmp_path / "o"), *jobs]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("numeric failure: CFL violated")
+        errs.append(captured.err)
+    assert errs[0] == errs[1]
 
 
 def test_cli_numeric_failure_exit_three(tmp_path):
@@ -716,20 +764,43 @@ def test_readme_param_tables_match_code():
         assert "\n".join(rows) + "\n\n" in readme + "\n", experiment
 
 
-def test_sweep_jobs_match_serial():
-    cfg = ExperimentConfig(experiment="sweep", N=16, L=10.0, params={
-        "target": "bouss", "eps_list": "0.02,0.01", "t_final": "0.2"})
-    serial, parallel = run(cfg), run(cfg, jobs=2)
-    for a, b in zip([serial] + serial.subreports, [parallel] + parallel.subreports):
-        assert a.summary_text() == b.summary_text()
-        assert a.csv_text() == b.csv_text()
+def test_sweep_jobs_match_serial(two_cpus):
+    """Pooled members, with --jobs 2 or none given, report what serial ones do."""
+    for target in ("bouss", "sqg"):
+        cfg = ExperimentConfig(experiment="sweep", N=16, L=10.0, params={
+            "target": target, "eps_list": "0.02,0.01", "t_final": "0.2"})
+        serial = run(cfg, jobs=1)
+        for parallel in (run(cfg, jobs=2), run(cfg)):
+            assert len(parallel.subreports) == 2
+            for a, b in zip([serial] + serial.subreports, [parallel] + parallel.subreports):
+                assert a.summary_text() == b.summary_text()
+                assert a.csv_text() == b.csv_text()
+
+
+@pytest.mark.parametrize("target", ["sqg", "bouss"])
+def test_cli_sweep_default_jobs_match_one_job(tmp_path, capsys, two_cpus, target):
+    """With no --jobs and with --jobs 1, the CLI writes the same report tree
+    and prints the same summary."""
+    path = write_config(tmp_path, EVOLUTION_INI.format(
+        experiment="sweep", extra=f"target = {target}\neps_list = 0.04,0.02,0.01"))
+    trees, outs = [], []
+    for name, jobs in (("default", []), ("one", ["--jobs", "1"])):
+        out = tmp_path / name
+        assert main(["sweep", "--config", path, "--out", str(out), *jobs]) == 0
+        outs.append(capsys.readouterr().out)
+        trees.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*")})
+    assert len(trees[0]) == 8  # the sweep's report and three members', .csv and .txt
+    assert trees[0] == trees[1]
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("cpus, jobs, workers", [
-    (8, 1000, 3), (2, 1000, 2), (8, 2, 2), (1, 1000, None), (8, 1, None)])
+    (8, 1000, 3), (2, 1000, 2), (8, 2, 2), (1, 1000, None), (8, 1, None),
+    (8, None, 3), (2, None, 2), (1, None, None)])
 def test_sweep_pool_is_capped(monkeypatch, cpus, jobs, workers):
-    """The pool has at most one worker per member and per usable CPU; with one,
-    the members run in this process.  A fake pool runs the members serially."""
+    """The pool has at most one worker per member and per usable CPU, and with
+    no jobs given that many; with one, the members run in this process.  A
+    fake pool runs the members serially."""
     started = []
 
     class SerialPool:

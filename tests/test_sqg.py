@@ -1,3 +1,4 @@
+import pickle
 from types import SimpleNamespace
 
 import numpy as np
@@ -123,6 +124,19 @@ def test_cfl_guard(grid64):
     with pytest.raises(CFLError) as err:
         step(st)
     assert err.value.dt_required < 10.0
+
+
+def test_errors_round_trip_through_pickle(grid64):
+    """A sweep member's error crosses a process pool pickled: it must come
+    back with its message and attributes."""
+    err = pickle.loads(pickle.dumps(CFLError(0.5, 0.0116)))
+    assert type(err) is CFLError and (err.dt, err.dt_required) == (0.5, 0.0116)
+    assert str(err) == str(CFLError(0.5, 0.0116))
+    st = small_state(grid64)
+    err = pickle.loads(pickle.dumps(BlowUpError(2.5, st, reason="norm cap exceeded")))
+    assert type(err) is BlowUpError and err.time == 2.5 and err.reason == "norm cap exceeded"
+    assert str(err) == "blow-up signal at t=2.5: norm cap exceeded"
+    np.testing.assert_array_equal(err.state.theta.coeffs, st.theta.coeffs)
 
 
 def test_cfl_dt_scales_with_velocity(grid64):
