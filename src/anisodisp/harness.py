@@ -35,6 +35,8 @@ _ALPHA = ("1.0", "[1, 2]", float)
 _T_HI = ("100.0", _POSITIVE, float)
 _TIME = {"t_final": ("10.0", _POSITIVE, float), "dt": ("0.05", _POSITIVE, float)}
 _PROFILES = ("gaussian", "bump", "shell", "random")
+# a profile's width is squared and divided by: 1e100 keeps both finite
+_WIDTH = "[1e-100, 1e100]"
 # bounds on the work a config asks for: time steps and sharpness scan points
 # (16 per unit of the window); the grids of times stop at 100000
 MAX_STEPS = MAX_SCAN_POINTS = 1_000_000
@@ -43,13 +45,15 @@ MAX_N = 2048
 PARAMS = {
     "lin-decay": {"alpha": _ALPHA, "t_lo": ("10.0", _POSITIVE, float), "t_hi": _T_HI,
                   # fit_power_law needs 5 points
-                  "n_times": ("12", "[5, 100000]", int), "width": ("1.0", _POSITIVE, float),
+                  "n_times": ("12", "[5, 100000]", int), "width": ("1.0", _WIDTH, float),
                   "profile": ("gaussian", _PROFILES, str)},
     "sharpness": {"t_lo": ("20.0", _POSITIVE, float), "t_hi": _T_HI,
                   "n_times": ("400", "[1, 100000]", int)},
-    "kernel": {"alpha": _ALPHA, "times": ("10,30,100", _POSITIVE, list)},
-    "sqg": {"eps": ("0.02", "(-inf, inf)", float), **_TIME,
-            "n_outputs": ("50", "[1, 100000]", int), "width": ("2.0", _POSITIVE, float),
+    # the run reads split_bound at lambda = t^{-1/2}, which must lie in (0, 1]
+    "kernel": {"alpha": _ALPHA, "times": ("10,30,100", "[1, inf)", list)},
+    # |eps| above 1e100 overflows the squares of the H^{4.5} norm
+    "sqg": {"eps": ("0.02", "[-1e100, 1e100]", float), **_TIME,
+            "n_outputs": ("50", "[1, 100000]", int), "width": ("2.0", _WIDTH, float),
             "profile": ("gaussian", _PROFILES, str), "alpha": _ALPHA},
     "bouss": {**_TIME, "n_outputs": ("60", "[1, 100000]", int),
               "branch": ("stable", ("stable", "unstable"), str),

@@ -114,7 +114,7 @@ class LPBank:
             piece = half[:, :K] * bump_fattened(xi[:, :K] * 2.0 ** (-j))
             norm = 0.0
             if np.any(piece):
-                vals = half_to_physical(g, piece)
+                vals = half_to_physical(g, piece, overwrite_x=True)
                 norm = float(np.sum(np.abs(vals, out=vals))) * g.dx**2
                 del vals
             # freed before the next shell's arrays are made

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fitting import fit_power_law
+from .fitting import FitError, fit_power_law
 from .lp import LPBank
 from .spectral import (
     CHUNK_BYTES,
@@ -96,6 +96,9 @@ def measure_decay(f0, alpha, times, fit_window=None):
         # exclude the pre-asymptotic regime t < 10 and the wrap-around tail
         lo = max(10.0, times.min())
         hi = min(times.max(), t_cap) if contaminated else times.max()
+        if hi < lo:
+            bound = f"L/4 = {t_cap}" if hi == t_cap else f"t_hi = {float(hi)}"
+            raise FitError(f"empty fit window: {bound} lies below its start t = {float(lo)}")
         fit_window = (lo, hi)
     slope, _, residual = fit_power_law(times, vals, fit_window)
     reg = 2.0 if alpha == 1.0 else 1.0 + alpha

@@ -12,6 +12,9 @@ reads ||f||_{L^2} = L * sqrt(sum |c_k|^2).  All transforms are the real ones
 (rfft2/irfft2, norm="forward") on the k2 >= 0 half; `full_spectrum` rebuilds
 the rest by conjugate reflection, so fields made here are Hermitian by
 construction and `enforce_hermitian` is only for coefficients from outside.
+The centre phase (-1)^(k1 + k2), there since samples start at -L/2, is a
+half-box shift that no norm or transport product sees: only
+`forward_transform` and `SpectralField.to_physical` apply it.
 """
 
 from functools import cached_property
@@ -139,7 +142,8 @@ class SpectralField:
         return SpectralField(self.grid, self.coeffs.copy())
 
     def to_physical(self):
-        return half_to_physical(self.grid, half_spectrum(self.coeffs))
+        half = self.grid.half.center_phase * half_spectrum(self.coeffs)
+        return half_to_physical(self.grid, half, overwrite_x=True)
 
     def enforce_hermitian(self):
         """Symmetrize c(-k) = conj(c(k)), for coefficients set from outside."""
@@ -183,25 +187,21 @@ def half_spectrum(coeffs):
 
 
 def half_to_physical(grid, half, out=None, overwrite_x=False):
-    """Physical values of a real field from its half spectrum: the centre
-    phase, then `irfft2`.  `half` may hold only the first K columns of the
-    (N, N//2 + 1) half lattice, the rest being zero: the column pass runs in
-    place on the centre-phase product, and `irfft` zero-pads the K columns,
-    which gives exactly the values of `irfft2` on the whole half spectrum,
-    since a zero column transforms to zeros.
-
-    With `overwrite_x` the centre phase and the column pass run in `half`
-    itself, which is left holding neither input nor output; `out`, if given,
-    is the (..., N, N) float array the values are written to."""
-    phase = grid.half.center_phase[:, : half.shape[-1]]
-    cols = np.multiply(phase, half, out=half) if overwrite_x else phase * half
-    np.fft.ifft(cols, axis=-2, norm="forward", out=cols)
+    """`irfft2` of a half spectrum, without the centre phase: for the half of
+    a field f, `np.roll(f.to_physical(), N//2, axis=(0, 1))` bit for bit.
+    `half` may hold only the first K columns of the half lattice: `irfft`
+    zero-pads them, which gives exactly `irfft2` of the zero-padded half.
+    With `overwrite_x` the column pass runs in `half`, which is left holding
+    neither input nor output; `out` is an optional (..., N, N) float array
+    for the values."""
+    cols = np.fft.ifft(half, axis=-2, norm="forward", out=half if overwrite_x else None)
     return np.fft.irfft(cols, n=grid.N, axis=-1, norm="forward", out=out)
 
 
 def full_spectrum(half):
     """The (..., N, N) spectrum rebuilt from its half by conjugate reflection.
 
+    A half cut to its first K columns is zero-padded into a new one first.
     The k2 > N/2 columns are c(k) = conj(c(-k)), and the k1 > N/2 entries of
     the k2 = 0 and k2 = N/2 columns are reflected the same way, so the result
     is exactly Hermitian apart from the four self-conjugate modes (the mean
@@ -209,6 +209,9 @@ def full_spectrum(half):
     """
     N = half.shape[-2]
     M = N // 2 + 1
+    if half.shape[-1] < M:
+        half, cut = np.zeros(half.shape[:-1] + (M,), dtype=np.complex128), half
+        half[..., : cut.shape[-1]] = cut
     neg = -np.arange(N) % N
     full = np.empty(half.shape[:-1] + (N,), dtype=np.complex128)
     full[..., :M] = half
@@ -349,12 +352,13 @@ def sobolev_norm(field, s):
 
 
 def linf_norm(field):
-    return float(np.max(np.abs(field.to_physical())))
+    return float(np.max(np.abs(half_to_physical(field.grid, half_spectrum(field.coeffs)))))
 
 
 def l1_norm(field):
-    """Physical L^1 norm with quadrature weight (L/N)^2."""
-    return float(np.sum(np.abs(field.to_physical()))) * field.grid.dx**2
+    """Physical L^1 norm with quadrature weight (L/N)^2, on the values `per_shell` sums."""
+    vals = half_to_physical(field.grid, half_spectrum(field.coeffs))
+    return float(np.sum(np.abs(vals))) * field.grid.dx**2
 
 
 def gaussian_field(grid, width=1.0, amplitude=1.0):

@@ -17,6 +17,7 @@ from .spectral import (
     SpectralField,
     full_spectrum,
     half_spectrum,
+    half_to_physical,
     l2_norm,
     sobolev_weight,
     weighted_norm,
@@ -85,12 +86,11 @@ def _dealias_mask(grid):
 
 class _HalfSpectrumWorkspace:
     """What the SQG and Boussinesq workspaces share: symbols, stage arrays and
-    transforms on the first K columns of the (N, N//2 + 1) half lattice that
-    `rfft2` stores, the ones the dealias mask keeps.  The transforms
-    (norm="forward", the field normalization) equal `irfft2` and `rfft2` on
-    those columns exactly, since a zero column transforms to zeros.  A
-    subclass adds its symbols, among them `velocity` (that of the first field)
-    and `grad`, its `propagator` formula, `propagate` and `nonlinear`."""
+    `rfft2` on the first K columns of the (N, N//2 + 1) half lattice, the ones
+    the dealias mask keeps.  `spectral.half_to_physical` and `full_spectrum`
+    take those K columns as they are.  A subclass adds its symbols, among
+    them `velocity` (that of the first field) and `grad`, its `propagator`
+    formula, `propagate` and `nonlinear`."""
 
     def __init__(self, grid):
         self.grid = grid
@@ -113,31 +113,17 @@ class _HalfSpectrumWorkspace:
             self._props[dt] = (build(dt), build(dt / 2.0))
         return self._props[dt]
 
-    def to_physical(self, spec, overwrite_x=False):
-        """`irfft2` of a stack of half spectra given on the K kept columns, as
-        a new array; with `overwrite_x` the column pass writes into `spec`."""
-        cols = np.fft.ifft(spec, axis=-2, norm="forward", out=spec if overwrite_x else None)
-        # irfft zero-pads the K columns to the N//2 + 1 of the half lattice
-        return np.fft.irfft(cols, n=self.grid.N, axis=-1, norm="forward")
-
     def to_spectral(self, stack):
         """`rfft2(stack)[..., :K] * mask_K` of a stack of real fields."""
         cols = np.fft.rfft(stack, axis=-1, norm="forward")[..., : self.K]
         return np.fft.fft(cols, axis=-2, norm="forward", out=cols) * self.mask_K
-
-    def full(self, kept):
-        """The full Hermitian spectrum of a stack given on the K kept columns,
-        zero on the other columns of the half lattice."""
-        half = np.zeros(kept.shape[:-1] + (self.grid.N // 2 + 1,), dtype=np.complex128)
-        half[..., : self.K] = kept
-        return full_spectrum(half)
 
     # each system keeps its own `nonlinear`: sharing either one raised the other's faults per step
     def advection(self, spec):
         """(-dealias(u . grad f), max |u|) for a stack f of m fields, from the
         half spectra (u1, u2, d1 f, d2 f), 2 + 2m of them, on the K kept
         columns; `spec` must be a new array, whose memory this reuses."""
-        phys = self.to_physical(spec, overwrite_x=True)
+        phys = half_to_physical(self.grid, spec, overwrite_x=True)
         u = phys[:2]
         grads = phys[2:].reshape(2, -1, *phys.shape[1:])
         grads *= u[:, None]
@@ -151,7 +137,8 @@ class _HalfSpectrumWorkspace:
         velocity of its first field and f its last field."""
         c = y[..., : self.K]
         spec = np.concatenate([self.velocity * c[0], c[-1:]])[:, None] * self.grad
-        g = self.to_physical(spec.reshape(6, *self.grad.shape[1:]), overwrite_x=True)
+        g = half_to_physical(self.grid, spec.reshape(6, *self.grad.shape[1:]),
+                             overwrite_x=True)
         np.abs(g, out=g)
         return float(np.max(g[:4])), float(np.max(g[4:]))
 
@@ -213,7 +200,7 @@ def _if_rk4(ws, y, state):
         raise BlowUpError(state.time, state)
     # rebuilt before the stage arrays are freed: rebuilt after them, an N=64
     # Boussinesq step took 3-4x the minor page faults (glibc heap trimming)
-    return ws.full(yn)
+    return full_spectrum(yn)
 
 
 def step(state, workspace=None):

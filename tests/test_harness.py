@@ -322,6 +322,20 @@ def test_cli_fit_window_error_has_plain_floats(tmp_path, capsys):
     assert err == "numeric failure: need at least 5 points in window (10.0, 10.0)\n"
 
 
+@pytest.mark.parametrize("L, params, bound", [
+    ("20.0", "", "L/4 = 5.0"),
+    ("400.0", "t_lo = 1\nt_hi = 5\nn_times = 6", "t_hi = 5.0"),
+])
+def test_cli_empty_fit_window_names_its_bound(tmp_path, capsys, L, params, bound):
+    """A wrap-around cap L/4 or a t_hi below the fit's start t = 10 leaves no
+    fit point; the error says which."""
+    ini = f"[experiment]\nname = lin-decay\n\n[grid]\nN = 64\nL = {L}\n\n[params]\n{params}\n"
+    path = write_config(tmp_path, ini)
+    assert main(["lin-decay", "--config", path, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err == f"numeric failure: empty fit window: {bound} lies below its start t = 10.0\n"
+
+
 @pytest.mark.parametrize("line, bad", [
     ("N = 16", "N = abc"),
     ("N = 16", "N = 100"),
@@ -469,6 +483,13 @@ def test_cli_bad_time_params_exit_two(tmp_path, capsys, experiment, line, bad):
     ("sharpness", "t_lo = 50\nt_hi = 30"),
     ("sweep", "target = kernel"),
     ("sweep", "target = lin-decay"),
+    ("kernel", "times = 0.5"),
+    # finite values whose squares or quotients overflow
+    ("lin-decay", "width = 1e300"),
+    ("lin-decay", "width = 1e-200"),
+    ("sqg", "width = 1e300"),
+    ("sqg", "eps = 1e300"),
+    ("sweep", "eps_list = 0.02,-1e300"),
 ])
 def test_cli_out_of_range_param_exit_two(tmp_path, capsys, experiment, extra):
     """Each case holds only its experiment's keys, and the error names the
@@ -826,7 +847,7 @@ def test_sweep_pool_is_capped(monkeypatch, cpus, jobs, workers):
 
 def _value_pool(default, within, kind):
     """Valid, boundary, malformed and out-of-range values for one key."""
-    pool = [default, "", "abc", "nan", "inf", "-1", "0", "0.5", "7%"]
+    pool = [default, "", "abc", "nan", "inf", "-1", "0", "0.5", "7%", "1e-200", "1e300"]
     if isinstance(within, tuple):
         pool += [*within, within[0].upper()]
     elif within is not None:

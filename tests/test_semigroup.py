@@ -220,7 +220,7 @@ def test_evolved_linf_memory_bounded(n_times):
     stays below 3 half-lattice complex arrays, for 1 time and for 12."""
     grid = Grid2D(256, 400.0)
     f = make_profile(grid, "gaussian")
-    grid.half.xi1, grid.half.xi2, grid.half.center_phase  # built before tracing
+    grid.half.xi1, grid.half.xi2  # built before tracing
     times = np.geomspace(10.0, 100.0, n_times)
     tracemalloc.start()
     try:

@@ -90,9 +90,13 @@ def test_transforms_equal_scipy_fft(N):
     grid = Grid2D(N, 10.0)
     vals = np.random.default_rng(N).standard_normal((N, N))
     half = grid.half.center_phase * sfft.rfft2(vals, norm="forward")
-    assert np.array_equal(forward_transform(vals, grid).coeffs, full_spectrum(half))
-    want = sfft.irfft2(grid.half.center_phase * half, norm="forward")
+    f = forward_transform(vals, grid)
+    assert np.array_equal(f.coeffs, full_spectrum(half))
+    want = sfft.irfft2(half, norm="forward")
     assert np.array_equal(half_to_physical(grid, half), want)
+    # the values at the grid points are those of the centre-phase product
+    centred = grid.half.center_phase * f.coeffs[:, : N // 2 + 1]
+    assert np.array_equal(f.to_physical(), sfft.irfft2(centred, norm="forward"))
     # in place on its input and into a caller's array, the same bits
     out = np.empty((N, N))
     assert half_to_physical(grid, half.copy(), out=out, overwrite_x=True) is out
@@ -101,8 +105,38 @@ def test_transforms_equal_scipy_fft(N):
     K = N // 4 + 1
     cut = half.copy()
     cut[:, K:] = 0.0
-    assert np.array_equal(half_to_physical(grid, half[:, :K]),
-                          sfft.irfft2(grid.half.center_phase * cut, norm="forward"))
+    assert np.array_equal(half_to_physical(grid, half[:, :K]), sfft.irfft2(cut, norm="forward"))
+
+
+@pytest.mark.parametrize("N", [16, 32, 64, 128, 256, 512, 1024, 2048])
+def test_centre_phase_is_a_half_box_shift(N):
+    """The centre phase moves the values of `half_to_physical` by exactly half
+    the box, bit for bit, for a field, a stack and a K-column half: so every
+    shift-invariant quantity may read the uncentred values."""
+    grid = Grid2D(N, 10.0)
+    rng = np.random.default_rng(N)
+    f = forward_transform(rng.standard_normal((N, N)), grid)
+    half = f.coeffs[:, : N // 2 + 1]
+    shift = dict(shift=N // 2, axis=(-2, -1))
+    assert np.array_equal(f.to_physical(), np.roll(half_to_physical(grid, half), **shift))
+    stack = sfft.rfft2(rng.standard_normal((2, N, N)), norm="forward")
+    for K in (N // 2 + 1, N // 3):
+        kept = stack[..., :K]
+        centred = half_to_physical(grid, grid.half.center_phase[:, :K] * kept)
+        assert np.array_equal(centred, np.roll(half_to_physical(grid, kept), **shift))
+
+
+@pytest.mark.parametrize("N", [16, 64, 256])
+def test_full_spectrum_pads_a_column_cut(N):
+    """A half cut to its first K columns rebuilds to the bits of its
+    zero-padded half, for one field and for a stack."""
+    rng = np.random.default_rng(N)
+    half = sfft.rfft2(rng.standard_normal((3, N, N)), norm="forward")
+    for K in (1, N // 3, N // 2):
+        padded = half.copy()
+        padded[..., K:] = 0.0
+        assert _same_bits(full_spectrum(half[..., :K]), full_spectrum(padded))
+        assert _same_bits(full_spectrum(half[0, :, :K]), full_spectrum(padded[0]))
 
 
 def test_forward_rejects_shape_mismatch(grid64):
