@@ -9,8 +9,10 @@ width 1, alpha = 1, 12 times in [10, 100]) under `tracemalloc`.  The
 sharpness defaults (400 times in [20, 100]) on the grid of
 `configs/sharpness.ini`, N = 512, whatever --N is.  Prints a markdown table
 of each phase's peak and of what the run holds after it, in MiB, and of its
-wall time (`perf_counter`, under tracing) in ms; the last row traces one
-whole lin-decay `harness.run` from a fresh start.
+wall time (`perf_counter`, under tracing) in ms; the last two rows each
+trace one whole `harness.run` from a fresh start: lin-decay at --N and --L,
+and sharpness with its defaults at N = 512.  A bad --N or --L is a usage
+error (exit 2).
 """
 
 import argparse
@@ -39,6 +41,10 @@ def main():
     ap.add_argument("--N", type=int, default=1024)
     ap.add_argument("--L", type=float, default=400.0)
     args = ap.parse_args()
+    try:
+        harness.ExperimentConfig("lin-decay", N=args.N, L=args.L)
+    except harness.ConfigError as exc:
+        ap.error(f"--N {args.N} --L {args.L}: {exc}")
     print("| phase | peak MiB | held MiB | ms |\n| --- | --- | --- | --- |")
     tracemalloc.start()
     cfg = phase("config", lambda: harness.ExperimentConfig("lin-decay", N=args.N, L=args.L))
@@ -54,9 +60,11 @@ def main():
     phase("sharpness", lambda: semigroup.sharpness_check(
         shell, sp["t_lo"], sp["t_hi"], sp["n_times"]))
     tracemalloc.stop()
-    tracemalloc.start()
-    phase("harness.run", lambda: harness.run(cfg))
-    tracemalloc.stop()
+    for name, run_cfg in (("lin-decay", cfg),
+                          ("sharpness", harness.ExperimentConfig("sharpness", N=512, L=args.L))):
+        tracemalloc.start()
+        phase(f"harness.run {name}", lambda: harness.run(run_cfg))
+        tracemalloc.stop()
 
 
 if __name__ == "__main__":

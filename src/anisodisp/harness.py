@@ -251,13 +251,19 @@ def parse_params(experiment, params):
 
 def make_profile(grid, kind, seed=1, width=1.0, amplitude=1.0):
     """Fixed initial-data profiles; 'random' is a seeded smooth random field."""
-    if kind == "gaussian":
-        return gaussian_field(grid, width=width, amplitude=amplitude).zero_mean()
-    if kind == "bump":
-        X, Y = grid.x[:, None], grid.x[None, :]
-        r2 = (X**2 + Y**2) / width**2
-        vals = np.where(r2 < 1.0, np.exp(-1.0 / np.maximum(1.0 - r2, 1e-300)), 0.0)
-        return forward_transform(amplitude * np.e * vals, grid).zero_mean()
+    if kind in ("gaussian", "bump"):
+        if kind == "gaussian":
+            f = gaussian_field(grid, width=width, amplitude=amplitude)
+        else:
+            X, Y = grid.x[:, None], grid.x[None, :]
+            r2 = (X**2 + Y**2) / width**2
+            vals = np.where(r2 < 1.0, np.exp(-1.0 / np.maximum(1.0 - r2, 1e-300)), 0.0)
+            f = forward_transform(amplitude * np.e * vals, grid)
+        # so wide a profile that x^2 / width^2 rounds to 0 is a constant
+        if not np.any(f.zero_mean().coeffs):
+            raise ConfigError(f"params.width = {width} is too large: the {kind} profile "
+                              "is constant on the grid, and zero once its mean is removed")
+        return f
     if kind == "shell":
         return shell_field(grid, amplitude=amplitude)
     if kind == "random":

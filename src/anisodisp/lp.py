@@ -13,7 +13,14 @@ supported in 1/4 <= r <= 4.
 
 import numpy as np
 
-from .spectral import SpectralField, SpectralError, half_spectrum, half_to_physical
+from .spectral import (
+    ROW_PASS_BYTES,
+    SpectralError,
+    SpectralField,
+    half_spectrum,
+    physical_rows,
+    row_blocks,
+)
 
 
 def _smooth_step(s):
@@ -50,7 +57,8 @@ def shell_field(grid, j=0, amplitude=1.0):
     """Radial field whose spectrum is the shell-j bump: smooth, radial,
     nonzero at the origin, and supported away from the symbol singularity
     at xi = 0 (so the periodic box sees no slow dispersive tails)."""
-    coeffs = amplitude * bump(grid.xi_mod * 2.0 ** (-j)).astype(np.complex128)
+    xi1, xi2 = grid.xi_axes()
+    coeffs = amplitude * bump(np.sqrt(xi1**2 + xi2**2) * 2.0 ** (-j)).astype(np.complex128)
     f = SpectralField(grid, coeffs)
     f.zero_nyquist()
     return f
@@ -100,24 +108,47 @@ class LPBank:
         decay estimate.  The pieces stay on the half lattice of a real field,
         and each L^1 norm is a physical-space quadrature.  A piece is built
         and transformed only on the first K columns of the half lattice, those
-        with |xi_2| < 4 * 2^j, outside which the bump is exactly 0.
+        with |xi_2| < 4 * 2^j, outside which the bump is exactly 0.  Its bump
+        is evaluated in row blocks straight into it, and its values are
+        summed in row blocks (`_abs_sum`), so no (N, N) array is made.
         """
         if not 0.0 <= a <= 6.0:
             raise SpectralError(f"Besov regularity must lie in [0, 6], got {a}")
         g = self.grid
         half = half_spectrum(field.coeffs)
-        xi = g.half.xi_mod
+        xi1, xi2 = g.half.xi_axes()
+        # row 0 holds each column's smallest |xi|, rising column by column
+        edge = np.sqrt(xi1[0] ** 2 + xi2[0] ** 2)
         terms = {}
         for j in self.j_range:
-            # row 0 holds each column's smallest |xi|, rising column by column
-            K = int(np.count_nonzero(xi[0] * 2.0 ** (-j) < 4.0))
-            piece = half[:, :K] * bump_fattened(xi[:, :K] * 2.0 ** (-j))
+            K = int(np.count_nonzero(edge * 2.0 ** (-j) < 4.0))
+            piece = np.empty((g.N, K), dtype=np.complex128)
+            # about ten float temporaries of the block's shape make the bump
+            for rows in row_blocks(g.N, 80 * K, ROW_PASS_BYTES):
+                r = np.sqrt(xi1[rows] ** 2 + xi2[:, :K] ** 2)
+                r *= 2.0 ** (-j)
+                np.multiply(half[rows, :K], bump_fattened(r), out=piece[rows])
             norm = 0.0
             if np.any(piece):
-                vals = half_to_physical(g, piece, overwrite_x=True)
-                norm = float(np.sum(np.abs(vals, out=vals))) * g.dx**2
-                del vals
+                norm = _abs_sum(g, piece) * g.dx**2
             # freed before the next shell's arrays are made
             del piece
             terms[j] = 2.0 ** (j * a) * norm
         return terms
+
+
+def _abs_sum(grid, piece):
+    """`np.sum(np.abs(half_to_physical(grid, piece)))` bit for bit, from the
+    row blocks of `physical_rows` (which overwrites `piece`).  numpy sums a
+    contiguous power-of-two count of floats pairwise by halves, so the sums
+    of the equal power-of-two blocks, combined pairwise in the same binary
+    tree, give its bits; a running sum of the blocks would not."""
+    partial = []  # (level, sum) of finished subtrees, levels decreasing
+    for vals in physical_rows(grid, piece):
+        level, total = 0, np.sum(np.abs(vals, out=vals))
+        while partial and partial[-1][0] == level:
+            total = partial.pop()[1] + total
+            level += 1
+        partial.append((level, total))
+    [(_, total)] = partial
+    return float(total)

@@ -17,7 +17,7 @@ from .spectral import (
     SpectralError,
     apply_multiplier,
     half_spectrum,
-    half_to_physical,
+    physical_rows,
     row_blocks,
 )
 
@@ -48,7 +48,8 @@ class DecayReport:
 def _evolved_linf(f0, alpha, times):
     """`linf_norm(evolve_linear(f0, ...))` at each time for a Hermitian f0,
     on the half lattice with the generator's symbol built once and every
-    array of the loop allocated before it.
+    array of the loop but the row-pass buffer allocated before it; the sup is
+    a running max and -min over the row blocks of `physical_rows`.
 
     The generator is -i ph with ph = xi_1/|xi|^alpha real, so the phase is
     cos(-t ph) + i sin(-t ph), the bits numpy's complex `exp` gives.  It is
@@ -57,10 +58,10 @@ def _evolved_linf(f0, alpha, times):
     g = f0.grid
     ny = g.N // 2
     half = half_spectrum(f0.coeffs)
-    ph = -MultiplierSpec.generator(alpha).on(g.half.xi1[: ny + 1], g.half.xi2[: ny + 1]).imag
+    xi1, xi2 = g.half.xi_axes(slice(0, ny + 1))
+    ph = -MultiplierSpec.generator(alpha).on(xi1, xi2).imag
     arg = np.empty_like(ph)
     m = np.empty(half.shape, dtype=np.complex128)
-    phys = np.empty((g.N, g.N))
     vals = np.empty(len(times))
     for i, t in enumerate(times):
         MultiplierSpec.semigroup_phase(alpha, t)  # validates t
@@ -70,8 +71,11 @@ def _evolved_linf(f0, alpha, times):
         np.conjugate(m[ny - 1 : 0 : -1], out=m[ny + 1 :])
         np.multiply(half, m, out=m)
         m[ny] = m[:, -1] = 0.0  # the Nyquist row and column
-        half_to_physical(g, m, out=phys, overwrite_x=True)
-        vals[i] = max(phys.max(), -phys.min())
+        hi, lo = -np.inf, np.inf
+        for block in physical_rows(g, m):
+            hi, lo = np.maximum(hi, block.max()), np.minimum(lo, block.min())
+        del block  # the generator's buffer, freed before the next time's
+        vals[i] = max(hi, -lo)
     return vals
 
 
@@ -239,7 +243,7 @@ def _origin_evaluator(f0):
     on the thread count.
     """
     # the generator's symbol is -i xi_1/|xi|, 0 at the zero mode
-    ph = -MultiplierSpec.generator(1.0).symbol(f0.grid).imag.ravel()
+    ph = -MultiplierSpec.generator(1.0).on(*f0.grid.xi_axes()).imag.ravel()
     c = f0.coeffs.ravel()
     keep = np.abs(c) > 1e-18 * np.max(np.abs(c))
     c = c[keep]

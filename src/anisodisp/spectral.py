@@ -29,6 +29,10 @@ class SpectralError(ValueError):
 # Default byte budget for the temporaries of one block of a row-blocked
 # evaluation (the sharpness origin sum, the kernel quadrature).
 CHUNK_BYTES = 32 << 20
+# Byte budget of the values of one row block of `physical_rows`, and of the
+# temporaries of one row block of the Besov shells' bump: a power of two, so
+# that each block holds a power-of-two count of rows.
+ROW_PASS_BYTES = 1 << 20
 
 
 def row_blocks(n_rows, row_bytes, budget=CHUNK_BYTES):
@@ -42,10 +46,16 @@ def row_blocks(n_rows, row_bytes, budget=CHUNK_BYTES):
 class _Lattice:
     """The frequency arrays xi = (2 pi / L) (k1, k2) and what is derived from
     them, on the broadcast integer wavenumbers k1 (a column) and k2 (a row);
-    each array is built on first use."""
+    each array is built on first use and kept.  Code that needs an array only
+    briefly builds it from `xi_axes` instead."""
 
     def __init__(self, k1, k2, L):
         self.k1, self.k2, self._scale = k1, k2, 2.0 * np.pi / L
+
+    def xi_axes(self, rows=slice(None)):
+        """The broadcast vectors xi1 (a column, of the given rows) and xi2 (a
+        row): `xi1**2 + xi2**2` has the bits of `xi_sq[rows]`, and so on."""
+        return self._scale * self.k1[rows], self._scale * self.k2
 
     @cached_property
     def xi1(self):
@@ -66,14 +76,6 @@ class _Lattice:
     @cached_property
     def xi_mod_safe(self):
         return np.sqrt(_modulus_sq(self.xi1, self.xi2))
-
-    @cached_property
-    def center_phase(self):
-        # physical samples start at -L/2; this checkerboard factor shifts the
-        # DFT so coefficients refer to exp(i xi . x) in centered coordinates
-        sign1 = np.where(np.mod(self.k1, 2) == 0, 1.0, -1.0)
-        sign2 = np.where(np.mod(self.k2, 2) == 0, 1.0, -1.0)
-        return sign1 * sign2
 
 
 class Grid2D(_Lattice):
@@ -142,8 +144,9 @@ class SpectralField:
         return SpectralField(self.grid, self.coeffs.copy())
 
     def to_physical(self):
-        half = self.grid.half.center_phase * half_spectrum(self.coeffs)
-        return half_to_physical(self.grid, half, overwrite_x=True)
+        half = half_spectrum(self.coeffs)
+        centred = _centre_phase(self.grid, half, np.empty_like(half))
+        return half_to_physical(self.grid, centred, overwrite_x=True)
 
     def enforce_hermitian(self):
         """Symmetrize c(-k) = conj(c(k)), for coefficients set from outside."""
@@ -176,8 +179,21 @@ def forward_transform(values, grid):
         )
     if np.iscomplexobj(values):
         raise SpectralError("physical values must be real")
-    half = grid.half.center_phase * np.fft.rfft2(values, norm="forward")
-    return SpectralField(grid, full_spectrum(half))
+    half = np.fft.rfft2(values, norm="forward")
+    return SpectralField(grid, full_spectrum(_centre_phase(grid, half, half)))
+
+
+def _centre_phase(grid, half, out):
+    """`out` = (-1)^(k1 + k2) * `half` on the half lattice, `out` may be
+    `half`.  Physical samples start at -L/2; this checkerboard factor shifts
+    the DFT so coefficients refer to exp(i xi . x) in centred coordinates.
+    It is applied as the column signs (-1)^k2 on the even rows and their
+    negatives on the odd ones (k1 has the parity of its row, N being even):
+    each entry is multiplied by the same float +-1 as by the whole product."""
+    sign = np.where(np.mod(grid.half.k2, 2) == 0, 1.0, -1.0)
+    np.multiply(half[0::2], sign, out=out[0::2])
+    np.multiply(half[1::2], -sign, out=out[1::2])
+    return out
 
 
 def half_spectrum(coeffs):
@@ -198,6 +214,23 @@ def half_to_physical(grid, half, out=None, overwrite_x=False):
     return np.fft.irfft(cols, n=grid.N, axis=-1, norm="forward", out=out)
 
 
+def physical_rows(grid, half):
+    """`half_to_physical(grid, half, overwrite_x=True)` of one (N, K) half in
+    row blocks: yields the values of rows 0.. in successive blocks of a
+    power-of-two count of rows, under ROW_PASS_BYTES, each in the same
+    buffer, so no (N, N) array is made.  The column pass runs first, in
+    place on the whole half; each row is transformed on its own either way,
+    so the values have the bits of `half_to_physical`."""
+    N = grid.N
+    cols = np.fft.ifft(half, axis=-2, norm="forward", out=half)
+    buf = None
+    for rows in row_blocks(N, 8 * N, ROW_PASS_BYTES):
+        if buf is None:
+            buf = np.empty((rows.stop, N))
+        yield np.fft.irfft(cols[rows], n=N, axis=-1, norm="forward",
+                           out=buf[: rows.stop - rows.start])
+
+
 def full_spectrum(half):
     """The (..., N, N) spectrum rebuilt from its half by conjugate reflection.
 
@@ -212,10 +245,12 @@ def full_spectrum(half):
     if half.shape[-1] < M:
         half, cut = np.zeros(half.shape[:-1] + (M,), dtype=np.complex128), half
         half[..., : cut.shape[-1]] = cut
-    neg = -np.arange(N) % N
     full = np.empty(half.shape[:-1] + (N,), dtype=np.complex128)
     full[..., :M] = half
-    full[..., M:] = np.conj(half[..., neg, M - 2 : 0 : -1])
+    # column -k2 of row -k1: row 0 reflects onto itself, rows 1.. in reverse
+    right = half[..., M - 2 : 0 : -1]
+    np.conjugate(right[..., :1, :], out=full[..., :1, M:])
+    np.conjugate(right[..., :0:-1, :], out=full[..., 1:, M:])
     edges = [0, N // 2]
     full[..., M:, edges] = np.conj(full[..., N // 2 - 1 : 0 : -1, edges])
     return full
@@ -364,5 +399,10 @@ def l1_norm(field):
 def gaussian_field(grid, width=1.0, amplitude=1.0):
     """amplitude * exp(-|x|^2 / width^2) as a SpectralField."""
     x1, x2 = grid.x[:, None], grid.x[None, :]
-    vals = amplitude * np.exp(-(x1**2 + x2**2) / width**2)
+    # in place in one (N, N) array, in the order of the formula's operations
+    vals = x1**2 + x2**2
+    np.negative(vals, out=vals)
+    np.divide(vals, width**2, out=vals)
+    np.exp(vals, out=vals)
+    np.multiply(amplitude, vals, out=vals)
     return forward_transform(vals, grid)

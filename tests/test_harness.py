@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -367,22 +368,40 @@ def _record_grids(monkeypatch):
     return grids
 
 
-FULL_LATTICE = ("xi1", "xi2", "xi_sq", "xi_mod", "xi_mod_safe", "nyquist_mask",
-                "center_phase")
+LATTICE = ("xi1", "xi2", "xi_sq", "xi_mod", "xi_mod_safe")
 
 
 @pytest.mark.parametrize("experiment, params, needed", [
-    # the half lattice serves every step of lin-decay
-    ("lin-decay", {"t_hi": "20.0"}, ()),
-    # the origin sum reads the full phase, the shell profile the full |xi|
-    ("sharpness", {"t_hi": "30.0", "n_times": "20"}, ("xi1", "xi2", "xi_sq", "xi_mod")),
+    # lin-decay reads the half lattice's wavenumbers
+    ("lin-decay", {"t_hi": "20.0"}, ("half",)),
+    ("sharpness", {"t_hi": "30.0", "n_times": "20"}, ()),
 ])
 def test_runs_build_only_the_full_arrays_they_read(monkeypatch, experiment, params, needed):
+    """Each lattice array these runs read is built per use from the
+    wavenumber axes, so none is kept on the grid or on its half."""
     grids = _record_grids(monkeypatch)
     run(ExperimentConfig(experiment=experiment, N=64, L=100.0, params=params))
     [grid] = grids
-    assert [a for a in FULL_LATTICE if a in grid.__dict__] == list(needed)
-    assert ("half" in grid.__dict__) == (experiment == "lin-decay")
+    kept = LATTICE + ("nyquist_mask", "half")
+    assert [a for a in kept if a in grid.__dict__] == list(needed)
+    if "half" in needed:
+        assert [a for a in LATTICE if a in grid.half.__dict__] == []
+
+
+def test_lin_decay_run_memory_bounded():
+    """A whole lin-decay run at N = 1024 holds its profile (16 MiB) and at most
+    about as much again: every lattice array is built per use, the row passes
+    run in row blocks, and the profile and its Hermitian rebuild make no
+    full-size temporary.  The traced peak stays below 40 MiB (64.2 MiB with
+    cached lattice arrays and whole-array row passes)."""
+    cfg = ExperimentConfig(experiment="lin-decay", N=1024, L=400.0)
+    tracemalloc.start()
+    try:
+        run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 << 20
 
 
 def test_config_builds_no_grid(tmp_path, monkeypatch, capsys):
@@ -490,6 +509,11 @@ def test_cli_bad_time_params_exit_two(tmp_path, capsys, experiment, line, bad):
     ("sqg", "width = 1e300"),
     ("sqg", "eps = 1e300"),
     ("sweep", "eps_list = 0.02,-1e300"),
+    # so wide a profile is constant on the grid, and zero once its mean is removed
+    ("lin-decay", "width = 1e100"),
+    ("lin-decay", "profile = bump\nwidth = 1e100"),
+    ("sqg", "width = 1e100"),
+    ("sqg", "profile = bump\nwidth = 1e100"),
 ])
 def test_cli_out_of_range_param_exit_two(tmp_path, capsys, experiment, extra):
     """Each case holds only its experiment's keys, and the error names the

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from anisodisp import spectral
 from anisodisp.lp import LPBank, bump, bump_fattened, chi, shell_field
 from anisodisp.spectral import (
     Grid2D,
@@ -9,6 +10,7 @@ from anisodisp.spectral import (
     forward_transform,
     gaussian_field,
     l1_norm,
+    row_blocks,
 )
 from conftest import random_field
 
@@ -108,16 +110,21 @@ def test_per_shell_validation(grid64):
     lambda g: gaussian_field(g, width=1.5).zero_mean(),
     lambda g: shell_field(g, j=1),
 ])
-def test_per_shell_equals_full_lattice_projection(make):
+def test_per_shell_equals_full_lattice_projection(monkeypatch, make):
     """The half-lattice shells give the bits of the L^1 norms of the full
-    projections."""
+    projections, whose values `l1_norm` sums as one array: with the values
+    in one row block, and in 8 blocks (a budget of 16 rows), whose sums are
+    combined pairwise."""
     grid = Grid2D(128, 60.0)
     bank = LPBank(grid)
     f = make(grid)
-    got = bank.per_shell(f, 1.5)
-    assert list(got) == list(bank.j_range)
-    for j, value in got.items():
-        assert value == 2.0 ** (j * 1.5) * l1_norm(bank.project(f, j, fattened=True))
+    for blocks in (1, 8):
+        monkeypatch.setattr(spectral, "ROW_PASS_BYTES", 8 * grid.N * grid.N // blocks)
+        assert len(list(row_blocks(grid.N, 8 * grid.N, spectral.ROW_PASS_BYTES))) == blocks
+        got = bank.per_shell(f, 1.5)
+        assert list(got) == list(bank.j_range)
+        for j, value in got.items():
+            assert value == 2.0 ** (j * 1.5) * l1_norm(bank.project(f, j, fattened=True))
 
 
 def test_per_shell_of_zero_field_is_zero(grid64):

@@ -21,3 +21,13 @@ def test_script_prints_its_table(command):
     assert lines[1].startswith("| --- |") and len(lines) > 3
     assert all(line.startswith("| ") and line.endswith(" |") for line in lines)
     assert len({line.count("|") for line in lines}) == 1  # every row has every column
+
+
+@pytest.mark.parametrize("bad", [["--N", "100"], ["--N", "4096"], ["--L", "0"], ["--L", "inf"]])
+def test_lattice_memory_rejects_a_bad_grid(bad):
+    """A grid the config would refuse is a usage error, exit 2, not a traceback."""
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", "lattice_memory.py"),
+                           *bad], capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "usage:" in proc.stderr and "Traceback" not in proc.stderr

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import j0
 
-from anisodisp import semigroup
+from anisodisp import semigroup, spectral
 from anisodisp.harness import make_profile
 from anisodisp.lp import shell_field
 from anisodisp.semigroup import (
@@ -216,19 +216,25 @@ def test_evolved_linf_of_zero_field_is_zero(grid64):
 
 @pytest.mark.parametrize("n_times", [1, 12])
 def test_evolved_linf_memory_bounded(n_times):
-    """The time loop allocates nothing per time: at N = 256 the traced peak
-    stays below 3 half-lattice complex arrays, for 1 time and for 12."""
-    grid = Grid2D(256, 400.0)
-    f = make_profile(grid, "gaussian")
-    grid.half.xi1, grid.half.xi2  # built before tracing
-    times = np.geomspace(10.0, 100.0, n_times)
-    tracemalloc.start()
-    try:
-        _evolved_linf(f, 1.0, times)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * grid.N * (grid.N // 2 + 1) * 16
+    """The time loop holds the same arrays for 1 time and for 12: the phase
+    and its argument on half the rows (a quarter of a half-lattice complex
+    array each), the multiplier (one) and one row block of values, with 64
+    KiB to spare.  At N = 256 one block holds every row; at N = 1024 the row
+    pass takes several blocks, and no (N, N) array is made."""
+    for N in (256, 1024):
+        grid = Grid2D(N, 400.0)
+        f = make_profile(grid, "gaussian")
+        times = np.geomspace(10.0, 100.0, n_times)
+        block = min(8 * N * N, spectral.ROW_PASS_BYTES)
+        assert (block < 8 * N * N) == (N == 1024)
+        tracemalloc.start()
+        try:
+            _evolved_linf(f, 1.0, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * N * (N // 2 + 1) * 16 + block + (64 << 10), N
+        assert not grid.half.__dict__.keys() - {"k1", "k2", "_scale"}
 
 
 def test_decay_slope_small_grid():

@@ -10,6 +10,7 @@ from anisodisp.spectral import (
     MultiplierSpec,
     SpectralError,
     SpectralField,
+    _centre_phase,
     apply_multiplier,
     forward_transform,
     full_spectrum,
@@ -48,11 +49,17 @@ def _eager_lattice(N, L):
     nyquist_mask = np.zeros((N, N), dtype=bool)
     nyquist_mask[N // 2, :] = True
     nyquist_mask[:, N // 2] = True
-    sign1 = np.where(np.mod(k1, 2) == 0, 1.0, -1.0)
-    sign2 = np.where(np.mod(k2, 2) == 0, 1.0, -1.0)
     return {"xi1": xi1, "xi2": xi2, "xi_sq": xi_sq, "xi_mod": np.sqrt(xi_sq),
-            "xi_mod_safe": np.sqrt(q), "nyquist_mask": nyquist_mask,
-            "center_phase": sign1 * sign2}
+            "xi_mod_safe": np.sqrt(q), "nyquist_mask": nyquist_mask}
+
+
+def _eager_centre_phase(N):
+    """The centre phase (-1)^(k1 + k2) on the half lattice, as the product of
+    the two sign vectors that Grid2D once cached."""
+    k = np.fft.fftfreq(N, d=1.0 / N)
+    sign1 = np.where(np.mod(k[:, None], 2) == 0, 1.0, -1.0)
+    sign2 = np.where(np.mod(k[None, : N // 2 + 1], 2) == 0, 1.0, -1.0)
+    return sign1 * sign2
 
 
 def _same_bits(a, b):
@@ -65,6 +72,15 @@ def test_lazy_lattice_equals_eager_formulas(N):
     bits of the eager formula (sliced to the k2 >= 0 columns for the half)."""
     grid = Grid2D(N, 10.0)
     want = _eager_lattice(N, 10.0)
+    # the axes that arrays built per use start from: the same bits, nothing kept
+    for lattice, cols in ((grid, slice(None)), (grid.half, slice(0, N // 2 + 1))):
+        for rows in (slice(None), slice(0, N // 2 + 1)):
+            xi1, xi2 = lattice.xi_axes(rows)
+            assert _same_bits(xi1 + 0.0 * xi2, want["xi1"][rows, cols])
+            assert _same_bits(xi2 + 0.0 * xi1, want["xi2"][rows, cols])
+            assert _same_bits(xi1**2 + xi2**2, want["xi_sq"][rows, cols])
+            assert _same_bits(np.sqrt(xi1**2 + xi2**2), want["xi_mod"][rows, cols])
+    assert not grid.half.__dict__.keys() - {"k1", "k2", "_scale"}
     for name, ref in want.items():
         assert name not in grid.__dict__, name
         assert _same_bits(getattr(grid, name), ref), name
@@ -89,14 +105,15 @@ def test_transforms_equal_scipy_fft(N):
     here: both wrap pocketfft."""
     grid = Grid2D(N, 10.0)
     vals = np.random.default_rng(N).standard_normal((N, N))
-    half = grid.half.center_phase * sfft.rfft2(vals, norm="forward")
+    phase = _eager_centre_phase(N)
+    half = phase * sfft.rfft2(vals, norm="forward")
     f = forward_transform(vals, grid)
-    assert np.array_equal(f.coeffs, full_spectrum(half))
+    assert _same_bits(f.coeffs, full_spectrum(half))
     want = sfft.irfft2(half, norm="forward")
     assert np.array_equal(half_to_physical(grid, half), want)
     # the values at the grid points are those of the centre-phase product
-    centred = grid.half.center_phase * f.coeffs[:, : N // 2 + 1]
-    assert np.array_equal(f.to_physical(), sfft.irfft2(centred, norm="forward"))
+    centred = phase * f.coeffs[:, : N // 2 + 1]
+    assert _same_bits(f.to_physical(), sfft.irfft2(centred, norm="forward"))
     # in place on its input and into a caller's array, the same bits
     out = np.empty((N, N))
     assert half_to_physical(grid, half.copy(), out=out, overwrite_x=True) is out
@@ -122,8 +139,50 @@ def test_centre_phase_is_a_half_box_shift(N):
     stack = sfft.rfft2(rng.standard_normal((2, N, N)), norm="forward")
     for K in (N // 2 + 1, N // 3):
         kept = stack[..., :K]
-        centred = half_to_physical(grid, grid.half.center_phase[:, :K] * kept)
+        centred = half_to_physical(grid, _eager_centre_phase(N)[:, :K] * kept)
         assert np.array_equal(centred, np.roll(half_to_physical(grid, kept), **shift))
+
+
+@pytest.mark.parametrize("N", [16, 32, 64])
+def test_centre_phase_signs_match_the_product(N):
+    """The centre phase applied as row-parity column signs gives the bits of
+    the product with the whole (-1)^(k1 + k2) array, signed zeros included,
+    into a new array and in place."""
+    grid = Grid2D(N, 10.0)
+    parts = np.random.default_rng(N).choice([0.0, -0.0, 1.5, -2.0], (2, N, N // 2 + 1))
+    half = parts[0] + 1j * parts[1]
+    half.imag[:] = parts[1]  # `1j * -0.0` would not keep the sign
+    want = _eager_centre_phase(N) * half
+    assert _same_bits(_centre_phase(grid, half, np.empty_like(half)), want)
+    assert _same_bits(_centre_phase(grid, half, half), want)
+
+
+def _full_spectrum_by_fancy_index(half):
+    """The conjugate reflection as `full_spectrum` once wrote it, through a
+    fancy-indexed copy of the half and its conjugate."""
+    N = half.shape[-2]
+    M = N // 2 + 1
+    if half.shape[-1] < M:
+        half, cut = np.zeros(half.shape[:-1] + (M,), dtype=np.complex128), half
+        half[..., : cut.shape[-1]] = cut
+    neg = -np.arange(N) % N
+    full = np.empty(half.shape[:-1] + (N,), dtype=np.complex128)
+    full[..., :M] = half
+    full[..., M:] = np.conj(half[..., neg, M - 2 : 0 : -1])
+    edges = [0, N // 2]
+    full[..., M:, edges] = np.conj(full[..., N // 2 - 1 : 0 : -1, edges])
+    return full
+
+
+@pytest.mark.parametrize("N", [16, 32, 64, 128, 256])
+def test_full_spectrum_equals_fancy_index_reflection(N):
+    """The slice-based rebuild has the bits of the fancy-index one, on whole
+    halves and on K-column cuts, for one field and for a (2, N, K) stack."""
+    rng = np.random.default_rng(N)
+    stack = sfft.rfft2(rng.standard_normal((2, N, N)), norm="forward")
+    for K in (N // 2 + 1, N // 3, 1):
+        for half in (stack[..., :K], stack[1, :, :K]):
+            assert _same_bits(full_spectrum(half), _full_spectrum_by_fancy_index(half))
 
 
 @pytest.mark.parametrize("N", [16, 64, 256])
