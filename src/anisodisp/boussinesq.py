@@ -16,6 +16,8 @@ from .spectral import (
     MultiplierSpec,
     SpectralError,
     SpectralField,
+    _modulus_sq,
+    dispersion_rate,
     forward_transform,
     full_spectrum,
     half_spectrum,
@@ -54,10 +56,9 @@ def mode_energy(omega, rho):
 def _propagator_arrays(xi1, xi2, r, t, branch):
     """(c, [s_om, s_rho]): omega' = c om + s_om rho, rho' = c rho + s_rho om.
 
-    xi1, xi2 and r = |xi| (1 at the zero mode) on the half lattice.
+    xi1, xi2 (the half lattice or its axes) and r = |xi|, 1 at the zero mode.
     """
-    # the rate xi_1/|xi|: the generator's symbol is -i xi_1/|xi|
-    beta = -MultiplierSpec.generator(1.0).on(xi1, xi2).imag
+    beta = dispersion_rate(xi1, xi2, 1.0)
     stable = branch == "stable"
     c = (np.cos if stable else np.cosh)(beta * t)
     s = (np.sin if stable else np.sinh)(beta * t)
@@ -71,8 +72,8 @@ def _half_pair(state):
 def linear_propagator(state, t):
     """Exact per-mode solution of the linearized system, advanced by t."""
     grid = state.omega.grid
-    h = grid.half
-    P = _propagator_arrays(h.xi1, h.xi2, h.xi_mod_safe, t, state.branch)
+    xi1, xi2 = grid.xi_axes(half=True)
+    P = _propagator_arrays(xi1, xi2, np.sqrt(_modulus_sq(xi1, xi2)), t, state.branch)
     y = full_spectrum(_Workspace.propagate(P, _half_pair(state)))
     fo, fr = (SpectralField(grid, c).zero_nyquist() for c in y)
     return replace(state, omega=fo, rho=fr, t0=state.time + t, steps=0)
@@ -95,7 +96,7 @@ class _Workspace(_HalfSpectrumWorkspace):
         super().__init__(grid)
         self.velocity = self.symbols(MultiplierSpec.velocity_bouss, 1, 2)
         self.grad = self.symbols(MultiplierSpec.deriv, 1, 2)
-        self.r = np.ascontiguousarray(grid.half.xi_mod_safe[:, : self.K])
+        self.r = np.sqrt(_modulus_sq(self.xi1, self.xi2))
         self.branch = branch
 
     def propagator(self, dt):

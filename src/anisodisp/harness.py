@@ -240,13 +240,19 @@ def parse_params(experiment, params):
     if not (steps < np.inf and abs(steps - round(steps)) <= 1e-9 * steps):
         raise ConfigError(f"params.t_final / params.dt must be a whole number, got {steps!r}")
     if round(steps) > MAX_STEPS:
-        raise ConfigError(f"params.t_final / params.dt asks for {round(steps)} steps, "
+        raise ConfigError(f"params.t_final / params.dt asks for {_count(steps)} steps, "
                           f"more than {MAX_STEPS}")
     points = 16 * (p["t_hi"] - p["t_lo"]) if experiment == "sharpness" else 0.0
     if points > MAX_SCAN_POINTS:
-        raise ConfigError(f"params.t_hi - params.t_lo asks for {int(points)} scan points, "
-                          f"more than {MAX_SCAN_POINTS}")
+        raise ConfigError(f"params.t_hi - params.t_lo asks for {_count(np.floor(points))} "
+                          f"scan points, more than {MAX_SCAN_POINTS}")
     return p
+
+
+def _count(n):
+    """A work count for a message: whole, or in e-notation from 1e15 on (1e300
+    steps would print 302 digits)."""
+    return f"{n:.0f}" if n < 1e15 else f"{n:.3g}"
 
 
 def make_profile(grid, kind, seed=1, width=1.0, amplitude=1.0):

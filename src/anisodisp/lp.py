@@ -116,7 +116,7 @@ class LPBank:
             raise SpectralError(f"Besov regularity must lie in [0, 6], got {a}")
         g = self.grid
         half = half_spectrum(field.coeffs)
-        xi1, xi2 = g.half.xi_axes()
+        xi1, xi2 = g.xi_axes(half=True)
         # row 0 holds each column's smallest |xi|, rising column by column
         edge = np.sqrt(xi1[0] ** 2 + xi2[0] ** 2)
         terms = {}

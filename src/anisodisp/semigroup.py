@@ -16,6 +16,7 @@ from .spectral import (
     MultiplierSpec,
     SpectralError,
     apply_multiplier,
+    dispersion_rate,
     half_spectrum,
     physical_rows,
     row_blocks,
@@ -47,19 +48,18 @@ class DecayReport:
 
 def _evolved_linf(f0, alpha, times):
     """`linf_norm(evolve_linear(f0, ...))` at each time for a Hermitian f0,
-    on the half lattice with the generator's symbol built once and every
-    array of the loop but the row-pass buffer allocated before it; the sup is
-    a running max and -min over the row blocks of `physical_rows`.
+    on the half lattice with the semigroup's rate built once and every array
+    of the loop but the row-pass buffer allocated before it; the sup is a
+    running max and -min over the row blocks of `physical_rows`.
 
-    The generator is -i ph with ph = xi_1/|xi|^alpha real, so the phase is
+    The generator is -i ph with ph = `dispersion_rate`, real, so the phase is
     cos(-t ph) + i sin(-t ph), the bits numpy's complex `exp` gives.  It is
     odd in k1, so it is evaluated on the rows k1 = 0 .. N/2 only, and each
     row -k1 is the conjugate of row k1."""
     g = f0.grid
     ny = g.N // 2
     half = half_spectrum(f0.coeffs)
-    xi1, xi2 = g.half.xi_axes(slice(0, ny + 1))
-    ph = -MultiplierSpec.generator(alpha).on(xi1, xi2).imag
+    ph = dispersion_rate(*g.xi_axes(slice(0, ny + 1), half=True), alpha)
     arg = np.empty_like(ph)
     m = np.empty(half.shape, dtype=np.complex128)
     vals = np.empty(len(times))
@@ -202,7 +202,9 @@ def bessel_j0(t):
 
 
 def j0_asymptotic_envelope(t):
-    return np.sqrt(2.0 / (np.pi * np.asarray(t, dtype=float)))
+    """sqrt(2 / (pi t)), inf where the quotient overflows (t below ~1e-308)."""
+    with np.errstate(over="ignore"):
+        return np.sqrt(2.0 / (np.pi * np.asarray(t, dtype=float)))
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +244,7 @@ def _origin_evaluator(f0):
     products, whose split across threads would make the last digits depend
     on the thread count.
     """
-    # the generator's symbol is -i xi_1/|xi|, 0 at the zero mode
-    ph = -MultiplierSpec.generator(1.0).on(*f0.grid.xi_axes()).imag.ravel()
+    ph = dispersion_rate(*f0.grid.xi_axes(), 1.0).ravel()
     c = f0.coeffs.ravel()
     keep = np.abs(c) > 1e-18 * np.max(np.abs(c))
     c = c[keep]

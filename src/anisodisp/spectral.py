@@ -17,8 +17,6 @@ half-box shift that no norm or transport product sees: only
 `forward_transform` and `SpectralField.to_physical` apply it.
 """
 
-from functools import cached_property
-
 import numpy as np
 
 
@@ -43,54 +41,16 @@ def row_blocks(n_rows, row_bytes, budget=CHUNK_BYTES):
         yield slice(start, min(start + step, n_rows))
 
 
-class _Lattice:
-    """The frequency arrays xi = (2 pi / L) (k1, k2) and what is derived from
-    them, on the broadcast integer wavenumbers k1 (a column) and k2 (a row);
-    each array is built on first use and kept.  Code that needs an array only
-    briefly builds it from `xi_axes` instead."""
-
-    def __init__(self, k1, k2, L):
-        self.k1, self.k2, self._scale = k1, k2, 2.0 * np.pi / L
-
-    def xi_axes(self, rows=slice(None)):
-        """The broadcast vectors xi1 (a column, of the given rows) and xi2 (a
-        row): `xi1**2 + xi2**2` has the bits of `xi_sq[rows]`, and so on."""
-        return self._scale * self.k1[rows], self._scale * self.k2
-
-    @cached_property
-    def xi1(self):
-        return self._scale * self.k1 + 0.0 * self.k2
-
-    @cached_property
-    def xi2(self):
-        return self._scale * self.k2 + 0.0 * self.k1
-
-    @cached_property
-    def xi_sq(self):
-        return self.xi1**2 + self.xi2**2
-
-    @cached_property
-    def xi_mod(self):
-        return np.sqrt(self.xi_sq)
-
-    @cached_property
-    def xi_mod_safe(self):
-        return np.sqrt(_modulus_sq(self.xi1, self.xi2))
-
-
-class Grid2D(_Lattice):
-    """Periodic N x N grid on a box of side L, with its frequency lattice.
-
-    The (N, N) lattice arrays are built on first use, and `half` holds the
-    same arrays on the (N, N//2 + 1) half lattice that `rfft2` stores.
-    """
+class Grid2D:
+    """Periodic N x N grid on a box of side L.  It keeps only its wavenumbers
+    `k` and samples `x`; the lattice properties build their arrays anew on
+    each read, and other code builds what it needs from `xi_axes`."""
 
     def __init__(self, N, L):
         self.check_grid(N, L)
         self.N = int(N)
         self.L = float(L)
         self.k = np.fft.fftfreq(self.N, d=1.0 / self.N)  # integer wavenumbers
-        super().__init__(self.k[:, None], self.k[None, :], self.L)
         self.x = np.arange(self.N) * self.L / self.N - self.L / 2.0
         self.dx = self.L / self.N
 
@@ -103,13 +63,40 @@ class Grid2D(_Lattice):
         if not 0 < L < np.inf:
             raise SpectralError(f"box side must be positive and finite, got {L}")
 
-    @cached_property
-    def half(self):
-        # the columns k2 = 0 .. N/2 - 1 and -N/2 of the full lattice, as
-        # rfft2 orders them (rfftfreq would give +N/2 for the last one)
-        return _Lattice(self.k1, self.k2[:, : self.N // 2 + 1], self.L)
+    def xi_axes(self, rows=slice(None), half=False):
+        """The broadcast frequency vectors xi = (2 pi / L) (k1, k2): xi1 a
+        column over the given rows, xi2 a row over the N columns, or over the
+        N//2 + 1 of the half lattice that rfft2 stores (k2 = 0 .. N/2 - 1
+        and -N/2, as fftfreq orders them).  `xi1 + 0.0 * xi2` is the (N, N)
+        array `xi1`, `xi1**2 + xi2**2` is `xi_sq`, and so on."""
+        scale = 2.0 * np.pi / self.L
+        k2 = self.k[: self.N // 2 + 1] if half else self.k
+        return scale * self.k[rows, None], scale * k2[None, :]
 
-    @cached_property
+    @property
+    def xi1(self):
+        xi1, xi2 = self.xi_axes()
+        return xi1 + 0.0 * xi2
+
+    @property
+    def xi2(self):
+        xi1, xi2 = self.xi_axes()
+        return xi2 + 0.0 * xi1
+
+    @property
+    def xi_sq(self):
+        xi1, xi2 = self.xi_axes()
+        return xi1**2 + xi2**2
+
+    @property
+    def xi_mod(self):
+        return np.sqrt(self.xi_sq)
+
+    @property
+    def xi_mod_safe(self):
+        return np.sqrt(_modulus_sq(*self.xi_axes()))
+
+    @property
     def nyquist_mask(self):
         # Nyquist rows have no Hermitian partner on the lattice
         mask = np.zeros((self.N, self.N), dtype=bool)
@@ -124,9 +111,6 @@ class Grid2D(_Lattice):
 
     def __repr__(self):
         return f"Grid2D(N={self.N}, L={self.L})"
-
-    def meshgrid(self):
-        return np.meshgrid(self.x, self.x, indexing="ij")
 
 
 class SpectralField:
@@ -190,7 +174,7 @@ def _centre_phase(grid, half, out):
     It is applied as the column signs (-1)^k2 on the even rows and their
     negatives on the odd ones (k1 has the parity of its row, N being even):
     each entry is multiplied by the same float +-1 as by the whole product."""
-    sign = np.where(np.mod(grid.half.k2, 2) == 0, 1.0, -1.0)
+    sign = np.where(np.mod(grid.k[: grid.N // 2 + 1], 2) == 0, 1.0, -1.0)
     np.multiply(half[0::2], sign, out=out[0::2])
     np.multiply(half[1::2], -sign, out=out[1::2])
     return out
@@ -268,16 +252,23 @@ def _at_zero(m, value):
     return m
 
 
+def dispersion_rate(xi1, xi2, alpha):
+    """xi_1 / |xi|^alpha, 0 at xi = 0: the real rate of the semigroup
+    e^{R_1 t} = exp(-i t xi_1 / |xi|^alpha), on a lattice or its axes."""
+    return _at_zero(xi1 / np.sqrt(_modulus_sq(xi1, xi2)) ** alpha, 0.0)
+
+
 def _riesz(xi1, xi2, j, alpha=1.0):
     # -i xi_j / |xi|^alpha: R_j for alpha = 1, and for j = 1 the generator of
-    # the semigroup; the quotient is real, so -Im(m) is exactly xi_j/|xi|^alpha
-    xj = xi1 if j == 1 else xi2
-    return _at_zero(-1j * (xj / np.sqrt(_modulus_sq(xi1, xi2)) ** alpha), 0.0)
+    # the semigroup; |xi|^2 is a sum, so xi_2's quotient is the rate with the
+    # axes swapped
+    rate = dispersion_rate(xi1, xi2, alpha) if j == 1 else dispersion_rate(xi2, xi1, alpha)
+    return _at_zero(-1j * rate, 0.0)
 
 
 # Every Fourier symbol m(xi1, xi2, **params) of the package, each written once.
-# The lattice may be the full (N, N) one or the (N, N//2 + 1) half that rfft2
-# stores; both hold xi = 0 at [0, 0], whose value each entry sets itself.
+# The lattice is the full (N, N) one, the (N, N//2 + 1) half or the axes of
+# either (`Grid2D.xi_axes`); each has xi = 0 at [0, 0], set by each entry.
 SYMBOLS = {
     "Deriv": lambda xi1, xi2, j: _at_zero(1j * (xi1 if j == 1 else xi2), 0.0),
     "Generator": lambda xi1, xi2, alpha: _riesz(xi1, xi2, 1, alpha),
@@ -339,7 +330,7 @@ class MultiplierSpec:
         return cls("VelocityBouss", component=_one_or_two("velocity component", component))
 
     def on(self, xi1, xi2):
-        """Evaluate m on the lattice (xi1, xi2), full or half."""
+        """Evaluate m on the lattice (xi1, xi2), full or half, or its axes."""
         m = SYMBOLS[self.tag](xi1, xi2, **self.params)
         if not np.all(np.isfinite(m)):
             raise AssertionError(f"multiplier {self.tag} not finite on the lattice")
@@ -359,7 +350,7 @@ def apply_multiplier(field, mult):
     conjugate reflection, with the Nyquist lines zeroed.  Every symbol has
     m(-xi) = conj(m(xi)), so a real field maps to a real field."""
     g = field.grid
-    m = mult.on(g.half.xi1, g.half.xi2)
+    m = mult.on(*g.xi_axes(half=True))
     return SpectralField(g, full_spectrum(half_spectrum(field.coeffs) * m)).zero_nyquist()
 
 

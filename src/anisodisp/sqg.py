@@ -80,8 +80,8 @@ NORM_CAP = 1e3
 
 
 def _dealias_mask(grid):
-    cutoff = DEALIAS * (grid.N // 2)
-    return (np.abs(grid.k1) < cutoff) & (np.abs(grid.k2) < cutoff)
+    kept = np.abs(grid.k) < DEALIAS * (grid.N // 2)
+    return kept[:, None] & kept[None, :]
 
 
 class _HalfSpectrumWorkspace:
@@ -98,8 +98,8 @@ class _HalfSpectrumWorkspace:
         half_mask = half_spectrum(self.mask)
         self.K = K = int(np.count_nonzero(half_mask[0]))
         self.mask_K = np.ascontiguousarray(half_mask[:, :K])
-        self.xi1, self.xi2 = (np.ascontiguousarray(a[:, :K])
-                              for a in (grid.half.xi1, grid.half.xi2))
+        xi1, xi2 = grid.xi_axes(half=True)
+        self.xi1, self.xi2 = xi1 + 0.0 * xi2[:, :K], xi2[:, :K] + 0.0 * xi1
         self._props = {}
 
     def symbols(self, factory, *args):

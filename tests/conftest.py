@@ -26,6 +26,12 @@ def random_field(grid, seed=0, width=2.0):
     return f
 
 
+def grid_arrays(grid):
+    """The names of the arrays a grid keeps: its lattice arrays are built
+    anew on each read, so only the wavenumbers `k` and the samples `x`."""
+    return sorted(name for name, value in vars(grid).items() if isinstance(value, np.ndarray))
+
+
 def cosine(a, b):
     """Re <a, b> / (|a| |b|) of two coefficient arrays: by Parseval, the
     normalized L^2 inner product of the fields."""

@@ -9,6 +9,7 @@ import sys
 import tempfile
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +28,7 @@ from anisodisp.harness import (
     run,
 )
 from anisodisp.spectral import Grid2D, linf_norm
-from conftest import count_calls
+from conftest import count_calls, grid_arrays
 
 
 KERNEL_INI = """\
@@ -368,24 +369,24 @@ def _record_grids(monkeypatch):
     return grids
 
 
-LATTICE = ("xi1", "xi2", "xi_sq", "xi_mod", "xi_mod_safe")
+# a short run of each experiment but the sweep, on N = 64, L = 100
+SHORT_RUNS = {
+    "lin-decay": {"t_hi": "20.0"},
+    "sharpness": {"t_hi": "30.0", "n_times": "20"},
+    "kernel": {"times": "10,30"},
+    "sqg": {"t_final": "0.1", "dt": "0.05", "n_outputs": "2"},
+    "bouss": {"t_final": "0.1", "dt": "0.05", "n_outputs": "2"},
+}
 
 
-@pytest.mark.parametrize("experiment, params, needed", [
-    # lin-decay reads the half lattice's wavenumbers
-    ("lin-decay", {"t_hi": "20.0"}, ("half",)),
-    ("sharpness", {"t_hi": "30.0", "n_times": "20"}, ()),
-])
-def test_runs_build_only_the_full_arrays_they_read(monkeypatch, experiment, params, needed):
-    """Each lattice array these runs read is built per use from the
-    wavenumber axes, so none is kept on the grid or on its half."""
+@pytest.mark.parametrize("experiment", SHORT_RUNS)
+def test_runs_keep_only_wavenumbers_on_the_grid(monkeypatch, experiment):
+    """Each lattice array a run reads is built where it is used, so after the
+    run its grid (the kernel run makes none) keeps no array but `k` and `x`."""
     grids = _record_grids(monkeypatch)
-    run(ExperimentConfig(experiment=experiment, N=64, L=100.0, params=params))
-    [grid] = grids
-    kept = LATTICE + ("nyquist_mask", "half")
-    assert [a for a in kept if a in grid.__dict__] == list(needed)
-    if "half" in needed:
-        assert [a for a in LATTICE if a in grid.half.__dict__] == []
+    run(ExperimentConfig(experiment=experiment, N=64, L=100.0, params=SHORT_RUNS[experiment]))
+    assert len(grids) == (experiment != "kernel")
+    assert all(grid_arrays(grid) == ["k", "x"] for grid in grids)
 
 
 def test_lin_decay_run_memory_bounded():
@@ -588,19 +589,22 @@ def test_cli_sweep_member_config_error_exit_two(tmp_path, capsys):
     ("lin-decay", "n_times = 100001", "n_times"),
     ("sharpness", "n_times = 100001", "n_times"),
     ("sharpness", "t_lo = 20\nt_hi = 62521", "t_hi"),
+    # counts too large to print in full, and one that overflows to inf
+    ("sqg", "t_final = 1e300", "t_final"),
+    ("sharpness", "t_hi = 1e300", "t_hi"),
+    ("sharpness", "t_hi = 1e308", "t_hi"),
 ])
 def test_cli_unbounded_work_exit_two(tmp_path, capsys, experiment, extra, key):
     """A config that asks for more than the bounded work exits 2 before any
-    of it runs, naming the key."""
-    if experiment in ("sqg", "bouss", "sweep"):
-        ini = EVOLUTION_INI.replace("n_outputs = 2\n" if "n_outputs" in extra else
-                                    "dt = 0.05\n", "")
-    else:
-        ini = PARAMS_INI
+    of it runs, naming the key on one short line."""
+    # the template line of the key the case sets is dropped
+    template = EVOLUTION_INI if experiment in ("sqg", "bouss", "sweep") else PARAMS_INI
+    ini = re.sub(rf"^{extra.split(' =')[0]} = .*\n", "", template, flags=re.M)
     path = write_config(tmp_path, ini.format(experiment=experiment, extra=extra))
     assert main([experiment, "--config", path, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and re.search(rf"params\.{key}\b", err)
+    assert err.count("\n") == 1 and len(err) < 200, err
 
 
 @pytest.mark.parametrize("experiment, N", [
@@ -867,6 +871,55 @@ def test_sweep_pool_is_capped(monkeypatch, cpus, jobs, workers):
         "target": "bouss", "eps_list": "0.04,0.02,0.01", "t_final": "0.2"})
     assert len(run(cfg, jobs=jobs).subreports) == 3
     assert started == ([] if workers is None else [workers])
+
+
+def _extremes():
+    """pytest params (experiment, the [params] lines): each key of PARAMS with
+    an interval, set alone to each in-range extreme of it: a closed finite
+    end, the float next to an open one, or +-1e300 for an infinite end.  A
+    sweep sets only eps_list, to one value, so that it runs one member in
+    this process.  The n_times tops, 100000 times (5-9 s each at N = 64),
+    are left out."""
+    tables = [(e, None, PARAMS[e]) for e in EXPERIMENTS if e != "sweep"]
+    tables += [("sweep", t, {"eps_list": PARAMS[t]["eps"]}) for t in ("sqg", "bouss")]
+    cases = []
+    for experiment, target, table in tables:
+        for key, (_, within, kind) in table.items():
+            if not isinstance(within, str):
+                continue  # a choice
+            lo, hi = (float(x) for x in within[1:-1].split(", "))
+            for end, inside, closed in ((lo, hi, within[0] == "["), (hi, lo, within[-1] == "]")):
+                value = (np.sign(end) * 1e300 if np.isinf(end) else
+                         end if closed else np.nextafter(end, inside))
+                value = str(int(value)) if kind is int else repr(float(value))
+                if key == "n_times" and value == "100000":
+                    continue
+                name = experiment if target is None else f"{experiment}-{target}"
+                lines = f"{key} = {value}" if target is None else f"target = {target}\n{key} = {value}"
+                cases.append(pytest.param(experiment, lines, id=f"{name}-{key}={value}"))
+    return cases
+
+
+@pytest.mark.parametrize("experiment, lines", _extremes())
+def test_each_in_range_extreme_exits_with_a_contract_code(tmp_path, capsys, experiment, lines):
+    """One key at a time at an extreme of its range, on the N = 16 grid of
+    PARAMS_INI (lin-decay at L = 400; the evolutions at t_final = 0.1,
+    dt = 0.05 and 2 outputs, the kernel at t = 10, but for the key set): the
+    run exits 0, 1, 2 or 3 with no exception and no warning (an error under
+    this suite's filter), and exit 2 says why."""
+    key = lines.splitlines()[-1].split(" =")[0]
+    base = {"kernel": {"times": "10"},
+            **dict.fromkeys(("sqg", "bouss", "sweep"),
+                            {"t_final": "0.1", "dt": "0.05", "n_outputs": "2"})}
+    lines += "".join(f"\n{k} = {v}" for k, v in base.get(experiment, {}).items() if k != key)
+    text = PARAMS_INI.format(experiment=experiment, extra=lines)
+    if experiment == "lin-decay":  # L/4 reaches the default t_hi, so the fit runs
+        text = text.replace("L = 10.0", "L = 400.0")
+    code = main([experiment, "--config", write_config(tmp_path, text),
+                 "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2, 3)
+    assert (code == 2) == err.startswith("config error: "), err
 
 
 def _value_pool(default, within, kind):

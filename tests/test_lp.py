@@ -51,7 +51,7 @@ def test_project_plane_waves():
     # box chosen so the lattice hits |xi0| = 1 exactly, where psi(1) = 1
     grid = Grid2D(64, 4.0 * np.pi)
     bank = LPBank(grid)
-    X, _ = grid.meshgrid()
+    X = np.broadcast_to(grid.x[:, None], (grid.N, grid.N))  # x1 at each point
     f = forward_transform(np.cos(X), grid)
     same = bank.project(f, 0)
     assert np.max(np.abs(same.coeffs - f.coeffs)) <= 1e-12

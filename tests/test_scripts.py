@@ -1,5 +1,6 @@
 """The helper scripts under scripts/ still run against the library."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -31,3 +32,27 @@ def test_lattice_memory_rejects_a_bad_grid(bad):
                           env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")))
     assert proc.returncode == 2 and proc.stdout == ""
     assert "usage:" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_report_identity_of_the_checkout_with_itself():
+    """The kernel invocations (configs/kernel.ini and the linear-dispersion
+    workload's at seeds 1-3) give the same bytes twice."""
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", "report_identity.py"),
+                           ROOT, ROOT, "--only", "kernel"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-1] == "4 of 4 invocations identical"
+    assert all(line.startswith("same ") for line in lines[:-1])
+
+
+def test_report_identity_names_each_difference():
+    spec = importlib.util.spec_from_file_location(
+        "report_identity", os.path.join(ROOT, "scripts", "report_identity.py"))
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    old = (0, b"overall: PASS\n", b"", {"out/report.csv": b"t\n1.0\n", "out/report.txt": b"a"})
+    assert script.differences(old, old) == []
+    new = (1, b"overall: FAIL\n", b"", {"out/report.csv": b"t\n1.1\n"})
+    assert script.differences(old, new) == ["exit code", "stdout", "out/report.csv",
+                                            "out/report.txt (only one tree)"]

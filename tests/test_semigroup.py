@@ -30,7 +30,7 @@ from anisodisp.spectral import (
     l2_norm,
     linf_norm,
 )
-from conftest import random_field
+from conftest import grid_arrays, random_field
 
 
 def test_params_validated(grid32):
@@ -117,7 +117,7 @@ def test_evolved_field_stays_real(grid64):
 
 
 def test_plane_wave_does_not_decay(grid64):
-    X, _ = grid64.meshgrid()
+    X = np.broadcast_to(grid64.x[:, None], (grid64.N, grid64.N))  # x1 at each point
     f = forward_transform(np.cos(2.0 * np.pi * X * 3 / grid64.L), grid64)
     base = linf_norm(f)
     for t in (1.0, 10.0, 40.0):
@@ -220,7 +220,8 @@ def test_evolved_linf_memory_bounded(n_times):
     and its argument on half the rows (a quarter of a half-lattice complex
     array each), the multiplier (one) and one row block of values, with 64
     KiB to spare.  At N = 256 one block holds every row; at N = 1024 the row
-    pass takes several blocks, and no (N, N) array is made."""
+    pass takes several blocks, and no (N, N) array is made, on the grid or
+    elsewhere."""
     for N in (256, 1024):
         grid = Grid2D(N, 400.0)
         f = make_profile(grid, "gaussian")
@@ -234,7 +235,7 @@ def test_evolved_linf_memory_bounded(n_times):
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * N * (N // 2 + 1) * 16 + block + (64 << 10), N
-        assert not grid.half.__dict__.keys() - {"k1", "k2", "_scale"}
+        assert grid_arrays(grid) == ["k", "x"]
 
 
 def test_decay_slope_small_grid():

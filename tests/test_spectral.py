@@ -11,7 +11,9 @@ from anisodisp.spectral import (
     SpectralError,
     SpectralField,
     _centre_phase,
+    _modulus_sq,
     apply_multiplier,
+    dispersion_rate,
     forward_transform,
     full_spectrum,
     gaussian_field,
@@ -21,7 +23,7 @@ from anisodisp.spectral import (
     linf_norm,
     sobolev_norm,
 )
-from conftest import random_field
+from conftest import grid_arrays, random_field
 
 
 # ---------------------------------------------------------------------------
@@ -68,28 +70,47 @@ def _same_bits(a, b):
 
 @pytest.mark.parametrize("N", [16, 64, 1024])
 def test_lazy_lattice_equals_eager_formulas(N):
-    """Each lazily built full array, and each array of `grid.half`, has the
-    bits of the eager formula (sliced to the k2 >= 0 columns for the half)."""
+    """The arrays built from `xi_axes`, full and half, on all rows and on the
+    first half of them, and each lattice property of the grid have the bits
+    of the eager formula (sliced to the k2 >= 0 columns for the half).  Each
+    property is built anew on each read: the grid keeps only `k` and `x`."""
     grid = Grid2D(N, 10.0)
     want = _eager_lattice(N, 10.0)
-    # the axes that arrays built per use start from: the same bits, nothing kept
-    for lattice, cols in ((grid, slice(None)), (grid.half, slice(0, N // 2 + 1))):
+    for half, cols in ((False, slice(None)), (True, slice(0, N // 2 + 1))):
         for rows in (slice(None), slice(0, N // 2 + 1)):
-            xi1, xi2 = lattice.xi_axes(rows)
+            xi1, xi2 = grid.xi_axes(rows, half=half)
+            assert xi1.shape == (len(range(N)[rows]), 1) and xi2.shape == (1, N // 2 + 1 if half else N)
             assert _same_bits(xi1 + 0.0 * xi2, want["xi1"][rows, cols])
             assert _same_bits(xi2 + 0.0 * xi1, want["xi2"][rows, cols])
             assert _same_bits(xi1**2 + xi2**2, want["xi_sq"][rows, cols])
             assert _same_bits(np.sqrt(xi1**2 + xi2**2), want["xi_mod"][rows, cols])
-    assert not grid.half.__dict__.keys() - {"k1", "k2", "_scale"}
+            assert _same_bits(np.sqrt(_modulus_sq(xi1, xi2)), want["xi_mod_safe"][rows, cols])
     for name, ref in want.items():
-        assert name not in grid.__dict__, name
         assert _same_bits(getattr(grid, name), ref), name
-        assert getattr(grid, name) is getattr(grid, name), name
-        if name != "nyquist_mask":
-            assert _same_bits(getattr(grid.half, name), ref[:, : N // 2 + 1]), name
+        assert getattr(grid, name) is not getattr(grid, name), name
+    assert grid_arrays(grid) == ["k", "x"]
     if N == 64:
         # column N/2 is k2 = -N/2, as in fftfreq (rfftfreq would say +N/2)
-        assert np.all(grid.half.xi2[:, N // 2] < 0.0)
+        assert grid.xi_axes(half=True)[1][0, N // 2] < 0.0
+
+
+@pytest.mark.parametrize("N, L", [(16, 10.0), (64, 4.0 * np.pi), (256, 400.0)])
+@pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
+def test_dispersion_rate_is_the_generators_real_rate(N, L, alpha):
+    """`dispersion_rate` has the bits of -Im of the generator's symbol on the
+    full and the half lattice, as arrays and as broadcast axes, everywhere
+    but xi = 0: there the rate is +0.0 and -Im of the symbol's 0 is -0.0."""
+    grid = Grid2D(N, L)
+    gen = MultiplierSpec.generator(alpha)
+    for half in (False, True):
+        xi1, xi2 = grid.xi_axes(half=half)
+        xi1, xi2 = xi1 + 0.0 * xi2, xi2 + 0.0 * xi1
+        want = -gen.on(xi1, xi2).imag
+        for rate in (dispersion_rate(xi1, xi2, alpha),
+                     dispersion_rate(*grid.xi_axes(half=half), alpha)):
+            assert _same_bits(rate.ravel()[1:], want.ravel()[1:])
+            assert _same_bits(rate[:1, :1], np.zeros((1, 1)))
+            assert _same_bits(want[:1, :1], -np.zeros((1, 1)))
 
 
 def test_roundtrip_is_identity(grid64):
@@ -210,7 +231,7 @@ def test_forward_rejects_complex_values(grid64):
 
 def test_plane_wave_coefficients(grid64):
     """cos(2 pi x / L) has exactly two coefficients of value 1/2."""
-    X, _ = grid64.meshgrid()
+    X = np.broadcast_to(grid64.x[:, None], (grid64.N, grid64.N))  # x1 at each point
     f = forward_transform(np.cos(2.0 * np.pi * X / grid64.L), grid64)
     c = f.coeffs
     assert abs(c[1, 0] - 0.5) <= 1e-13
@@ -235,7 +256,7 @@ def test_parseval(grid64):
 
 def test_sobolev_norm_plane_wave(grid64):
     """H^s of cos(xi0 . x) is L * sqrt(2 * (1/4)) * (1+|xi0|^2)^{s/2}."""
-    X, _ = grid64.meshgrid()
+    X = np.broadcast_to(grid64.x[:, None], (grid64.N, grid64.N))  # x1 at each point
     xi0 = 2.0 * np.pi / grid64.L * 3
     f = forward_transform(np.cos(xi0 * X), grid64)
     expected = grid64.L * np.sqrt(0.5) * (1.0 + xi0**2) ** 0.75
