@@ -1,7 +1,7 @@
 """Traced memory and wall time of each lin-decay phase: config, grid,
 profile, `_evolved_linf` and the Besov norm; then of one sharpness check.
 
-    PYTHONPATH=src python scripts/lattice_memory.py [--N 1024] [--L 400]
+    python scripts/lattice_memory.py [--N 1024] [--L 400]
 
 The phases run one after another with the lin-decay defaults (a Gaussian of
 width 1, alpha = 1, 12 times in [10, 100]) under `tracemalloc`.  The
@@ -16,10 +16,15 @@ error (exit 2).
 """
 
 import argparse
+import os
+import sys
 import time
 import tracemalloc
 
 import numpy as np
+
+# this checkout's sources first, so that an installed copy is never measured
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
 from anisodisp import harness, semigroup
 from anisodisp.lp import LPBank, shell_field

@@ -1,6 +1,6 @@
 """Cost of one stepper step: `sqg.step` and `boussinesq.step` on both branches.
 
-    PYTHONPATH=src python scripts/step_timing.py [--steps 100]
+    python scripts/step_timing.py [--steps 100]
 
 Each stepper starts from a masked random field (SQG, sup norm 0.05) or the
 default Boussinesq profiles (eps = 0.01), with dt = 0.01 and a workspace
@@ -15,11 +15,16 @@ depend on what the process allocated and imported before it steps.
 
 import argparse
 import multiprocessing
+import os
 import resource
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
+
+# this checkout's sources first, so that an installed copy is never measured
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
 from anisodisp import boussinesq, sqg
 from anisodisp.harness import make_profile

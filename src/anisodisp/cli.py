@@ -35,7 +35,8 @@ def build_parser():
     ap.add_argument("experiment", choices=EXPERIMENTS)
     ap.add_argument("--config", required=True, help="INI config file")
     ap.add_argument("--jobs", type=_jobs, help="sweep worker processes "
-                    "(default: one per member, at most one per usable CPU)")
+                    "(default: one per member, up to two per usable CPU where "
+                    "that finishes the sweep sooner, at most one per CPU above N = 1024)")
     ap.add_argument("--out", default="out", help="report output directory")
     return ap
 

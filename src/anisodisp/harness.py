@@ -410,17 +410,39 @@ def _sweep_member(args):
     return _DRIVERS[p["target"]](member, dict(p, eps=eps))
 
 
+def sweep_workers(members, cpus, N, jobs=None):
+    """Worker processes for a sweep of `members` equal members on `cpus`
+    usable CPUs at grid size N: the fewest w in [min(members, cpus),
+    min(members, 2 cpus)] that minimise the makespan, with the members in
+    rounds of w and a round of m of them taking max(1, m / cpus) member
+    times.  Above N = MAX_N / 2 the range is min(members, cpus) alone, so no
+    pool holds more grid points at once than `cpus` members at MAX_N.
+    `jobs` caps the result; 1 means the members run in this process."""
+    def makespan(w):
+        # in units of 1 / cpus member times, so that ties are exact
+        full, rest = divmod(members, w)
+        return full * max(cpus, w) + (max(cpus, rest) if rest else 0)
+
+    low = min(members, cpus)
+    high = low if N > MAX_N // 2 else min(members, 2 * cpus)
+    workers = min(range(low, high + 1), key=makespan)
+    return workers if jobs is None else min(workers, jobs)
+
+
 def _run_sweep(cfg, p, jobs=None):
-    """The members, one per eps, on min(jobs, members, usable CPUs) worker
-    processes; jobs=None means one per member.  With one worker they run
-    in this process.  Either way the members come back in eps_list order."""
+    """The members, one per eps, on `sweep_workers` worker processes for this
+    process's usable CPUs: up to two per CPU where that finishes the sweep
+    sooner (3 members on 2 CPUs take 3 workers, 4 members 2), and at most
+    `jobs`.  At N = 2048 that is min(members, usable CPUs) members at once,
+    the pool's memory bound.  With one worker the members run in this
+    process.  Either way they come back in eps_list order."""
     out = ExperimentReport(config=cfg)
     args = [(cfg, p, eps) for eps in p["eps_list"]]
-    jobs = min(len(args) if jobs is None else jobs, len(args), len(os.sched_getaffinity(0)))
-    if jobs > 1:
+    workers = sweep_workers(len(args), len(os.sched_getaffinity(0)), cfg.N, jobs)
+    if workers > 1:
         # imported here: it loads multiprocessing, which only a pool uses
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             subs = list(ex.map(_sweep_member, args))
     else:
         subs = [_sweep_member(a) for a in args]

@@ -163,7 +163,14 @@ def forward_transform(values, grid):
         )
     if np.iscomplexobj(values):
         raise SpectralError("physical values must be real")
-    half = np.fft.rfft2(values, norm="forward")
+    return _from_row_pass(grid, np.fft.rfft(values, axis=-1, norm="forward"))
+
+
+def _from_row_pass(grid, half):
+    """The SpectralField of the real values whose row `rfft` is `half`: the
+    column pass in place in `half` (the two passes of `rfft2`, so its
+    bits), then the centre phase in place and the Hermitian rebuild."""
+    np.fft.fft(half, axis=-2, norm="forward", out=half)
     return SpectralField(grid, full_spectrum(_centre_phase(grid, half, half)))
 
 
@@ -396,4 +403,6 @@ def gaussian_field(grid, width=1.0, amplitude=1.0):
     np.divide(vals, width**2, out=vals)
     np.exp(vals, out=vals)
     np.multiply(amplitude, vals, out=vals)
-    return forward_transform(vals, grid)
+    half = np.fft.rfft(vals, axis=-1, norm="forward")
+    del vals  # the samples go before the rebuild, which holds the half and the whole
+    return _from_row_pass(grid, half)

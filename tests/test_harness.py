@@ -26,6 +26,7 @@ from anisodisp.harness import (
     make_profile,
     parse_params,
     run,
+    sweep_workers,
 )
 from anisodisp.spectral import Grid2D, linf_norm
 from conftest import count_calls, grid_arrays
@@ -814,13 +815,14 @@ def test_readme_param_tables_match_code():
 
 
 def test_sweep_jobs_match_serial(two_cpus):
-    """Pooled members, with --jobs 2 or none given, report what serial ones do."""
+    """Pooled members, with --jobs 2 or none given (3 workers on the 2 CPUs),
+    report what serial ones do."""
     for target in ("bouss", "sqg"):
         cfg = ExperimentConfig(experiment="sweep", N=16, L=10.0, params={
-            "target": target, "eps_list": "0.02,0.01", "t_final": "0.2"})
+            "target": target, "eps_list": "0.04,0.02,0.01", "t_final": "0.2"})
         serial = run(cfg, jobs=1)
         for parallel in (run(cfg, jobs=2), run(cfg)):
-            assert len(parallel.subreports) == 2
+            assert len(parallel.subreports) == 3
             for a, b in zip([serial] + serial.subreports, [parallel] + parallel.subreports):
                 assert a.summary_text() == b.summary_text()
                 assert a.csv_text() == b.csv_text()
@@ -844,12 +846,12 @@ def test_cli_sweep_default_jobs_match_one_job(tmp_path, capsys, two_cpus, target
 
 
 @pytest.mark.parametrize("cpus, jobs, workers", [
-    (8, 1000, 3), (2, 1000, 2), (8, 2, 2), (1, 1000, None), (8, 1, None),
-    (8, None, 3), (2, None, 2), (1, None, None)])
+    (8, 1000, 3), (2, 1000, 3), (8, 2, 2), (1, 1000, None), (8, 1, None),
+    (8, None, 3), (2, None, 3), (1, None, None)])
 def test_sweep_pool_is_capped(monkeypatch, cpus, jobs, workers):
-    """The pool has at most one worker per member and per usable CPU, and with
-    no jobs given that many; with one, the members run in this process.  A
-    fake pool runs the members serially."""
+    """The run starts the pool that `sweep_workers` sizes, at most one worker
+    per member and at most jobs; with one, the members run in this process.
+    A fake pool runs the members serially."""
     started = []
 
     class SerialPool:
@@ -871,6 +873,41 @@ def test_sweep_pool_is_capped(monkeypatch, cpus, jobs, workers):
         "target": "bouss", "eps_list": "0.04,0.02,0.01", "t_final": "0.2"})
     assert len(run(cfg, jobs=jobs).subreports) == 3
     assert started == ([] if workers is None else [workers])
+
+
+@pytest.mark.parametrize("members, cpus, N, jobs, workers", [
+    (3, 2, 16, None, 3),    # one round of 3 on 2 CPUs: 1.5 member times against 2
+    (4, 2, 16, None, 2),    # 2 rounds of 2, or 1 of 4 at half speed: the fewer workers
+    (5, 2, 16, None, 3),    # 3 then 2: 2.5 member times against 3
+    (2, 2, 16, None, 2),
+    (3, 1, 16, None, 1),    # 1 CPU: no round is shorter than running them in turn
+    (3, 8, 16, None, 3),
+    (3, 2, 2048, None, 2),  # above MAX_N / 2: at most one per CPU
+    (3, 2, 1024, None, 3),
+    (1, 2, 16, None, 1),
+    (3, 2, 16, 2, 2),       # --jobs caps the pool
+    (3, 2, 16, 1, 1),
+    (3, 2, 2048, 1000, 2)])
+def test_sweep_workers_minimise_the_makespan(members, cpus, N, jobs, workers):
+    """The fewest workers in [min(k, c), min(k, 2c)] that finish k equal members
+    on c CPUs soonest, one per CPU above N = MAX_N / 2, capped by jobs; 1 means
+    in this process."""
+    assert sweep_workers(members, cpus, N, jobs) == workers
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+@pytest.mark.parametrize("N", [16, 2048])
+def test_sweep_workers_hold_no_more_than_the_jobs_and_the_worst_case(cpus, N):
+    """For 1-12 members and any jobs: never more than jobs workers, never
+    fewer than min(members, CPUs) with no jobs, and at N = 2048 exactly
+    min(members, CPUs), the pool's memory bound."""
+    for members in range(1, 13):
+        default = sweep_workers(members, cpus, N)
+        assert min(members, cpus) <= default <= min(members, 2 * cpus)
+        if N == 2048:
+            assert default == min(members, cpus)
+        for jobs in range(1, 14):
+            assert sweep_workers(members, cpus, N, jobs) == min(default, jobs)
 
 
 def _extremes():

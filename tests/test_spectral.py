@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.fft as sfft
@@ -193,6 +195,25 @@ def _full_spectrum_by_fancy_index(half):
     edges = [0, N // 2]
     full[..., M:, edges] = np.conj(full[..., N // 2 - 1 : 0 : -1, edges])
     return full
+
+
+@pytest.mark.parametrize("N, width", [(16, 1.0), (64, 0.3), (1024, 1.0)])
+def test_gaussian_profile_drops_its_samples_before_the_rebuild(N, width):
+    """The Gaussian profile has the bits of `forward_transform` of its
+    samples, and frees the (N, N) samples before the rebuild: it peaks at
+    its half spectrum and its whole one, 1.5 whole spectra (24 MiB at
+    N = 1024, where holding the samples too read 32.4 MiB)."""
+    grid = Grid2D(N, 400.0 if N == 1024 else 10.0)
+    x1, x2 = grid.x[:, None], grid.x[None, :]
+    want = forward_transform(0.7 * np.exp(-(x1**2 + x2**2) / width**2), grid)
+    tracemalloc.start()
+    try:
+        f = gaussian_field(grid, width, 0.7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _same_bits(f.coeffs, want.coeffs)
+    assert peak < 1.5 * f.coeffs.nbytes + (1 << 20)
 
 
 @pytest.mark.parametrize("N", [16, 32, 64, 128, 256])
