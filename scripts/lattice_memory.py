@@ -1,18 +1,21 @@
 """Traced memory and wall time of each lin-decay phase: config, grid,
-profile, `_evolved_linf` and the Besov norm; then of one sharpness check.
+profile, `_evolved_linf` and the Besov norm; then of the sharpness shell
+profile and one sharpness check.
 
     python scripts/lattice_memory.py [--N 1024] [--L 400]
 
 The phases run one after another with the lin-decay defaults (a Gaussian of
 width 1, alpha = 1, 12 times in [10, 100]) under `tracemalloc`.  The
-`sharpness` row is one `sharpness_check` of the shell profile with the
-sharpness defaults (400 times in [20, 100]) on the grid of
-`configs/sharpness.ini`, N = 512, whatever --N is.  Prints a markdown table
-of each phase's peak and of what the run holds after it, in MiB, and of its
-wall time (`perf_counter`, under tracing) in ms; the last two rows each
-trace one whole `harness.run` from a fresh start: lin-decay at --N and --L,
-and sharpness with its defaults at N = 512.  A bad --N or --L is a usage
-error (exit 2).
+`shell_field` row builds the sharpness profile at --N.  The `sharpness` row
+is one `sharpness_check` of the shell profile with the sharpness defaults
+(400 times in [20, 100]) on the grid of `configs/sharpness.ini`, N = 512,
+whatever --N is.  Prints a markdown table of each phase's peak and of what
+the run holds after it, in MiB, and of its wall time (`perf_counter`, under
+tracing) in ms; the last three rows each trace one whole run from a fresh
+start: a lin-decay `harness.run` at --N and --L, a sharpness `harness.run`
+with its defaults at N = 512, and one Boussinesq `stability_experiment`
+(stable branch, eps = 0.02, 4 steps of dt = 0.05, 2 records) at --N and
+--L.  A bad --N or --L is a usage error (exit 2).
 """
 
 import argparse
@@ -26,7 +29,7 @@ import numpy as np
 # this checkout's sources first, so that an installed copy is never measured
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
-from anisodisp import harness, semigroup
+from anisodisp import boussinesq, harness, semigroup
 from anisodisp.lp import LPBank, shell_field
 from anisodisp.spectral import Grid2D
 
@@ -55,20 +58,27 @@ def main():
     cfg = phase("config", lambda: harness.ExperimentConfig("lin-decay", N=args.N, L=args.L))
     p = harness.parse_params(cfg.experiment, cfg.params)
     grid = phase("grid", lambda: Grid2D(cfg.N, cfg.L))
-    f0 = phase("profile", lambda: harness.make_profile(grid, p["profile"], width=p["width"]))
+    f0 = phase("profile", lambda: harness.make_profile(grid, "gaussian", width=p["width"]))
     times = np.geomspace(p["t_lo"], p["t_hi"], p["n_times"])
     phase("_evolved_linf", lambda: semigroup._evolved_linf(f0, p["alpha"], times))
     phase("Besov", lambda: LPBank(grid).besov_norm(f0, 2.0))
-    del grid, f0
+    del f0
+    phase("shell_field", lambda: shell_field(grid))
+    del grid
     sp = harness.parse_params("sharpness", {})
     shell = shell_field(Grid2D(512, args.L))
     phase("sharpness", lambda: semigroup.sharpness_check(
         shell, sp["t_lo"], sp["t_hi"], sp["n_times"]))
+    del shell
     tracemalloc.stop()
-    for name, run_cfg in (("lin-decay", cfg),
-                          ("sharpness", harness.ExperimentConfig("sharpness", N=512, L=args.L))):
+    runs = (("harness.run lin-decay", lambda: harness.run(cfg)),
+            ("harness.run sharpness",
+             lambda: harness.run(harness.ExperimentConfig("sharpness", N=512, L=args.L))),
+            ("stability_experiment", lambda: boussinesq.stability_experiment(
+                Grid2D(args.N, args.L), eps=0.02, T=0.2, dt=0.05, n_outputs=2)))
+    for name, fn in runs:
         tracemalloc.start()
-        phase(f"harness.run {name}", lambda: harness.run(run_cfg))
+        phase(name, fn)
         tracemalloc.stop()
 
 

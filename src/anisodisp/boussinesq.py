@@ -169,6 +169,7 @@ def stability_experiment(grid, eps, T, dt, branch="stable", n_outputs=60):
     ws = _Workspace(grid, branch)
     om0 = SpectralField(grid, eps * fo.coeffs * ws.mask)
     rh0 = SpectralField(grid, eps * fr.coeffs * ws.mask)
+    del fo, fr  # two (N, N) spectra the run no longer reads
     state = BoussState(omega=om0, rho=rh0, dt=dt, branch=branch)
 
     rep = StabilityReport(branch=branch)

@@ -17,6 +17,7 @@ from .spectral import (
     ROW_PASS_BYTES,
     SpectralError,
     SpectralField,
+    full_spectrum,
     half_spectrum,
     physical_rows,
     row_blocks,
@@ -53,15 +54,15 @@ def bump_fattened(r):
     return chi(r / 2.0) - chi(4.0 * r)
 
 
-def shell_field(grid, j=0, amplitude=1.0):
+def shell_field(grid, j=0):
     """Radial field whose spectrum is the shell-j bump: smooth, radial,
     nonzero at the origin, and supported away from the symbol singularity
-    at xi = 0 (so the periodic box sees no slow dispersive tails)."""
-    xi1, xi2 = grid.xi_axes()
-    coeffs = amplitude * bump(np.sqrt(xi1**2 + xi2**2) * 2.0 ** (-j)).astype(np.complex128)
-    f = SpectralField(grid, coeffs)
-    f.zero_nyquist()
-    return f
+    at xi = 0 (so the periodic box sees no slow dispersive tails).  The bump
+    is real and even in xi, so it is evaluated on the half lattice alone and
+    `full_spectrum` writes the rest."""
+    xi1, xi2 = grid.xi_axes(half=True)
+    half = bump(np.sqrt(xi1**2 + xi2**2) * 2.0 ** (-j))
+    return SpectralField(grid, full_spectrum(half)).zero_nyquist()
 
 
 class LPBank:

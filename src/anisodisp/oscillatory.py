@@ -16,7 +16,6 @@ xi_2 = 0 when alpha = 1 and nowhere (away from the origin) when alpha > 1.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -38,11 +37,6 @@ class PhaseSpec:
             raise SpectralError(f"alpha must lie in [1, 2], got {self.alpha}")
         if not np.all(np.isfinite(self.v)):
             raise SpectralError("velocity parameter must be finite")
-
-    @cached_property
-    def stationary(self):
-        """`find_stationary(self)`, searched once per PhaseSpec."""
-        return find_stationary(self)
 
 
 @dataclass
@@ -230,7 +224,7 @@ def split_bound(p, t, lam):
     if not 0.0 < t < np.inf:
         raise SpectralError(f"split bound needs a finite t > 0, got {t}")
     near = STRIP_WIDTH * BUMP_SUP * lam
-    ss = p.stationary
+    ss = find_stationary(p)
     weights = [
         abs(hessian_det(p, q)) ** -0.5
         for q in ss.points

@@ -285,6 +285,11 @@ def _origin_evaluator(f0):
     return at
 
 
+# zero crossings are sought on a scan of this many points per unit of
+# t_hi - t_lo (at least 64); the harness bounds the count from it
+SCAN_POINTS_PER_UNIT = 16
+
+
 def sharpness_check(f0, t_lo, t_hi, n_times):
     """Two-path check of the t^{-1/2} sharpness statement at the origin, at
     the n_times times np.linspace(t_lo, t_hi, n_times).
@@ -312,7 +317,7 @@ def sharpness_check(f0, t_lo, t_hi, n_times):
 
     # zero crossings: the linear interpolant of each sign change on the scan,
     # a scan sample of exactly 0 being a crossing at its own time
-    n = max(64, int((t_hi - t_lo) * 16))
+    n = max(64, int((t_hi - t_lo) * SCAN_POINTS_PER_UNIT))
     tgrid = np.linspace(t_lo, t_hi, n)
     vg = at.linspace(t_lo, t_hi, n)
     v0, v1 = vg[:-1], vg[1:]

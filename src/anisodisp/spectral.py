@@ -57,11 +57,13 @@ class Grid2D:
     @staticmethod
     def check_grid(N, L):
         """Raise SpectralError unless N is a power of two >= 16 and the box
-        side L is positive and finite."""
+        side L lies in [1e-10, 1e10].  Far outside that, samples, symbols or
+        norms overflow: at N = 16 from L = 1e160 up and L = 1e-30 down, at
+        N = 2048 already at L = 1e-20."""
         if N < 16 or (N & (N - 1)) != 0:
-            raise SpectralError(f"N must be a power of two >= 16, got {N}")
-        if not 0 < L < np.inf:
-            raise SpectralError(f"box side must be positive and finite, got {L}")
+            raise SpectralError(f"grid.N must be a power of two >= 16, got {N}")
+        if not 1e-10 <= L <= 1e10:
+            raise SpectralError(f"grid.L must lie in [1e-10, 1e10], got {L}")
 
     def xi_axes(self, rows=slice(None), half=False):
         """The broadcast frequency vectors xi = (2 pi / L) (k1, k2): xi1 a
@@ -193,16 +195,15 @@ def half_spectrum(coeffs):
     return coeffs[..., : coeffs.shape[-1] // 2 + 1]
 
 
-def half_to_physical(grid, half, out=None, overwrite_x=False):
+def half_to_physical(grid, half, overwrite_x=False):
     """`irfft2` of a half spectrum, without the centre phase: for the half of
     a field f, `np.roll(f.to_physical(), N//2, axis=(0, 1))` bit for bit.
     `half` may hold only the first K columns of the half lattice: `irfft`
     zero-pads them, which gives exactly `irfft2` of the zero-padded half.
     With `overwrite_x` the column pass runs in `half`, which is left holding
-    neither input nor output; `out` is an optional (..., N, N) float array
-    for the values."""
+    neither input nor output."""
     cols = np.fft.ifft(half, axis=-2, norm="forward", out=half if overwrite_x else None)
-    return np.fft.irfft(cols, n=grid.N, axis=-1, norm="forward", out=out)
+    return np.fft.irfft(cols, n=grid.N, axis=-1, norm="forward")
 
 
 def physical_rows(grid, half):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -396,3 +398,16 @@ def test_run_calls_step_through_module_global(grid64, monkeypatch):
     calls = count_calls(monkeypatch, boussinesq, "step")
     stability_experiment(grid64, eps=0.01, T=0.5, dt=0.05, n_outputs=5)
     assert len(calls) == round(0.5 / 0.05)
+
+
+def test_stability_run_memory_bounded():
+    """A stable run at N = 512 (4 steps, 2 records) frees its two profiles once
+    it holds their masked copies: the traced peak stays below 82 MiB (86.8 MiB
+    with both kept to the end)."""
+    tracemalloc.start()
+    try:
+        stability_experiment(Grid2D(512, 400.0), eps=0.02, T=0.2, dt=0.05, n_outputs=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 82 << 20

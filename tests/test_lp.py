@@ -155,6 +155,19 @@ def test_besov_monotone_in_regularity(grid64):
     assert bank.besov_norm(f, 3.0) >= bank.besov_norm(f, 2.0)
 
 
+@pytest.mark.parametrize("j", [0, 1])
+@pytest.mark.parametrize("N, L", [(16, 10.0), (64, 40.0), (512, 400.0)])
+def test_shell_field_equals_full_lattice_formula(N, L, j):
+    """The half-lattice shell and its Hermitian rebuild give the values of the
+    bump evaluated on the whole lattice; only the sign of some zero imaginary
+    parts may differ, which np.array_equal does not see."""
+    grid = Grid2D(N, L)
+    xi1, xi2 = grid.xi_axes()
+    want = bump(np.sqrt(xi1**2 + xi2**2) * 2.0 ** (-j)).astype(np.complex128)
+    want[N // 2] = want[:, N // 2] = 0.0
+    assert np.array_equal(shell_field(grid, j).coeffs, want)
+
+
 def test_shell_field_properties(grid64):
     f = shell_field(grid64)
     assert f.hermitian_defect() == 0.0

@@ -283,6 +283,8 @@ def test_origin_evaluator_matches_plain_sum(kind):
         # the phase grouping must not rely on c(-k) = conj(c(k))
         f = random_field(grid, seed=5)
         f.coeffs = f.coeffs + 0.3j * np.abs(f.coeffs)
+    elif kind == "shell":
+        f = shell_field(grid)
     else:
         f = make_profile(grid, kind, seed=5, width=1.5)
     at = _origin_evaluator(f)
@@ -305,6 +307,8 @@ def test_origin_scan_matches_direct_sum(kind, n):
     if kind == "non-hermitian":
         f = random_field(grid, seed=7)
         f.coeffs = f.coeffs + 0.3j * np.abs(f.coeffs)
+    elif kind == "shell":
+        f = shell_field(grid)
     else:
         f = make_profile(grid, kind, seed=7, width=1.5)
     at = _origin_evaluator(f)

@@ -137,10 +137,8 @@ def test_transforms_equal_scipy_fft(N):
     # the values at the grid points are those of the centre-phase product
     centred = phase * f.coeffs[:, : N // 2 + 1]
     assert _same_bits(f.to_physical(), sfft.irfft2(centred, norm="forward"))
-    # in place on its input and into a caller's array, the same bits
-    out = np.empty((N, N))
-    assert half_to_physical(grid, half.copy(), out=out, overwrite_x=True) is out
-    assert np.array_equal(out, want)
+    # in place on its input, the same bits
+    assert np.array_equal(half_to_physical(grid, half.copy(), overwrite_x=True), want)
     # a half spectrum cut to its first K columns stands for zeros beyond them
     K = N // 4 + 1
     cut = half.copy()
