@@ -11,11 +11,12 @@ is one `sharpness_check` of the shell profile with the sharpness defaults
 (400 times in [20, 100]) on the grid of `configs/sharpness.ini`, N = 512,
 whatever --N is.  Prints a markdown table of each phase's peak and of what
 the run holds after it, in MiB, and of its wall time (`perf_counter`, under
-tracing) in ms; the last three rows each trace one whole run from a fresh
+tracing) in ms; the last four rows each trace one whole run from a fresh
 start: a lin-decay `harness.run` at --N and --L, a sharpness `harness.run`
-with its defaults at N = 512, and one Boussinesq `stability_experiment`
-(stable branch, eps = 0.02, 4 steps of dt = 0.05, 2 records) at --N and
---L.  A bad --N or --L is a usage error (exit 2).
+with its defaults at N = 512, an sqg `harness.run` (random profile, 4 steps
+of dt = 0.005, 2 records) and one Boussinesq `stability_experiment` (stable
+branch, eps = 0.02, 4 steps of dt = 0.05, 2 records), both at --N and --L.
+A bad --N or --L is a usage error (exit 2).
 """
 
 import argparse
@@ -74,6 +75,9 @@ def main():
     runs = (("harness.run lin-decay", lambda: harness.run(cfg)),
             ("harness.run sharpness",
              lambda: harness.run(harness.ExperimentConfig("sharpness", N=512, L=args.L))),
+            ("harness.run sqg", lambda: harness.run(harness.ExperimentConfig(
+                "sqg", N=args.N, L=args.L, params={"profile": "random", "t_final": "0.02",
+                                                   "dt": "0.005", "n_outputs": "2"}))),
             ("stability_experiment", lambda: boussinesq.stability_experiment(
                 Grid2D(args.N, args.L), eps=0.02, T=0.2, dt=0.05, n_outputs=2)))
     for name, fn in runs:

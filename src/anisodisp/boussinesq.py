@@ -172,15 +172,15 @@ def stability_experiment(grid, eps, T, dt, branch="stable", n_outputs=60):
     del fo, fr  # two (N, N) spectra the run no longer reads
     state = BoussState(omega=om0, rho=rh0, dt=dt, branch=branch)
 
-    rep = StabilityReport(branch=branch)
-    rep.initial_norms = {
-        "omega_H4d": sobolev_norm(state.omega, s_om),
-        "omega_Hm1": sobolev_norm(state.omega, -1.0),
-        "rho_H5g": sobolev_norm(state.rho, s_rh),
-        "omega_L2": l2_norm(state.omega),
-    }
     w_om = sobolev_weight(grid, s_om)
     w_rh = sobolev_weight(grid, s_rh)
+    rep = StabilityReport(branch=branch)
+    rep.initial_norms = {
+        "omega_H4d": weighted_norm(state.omega, w_om),
+        "omega_Hm1": sobolev_norm(state.omega, -1.0),
+        "rho_H5g": weighted_norm(state.rho, w_rh),
+        "omega_L2": l2_norm(state.omega),
+    }
 
     def record(st):
         gu, gr = ws.grad_norms(_half_pair(st))

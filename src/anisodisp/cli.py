@@ -8,11 +8,11 @@ import argparse
 import os
 import sys
 
-from .fitting import FitError
 from .harness import EXPERIMENTS, ConfigError, load_config, run
 from .oscillatory import QuadratureBudgetError
+from .semigroup import FitError
 from .spectral import SpectralError
-from .sqg import BlowUpError, CFLError
+from .sqg import CFLError
 
 
 def _jobs(text):
@@ -60,7 +60,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (CFLError, BlowUpError, FitError, QuadratureBudgetError, SpectralError) as exc:
+    except (CFLError, FitError, QuadratureBudgetError, SpectralError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

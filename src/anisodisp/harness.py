@@ -364,11 +364,11 @@ def _run_kernel(cfg, p):
 
 
 def _run_sqg(cfg, p):
-    grid = Grid2D(cfg.N, cfg.L)
-    f0 = make_profile(grid, p["profile"], seed=cfg.seed, width=p["width"],
-                      amplitude=p["eps"])
-    diag = sqg.run_and_diagnose(f0, p["t_final"], p["dt"], alpha=p["alpha"],
-                                n_outputs=p["n_outputs"])
+    # the profile goes straight in, so the run holds only its masked copy
+    diag = sqg.run_and_diagnose(
+        make_profile(Grid2D(cfg.N, cfg.L), p["profile"], seed=cfg.seed, width=p["width"],
+                     amplitude=p["eps"]),
+        p["t_final"], p["dt"], alpha=p["alpha"], n_outputs=p["n_outputs"])
     out = ExperimentReport(config=cfg)
     out.columns = diag.columns()
     out.metadata["fitted_c"] = diag.fitted_c

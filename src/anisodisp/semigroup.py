@@ -1,5 +1,5 @@
-"""The anisotropic linear semigroup, its decay measurement, and the
-Bessel-function sharpness oracle.
+"""The anisotropic linear semigroup, its decay measurement and power-law fit,
+and the Bessel-function sharpness oracle.
 
 evolve_linear applies exp(-i t xi_1 / |xi|^alpha) exactly in Fourier space,
 so there is no time-discretization error; the semigroup is unitary on L^2.
@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fitting import FitError, fit_power_law
 from .lp import LPBank
 from .spectral import (
     CHUNK_BYTES,
@@ -77,6 +76,32 @@ def _evolved_linf(f0, alpha, times):
         del block  # the generator's buffer, freed before the next time's
         vals[i] = max(hi, -lo)
     return vals
+
+
+class FitError(ValueError):
+    pass
+
+
+def fit_power_law(times, values, window):
+    """Least-squares fit of log(values) vs log(times) inside `window`.
+
+    Returns (slope, intercept, residual) where intercept is the fitted
+    log-amplitude and residual the RMS of the log-space misfit.
+    """
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    lo, hi = window
+    mask = (times >= lo) & (times <= hi)
+    if np.count_nonzero(mask) < 5:
+        raise FitError(f"need at least 5 points in window ({float(lo)}, {float(hi)})")
+    if np.any(values[mask] <= 0.0):
+        raise FitError("nonpositive values in fit window")
+    lt = np.log(times[mask])
+    lv = np.log(values[mask])
+    A = np.vstack([lt, np.ones_like(lt)]).T
+    (slope, intercept), *_ = np.linalg.lstsq(A, lv, rcond=None)
+    residual = float(np.sqrt(np.mean((A @ [slope, intercept] - lv) ** 2)))
+    return float(slope), float(intercept), residual
 
 
 def measure_decay(f0, alpha, times, fit_window=None):
@@ -246,7 +271,9 @@ def _origin_evaluator(f0):
     """
     ph = dispersion_rate(*f0.grid.xi_axes(), 1.0).ravel()
     c = f0.coeffs.ravel()
-    keep = np.abs(c) > 1e-18 * np.max(np.abs(c))
+    size = np.abs(c)
+    keep = size > 1e-18 * np.max(size)
+    del size
     c = c[keep]
     ph = ph[keep]
     u, group = np.unique(np.abs(ph), return_inverse=True)

@@ -24,7 +24,7 @@ from .spectral import (
 )
 
 
-# Both errors pickle as their constructor arguments, so that a sweep member's
+# CFLError pickles as its constructor arguments, so that a sweep member's
 # error reaches the calling process from a pool worker intact.
 
 class CFLError(RuntimeError):
@@ -40,16 +40,11 @@ class CFLError(RuntimeError):
 
 
 class BlowUpError(RuntimeError):
-    """Carries the last valid state and its time."""
+    """A step from the state at `time` gave a non-finite result."""
 
-    def __init__(self, time, state=None, reason="NaN detected"):
-        super().__init__(f"blow-up signal at t={time}: {reason}")
+    def __init__(self, time):
+        super().__init__(f"blow-up signal at t={time}: NaN detected")
         self.time = time
-        self.state = state
-        self.reason = reason
-
-    def __reduce__(self):
-        return type(self), (self.time, self.state, self.reason)
 
 
 class _Clock:
@@ -197,7 +192,7 @@ def _if_rk4(ws, y, state):
     k4, _ = ws.nonlinear(Ey + dt * ws.propagate(P2, k3))
     yn = Ey + dt / 6.0 * (ws.propagate(P, k1) + 2.0 * ws.propagate(P2, k2 + k3) + k4)
     if not np.all(np.isfinite(yn)):
-        raise BlowUpError(state.time, state)
+        raise BlowUpError(state.time)
     # rebuilt before the stage arrays are freed: rebuilt after them, an N=64
     # Boussinesq step took 3-4x the minor page faults (glibc heap trimming)
     return full_spectrum(yn)
@@ -216,8 +211,9 @@ def _integrate(rep, state, advance, record, norm, T, n_outputs, exit_factor=None
     `record(state)` appends an output's diagnostics to `rep` and returns the
     blow-up-criterion rate, whose trapezoid integral goes to `rep.integral`.
     A step whose `norm` exceeds NORM_CAP (or `exit_factor`) times the initial
-    norm blows up (or exits after its outputs).  Returns the last state and
-    the time of an early stop, None if the run reached T."""
+    norm blows up before its outputs (or exits after them), and a step that
+    raises BlowUpError blows up at the state before it.  Returns the last
+    state and the time of an early stop, None if the run reached T."""
     norm0 = norm(state)
     steps = round(T / state.dt)
     out_steps = {-(-k * steps // n_outputs) for k in range(1, n_outputs + 1)}
@@ -230,7 +226,8 @@ def _integrate(rep, state, advance, record, norm, T, n_outputs, exit_factor=None
             state = advance(state)
             current = norm(state)
             if norm0 > 0 and current > NORM_CAP * norm0:
-                raise BlowUpError(state.time, state, reason="norm cap exceeded")
+                rep.blew_up = True
+                return state, state.time
             if i in out_steps:
                 rate_prev, rate = rate, record(state)
                 running += 0.5 * (rate_prev + rate) * (state.time - rep.times[-1])
@@ -275,9 +272,10 @@ def run_and_diagnose(theta0, T, dt, alpha=1.0, n_outputs=50):
     first output time where the H^{4.5} norm exceeds twice its initial
     value (None if that never happens before T).
     """
-    state = SQGState(theta=theta0.copy(), alpha=alpha, dt=dt)
-    ws = _Workspace(state.theta.grid, alpha)
-    state.theta.coeffs *= ws.mask
+    ws = _Workspace(theta0.grid, alpha)
+    state = SQGState(theta=SpectralField(theta0.grid, theta0.coeffs * ws.mask),
+                     alpha=alpha, dt=dt)
+    del theta0  # a caller that passes a new profile keeps no second copy
 
     diag = BootstrapDiagnostics()
     weight = sobolev_weight(state.theta.grid, 4.5)

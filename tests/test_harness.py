@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anisodisp import cli, harness
+from anisodisp import cli, harness, sqg
 from anisodisp.cli import main
 from anisodisp.harness import (
     EXPERIMENTS,
@@ -300,6 +300,37 @@ dt = 50.0
     assert main(["sqg", "--config", path, "--out", str(tmp_path / "o")]) == 3
 
 
+def _poison_after_first_step(monkeypatch):
+    """From the second step on, every `nonlinear` of an sqg run returns NaN."""
+    original = sqg._Workspace.nonlinear
+    calls = []
+
+    def poisoned(self, c):
+        calls.append(1)
+        rhs, umax = original(self, c)
+        return (rhs * np.nan if len(calls) > 4 else rhs), umax
+
+    monkeypatch.setattr(sqg._Workspace, "nonlinear", poisoned)
+
+
+@pytest.mark.parametrize("blow_up", [
+    # a cap below 1 stops the run at its first step
+    lambda monkeypatch: monkeypatch.setattr(sqg, "NORM_CAP", 0.5),
+    _poison_after_first_step,
+], ids=["norm_cap", "nan"])
+def test_cli_sqg_blowup_fails_its_check(tmp_path, capsys, monkeypatch, blow_up):
+    """A blow-up, by the norm cap or by a NaN step, ends the run loop with
+    `blew_up` set: the sqg run fails `no_blowup` and exits 1, with no
+    traceback and no numeric failure."""
+    blow_up(monkeypatch)
+    path = write_config(tmp_path, EVOLUTION_INI.format(experiment="sqg", extra=""))
+    assert main(["sqg", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "blew_up: True\n" in captured.out
+    assert "check no_blowup: FAIL\n" in captured.out
+
+
 def test_cli_trimmed_fit_window_exit_three(tmp_path, capsys):
     """The wrap-around cap L/4 = 10 leaves one fit point: a numeric failure."""
     ini = "[experiment]\nname = lin-decay\n\n[grid]\nN = 64\nL = 40.0\n"
@@ -389,6 +420,16 @@ def test_runs_keep_only_wavenumbers_on_the_grid(monkeypatch, experiment):
     assert all(grid_arrays(grid) == ["k", "x"] for grid in grids)
 
 
+def traced_run_peak(cfg):
+    """The traced memory peak of `run(cfg)`, in bytes."""
+    tracemalloc.start()
+    try:
+        run(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_lin_decay_run_memory_bounded():
     """A whole lin-decay run at N = 1024 holds its profile (16 MiB) and at most
     about as much again: every lattice array is built per use, the row passes
@@ -396,13 +437,24 @@ def test_lin_decay_run_memory_bounded():
     full-size temporary.  The traced peak stays below 40 MiB (64.2 MiB with
     cached lattice arrays and whole-array row passes)."""
     cfg = ExperimentConfig(experiment="lin-decay", N=1024, L=400.0)
-    tracemalloc.start()
-    try:
-        run(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 40 << 20
+    assert traced_run_peak(cfg) < 40 << 20
+
+
+def test_sqg_run_memory_bounded():
+    """An sqg run at N = 512 (random profile, 4 steps, 2 records) holds one
+    copy of its initial data, the masked one: the traced peak stays below
+    49 MiB (50.8 MiB with the profile and an unmasked copy kept)."""
+    cfg = ExperimentConfig(experiment="sqg", N=512, L=10.0, params={
+        "profile": "random", "t_final": "0.02", "dt": "0.005", "n_outputs": "2"})
+    assert traced_run_peak(cfg) < 49 << 20
+
+
+def test_sharpness_run_memory_bounded():
+    """A whole sharpness run at N = 1024 takes each coefficient's modulus once
+    in the origin sum: the traced peak stays below 36 MiB (40.2 MiB with two
+    (N, N) moduli)."""
+    cfg = ExperimentConfig(experiment="sharpness", N=1024, L=400.0)
+    assert traced_run_peak(cfg) < 36 << 20
 
 
 def test_config_builds_no_grid(tmp_path, monkeypatch, capsys):
