@@ -5,16 +5,18 @@ profile and one sharpness check.
     python scripts/lattice_memory.py [--N 1024] [--L 400]
 
 The phases run one after another with the lin-decay defaults (a Gaussian of
-width 1, alpha = 1, 12 times in [10, 100]) under `tracemalloc`.  The
-`shell_field` row builds the sharpness profile at --N.  The `sharpness` row
-is one `sharpness_check` of the shell profile with the sharpness defaults
-(400 times in [20, 100]) on the grid of `configs/sharpness.ini`, N = 512,
-whatever --N is.  Prints a markdown table of each phase's peak and of what
-the run holds after it, in MiB, and of its wall time (`perf_counter`, under
-tracing) in ms; the last four rows each trace one whole run from a fresh
-start: a lin-decay `harness.run` at --N and --L, a sharpness `harness.run`
-with its defaults at N = 512, an sqg `harness.run` (random profile, 4 steps
-of dt = 0.005, 2 records) and one Boussinesq `stability_experiment` (stable
+width 1, alpha = 1, 12 times in [10, 100]) under `tracemalloc`, on the box
+of the lin-decay configs, L = 400, whatever --L is: that run fits from t = 10
+up to L/4.  The `shell_field` row builds the sharpness profile at --N.  The
+`sharpness` row is one `sharpness_check` of the shell profile with the
+sharpness defaults (400 times in [20, 100]) on the grid of
+`configs/sharpness.ini`, N = 512 and L = 400, whatever --N is.  Prints a
+markdown table of each phase's peak and of what the run holds after it, in
+MiB, and of its wall time (`perf_counter`, under tracing) in ms; the last
+four rows each trace one whole run from a fresh start: a lin-decay
+`harness.run` at --N, a sharpness `harness.run` with its defaults at
+N = 512, both at L = 400, an sqg `harness.run` (random profile, 4 steps of
+dt = 0.005, 2 records) and one Boussinesq `stability_experiment` (stable
 branch, eps = 0.02, 4 steps of dt = 0.05, 2 records), both at --N and --L.
 A bad --N or --L is a usage error (exit 2).
 """
@@ -51,12 +53,13 @@ def main():
     ap.add_argument("--L", type=float, default=400.0)
     args = ap.parse_args()
     try:
-        harness.ExperimentConfig("lin-decay", N=args.N, L=args.L)
+        harness.ExperimentConfig("sqg", N=args.N, L=args.L)
     except harness.ConfigError as exc:
         ap.error(f"--N {args.N} --L {args.L}: {exc}")
     print("| phase | peak MiB | held MiB | ms |\n| --- | --- | --- | --- |")
     tracemalloc.start()
-    cfg = phase("config", lambda: harness.ExperimentConfig("lin-decay", N=args.N, L=args.L))
+    # the default box, L = 400, as in configs/lin_decay_*.ini
+    cfg = phase("config", lambda: harness.ExperimentConfig("lin-decay", N=args.N))
     p = harness.parse_params(cfg.experiment, cfg.params)
     grid = phase("grid", lambda: Grid2D(cfg.N, cfg.L))
     f0 = phase("profile", lambda: harness.make_profile(grid, "gaussian", width=p["width"]))
@@ -67,14 +70,14 @@ def main():
     phase("shell_field", lambda: shell_field(grid))
     del grid
     sp = harness.parse_params("sharpness", {})
-    shell = shell_field(Grid2D(512, args.L))
+    shell = shell_field(Grid2D(512, cfg.L))
     phase("sharpness", lambda: semigroup.sharpness_check(
         shell, sp["t_lo"], sp["t_hi"], sp["n_times"]))
     del shell
     tracemalloc.stop()
     runs = (("harness.run lin-decay", lambda: harness.run(cfg)),
             ("harness.run sharpness",
-             lambda: harness.run(harness.ExperimentConfig("sharpness", N=512, L=args.L))),
+             lambda: harness.run(harness.ExperimentConfig("sharpness", N=512))),
             ("harness.run sqg", lambda: harness.run(harness.ExperimentConfig(
                 "sqg", N=args.N, L=args.L, params={"profile": "random", "t_final": "0.02",
                                                    "dt": "0.005", "n_outputs": "2"}))),

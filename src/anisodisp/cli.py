@@ -1,14 +1,14 @@
 """Command line entry point: anisodisp <experiment> --config FILE [--jobs K] [--out DIR].
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage error (a bad config or
---out among them), 3 numeric failure.
+--out among them), 3 numeric failure or a sweep worker that died.
 """
 
 import argparse
 import os
 import sys
 
-from .harness import EXPERIMENTS, ConfigError, load_config, run
+from .harness import EXPERIMENTS, ConfigError, PoolError, load_config, run
 from .oscillatory import QuadratureBudgetError
 from .semigroup import FitError
 from .spectral import SpectralError
@@ -60,7 +60,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (CFLError, FitError, QuadratureBudgetError, SpectralError) as exc:
+    except (CFLError, FitError, PoolError, QuadratureBudgetError, SpectralError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

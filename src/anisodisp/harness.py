@@ -70,6 +70,10 @@ class ConfigError(ValueError):
     pass
 
 
+class PoolError(RuntimeError):
+    """A sweep's worker process died (killed, or out of memory)."""
+
+
 @dataclass
 class ExperimentConfig:
     experiment: str
@@ -370,7 +374,9 @@ def _run_sqg(cfg, p):
                      amplitude=p["eps"]),
         p["t_final"], p["dt"], alpha=p["alpha"], n_outputs=p["n_outputs"])
     out = ExperimentReport(config=cfg)
-    out.columns = diag.columns()
+    out.columns = [("t", diag.times), ("H_s", diag.h_s), ("L2", diag.l2),
+                   ("gradU_inf", diag.grad_u_inf), ("gradTheta_inf", diag.grad_theta_inf),
+                   ("integral", diag.integral), ("envelope", diag.envelope)]
     out.metadata["fitted_c"] = diag.fitted_c
     out.metadata["bootstrap_exit_time"] = diag.bootstrap_exit_time
     out.metadata["blew_up"] = diag.blew_up
@@ -385,9 +391,11 @@ def _run_bouss(cfg, p):
         Grid2D(cfg.N, cfg.L), eps=p["eps"], T=p["t_final"], dt=p["dt"], branch=p["branch"],
         n_outputs=p["n_outputs"])
     out = ExperimentReport(config=cfg)
-    out.columns = rep.columns()
+    out.columns = [("t", rep.times), ("Hs_omega", rep.hs_omega), ("Hs1_rho", rep.hs1_rho),
+                   ("E_total", rep.e_total), ("gradU_inf", rep.grad_u_inf),
+                   ("gradRho_inf", rep.grad_rho_inf), ("integral", rep.integral)]
     out.metadata["exit_time"] = float(rep.exit_time)
-    out.metadata["branch"] = rep.branch
+    out.metadata["branch"] = p["branch"]
     for k, v in rep.initial_norms.items():
         out.metadata[f"initial_{k}"] = v
     out.add_check("finite_series", all(np.isfinite(rep.e_total)))
@@ -434,8 +442,13 @@ def _run_sweep(cfg, p, jobs=None):
     if workers > 1:
         # imported here: it loads multiprocessing, which only a pool uses
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            subs = list(ex.map(_sweep_member, args))
+        from concurrent.futures.process import BrokenProcessPool
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as ex:
+                subs = list(ex.map(_sweep_member, args))
+        except BrokenProcessPool:
+            raise PoolError(f"a worker of the {workers}-process sweep pool died; "
+                            "a smaller --jobs runs fewer members at once") from None
     else:
         subs = [_sweep_member(a) for a in args]
     out.subreports = subs

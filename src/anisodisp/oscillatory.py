@@ -199,10 +199,10 @@ def kernel_direct(p, t, j=0, tol=1e-8, max_points=6e7):
     )
 
 
-def bump_mass(j=0, n=4001):
-    """integral of bump(2^{-j} xi) over the plane (value at t -> 0)."""
-    r = np.linspace(2.0 ** (j - 1), 2.0 ** (j + 1), n)
-    return float(2.0 * np.pi * np.trapezoid(bump(r * 2.0 ** (-j)) * r, r))
+def bump_mass():
+    """integral of bump(xi) over the plane (the shell-0 kernel's value at t -> 0)."""
+    r = np.linspace(0.5, 2.0, 4001)
+    return float(2.0 * np.pi * np.trapezoid(bump(r) * r, r))
 
 
 BUMP_SUP = 1.0  # max of the shell profile

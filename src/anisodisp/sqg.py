@@ -255,12 +255,6 @@ class BootstrapDiagnostics:
     blew_up: bool = False
     final_state: object = None
 
-    def columns(self):
-        """The report columns, [(name, values)] in order."""
-        return [("t", self.times), ("H_s", self.h_s), ("L2", self.l2),
-                ("gradU_inf", self.grad_u_inf), ("gradTheta_inf", self.grad_theta_inf),
-                ("integral", self.integral), ("envelope", self.envelope)]
-
 
 def run_and_diagnose(theta0, T, dt, alpha=1.0, n_outputs=50):
     """Integrate to T recording the bootstrap/blow-up diagnostics.

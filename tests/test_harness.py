@@ -281,6 +281,24 @@ def test_cli_pooled_member_failure_exit_three(tmp_path, capsys, two_cpus):
     assert errs[0] == errs[1]
 
 
+def _dying_member(args):
+    os._exit(9)
+
+
+def test_cli_dead_pool_worker_exit_three(tmp_path, capsys, monkeypatch, two_cpus):
+    """A pool worker that dies, as one the kernel killed would, ends the sweep
+    with exit 3 and one line on stderr, not a traceback.  The fork start
+    method carries the patched member into the workers."""
+    monkeypatch.setattr(harness, "_sweep_member", _dying_member)
+    path = write_config(tmp_path, EVOLUTION_INI.format(
+        experiment="sweep", extra="target = bouss\neps_list = 0.04,0.02,0.01"))
+    assert main(["sweep", "--config", path, "--out", str(tmp_path / "o")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err == ("numeric failure: a worker of the 3-process sweep pool died; "
+                            "a smaller --jobs runs fewer members at once\n")
+
+
 def test_cli_numeric_failure_exit_three(tmp_path):
     ini = """\
 [experiment]
@@ -418,6 +436,35 @@ def test_runs_keep_only_wavenumbers_on_the_grid(monkeypatch, experiment):
     run(ExperimentConfig(experiment=experiment, N=64, L=100.0, params=SHORT_RUNS[experiment]))
     assert len(grids) == (experiment != "kernel")
     assert all(grid_arrays(grid) == ["k", "x"] for grid in grids)
+
+
+# the CSV header of each experiment's report: the benchmark's checks read
+# columns of these by name
+HEADERS = {
+    "lin-decay": "t,linf,fitted_slope",
+    "sharpness": "t,origin_value,radial_reference,envelope",
+    "kernel": "t,kernel_abs,lambda_min,budget_at_tinvhalf",
+    "sqg": "t,H_s,L2,gradU_inf,gradTheta_inf,integral,envelope",
+    "bouss": "t,Hs_omega,Hs1_rho,E_total,gradU_inf,gradRho_inf,integral",
+    "sweep": "eps,exit_time",
+}
+
+
+@pytest.mark.parametrize("experiment", HEADERS)
+def test_report_columns_are_pinned(experiment):
+    """Each report's header, a sweep's members' included; a Boussinesq
+    report's initial exit-functional norms are its first record's."""
+    params = SHORT_RUNS.get(experiment) or dict(SHORT_RUNS["bouss"], target="bouss",
+                                               eps_list="0.02,0.01")
+    rep = run(ExperimentConfig(experiment=experiment, N=64, L=100.0, params=params), jobs=1)
+    assert rep.csv_text().splitlines()[0] == HEADERS[experiment]
+    assert [sub.csv_text().splitlines()[0] for sub in rep.subreports] == (
+        [HEADERS["bouss"]] * 2 if experiment == "sweep" else [])
+    if experiment == "bouss":
+        first = dict(zip(HEADERS["bouss"].split(","), rep.csv_text().splitlines()[1].split(",")))
+        summary = rep.summary_text()
+        assert f"initial_omega_H4d: {first['Hs_omega']}\n" in summary
+        assert f"initial_rho_H5g: {first['Hs1_rho']}\n" in summary
 
 
 def traced_run_peak(cfg):

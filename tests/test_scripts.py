@@ -35,9 +35,12 @@ def without_pythonpath():
 
 
 @pytest.mark.parametrize("command", [["lattice_memory.py", "--N", "64"],
+                                     # a box below the lin-decay fit's L/4 >= 10
+                                     ["lattice_memory.py", "--N", "64", "--L", "10"],
                                      ["step_timing.py", "--steps", "1"],
                                      ["sweep_pool.py", "{sweep}"]],
-                         ids=["lattice_memory", "step_timing", "sweep_pool"])
+                         ids=["lattice_memory", "lattice_memory_small_box", "step_timing",
+                              "sweep_pool"])
 def test_script_prints_its_table(command, tmp_path):
     sweep = tmp_path / "sweep.ini"
     sweep.write_text(SWEEP_INI)
@@ -52,6 +55,8 @@ def test_script_prints_its_table(command, tmp_path):
     assert lines[1].startswith("| --- |") and len(lines) > 3
     assert all(line.startswith("| ") and line.endswith(" |") for line in lines)
     assert len({line.count("|") for line in lines}) == 1  # every row has every column
+    if command[0] == "lattice_memory.py":
+        assert len(lines) == 2 + 11  # the header and every phase and run
     if command[0] == "sweep_pool.py":
         # a row per --jobs up to the default pool, then one with no --jobs
         default = sweep_workers(3, len(os.sched_getaffinity(0)), 16)

@@ -11,12 +11,14 @@ from anisodisp import semigroup, spectral
 from anisodisp.harness import make_profile
 from anisodisp.lp import shell_field
 from anisodisp.semigroup import (
+    FitError,
     _evolved_linf,
     _origin_evaluator,
     bessel_j0,
     bessel_j0_quadrature,
     bessel_j0_series,
     evolve_linear,
+    fit_power_law,
     j0_asymptotic_envelope,
     measure_decay,
     reliable_time,
@@ -170,6 +172,40 @@ def test_j0_series_matches_scipy_beyond_12():
 def test_j0_rejects_negative():
     with pytest.raises(SpectralError):
         bessel_j0_series(-1.0)
+
+
+# ---------------------------------------------------------------------------
+# power-law fit
+
+def test_exact_power_law_recovered():
+    t = np.geomspace(1.0, 100.0, 20)
+    v = 3.5 * t**-0.5
+    slope, intercept, residual = fit_power_law(t, v, (t.min(), t.max()))
+    assert abs(slope + 0.5) <= 1e-12
+    assert abs(np.exp(intercept) - 3.5) <= 1e-12
+    assert residual <= 1e-13
+
+
+def test_window_restricts_fit():
+    t = np.geomspace(1.0, 100.0, 40)
+    v = t**-1.0
+    v[t < 10.0] = 1.0  # flat head outside the window
+    slope, _, _ = fit_power_law(t, v, window=(10.0, 100.0))
+    assert abs(slope + 1.0) <= 1e-12
+
+
+def test_too_few_points_rejected():
+    t = np.array([1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(FitError):
+        fit_power_law(t, t, (t.min(), t.max()))
+
+
+def test_nonpositive_values_rejected():
+    t = np.geomspace(1.0, 10.0, 10)
+    v = t.copy()
+    v[3] = 0.0
+    with pytest.raises(FitError):
+        fit_power_law(t, v, (t.min(), t.max()))
 
 
 # ---------------------------------------------------------------------------
