@@ -2,11 +2,12 @@
 
     python scripts/report_identity.py OLD_TREE NEW_TREE [--only SUBSTR]
 
-Runs 28 CLI invocations against each tree's src/, each in a fresh
+Runs 32 CLI invocations against each tree's src/, each in a fresh
 interpreter under OPENBLAS_NUM_THREADS=1 and PYTHONDONTWRITEBYTECODE=1, the
 two trees' runs of one invocation side by side: the 7 configs/*.ini of this
-checkout, and the INIs of the three benchmark workloads at seeds 1-3 as
-this checkout's perfbench/workloads.py writes them.  --only keeps the
+checkout, the INIs of the three benchmark workloads at seeds 1-3 as this
+checkout's perfbench/workloads.py writes them, and 4 INIs that fail on
+purpose (FAILURES: three exit 3, one exits 2).  --only keeps the
 invocations whose name contains SUBSTR.  Both trees read the same INI files
 and write under the same relative paths.  Every report file, stdout, stderr
 and exit code is compared; prints one line per invocation and one per
@@ -24,11 +25,20 @@ from concurrent.futures import ThreadPoolExecutor
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (1, 2, 3)
+# (name, experiment, params) of the invocations that fail on purpose, at
+# N = 16, L = 10: a CFL violation, an empty fit window (L/4 lies below t = 10)
+# and a quadrature budget exceeded exit 3, an eps beyond its range exits 2
+FAILURES = (
+    ("cfl", "sqg", "eps = 1.0\nprofile = random\nt_final = 1.0\ndt = 1.0"),
+    ("empty-fit-window", "lin-decay", ""),
+    ("quadrature-budget", "kernel", "times = 1e7"),
+    ("eps-out-of-range", "sqg", "eps = 1e101"),
+)
 
 
 def invocations(in_dir):
-    """(name, experiment, INI path) of the 28 invocations, the workload INIs
-    written under in_dir."""
+    """(name, experiment, INI path) of the 32 invocations, the workload and
+    FAILURES INIs written under in_dir."""
     out = []
     for path in sorted(glob.glob(os.path.join(ROOT, "configs", "*.ini"))):
         cp = configparser.ConfigParser()
@@ -44,6 +54,13 @@ def invocations(in_dir):
             paths = workloads.write_inputs(invs, seed, os.path.join(in_dir, workload, str(seed)))
             out += [(f"{workload}/seed{seed}/{inv.name}", inv.experiment, path)
                     for inv, path in zip(invs, paths)]
+    os.makedirs(os.path.join(in_dir, "failing"))
+    for name, experiment, params in FAILURES:
+        path = os.path.join(in_dir, "failing", f"{name}.ini")
+        with open(path, "w") as fh:
+            fh.write(f"[experiment]\nname = {experiment}\nseed = 1\n\n"
+                     f"[grid]\nN = 16\nL = 10.0\n\n[params]\n{params}\n")
+        out.append((f"failing/{name}", experiment, path))
     return out
 
 

@@ -70,10 +70,6 @@ class ConfigError(ValueError):
     pass
 
 
-class PoolError(RuntimeError):
-    """A sweep's worker process died (killed, or out of memory)."""
-
-
 @dataclass
 class ExperimentConfig:
     experiment: str
@@ -262,12 +258,12 @@ def _count(n):
 def make_profile(grid, kind, seed=1, width=1.0, amplitude=1.0):
     """Initial data: the Gaussian, or 'random', a seeded smooth random field."""
     if kind == "gaussian":
-        f = gaussian_field(grid, width=width, amplitude=amplitude)
-        # so wide a profile that x^2 / width^2 rounds to 0 is a constant
-        if not np.any(f.zero_mean().coeffs):
+        # constant if its farthest sample, in gaussian_field's order, rounds to
+        # 1: the shape decides, so an amplitude of 0 gives a zero field
+        if np.exp(-(grid.x[0] ** 2 + grid.x[0] ** 2) / width**2) == 1.0:
             raise ConfigError(f"params.width = {width} is too large: the gaussian profile "
                               "is constant on the grid, and zero once its mean is removed")
-        return f
+        return gaussian_field(grid, width=width, amplitude=amplitude).zero_mean()
     if kind == "random":
         rng = np.random.default_rng(seed)
         c = rng.standard_normal((grid.N, grid.N)) + 1j * rng.standard_normal(
@@ -447,8 +443,8 @@ def _run_sweep(cfg, p, jobs=None):
             with ProcessPoolExecutor(max_workers=workers) as ex:
                 subs = list(ex.map(_sweep_member, args))
         except BrokenProcessPool:
-            raise PoolError(f"a worker of the {workers}-process sweep pool died; "
-                            "a smaller --jobs runs fewer members at once") from None
+            raise SpectralError(f"a worker of the {workers}-process sweep pool died; "
+                                "a smaller --jobs runs fewer members at once") from None
     else:
         subs = [_sweep_member(a) for a in args]
     out.subreports = subs

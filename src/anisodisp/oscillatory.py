@@ -23,7 +23,7 @@ from .lp import bump
 from .spectral import SpectralError, row_blocks
 
 
-class QuadratureBudgetError(RuntimeError):
+class QuadratureBudgetError(SpectralError):
     """The oscillatory quadrature could not verify its tolerance in budget."""
 
 
@@ -170,12 +170,17 @@ def _polar_quadrature(p, t, j, n_r, n_psi):
     return complex(total * dpsi)
 
 
-def kernel_direct(p, t, j=0, tol=1e-8, max_points=6e7):
+# kernel_direct's agreement between two resolutions, and its polar-point budget
+KERNEL_TOL = 1e-8
+KERNEL_MAX_POINTS = 6e7
+
+
+def kernel_direct(p, t, j=0):
     """Oscillatory integral of the shell-j bump against exp(i t phi).
 
     Dense polar sampling (at least 20 points per oscillation period in each
-    direction) with step-halving verification.  Raises QuadratureBudgetError
-    rather than returning a silently inaccurate value.
+    direction) with step-halving verification to KERNEL_TOL.  Raises
+    QuadratureBudgetError past KERNEL_MAX_POINTS, not an inaccurate value.
     """
     if not 0.0 < t < np.inf:
         raise SpectralError(f"kernel quadrature needs a finite t > 0, got {t}")
@@ -186,16 +191,16 @@ def kernel_direct(p, t, j=0, tol=1e-8, max_points=6e7):
     n_psi = max(256, int(np.ceil(20.0 * m_psi)))
     n_r = max(128, int(np.ceil(20.0 * m_r * (r_hi - r_lo) / (2.0 * np.pi))) + 1)
     prev = None
-    while n_r * n_psi <= max_points:
+    while n_r * n_psi <= KERNEL_MAX_POINTS:
         val = _polar_quadrature(p, t, j, n_r, n_psi)
-        if prev is not None and abs(val - prev) <= tol:
+        if prev is not None and abs(val - prev) <= KERNEL_TOL:
             return val
         prev = val
         n_r = 2 * n_r - 1
         n_psi *= 2
     raise QuadratureBudgetError(
         f"kernel quadrature budget exceeded at t={t}, j={j} "
-        f"(would need more than {max_points:.0e} points)"
+        f"(would need more than {KERNEL_MAX_POINTS:.0e} points)"
     )
 
 

@@ -78,7 +78,7 @@ def _evolved_linf(f0, alpha, times):
     return vals
 
 
-class FitError(ValueError):
+class FitError(SpectralError):
     pass
 
 
@@ -220,9 +220,7 @@ def bessel_j0(t):
     s = bessel_j0_series(t)
     q = bessel_j0_quadrature(t)
     if abs(s - q) > 1e-10:
-        raise AssertionError(
-            f"J0 series/quadrature disagree at t={t}: {s} vs {q}"
-        )
+        raise SpectralError(f"J0 series/quadrature disagree at t={t}: {s} vs {q}")
     return q
 
 

@@ -21,7 +21,8 @@ import numpy as np
 
 
 class SpectralError(ValueError):
-    pass
+    """The package's numeric failure: a value out of its domain, a check that
+    failed, a quadrature or a fit that could not finish.  The CLI exits 3 on it."""
 
 
 # Default byte budget for the temporaries of one block of a row-blocked
@@ -341,7 +342,7 @@ class MultiplierSpec:
         """Evaluate m on the lattice (xi1, xi2), full or half, or its axes."""
         m = SYMBOLS[self.tag](xi1, xi2, **self.params)
         if not np.all(np.isfinite(m)):
-            raise AssertionError(f"multiplier {self.tag} not finite on the lattice")
+            raise SpectralError(f"multiplier {self.tag} not finite on the lattice")
         return m
 
     def symbol(self, grid):

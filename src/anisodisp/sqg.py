@@ -14,6 +14,7 @@ import numpy as np
 
 from .spectral import (
     MultiplierSpec,
+    SpectralError,
     SpectralField,
     full_spectrum,
     half_spectrum,
@@ -27,7 +28,7 @@ from .spectral import (
 # CFLError pickles as its constructor arguments, so that a sweep member's
 # error reaches the calling process from a pool worker intact.
 
-class CFLError(RuntimeError):
+class CFLError(SpectralError):
     def __init__(self, dt, dt_required):
         super().__init__(
             f"CFL violated: dt={dt} exceeds the admissible {dt_required:.3e}"
@@ -39,7 +40,7 @@ class CFLError(RuntimeError):
         return type(self), (self.dt, self.dt_required)
 
 
-class BlowUpError(RuntimeError):
+class BlowUpError(SpectralError):
     """A step from the state at `time` gave a non-finite result."""
 
     def __init__(self, time):

@@ -1,3 +1,4 @@
+import ast
 import concurrent.futures
 import contextlib
 import importlib
@@ -28,7 +29,7 @@ from anisodisp.harness import (
     run,
     sweep_workers,
 )
-from anisodisp.spectral import Grid2D, linf_norm
+from anisodisp.spectral import Grid2D, SpectralError, linf_norm
 from conftest import count_calls, grid_arrays
 
 
@@ -717,6 +718,54 @@ def test_cli_grid_above_max_n_exit_two(tmp_path, capsys, monkeypatch, experiment
     path = write_config(tmp_path, ini.replace("N = 16", f"N = {N}"))
     assert main([experiment, "--config", path, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == f"config error: grid.N must be at most 2048, got {N}\n"
+
+
+@pytest.mark.parametrize("experiment, extra", [
+    ("sqg", "eps = 0.0\nprofile = gaussian"),
+    ("sqg", "eps = 0.0\nprofile = random"),
+    ("sweep", "target = sqg\neps_list = 0.02,0"),
+])
+def test_cli_sqg_zero_eps_runs(tmp_path, capsys, experiment, extra):
+    """An sqg eps of 0 is a zero field, whichever the profile: the run exits 0.
+    The gaussian profile's width check reads the shape, not the scaled field."""
+    path = write_config(tmp_path, EVOLUTION_INI.format(experiment=experiment, extra=extra))
+    assert main([experiment, "--config", path, "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_every_error_is_a_config_or_a_spectral_error():
+    """The exit code comes from the error's type alone: every exception class
+    the package defines is ConfigError or a SpectralError, and every raise in
+    src/ names such a class (a bare raise or a re-raise of a caught error is
+    fine)."""
+    def allowed(cls):
+        return cls is ConfigError or issubclass(cls, SpectralError)
+
+    pkg = os.path.dirname(harness.__file__)
+    modules = [importlib.import_module(f"anisodisp.{name[:-3]}")
+               for name in sorted(os.listdir(pkg)) if name.endswith(".py")]
+    defined = [obj for m in modules for obj in vars(m).values()
+               if isinstance(obj, type) and issubclass(obj, BaseException)
+               and obj.__module__ == m.__name__]
+    assert ConfigError in defined and SpectralError in defined
+    bad = [cls.__name__ for cls in defined if not allowed(cls)]
+    raises = 0
+    for m in modules:
+        with open(m.__file__) as fh:
+            tree = ast.parse(fh.read())
+        caught = {h.name for h in ast.walk(tree) if isinstance(h, ast.ExceptHandler)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(target, ast.Name) and target.id in caught:
+                continue
+            raises += 1
+            # the raised name, dotted or not, looked up as the module sees it
+            cls = eval(ast.unparse(target), vars(m))
+            if not allowed(cls):
+                bad.append(f"{m.__name__}:{node.lineno} raises {cls.__name__}")
+    assert raises > 50 and bad == []
 
 
 def test_max_n_is_inclusive():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import least_squares
 
+from anisodisp import oscillatory
 from anisodisp.lp import bump
 from anisodisp.oscillatory import (
     GRAD_TOL,
@@ -232,9 +233,10 @@ def test_kernel_requires_positive_t():
 
 
 def test_kernel_budget_error():
+    """t = 1e7 asks for more than KERNEL_MAX_POINTS before any quadrature runs."""
     p = PhaseSpec(v=(0.0, 0.0), alpha=1.0)
-    with pytest.raises(QuadratureBudgetError):
-        kernel_direct(p, 50.0, max_points=100)
+    with pytest.raises(QuadratureBudgetError, match=r"more than 6e\+07 points"):
+        kernel_direct(p, 1e7)
 
 
 def _stationary_phase_term(p, t, flip=False):
@@ -272,11 +274,12 @@ def test_kernel_approaches_stationary_phase_term():
     assert errors[-1] < 0.02, errors
 
 
-def test_kernel_richardson_order():
+def test_kernel_richardson_order(monkeypatch):
     """Doubling the final resolution moves the value by less than tol."""
     p = PhaseSpec(v=(0.1, 0.2), alpha=1.0)
-    a = kernel_direct(p, 12.0, tol=1e-8)
-    b = kernel_direct(p, 12.0, tol=1e-10)
+    a = kernel_direct(p, 12.0)
+    monkeypatch.setattr(oscillatory, "KERNEL_TOL", 1e-10)
+    b = kernel_direct(p, 12.0)
     assert abs(a - b) <= 2e-8
 
 

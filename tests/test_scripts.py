@@ -98,6 +98,19 @@ def test_report_identity_of_the_checkout_with_itself():
     assert all(line.startswith("same ") for line in lines[:-1])
 
 
+def test_report_identity_runs_the_failure_paths():
+    """The 4 invocations that fail on purpose exit as their comment says,
+    with the same stderr line twice."""
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", "report_identity.py"),
+                           ROOT, ROOT, "--only", "failing/"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == [
+        "same failing/cfl (exit 3 / 3)", "same failing/empty-fit-window (exit 3 / 3)",
+        "same failing/quadrature-budget (exit 3 / 3)",
+        "same failing/eps-out-of-range (exit 2 / 2)", "4 of 4 invocations identical"]
+
+
 def test_report_identity_names_each_difference():
     spec = importlib.util.spec_from_file_location(
         "report_identity", os.path.join(ROOT, "scripts", "report_identity.py"))
