@@ -20,7 +20,6 @@ from .spectral import (
     dispersion_rate,
     forward_transform,
     full_spectrum,
-    half_spectrum,
     l2_norm,
     sobolev_norm,
     sobolev_weight,
@@ -66,7 +65,7 @@ def _propagator_arrays(xi1, xi2, r, t, branch):
 
 
 def _half_pair(state):
-    return np.stack([half_spectrum(state.omega.coeffs), half_spectrum(state.rho.coeffs)])
+    return np.stack([state.omega.half, state.rho.half])
 
 
 def linear_propagator(state, t):

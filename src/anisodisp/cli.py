@@ -1,7 +1,8 @@
 """Command line entry point: anisodisp <experiment> --config FILE [--jobs K] [--out DIR].
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage error (a ConfigError,
-an unusable --out), 3 numeric failure (any SpectralError; a dead sweep worker too).
+an unusable --out), 3 numeric failure (any SpectralError; a dead sweep worker
+too) or a run out of memory (a MemoryError, in this process or a sweep worker).
 """
 
 import argparse
@@ -50,6 +51,9 @@ def main(argv=None):
         return 2
     except SpectralError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)

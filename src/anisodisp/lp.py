@@ -18,7 +18,6 @@ from .spectral import (
     SpectralError,
     SpectralField,
     full_spectrum,
-    half_spectrum,
     physical_rows,
     row_blocks,
 )
@@ -116,7 +115,7 @@ class LPBank:
         if not 0.0 <= a <= 6.0:
             raise SpectralError(f"Besov regularity must lie in [0, 6], got {a}")
         g = self.grid
-        half = half_spectrum(field.coeffs)
+        half = field.half
         xi1, xi2 = g.xi_axes(half=True)
         # row 0 holds each column's smallest |xi|, rising column by column
         edge = np.sqrt(xi1[0] ** 2 + xi2[0] ** 2)

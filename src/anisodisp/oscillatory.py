@@ -148,7 +148,10 @@ def find_stationary(p):
 
 def _polar_quadrature(p, t, j, n_r, n_psi):
     """Trapezoid sum over the polar (r, psi) grid, in blocks of radial rows
-    under a fixed byte budget."""
+    under a fixed byte budget.  Each block is evaluated in place in buffers
+    made once per call, so the blocks allocate nothing: the cost of a call
+    does not depend on whether the allocator kept or returned the memory
+    that freed temporaries would take."""
     r_lo, r_hi = 2.0 ** (j - 1), 2.0 ** (j + 1)
     r = np.linspace(r_lo, r_hi, n_r)
     psi = np.arange(n_psi) * (2.0 * np.pi / n_psi)
@@ -159,14 +162,28 @@ def _polar_quadrature(p, t, j, n_r, n_psi):
     w_r = np.full(n_r, dr)
     w_r[0] = w_r[-1] = dr / 2.0  # integrand vanishes there anyway
     total = 0.0
-    # about eight float64 or complex temporaries per point
-    for rows in row_blocks(n_r, 128 * n_psi):
+    # blocks of 128 bytes per point, more than the 40 the buffers take: the
+    # block boundaries set the order of the sum, and so its bits
+    blocks = list(row_blocks(n_r, 128 * n_psi))
+    size = blocks[0].stop
+    xs, vals = np.empty((3, size, n_psi)), np.empty((size, n_psi), dtype=np.complex128)
+    for rows in blocks:
         R = r[rows, None]
-        x1 = R * cos_psi
-        x2 = R * sin_psi
-        phase = p.v[0] * x1 + p.v[1] * x2 - x1 * R ** (-p.alpha)
-        vals = amp[rows, None] * np.exp(1j * t * phase)
-        total += np.sum(vals * w_r[rows, None])
+        x1, x2, drift = xs[:, : R.shape[0]]
+        v = vals[: R.shape[0]]
+        # phase = v1 x1 + v2 x2 - x1 R^-alpha, in the formula's order, in x1
+        np.multiply(R, cos_psi, out=x1)
+        np.multiply(R, sin_psi, out=x2)
+        np.multiply(x1, R ** (-p.alpha), out=drift)
+        np.multiply(p.v[0], x1, out=x1)
+        np.multiply(p.v[1], x2, out=x2)
+        np.add(x1, x2, out=x1)
+        np.subtract(x1, drift, out=x1)
+        np.multiply(1j * t, x1, out=v)
+        np.exp(v, out=v)
+        np.multiply(amp[rows, None], v, out=v)
+        np.multiply(v, w_r[rows, None], out=v)
+        total += np.sum(v)
     return complex(total * dpsi)
 
 

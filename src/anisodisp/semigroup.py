@@ -16,7 +16,6 @@ from .spectral import (
     SpectralError,
     apply_multiplier,
     dispersion_rate,
-    half_spectrum,
     physical_rows,
     row_blocks,
 )
@@ -57,7 +56,7 @@ def _evolved_linf(f0, alpha, times):
     row -k1 is the conjugate of row k1."""
     g = f0.grid
     ny = g.N // 2
-    half = half_spectrum(f0.coeffs)
+    half = f0.half
     ph = dispersion_rate(*g.xi_axes(slice(0, ny + 1), half=True), alpha)
     arg = np.empty_like(ph)
     m = np.empty(half.shape, dtype=np.complex128)
@@ -116,7 +115,7 @@ def measure_decay(f0, alpha, times, fit_window=None):
     times = np.asarray(sorted(times), dtype=float)
     if np.any(times <= 0.0):
         raise SpectralError("decay measurement needs strictly positive times")
-    if abs(f0.coeffs[0, 0]) > 1e-13:
+    if abs(f0.half[0, 0]) > 1e-13:
         raise SpectralError("initial data must be zero-mean")
     vals = _evolved_linf(f0, alpha, times)
     t_cap = reliable_time(f0.grid)

@@ -117,7 +117,12 @@ class Grid2D:
 
 
 class SpectralField:
-    """A real scalar field stored as Hermitian-symmetric Fourier coefficients."""
+    """A real scalar field stored as Hermitian-symmetric Fourier coefficients.
+
+    A field made by `from_half` holds only its half spectrum until `.coeffs`
+    is first read; that read builds the full (N, N) array by `full_spectrum`,
+    keeps it and drops the half, so from then on in-place writes through
+    `.coeffs` are the field.  `.half` reads the k2 >= 0 half either way."""
 
     def __init__(self, grid, coeffs):
         if coeffs.shape != (grid.N, grid.N):
@@ -125,13 +130,45 @@ class SpectralField:
                 f"coefficient array shape {coeffs.shape} does not match grid N={grid.N}"
             )
         self.grid = grid
-        self.coeffs = np.asarray(coeffs, dtype=np.complex128)
+        self.coeffs = coeffs
+
+    @classmethod
+    def from_half(cls, grid, half):
+        """The field of the half spectrum `half` (N, N//2 + 1), taken as is.
+        Its k2 = 0 and k2 = N/2 columns are made exactly Hermitian in place,
+        as `full_spectrum` makes them, so `.half` has the bits of
+        `half_spectrum(.coeffs)`."""
+        N = grid.N
+        if half.shape != (N, N // 2 + 1):
+            raise SpectralError(
+                f"half spectrum shape {half.shape} does not match grid N={N}"
+            )
+        edges = [0, N // 2]
+        half[N // 2 + 1 :, edges] = np.conj(half[N // 2 - 1 : 0 : -1, edges])
+        field = cls.__new__(cls)
+        field.grid, field._half, field._coeffs = grid, half, None
+        return field
+
+    @property
+    def coeffs(self):
+        if self._coeffs is None:
+            self._coeffs, self._half = full_spectrum(self._half), None
+        return self._coeffs
+
+    @coeffs.setter
+    def coeffs(self, coeffs):
+        self._coeffs, self._half = np.asarray(coeffs, dtype=np.complex128), None
+
+    @property
+    def half(self):
+        """The k2 >= 0 half spectrum, a view of the full array once built."""
+        return self._half if self._coeffs is None else half_spectrum(self._coeffs)
 
     def copy(self):
         return SpectralField(self.grid, self.coeffs.copy())
 
     def to_physical(self):
-        half = half_spectrum(self.coeffs)
+        half = self.half
         centred = _centre_phase(self.grid, half, np.empty_like(half))
         return half_to_physical(self.grid, centred, overwrite_x=True)
 
@@ -146,7 +183,8 @@ class SpectralField:
         return self
 
     def zero_mean(self):
-        self.coeffs[0, 0] = 0.0
+        # the mean is self-conjugate, a mode `full_spectrum` copies as given
+        self.half[0, 0] = 0.0
         return self
 
     def hermitian_defect(self):
@@ -172,9 +210,9 @@ def forward_transform(values, grid):
 def _from_row_pass(grid, half):
     """The SpectralField of the real values whose row `rfft` is `half`: the
     column pass in place in `half` (the two passes of `rfft2`, so its
-    bits), then the centre phase in place and the Hermitian rebuild."""
+    bits), then the centre phase in place; the field holds that half."""
     np.fft.fft(half, axis=-2, norm="forward", out=half)
-    return SpectralField(grid, full_spectrum(_centre_phase(grid, half, half)))
+    return SpectralField.from_half(grid, _centre_phase(grid, half, half))
 
 
 def _centre_phase(grid, half, out):
@@ -360,7 +398,7 @@ def apply_multiplier(field, mult):
     m(-xi) = conj(m(xi)), so a real field maps to a real field."""
     g = field.grid
     m = mult.on(*g.xi_axes(half=True))
-    return SpectralField(g, full_spectrum(half_spectrum(field.coeffs) * m)).zero_nyquist()
+    return SpectralField(g, full_spectrum(field.half * m)).zero_nyquist()
 
 
 def l2_norm(field):
@@ -387,12 +425,12 @@ def sobolev_norm(field, s):
 
 
 def linf_norm(field):
-    return float(np.max(np.abs(half_to_physical(field.grid, half_spectrum(field.coeffs)))))
+    return float(np.max(np.abs(half_to_physical(field.grid, field.half))))
 
 
 def l1_norm(field):
     """Physical L^1 norm with quadrature weight (L/N)^2, on the values `per_shell` sums."""
-    vals = half_to_physical(field.grid, half_spectrum(field.coeffs))
+    vals = half_to_physical(field.grid, field.half)
     return float(np.sum(np.abs(vals))) * field.grid.dx**2
 
 
@@ -406,5 +444,5 @@ def gaussian_field(grid, width=1.0, amplitude=1.0):
     np.exp(vals, out=vals)
     np.multiply(amplitude, vals, out=vals)
     half = np.fft.rfft(vals, axis=-1, norm="forward")
-    del vals  # the samples go before the rebuild, which holds the half and the whole
+    del vals  # the samples go before the field is made
     return _from_row_pass(grid, half)

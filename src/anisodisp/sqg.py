@@ -202,7 +202,7 @@ def _if_rk4(ws, y, state):
 def step(state, workspace=None):
     """Advance one dt of `_if_rk4`; raises CFLError / BlowUpError."""
     ws = workspace or _Workspace(state.theta.grid, state.alpha)
-    full = _if_rk4(ws, half_spectrum(state.theta.coeffs)[..., : ws.K] * ws.mask_K, state)
+    full = _if_rk4(ws, state.theta.half[..., : ws.K] * ws.mask_K, state)
     return replace(state, theta=SpectralField(state.theta.grid, full), steps=state.steps + 1)
 
 
@@ -276,7 +276,7 @@ def run_and_diagnose(theta0, T, dt, alpha=1.0, n_outputs=50):
     weight = sobolev_weight(state.theta.grid, 4.5)
 
     def record(st):
-        gu, gt = ws.grad_norms(half_spectrum(st.theta.coeffs)[None])
+        gu, gt = ws.grad_norms(st.theta.half[None])
         diag.h_s.append(weighted_norm(st.theta, weight))
         diag.l2.append(l2_norm(st.theta))
         diag.grad_u_inf.append(gu)

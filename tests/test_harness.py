@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anisodisp import cli, harness, sqg
+from anisodisp import boussinesq, cli, harness, lp, spectral, sqg
 from anisodisp.cli import main
 from anisodisp.harness import (
     EXPERIMENTS,
@@ -300,6 +300,50 @@ def test_cli_dead_pool_worker_exit_three(tmp_path, capsys, monkeypatch, two_cpus
                             "a smaller --jobs runs fewer members at once\n")
 
 
+# caps the child's address space, which with numpy loaded spans about 105 MiB
+OUT_OF_MEMORY_CHILD = """\
+import os, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+os.sched_getaffinity = lambda pid: {0, 1}  # two usable CPUs, so a sweep takes the pool
+from anisodisp.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("experiment, extra, jobs", [
+    ("sqg", "profile = random", []),
+    ("sweep", "target = sqg\nprofile = random\neps_list = 0.04,0.02", ["--jobs", "2"]),
+], ids=["in-process", "pooled"])
+def test_cli_out_of_memory_exit_three(tmp_path, experiment, extra, jobs):
+    """A run that cannot get its arrays exits 3 with one stderr line, not a
+    traceback, whether the MemoryError is raised in the CLI's process or in
+    a sweep's pool worker.  The child runs an sqg run at N = 2048 (about
+    1 GB) under `RLIMIT_AS` of 400 MiB, which limits that process and the
+    workers it forks alone, so the run fails without taking the memory."""
+    path = write_config(tmp_path, EVOLUTION_INI.format(experiment=experiment, extra=extra)
+                        .replace("N = 16", "N = 2048")
+                        .replace("t_final = 0.1\ndt = 0.05", "t_final = 0.01\ndt = 0.005"))
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", OUT_OF_MEMORY_CHILD, experiment, "--config", path,
+         "--out", str(tmp_path / "o"), *jobs], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"))
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("out of memory: ") and proc.stderr.count("\n") == 1
+
+
+def test_cli_bare_memory_error_exit_three(tmp_path, capsys, monkeypatch):
+    """A MemoryError with no message still gives one line that names it."""
+    def no_memory(cfg, jobs=None):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "run", no_memory)
+    assert main(["kernel", "--config", write_config(tmp_path, KERNEL_INI),
+                 "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == "out of memory: an allocation failed\n"
+
+
 def test_cli_numeric_failure_exit_three(tmp_path):
     ini = """\
 [experiment]
@@ -479,13 +523,24 @@ def traced_run_peak(cfg):
 
 
 def test_lin_decay_run_memory_bounded():
-    """A whole lin-decay run at N = 1024 holds its profile (16 MiB) and at most
-    about as much again: every lattice array is built per use, the row passes
-    run in row blocks, and the profile and its Hermitian rebuild make no
-    full-size temporary.  The traced peak stays below 40 MiB (64.2 MiB with
-    cached lattice arrays and whole-array row passes)."""
+    """A whole lin-decay run at N = 1024 holds its profile's half spectrum
+    (8 MiB) and at most about as much again: the profile's full spectrum is
+    never built, every lattice array is built per use, and the row passes
+    run in row blocks.  The traced peak stays below 24 MiB (29.1 MiB with
+    the profile's full spectrum built, 64.2 with cached lattice arrays and
+    whole-array row passes)."""
     cfg = ExperimentConfig(experiment="lin-decay", N=1024, L=400.0)
-    assert traced_run_peak(cfg) < 40 << 20
+    assert traced_run_peak(cfg) < 24 << 20
+
+
+def test_lin_decay_run_builds_no_full_spectrum(monkeypatch):
+    """lin-decay reads its profile on the half lattice alone, so a whole run
+    never calls `full_spectrum`."""
+    calls = [count_calls(monkeypatch, m, "full_spectrum")
+             for m in (spectral, lp, sqg, boussinesq)]
+    run(ExperimentConfig(experiment="lin-decay", N=64, L=100.0,
+                         params={"t_hi": "20.0", "n_times": "5"}))
+    assert calls == [[]] * 4
 
 
 def test_sqg_run_memory_bounded():

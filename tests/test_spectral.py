@@ -1,3 +1,5 @@
+import ast
+import os
 import tracemalloc
 
 import numpy as np
@@ -6,6 +8,7 @@ import scipy.fft as sfft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anisodisp import spectral
 from anisodisp.spectral import (
     SYMBOLS,
     Grid2D,
@@ -19,6 +22,7 @@ from anisodisp.spectral import (
     forward_transform,
     full_spectrum,
     gaussian_field,
+    half_spectrum,
     half_to_physical,
     l1_norm,
     l2_norm,
@@ -198,9 +202,10 @@ def _full_spectrum_by_fancy_index(half):
 @pytest.mark.parametrize("N, width", [(16, 1.0), (64, 0.3), (1024, 1.0)])
 def test_gaussian_profile_drops_its_samples_before_the_rebuild(N, width):
     """The Gaussian profile has the bits of `forward_transform` of its
-    samples, and frees the (N, N) samples before the rebuild: it peaks at
-    its half spectrum and its whole one, 1.5 whole spectra (24 MiB at
-    N = 1024, where holding the samples too read 32.4 MiB)."""
+    samples, and holds only its half spectrum until `.coeffs` is read: it
+    peaks at its real samples and that half, one whole spectrum (16 MiB at
+    N = 1024, where rebuilding the whole spectrum in the profile read 24.4
+    MiB, and holding the samples too 32.4)."""
     grid = Grid2D(N, 400.0 if N == 1024 else 10.0)
     x1, x2 = grid.x[:, None], grid.x[None, :]
     want = forward_transform(0.7 * np.exp(-(x1**2 + x2**2) / width**2), grid)
@@ -211,7 +216,67 @@ def test_gaussian_profile_drops_its_samples_before_the_rebuild(N, width):
     finally:
         tracemalloc.stop()
     assert _same_bits(f.coeffs, want.coeffs)
-    assert peak < 1.5 * f.coeffs.nbytes + (1 << 20)
+    assert peak < f.coeffs.nbytes + (1 << 20)
+
+
+def _lazy_fields(N):
+    """(name, factory) of the fields made on the half lattice at grid size N."""
+    grid = Grid2D(N, 10.0)
+    values = np.random.default_rng(N).standard_normal((N, N))
+    return [("gaussian", lambda: gaussian_field(grid, 0.7)),
+            ("transform", lambda: forward_transform(values, grid))]
+
+
+@pytest.mark.parametrize("N", [16, 64, 256])
+def test_lazy_half_is_the_half_of_the_full_spectrum(N):
+    """A field made by `from_half` holds its half spectrum until `.coeffs` is
+    read.  Before and after `zero_mean`, that half has the bits of the half
+    of the full array built from it: `from_half` makes the k2 = 0 and
+    k2 = N/2 columns exactly Hermitian, which `rfft2` leaves to rounding."""
+    for name, make in _lazy_fields(N):
+        for zero_mean in (False, True):
+            f = make()
+            if zero_mean:
+                f.zero_mean()
+            half = f.half.copy()
+            assert _same_bits(half, half_spectrum(f.coeffs)), (name, zero_mean)
+            assert _same_bits(f.half, half), (name, zero_mean)
+
+
+def test_lazy_field_keeps_the_full_array_once_read():
+    """The first `.coeffs` read builds the full array once and keeps it: an
+    in-place write through it shows in `.half` and in a second read, and
+    the copy of a field not yet read compares equal to the field."""
+    for name, make in _lazy_fields(32):
+        f = make()
+        c = f.coeffs
+        c[1, 2] = 5.0
+        assert f.coeffs is c and f.half[1, 2] == 5.0, name
+        g = make()
+        assert _same_bits(g.copy().coeffs, g.coeffs), name
+
+
+def test_from_half_rejects_shape_mismatch(grid64):
+    with pytest.raises(SpectralError):
+        SpectralField.from_half(grid64, np.zeros((64, 64), dtype=np.complex128))
+
+
+def test_no_reader_builds_the_full_array_for_its_half():
+    """No code in src/ takes `half_spectrum(<field>.coeffs)`, which would
+    build a lazy field's full array only to slice it: readers take `.half`."""
+    pkg = os.path.dirname(spectral.__file__)
+    found = []
+    for name in sorted(os.listdir(pkg)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(pkg, name)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and ast.unparse(node.func).endswith("half_spectrum")
+                    and any(isinstance(a, ast.Attribute) and a.attr == "coeffs"
+                            for a in node.args)):
+                found.append(f"{name}:{node.lineno}")
+    assert found == []
 
 
 @pytest.mark.parametrize("N", [16, 32, 64, 128, 256])
