@@ -82,14 +82,6 @@ class LPBank:
             raise SpectralError("grid too coarse for any dyadic shell")
         self.j_range = range(self.j_min, self.j_max + 1)
 
-    def project(self, field, j, fattened=False):
-        if j not in self.j_range:
-            raise SpectralError(
-                f"shell index {j} outside resolved range [{self.j_min}, {self.j_max}]"
-            )
-        prof = bump_fattened if fattened else bump
-        return SpectralField(field.grid, field.coeffs * prof(self.grid.xi_mod * 2.0 ** (-j)))
-
     def partition_defect(self, xi_mod):
         """max |sum_j psi(2^-j xi) - 1| over the given moduli (valid shell band)."""
         total = np.zeros_like(xi_mod)

@@ -221,12 +221,6 @@ def kernel_direct(p, t, j=0):
     )
 
 
-def bump_mass():
-    """integral of bump(xi) over the plane (the shell-0 kernel's value at t -> 0)."""
-    r = np.linspace(0.5, 2.0, 4001)
-    return float(2.0 * np.pi * np.trapezoid(bump(r) * r, r))
-
-
 BUMP_SUP = 1.0  # max of the shell profile
 STRIP_WIDTH = 6.0  # linearized measure of {1/2<=|xi|<=2, |xi_2|<=lam} is 6 lam
 

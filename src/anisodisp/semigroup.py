@@ -27,7 +27,10 @@ def evolve_linear(f, alpha, t):
 
 
 def reliable_time(grid):
-    """Wrap-around cap: dispersed waves re-enter the box beyond t ~ L/4."""
+    """Wrap-around cap L/4 of the decay fit.  At alpha = 1 the group speed
+    is at most 1/|xi|, so the waves of shell j re-enter the box after about
+    L 2^{j-2} to L 2^{j-1}: L/4 is the horizon of shell j = 0 only, and the
+    coarser shells j < 0 wrap sooner."""
     return grid.L / 4.0
 
 

@@ -99,13 +99,6 @@ class Grid2D:
     def xi_mod_safe(self):
         return np.sqrt(_modulus_sq(*self.xi_axes()))
 
-    @property
-    def nyquist_mask(self):
-        # Nyquist rows have no Hermitian partner on the lattice
-        mask = np.zeros((self.N, self.N), dtype=bool)
-        mask[self.N // 2, :] = mask[:, self.N // 2] = True
-        return mask
-
     def __eq__(self, other):
         return isinstance(other, Grid2D) and self.N == other.N and self.L == other.L
 
@@ -186,9 +179,6 @@ class SpectralField:
         # the mean is self-conjugate, a mode `full_spectrum` copies as given
         self.half[0, 0] = 0.0
         return self
-
-    def hermitian_defect(self):
-        return float(np.max(np.abs(self.coeffs - self._reflected())))
 
     def _reflected(self):
         """conj(c(-k)) at each k."""
@@ -429,7 +419,9 @@ def linf_norm(field):
 
 
 def l1_norm(field):
-    """Physical L^1 norm with quadrature weight (L/N)^2, on the values `per_shell` sums."""
+    """Physical L^1 norm with quadrature weight (L/N)^2, on the uncentred
+    values that `per_shell` sums: a sum over the centred ones can differ in
+    its last bits."""
     vals = half_to_physical(field.grid, field.half)
     return float(np.sum(np.abs(vals))) * field.grid.dx**2
 

@@ -213,8 +213,10 @@ def _integrate(rep, state, advance, record, norm, T, n_outputs, exit_factor=None
     blow-up-criterion rate, whose trapezoid integral goes to `rep.integral`.
     A step whose `norm` exceeds NORM_CAP (or `exit_factor`) times the initial
     norm blows up before its outputs (or exits after them), and a step that
-    raises BlowUpError blows up at the state before it.  Returns the last
-    state and the time of an early stop, None if the run reached T."""
+    raises BlowUpError blows up at the state before it.  Counted in whole
+    steps, no output comes late or goes missing through float-time drift,
+    and a step that several outputs fall on is recorded once.  Returns the
+    last state and the time of an early stop, None if the run reached T."""
     norm0 = norm(state)
     steps = round(T / state.dt)
     out_steps = {-(-k * steps // n_outputs) for k in range(1, n_outputs + 1)}

@@ -26,6 +26,20 @@ def random_field(grid, seed=0, width=2.0):
     return f
 
 
+def nyquist_mask(grid):
+    """The k1 = N/2 row and the k2 = N/2 column: the modes with no Hermitian
+    partner on the lattice."""
+    mask = np.zeros((grid.N, grid.N), dtype=bool)
+    mask[grid.N // 2, :] = mask[:, grid.N // 2] = True
+    return mask
+
+
+def hermitian_defect(field):
+    """max |c(k) - conj(c(-k))| over the lattice: 0 for an exactly real field."""
+    c = field.coeffs
+    return float(np.max(np.abs(c - np.conj(np.roll(c[::-1, ::-1], (1, 1), axis=(0, 1))))))
+
+
 def grid_arrays(grid):
     """The names of the arrays a grid keeps: its lattice arrays are built
     anew on each read, so only the wavenumbers `k` and the samples `x`."""

@@ -30,7 +30,7 @@ from anisodisp.harness import (
     sweep_workers,
 )
 from anisodisp.spectral import Grid2D, SpectralError, linf_norm
-from conftest import count_calls, grid_arrays
+from conftest import count_calls, grid_arrays, hermitian_defect
 
 
 KERNEL_INI = """\
@@ -91,7 +91,7 @@ def test_make_profile_kinds():
     for kind in harness._PROFILES:
         f = make_profile(grid, kind, seed=3, width=2.0, amplitude=0.5)
         assert f.coeffs[0, 0] == 0.0
-        assert f.hermitian_defect() <= 1e-12
+        assert hermitian_defect(f) <= 1e-12
     for kind in ("bump", "shell", "sawtooth"):
         with pytest.raises(ConfigError):
             make_profile(grid, kind)
@@ -823,6 +823,62 @@ def test_every_error_is_a_config_or_a_spectral_error():
     assert raises > 50 and bad == []
 
 
+def _named(path):
+    """(name, line) of each name, attribute, imported name and identifier
+    string in a Python file; the strings are the attributes that the
+    benchmark's tracer looks up by name."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2], node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            yield node.value, node.lineno
+
+
+def test_no_public_name_in_src_is_only_for_the_unit_tests():
+    """Every public top-level function and class of the package, and every
+    public method, is named outside its own definition in src/, scripts/,
+    perfbench/ or the acceptance tests: what only the unit tests call
+    belongs in the tests."""
+    root = os.path.join(os.path.dirname(__file__), "..")
+
+    def py_files(*parts):
+        folder = os.path.join(root, *parts)
+        return [os.path.join(folder, n) for n in sorted(os.listdir(folder)) if n.endswith(".py")]
+
+    src = py_files("src", "anisodisp")
+    users = src + py_files("scripts") + py_files("perfbench")
+    users.append(os.path.join(root, "tests", "test_acceptance.py"))
+    uses = {}  # name -> [(path, line)]
+    for path in users:
+        for name, line in _named(path):
+            uses.setdefault(name, []).append((path, line))
+    public, unused = 0, []
+    for path in src:
+        with open(path) as fh:
+            body = ast.parse(fh.read()).body
+        defs = [(node.name, node) for node in body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        defs += [(f"{cls.name}.{node.name}", node) for cls in body
+                 if isinstance(cls, ast.ClassDef)
+                 for node in cls.body if isinstance(node, ast.FunctionDef)]
+        for qualname, node in defs:
+            if node.name.startswith("_"):
+                continue
+            public += 1
+            if all(p == path and node.lineno <= line <= node.end_lineno
+                   for p, line in uses.get(node.name, [])):
+                unused.append(f"{os.path.basename(path)[:-3]}.{qualname}")
+    assert public > 100
+    assert unused == []
+
+
 def test_max_n_is_inclusive():
     """MAX_N itself passes the check; nothing is built or run here."""
     assert harness.MAX_N == 2048
@@ -1013,6 +1069,33 @@ def test_readme_param_tables_match_code():
         rows += [f"| `{key}` | `{default}` | {_range_cell(within)} | {kind.__name__} |"
                  for key, (default, within, kind) in PARAMS[experiment].items()]
         assert "\n".join(rows) + "\n\n" in readme + "\n", experiment
+
+
+def test_readme_code_references_resolve():
+    """Every backticked dotted name in README that starts at the package, one
+    of its modules or one of their classes, such as `sqg.NORM_CAP` or
+    `Grid2D.check_grid`, names something that exists."""
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+        readme = fh.read()
+    pkg = os.path.dirname(harness.__file__)
+    modules = {name[:-3]: importlib.import_module(f"anisodisp.{name[:-3]}")
+               for name in os.listdir(pkg) if name.endswith(".py") and name != "__init__.py"}
+    heads = dict(modules)
+    heads.update((name, obj) for m in modules.values() for name, obj in vars(m).items()
+                 if isinstance(obj, type) and obj.__module__ == m.__name__)
+    checked = set()
+    for ref in re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`", readme):
+        head, *attrs = ref.split(".")
+        if head == "anisodisp":
+            head, *attrs = attrs
+        if head not in heads:
+            continue  # numpy, a file name
+        obj = heads[head]
+        for attr in attrs:
+            assert hasattr(obj, attr), ref
+            obj = getattr(obj, attr)
+        checked.add(ref)
+    assert {"harness.sweep_workers", "sqg.NORM_CAP", "harness.MAX_N"} <= checked
 
 
 def test_sweep_jobs_match_serial(two_cpus):

@@ -12,7 +12,7 @@ from anisodisp.spectral import (
     l1_norm,
     row_blocks,
 )
-from conftest import random_field
+from conftest import hermitian_defect, random_field
 
 
 def test_chi_plateaus():
@@ -47,23 +47,23 @@ def test_j_range(grid64):
     assert 2.0 ** (bank.j_max + 1) <= xi_max + 1e-12
 
 
+def project(f, j, fattened=False):
+    """The shell-j Littlewood-Paley piece of f on the full lattice."""
+    g = f.grid
+    prof = bump_fattened if fattened else bump
+    return SpectralField(g, f.coeffs * prof(g.xi_mod * 2.0 ** (-j)))
+
+
 def test_project_plane_waves():
     # box chosen so the lattice hits |xi0| = 1 exactly, where psi(1) = 1
     grid = Grid2D(64, 4.0 * np.pi)
     bank = LPBank(grid)
     X = np.broadcast_to(grid.x[:, None], (grid.N, grid.N))  # x1 at each point
     f = forward_transform(np.cos(X), grid)
-    same = bank.project(f, 0)
+    same = project(f, 0)
     assert np.max(np.abs(same.coeffs - f.coeffs)) <= 1e-12
-    gone = bank.project(f, bank.j_max)
+    gone = project(f, bank.j_max)
     assert np.max(np.abs(gone.coeffs)) <= 1e-14
-
-
-def test_project_rejects_out_of_range(grid64):
-    bank = LPBank(grid64)
-    f = random_field(grid64)
-    with pytest.raises(SpectralError):
-        bank.project(f, bank.j_max + 1)
 
 
 def test_partition_of_unity_on_lattice(grid64):
@@ -83,7 +83,7 @@ def test_projection_reconstructs_band_limited(grid64):
     f.coeffs *= band
     total = np.zeros_like(f.coeffs)
     for j in bank.j_range:
-        total += bank.project(f, j).coeffs
+        total += project(f, j).coeffs
     assert np.max(np.abs(total - f.coeffs)) <= 1e-12
 
 
@@ -124,7 +124,7 @@ def test_per_shell_equals_full_lattice_projection(monkeypatch, make):
         got = bank.per_shell(f, 1.5)
         assert list(got) == list(bank.j_range)
         for j, value in got.items():
-            assert value == 2.0 ** (j * 1.5) * l1_norm(bank.project(f, j, fattened=True))
+            assert value == 2.0 ** (j * 1.5) * l1_norm(project(f, j, fattened=True))
 
 
 def test_per_shell_of_zero_field_is_zero(grid64):
@@ -170,7 +170,7 @@ def test_shell_field_equals_full_lattice_formula(N, L, j):
 
 def test_shell_field_properties(grid64):
     f = shell_field(grid64)
-    assert f.hermitian_defect() == 0.0
+    assert hermitian_defect(f) == 0.0
     assert f.coeffs[0, 0] == 0.0
     vals = f.to_physical()
     assert np.sum(f.coeffs).real > 0.0

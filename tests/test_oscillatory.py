@@ -11,7 +11,6 @@ from anisodisp.oscillatory import (
     PhaseSpec,
     QuadratureBudgetError,
     _polar_quadrature,
-    bump_mass,
     find_stationary,
     hessian_det,
     kernel_direct,
@@ -202,6 +201,12 @@ def test_closed_form_finds_every_stationary_point(v, alpha, n_points):
 
 # ---------------------------------------------------------------------------
 # kernel quadrature
+
+def bump_mass():
+    """integral of bump(xi) over the plane (the shell-0 kernel's value at t -> 0)."""
+    r = np.linspace(0.5, 2.0, 4001)
+    return float(2.0 * np.pi * np.trapezoid(bump(r) * r, r))
+
 
 def test_kernel_small_t_limit():
     p = PhaseSpec(v=(0.0, 0.0), alpha=1.0)

@@ -32,7 +32,7 @@ from anisodisp.spectral import (
     l2_norm,
     linf_norm,
 )
-from conftest import grid_arrays, random_field
+from conftest import grid_arrays, hermitian_defect, random_field
 
 
 def test_params_validated(grid32):
@@ -115,7 +115,7 @@ def test_group_law_on_half_lattice(alpha, t, s, seed):
 def test_evolved_field_stays_real(grid64):
     f = random_field(grid64, seed=3)
     g = evolve_linear(f, 1.0, 17.0)
-    assert g.hermitian_defect() == 0.0
+    assert hermitian_defect(g) == 0.0
 
 
 def test_plane_wave_does_not_decay(grid64):
@@ -284,6 +284,29 @@ def test_decay_slope_small_grid():
     rep = measure_decay(f, 1.0, times)
     assert -0.7 <= rep.fitted_slope <= -0.3
     assert rep.constant_estimate > 0.0
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
+def test_decay_measurement_obeys_the_dilation_law(alpha):
+    """The symbol xi_1 / |xi|^alpha is homogeneous of degree 1 - alpha, so
+    f(2x) evolves at t as f does at 2^{1-alpha} t, and B^s_{1,1} scales by
+    2^{s-2}.  On the lattice: shell 0 on a box of side L and shell 1 on L/2
+    have the same coefficients, the same sups at matching times, and so
+    the same fitted slope and constant, with the Besov ratio exactly
+    2^{s-2}.  A wrong dx power or Besov index breaks the last two."""
+    N, L = 256, 400.0
+    f, h = shell_field(Grid2D(N, L), 0), shell_field(Grid2D(N, L / 2), 1)
+    assert np.array_equal(f.coeffs, h.coeffs)
+    c = 2.0 ** (1.0 - alpha)
+    times = np.geomspace(10.0, 40.0, 8)
+    sup_f, sup_h = _evolved_linf(f, alpha, c * times), _evolved_linf(h, alpha, times)
+    assert np.max(np.abs(sup_f - sup_h) / sup_h) <= 1e-15
+    rep_f = measure_decay(f, alpha, c * times, fit_window=(c * 10.0, c * 40.0))
+    rep_h = measure_decay(h, alpha, times, fit_window=(10.0, 40.0))
+    s = 2.0 if alpha == 1.0 else 1.0 + alpha
+    assert rep_h.besov_value == 2.0 ** (s - 2.0) * rep_f.besov_value
+    assert rep_f.fitted_slope == pytest.approx(rep_h.fitted_slope, rel=1e-14, abs=0.0)
+    assert rep_f.constant_estimate == pytest.approx(rep_h.constant_estimate, rel=1e-15, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
