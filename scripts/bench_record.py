@@ -1,0 +1,179 @@
+"""Before-and-after benchmark record of a change against its parent.
+
+    python scripts/bench_record.py --parent REV [--pairs P] [--seconds S]
+                                   [--workload W ...] > BENCH_<n>.json
+
+Exports two trees with `git archive` into a temporary directory: REV, and
+the change, which is HEAD for a clean checkout and otherwise the commit that
+`git stash create` prints (tracked files only: `git add` a new file first).
+On each tree it runs the unchanged `perfbench/run.py --trace 0`, in pairs at
+seeds 1..P, each workload's pairs in turn and the two trees alternating
+which goes first.  Each run is a fresh interpreter with
+PYTHONDONTWRITEBYTECODE=1 and its own empty PYTHONPYCACHEPREFIX.  Progress
+goes to stderr; the record, one JSON object, to stdout.  It holds each run's
+final JSON line, its round count and raw round median, and per workload and
+end-to-end metric of BENCHMARK.json both trees' values, median, quartiles
+and range and the change's wins out of the pairs, with the shas, the seeds,
+the CPU affinity, MemAvailable and the numpy version.
+"""
+
+import argparse
+import io
+import json
+import os
+import platform
+import re
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SIDES = ("parent", "change")
+
+
+def git(*args, cwd=ROOT):
+    return subprocess.run(["git", *args], cwd=cwd, capture_output=True, check=True,
+                          timeout=120).stdout
+
+
+def resolve(parent, cwd=ROOT):
+    """(parent sha, change sha, whether the change is uncommitted)."""
+    parent_sha = git("rev-parse", "--verify", f"{parent}^{{commit}}", cwd=cwd).decode().strip()
+    stash = git("stash", "create", cwd=cwd).decode().strip()
+    change_sha = stash or git("rev-parse", "HEAD", cwd=cwd).decode().strip()
+    return parent_sha, change_sha, bool(stash)
+
+
+def export(sha, dest, cwd=ROOT):
+    """The tree of commit `sha` written under dest."""
+    with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", sha, cwd=cwd))) as tar:
+        # the "data" filter where this Python has one (3.10.12+, 3.11.4+)
+        tar.extractall(dest, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
+    return dest
+
+
+def run_perfbench(tree, workload, seed, seconds, scratch):
+    """stdout of one `perfbench/run.py --trace 0` run on `tree`."""
+    cache = tempfile.mkdtemp(prefix="pycache", dir=scratch)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=cache)
+    env.pop("PYTHONPATH", None)
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, env=env, capture_output=True, text=True, timeout=600 + 10 * seconds)
+    shutil.rmtree(cache, ignore_errors=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"perfbench exited {proc.returncode} on {tree}: {proc.stderr[-2000:]}")
+    return proc.stdout
+
+
+def parse_run(stdout):
+    """The final JSON line of a perfbench run, its round count and its raw
+    round median in seconds."""
+    lines = stdout.rstrip("\n").splitlines()
+    raw = [float(m.group(1)) for m in map(re.compile(r"# run: raw round median (\S+) s").match,
+                                           lines) if m]
+    return {
+        "rounds": sum(1 for line in lines if re.match(r"# round \d+: ", line)),
+        "raw_run_s": raw[-1] if raw else None,
+        "result": json.loads(lines[-1]),
+    }
+
+
+def spread(values):
+    """Median, quartiles (inclusive method) and range of the values."""
+    q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                      if len(values) > 1 else values * 3)
+    return {"values": values, "median": median, "q1": q1, "q3": q3,
+            "min": min(values), "max": max(values)}
+
+
+def summarize(runs, metrics):
+    """Per workload and metric ({name: better}), each side's spread and the
+    pairs in which the change is better."""
+    out = {}
+    for workload in dict.fromkeys(run["workload"] for run in runs):
+        mine = [run for run in runs if run["workload"] == workload]
+        pairs = sorted({run["pair"] for run in mine})
+        table = {"pairs": len(pairs),
+                 "correct": all(run["result"]["correct"] for run in mine),
+                 "failed": sum(run["result"]["failed"] for run in mine)}
+        for name, better in metrics.items():
+            value = {(run["pair"], run["side"]): run["result"]["metrics"][name]["value"]
+                     for run in mine}
+            sides = {side: [value[pair, side] for pair in pairs] for side in SIDES}
+            sign = 1.0 if better == "lower" else -1.0
+            wins = sum(sign * (new - old) < 0.0 for old, new in zip(*sides.values()))
+            table[name] = {"better": better, **{side: spread(v) for side, v in sides.items()},
+                           "change_wins": wins}
+        out[workload] = table
+    return out
+
+
+def host():
+    import numpy
+
+    mem = None
+    with open("/proc/meminfo") as fh:
+        for line in fh:
+            if line.startswith("MemAvailable:"):
+                mem = int(line.split()[1])
+    return {"cpu_affinity": sorted(os.sched_getaffinity(0)), "mem_available_kib": mem,
+            "numpy": numpy.__version__, "python": platform.python_version()}
+
+
+def record(args, runner=run_perfbench, cwd=ROOT):
+    with open(os.path.join(cwd, "BENCHMARK.json")) as fh:
+        bench = json.load(fh)
+    workloads = args.workload or [w["name"] for w in bench["workloads"]]
+    metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    parent_sha, change_sha, uncommitted = resolve(args.parent, cwd)
+    seeds = list(range(1, args.pairs + 1))
+    started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+    runs = []
+    scratch = tempfile.mkdtemp(prefix="bench_record")
+    try:
+        trees = {side: export(sha, os.path.join(scratch, side), cwd)
+                 for side, sha in zip(SIDES, (parent_sha, change_sha))}
+        for workload in workloads:
+            for pair, seed in enumerate(seeds):
+                order = SIDES if pair % 2 == 0 else SIDES[::-1]
+                for side in order:
+                    print(f"# {workload} pair {pair} seed {seed}: {side}", file=sys.stderr)
+                    stdout = runner(trees[side], workload, seed, args.seconds, scratch)
+                    runs.append({"workload": workload, "pair": pair, "seed": seed, "side": side,
+                                 "first": order[0] == side, **parse_run(stdout)})
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+    return {
+        "recorder": "scripts/bench_record.py",
+        "parent": {"rev": args.parent, "sha": parent_sha},
+        "change": {"sha": change_sha, "uncommitted": uncommitted},
+        "pairs": args.pairs, "seconds": args.seconds, "seeds": seeds,
+        "workloads": workloads, "started": started,
+        "host": host(),
+        "summary": summarize(runs, metrics),
+        "runs": runs,
+    }
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", required=True, help="the revision to compare against")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, default=10.0)
+    ap.add_argument("--workload", action="append", help="repeatable; default: all")
+    args = ap.parse_args(argv)
+    if args.pairs < 1 or not args.seconds > 0.0:
+        ap.error("--pairs must be at least 1 and --seconds positive")
+    json.dump(record(args), sys.stdout, indent=1)
+    print()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -20,6 +20,7 @@ from .spectral import (
     full_spectrum,
     physical_rows,
     row_blocks,
+    thread_shares,
 )
 
 
@@ -112,6 +113,7 @@ class LPBank:
         # row 0 holds each column's smallest |xi|, rising column by column
         edge = np.sqrt(xi1[0] ** 2 + xi2[0] ** 2)
         terms = {}
+        shares = thread_shares()
         for j in self.j_range:
             K = int(np.count_nonzero(edge * 2.0 ** (-j) < 4.0))
             piece = np.empty((g.N, K), dtype=np.complex128)
@@ -122,25 +124,30 @@ class LPBank:
                 np.multiply(half[rows, :K], bump_fattened(r), out=piece[rows])
             norm = 0.0
             if np.any(piece):
-                norm = _abs_sum(g, piece) * g.dx**2
+                norm = _abs_sum(g, piece, shares) * g.dx**2
             # freed before the next shell's arrays are made
             del piece
             terms[j] = 2.0 ** (j * a) * norm
         return terms
 
 
-def _abs_sum(grid, piece):
+def _abs_sum(grid, piece, shares):
     """`np.sum(np.abs(half_to_physical(grid, piece)))` bit for bit, from the
-    row blocks of `physical_rows` (which overwrites `piece`).  numpy sums a
-    contiguous power-of-two count of floats pairwise by halves, so the sums
-    of the equal power-of-two blocks, combined pairwise in the same binary
-    tree, give its bits; a running sum of the blocks would not."""
+    row blocks of `physical_rows` (which overwrites `piece`), split in
+    `shares` between threads.  numpy sums a contiguous power-of-two count of
+    floats pairwise by halves, so the sums of the equal power-of-two blocks,
+    taken in block order and combined pairwise in the same binary tree, give
+    its bits; a running sum of the blocks would not."""
     partial = []  # (level, sum) of finished subtrees, levels decreasing
-    for vals in physical_rows(grid, piece):
-        level, total = 0, np.sum(np.abs(vals, out=vals))
+    for block_sum in physical_rows(grid, piece, _sum_abs, shares):
+        level, total = 0, block_sum
         while partial and partial[-1][0] == level:
             total = partial.pop()[1] + total
             level += 1
         partial.append((level, total))
     [(_, total)] = partial
     return float(total)
+
+
+def _sum_abs(vals):
+    return np.sum(np.abs(vals, out=vals))

@@ -16,8 +16,11 @@ from .spectral import (
     SpectralError,
     apply_multiplier,
     dispersion_rate,
+    in_shares,
     physical_rows,
     row_blocks,
+    share_of,
+    thread_shares,
 )
 
 
@@ -50,13 +53,16 @@ class DecayReport:
 def _evolved_linf(f0, alpha, times):
     """`linf_norm(evolve_linear(f0, ...))` at each time for a Hermitian f0,
     on the half lattice with the semigroup's rate built once and every array
-    of the loop but the row-pass buffer allocated before it; the sup is a
-    running max and -min over the row blocks of `physical_rows`.
+    of the loop but the row-pass buffers allocated before it; the sup is the
+    max and -min over the row blocks of `physical_rows`.
 
     The generator is -i ph with ph = `dispersion_rate`, real, so the phase is
     cos(-t ph) + i sin(-t ph), the bits numpy's complex `exp` gives.  It is
     odd in k1, so it is evaluated on the rows k1 = 0 .. N/2 only, and each
-    row -k1 is the conjugate of row k1."""
+    row -k1 is the conjugate of row k1.  Where the process may use two CPUs
+    (`thread_shares`), a second thread takes half the rows of the phase and
+    of the product, and its share of each row pass (`in_shares`); every
+    value is computed alone, so none depends on it."""
     g = f0.grid
     ny = g.N // 2
     half = f0.half
@@ -64,20 +70,31 @@ def _evolved_linf(f0, alpha, times):
     arg = np.empty_like(ph)
     m = np.empty(half.shape, dtype=np.complex128)
     vals = np.empty(len(times))
+
+    def phase(share, shares, t):
+        rows = share_of(ny + 1, share, shares)
+        np.multiply(-t, ph[rows], out=arg[rows])
+        np.cos(arg[rows], out=m.real[rows])
+        np.sin(arg[rows], out=m.imag[rows])
+
+    def product(share, shares):
+        rows = share_of(g.N, share, shares)
+        np.multiply(half[rows], m[rows], out=m[rows])
+
+    shares = thread_shares()
     for i, t in enumerate(times):
         MultiplierSpec.semigroup_phase(alpha, t)  # validates t
-        np.multiply(-t, ph, out=arg)
-        np.cos(arg, out=m.real[: ny + 1])
-        np.sin(arg, out=m.imag[: ny + 1])
+        in_shares(shares, lambda share, shares: phase(share, shares, t))
         np.conjugate(m[ny - 1 : 0 : -1], out=m[ny + 1 :])
-        np.multiply(half, m, out=m)
+        in_shares(shares, product)
         m[ny] = m[:, -1] = 0.0  # the Nyquist row and column
-        hi, lo = -np.inf, np.inf
-        for block in physical_rows(g, m):
-            hi, lo = np.maximum(hi, block.max()), np.minimum(lo, block.min())
-        del block  # the generator's buffer, freed before the next time's
-        vals[i] = max(hi, -lo)
+        blocks = physical_rows(g, m, _extrema, shares)
+        vals[i] = max(np.max([hi for hi, _ in blocks]), -np.min([lo for _, lo in blocks]))
     return vals
+
+
+def _extrema(block):
+    return block.max(), block.min()
 
 
 class FitError(SpectralError):

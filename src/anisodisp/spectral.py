@@ -17,6 +17,9 @@ half-box shift that no norm or transport product sees: only
 `forward_transform` and `SpectralField.to_physical` apply it.
 """
 
+import os
+import threading
+
 import numpy as np
 
 
@@ -28,9 +31,9 @@ class SpectralError(ValueError):
 # Default byte budget for the temporaries of one block of a row-blocked
 # evaluation (the sharpness origin sum, the kernel quadrature).
 CHUNK_BYTES = 32 << 20
-# Byte budget of the values of one row block of `physical_rows`, and of the
-# temporaries of one row block of the Besov shells' bump: a power of two, so
-# that each block holds a power-of-two count of rows.
+# Byte budget of the values of the row blocks of `physical_rows` in flight at
+# once, and of the temporaries of one row block of the Besov shells' bump: a
+# power of two, so that each block holds a power-of-two count of rows.
 ROW_PASS_BYTES = 1 << 20
 
 
@@ -235,21 +238,85 @@ def half_to_physical(grid, half, overwrite_x=False):
     return np.fft.irfft(cols, n=grid.N, axis=-1, norm="forward")
 
 
-def physical_rows(grid, half):
-    """`half_to_physical(grid, half, overwrite_x=True)` of one (N, K) half in
-    row blocks: yields the values of rows 0.. in successive blocks of a
-    power-of-two count of rows, under ROW_PASS_BYTES, each in the same
-    buffer, so no (N, N) array is made.  The column pass runs first, in
-    place on the whole half; each row is transformed on its own either way,
-    so the values have the bits of `half_to_physical`."""
+def thread_shares():
+    """How many shares `in_shares` splits work into: 2 where the process may
+    use two CPUs or more, else 1."""
+    return 2 if len(os.sched_getaffinity(0)) > 1 else 1
+
+
+def in_shares(shares, work):
+    """`work(share, shares)` for each share.  With 2 shares `work(1, 2)` runs
+    on a thread started for it while `work(0, 2)` runs here; the call
+    returns once both are done and the thread is joined, and an exception
+    raised in either reaches the caller.  Each share writes only its own
+    part of caller-owned arrays.  A thread that cannot be started (its stack
+    is an allocation too) leaves its share to this thread."""
+    if shares == 1:
+        work(0, 1)
+        return
+    failed = []
+
+    def there():
+        try:
+            work(1, 2)
+        except BaseException as exc:  # raised again below, in the caller
+            failed.append(exc)
+
+    thread = threading.Thread(target=there)
+    try:
+        thread.start()
+    except RuntimeError:  # "can't start new thread"
+        thread = None
+    try:
+        work(0, 2)
+    finally:
+        if thread is not None:
+            thread.join()
+    if thread is None:
+        work(1, 2)
+    if failed:
+        [exc] = failed
+        raise exc
+
+
+def share_of(n, share, shares):
+    """The slice of range(n) that is `share` of `shares` equal parts."""
+    return slice(share * n // shares, (share + 1) * n // shares)
+
+
+def physical_rows(grid, half, reduce, shares):
+    """`reduce` of each row block of `half_to_physical(grid, half,
+    overwrite_x=True)` for one (N, K) half, in block order, so no (N, N)
+    array is made.  The column pass runs first, in place on the whole half;
+    the rows are then transformed in blocks of a power-of-two count of rows,
+    each into a buffer and reduced there.  Each 1-D transform is computed on
+    its own either way, so the values have the bits of `half_to_physical`.
+
+    With 2 `shares` (see `thread_shares`) the column pass runs in two column
+    halves, one on each thread (`in_shares`), and the row blocks alternate
+    between this thread and the other, each with its own buffer of half
+    ROW_PASS_BYTES.  A pass that one block of the whole budget holds
+    (N <= 256) runs here alone, in one buffer."""
     N = grid.N
-    cols = np.fft.ifft(half, axis=-2, norm="forward", out=half)
-    buf = None
-    for rows in row_blocks(N, 8 * N, ROW_PASS_BYTES):
-        if buf is None:
-            buf = np.empty((rows.stop, N))
-        yield np.fft.irfft(cols[rows], n=N, axis=-1, norm="forward",
-                           out=buf[: rows.stop - rows.start])
+    if 8 * N * N <= ROW_PASS_BYTES:
+        shares = 1
+    blocks = list(row_blocks(N, 8 * N, ROW_PASS_BYTES // shares))
+    bufs = np.empty((shares, blocks[0].stop, N))
+    out = [None] * len(blocks)
+
+    def columns(share, shares):
+        cols = share_of(half.shape[-1], share, shares)
+        np.fft.ifft(half[:, cols], axis=-2, norm="forward", out=half[:, cols])
+
+    def rows(share, shares):
+        for i in range(share, len(blocks), shares):
+            r = blocks[i]
+            out[i] = reduce(np.fft.irfft(half[r], n=N, axis=-1, norm="forward",
+                                         out=bufs[share, : r.stop - r.start]))
+
+    in_shares(shares, columns)
+    in_shares(shares, rows)
+    return out
 
 
 def full_spectrum(half):

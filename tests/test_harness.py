@@ -48,6 +48,26 @@ times = 10,30
 """
 
 
+EVOLUTION_INI = """\
+[experiment]
+name = {experiment}
+seed = 1
+
+[grid]
+N = 16
+L = 10.0
+
+[params]
+t_final = 0.1
+dt = 0.05
+n_outputs = 2
+{extra}
+"""
+
+
+PARAMS_INI = EVOLUTION_INI.replace("t_final = 0.1\ndt = 0.05\nn_outputs = 2\n", "")
+
+
 def write_config(tmp_path, text, name="cfg.ini"):
     path = tmp_path / name
     path.write_text(text)
@@ -300,32 +320,48 @@ def test_cli_dead_pool_worker_exit_three(tmp_path, capsys, monkeypatch, two_cpus
                             "a smaller --jobs runs fewer members at once\n")
 
 
-# caps the child's address space, which with numpy loaded spans about 105 MiB
+# caps the child's address space at argv[1] MiB, which with numpy loaded
+# spans about 105 MiB; "+M" caps it M MiB above what it spans with the CLI
+# imported
 OUT_OF_MEMORY_CHILD = """\
 import os, resource, sys
-resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
-os.sched_getaffinity = lambda pid: {0, 1}  # two usable CPUs, so a sweep takes the pool
+cap = sys.argv.pop(1)
+if cap.startswith("+"):
+    import anisodisp.cli
+    spans = os.sysconf("SC_PAGE_SIZE") * int(open("/proc/self/statm").read().split()[0])
+    cap = int(cap) + (spans >> 20)
+resource.setrlimit(resource.RLIMIT_AS, (int(cap) << 20, int(cap) << 20))
+# two usable CPUs, so a sweep takes the pool and lin-decay a second thread
+os.sched_getaffinity = lambda pid: {0, 1}
 from anisodisp.cli import main
 sys.exit(main(sys.argv[1:]))
 """
+SQG_N2048 = (EVOLUTION_INI.replace("N = 16", "N = 2048")
+              .replace("t_final = 0.1\ndt = 0.05", "t_final = 0.01\ndt = 0.005"))
 
 
-@pytest.mark.parametrize("experiment, extra, jobs", [
-    ("sqg", "profile = random", []),
-    ("sweep", "target = sqg\nprofile = random\neps_list = 0.04,0.02", ["--jobs", "2"]),
-], ids=["in-process", "pooled"])
-def test_cli_out_of_memory_exit_three(tmp_path, experiment, extra, jobs):
+@pytest.mark.parametrize("experiment, text, cap, jobs", [
+    ("sqg", SQG_N2048.format(experiment="sqg", extra="profile = random"), "400", []),
+    ("sweep", SQG_N2048.format(experiment="sweep",
+                               extra="target = sqg\nprofile = random\neps_list = 0.04,0.02"),
+     "400", ["--jobs", "2"]),
+    ("lin-decay", PARAMS_INI.format(
+        experiment="lin-decay", extra="alpha = 1.0\nt_lo = 10.0\nt_hi = 100.0\nn_times = 12")
+     .replace("N = 16\nL = 10.0", "N = 2048\nL = 400.0"), "+96", []),
+], ids=["in-process", "pooled", "lin-decay-threads"])
+def test_cli_out_of_memory_exit_three(tmp_path, experiment, text, cap, jobs):
     """A run that cannot get its arrays exits 3 with one stderr line, not a
     traceback, whether the MemoryError is raised in the CLI's process or in
     a sweep's pool worker.  The child runs an sqg run at N = 2048 (about
     1 GB) under `RLIMIT_AS` of 400 MiB, which limits that process and the
-    workers it forks alone, so the run fails without taking the memory."""
-    path = write_config(tmp_path, EVOLUTION_INI.format(experiment=experiment, extra=extra)
-                        .replace("N = 16", "N = 2048")
-                        .replace("t_final = 0.1\ndt = 0.05", "t_final = 0.01\ndt = 0.005"))
+    workers it forks alone, so the run fails without taking the memory.  A
+    lin-decay run at N = 2048 (about 100 MiB) with 96 MiB of room gets
+    through its evolved sups, on two threads, and fails in its Besov shells;
+    a thread that cannot get its stack leaves its share to the caller."""
+    path = write_config(tmp_path, text)
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     proc = subprocess.run(
-        [sys.executable, "-c", OUT_OF_MEMORY_CHILD, experiment, "--config", path,
+        [sys.executable, "-c", OUT_OF_MEMORY_CHILD, cap, experiment, "--config", path,
          "--out", str(tmp_path / "o"), *jobs], capture_output=True, text=True, timeout=120,
         env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"))
     assert proc.returncode == 3, proc.stderr
@@ -590,26 +626,6 @@ def test_report_numbers_are_plain_floats(tmp_path, experiment, params):
             float(cell)
     for name in ("report.csv", "report.txt"):
         assert "np." not in (tmp_path / name).read_text()
-
-
-EVOLUTION_INI = """\
-[experiment]
-name = {experiment}
-seed = 1
-
-[grid]
-N = 16
-L = 10.0
-
-[params]
-t_final = 0.1
-dt = 0.05
-n_outputs = 2
-{extra}
-"""
-
-
-PARAMS_INI = EVOLUTION_INI.replace("t_final = 0.1\ndt = 0.05\nn_outputs = 2\n", "")
 
 
 @pytest.mark.parametrize("experiment", ["sqg", "bouss", "sweep"])
@@ -1022,6 +1038,48 @@ def test_reports_do_not_depend_on_blas_threads(tmp_path):
                 [sys.executable, "-m", "anisodisp.cli", experiment, "--config", path,
                  "--out", str(out / experiment)], capture_output=True, text=True, timeout=120,
                 env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads))
+            assert proc.returncode == 0, proc.stderr
+        reports.append({p.relative_to(out): p.read_bytes() for p in out.rglob("report.*")})
+    assert len(reports[0]) == 4
+    assert reports[0] == reports[1]
+
+
+# lin-decay at the size of its config, and at alpha = 1.5 with six times on a
+# larger box, where the Besov shells take about half the run
+CPU_RUNS = {
+    "lin-decay": PARAMS_INI.format(
+        experiment="lin-decay", extra="alpha = 1.0\nt_lo = 10.0\nt_hi = 100.0\nn_times = 12")
+    .replace("N = 16\nL = 10.0", "N = 1024\nL = 400.0"),
+    "besov": PARAMS_INI.format(
+        experiment="lin-decay", extra="alpha = 1.5\nt_lo = 10.0\nt_hi = 150.0\nn_times = 6")
+    .replace("N = 16\nL = 10.0", "N = 1024\nL = 800.0"),
+}
+# pins the child, and nothing else, to the CPU given as argv[1], if any
+PINNED_CHILD = """\
+import os, sys
+cpu = sys.argv.pop(1)
+if cpu:
+    os.sched_setaffinity(0, {int(cpu)})
+from anisodisp.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_reports_do_not_depend_on_the_cpu_count(tmp_path):
+    """lin-decay's row passes take a second thread when the process may use
+    two CPUs and run serially on one; either way each value is computed
+    alone, so the reports of a child pinned to one CPU and of an unpinned
+    one are byte-identical."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    reports = []
+    for cpu in (str(min(os.sched_getaffinity(0))), ""):
+        out = tmp_path / f"cpu{cpu}"
+        for name, text in CPU_RUNS.items():
+            path = write_config(tmp_path, text, name=f"{name}.ini")
+            proc = subprocess.run(
+                [sys.executable, "-c", PINNED_CHILD, cpu, "lin-decay", "--config", path,
+                 "--out", str(out / name)], capture_output=True, text=True, timeout=120,
+                env=dict(os.environ, PYTHONPATH=src))
             assert proc.returncode == 0, proc.stderr
         reports.append({p.relative_to(out): p.read_bytes() for p in out.rglob("report.*")})
     assert len(reports[0]) == 4

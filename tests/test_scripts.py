@@ -1,6 +1,7 @@
 """The helper scripts under scripts/ still run against the library."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -121,3 +122,66 @@ def test_report_identity_names_each_difference():
     new = (1, b"overall: FAIL\n", b"", {"out/report.csv": b"t\n1.1\n"})
     assert script.differences(old, new) == ["exit code", "stdout", "out/report.csv",
                                             "out/report.txt (only one tree)"]
+
+
+def canned_perfbench(tree, workload, seed, seconds, scratch):
+    """The stdout of a perfbench run, made up: the change's tree (which
+    holds the uncommitted edit) reads 0.1 s faster at every seed but 3."""
+    with open(os.path.join(tree, "src.txt")) as fh:
+        change = fh.read() == "edited\n"
+    run_s = 1.0 + 0.01 * seed - (0.1 if change and seed != 3 else 0.0)
+    metrics = {"run_s": run_s, "peak_rss_mb": 90.0 + change, "setup_s": 0.15}
+    return "\n".join([
+        "# setup: raw import median 0.3000 s",
+        f"# run: raw round median {run_s / 2:.4f} s",
+        "# check lin_decay_slope: PASS slope=-0.5; perturbed copy rejected",
+        *(f"# round {i}: lin-decay=0.1000s (reference-speed 0.4000s)" for i in range(3 + seed)),
+        "# metric run_s = 1.0 s",
+        json.dumps({"correct": True, "attempted": 9, "failed": 0,
+                    "metrics": {k: {"value": v, "unit": "x"} for k, v in metrics.items()}}),
+    ]) + "\n"
+
+
+def test_bench_record_pairs_and_summarizes_canned_runs(tmp_path):
+    """The recorder on a throwaway repository whose change is uncommitted,
+    with canned perfbench output: the trees alternate going first, each run
+    keeps its final line and round count, and the summary counts the
+    change's wins and takes each side's median and quartiles."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_record", os.path.join(ROOT, "scripts", "bench_record.py"))
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        (repo / "BENCHMARK.json").write_text(fh.read())
+    (repo / "src.txt").write_text("committed\n")
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=repo,
+                       check=True, capture_output=True, timeout=60)
+
+    git("init", "-q")
+    git("add", ".")
+    git("commit", "-q", "-m", "parent")
+    (repo / "src.txt").write_text("edited\n")
+    args = script.argparse.Namespace(parent="HEAD", pairs=4, seconds=1.0,
+                                     workload=["linear-dispersion"])
+    rec = json.loads(json.dumps(script.record(args, canned_perfbench, str(repo))))
+    assert rec["change"]["uncommitted"] and rec["change"]["sha"] != rec["parent"]["sha"]
+    assert rec["seeds"] == [1, 2, 3, 4] and rec["workloads"] == ["linear-dispersion"]
+    assert set(rec["host"]) == {"cpu_affinity", "mem_available_kib", "numpy", "python"}
+    runs = rec["runs"]
+    assert [(r["pair"], r["side"]) for r in runs if r["first"]] == [
+        (0, "parent"), (1, "change"), (2, "parent"), (3, "change")]
+    assert [r["rounds"] for r in runs if r["side"] == "parent"] == [4, 5, 6, 7]
+    assert all(r["result"]["correct"] for r in runs)
+    table = rec["summary"]["linear-dispersion"]
+    assert table["pairs"] == 4 and table["correct"] and table["failed"] == 0
+    run_s = table["run_s"]
+    assert run_s["change_wins"] == 3 and run_s["better"] == "lower"
+    assert run_s["parent"]["values"] == pytest.approx([1.01, 1.02, 1.03, 1.04])
+    assert run_s["parent"]["median"] == pytest.approx(1.025)
+    assert (run_s["parent"]["q1"], run_s["parent"]["q3"]) == pytest.approx((1.0175, 1.0325))
+    assert run_s["change"]["min"] == pytest.approx(0.91)
+    assert table["peak_rss_mb"]["change_wins"] == 0 and table["setup_s"]["change_wins"] == 0

@@ -1,3 +1,5 @@
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -254,10 +256,11 @@ def test_evolved_linf_of_zero_field_is_zero(grid64):
 def test_evolved_linf_memory_bounded(n_times):
     """The time loop holds the same arrays for 1 time and for 12: the phase
     and its argument on half the rows (a quarter of a half-lattice complex
-    array each), the multiplier (one) and one row block of values, with 64
-    KiB to spare.  At N = 256 one block holds every row; at N = 1024 the row
-    pass takes several blocks, and no (N, N) array is made, on the grid or
-    elsewhere."""
+    array each), the multiplier (one) and the row pass's buffers, with 64
+    KiB to spare.  At N = 256 one block holds every row, in one buffer; at
+    N = 1024 the row pass takes several blocks, in two buffers of half the
+    budget when a second thread takes every other block, and no (N, N) array
+    is made, on the grid or elsewhere."""
     for N in (256, 1024):
         grid = Grid2D(N, 400.0)
         f = make_profile(grid, "gaussian")
@@ -272,6 +275,38 @@ def test_evolved_linf_memory_bounded(n_times):
             tracemalloc.stop()
         assert peak < 1.5 * N * (N // 2 + 1) * 16 + block + (64 << 10), N
         assert grid_arrays(grid) == ["k", "x"]
+
+
+def test_measure_decay_joins_its_threads_and_raises_their_errors(monkeypatch):
+    """Every second thread is gone when `measure_decay` returns, and an
+    exception raised in the second thread's share of a row pass reaches the
+    caller."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    grid = Grid2D(1024, 400.0)
+    f = make_profile(grid, "gaussian")
+    times = np.geomspace(10.0, 100.0, 5)
+    caller, threads = threading.get_ident(), set()
+    extrema = semigroup._extrema
+
+    def recorded(block):
+        threads.add(threading.get_ident())
+        return extrema(block)
+
+    monkeypatch.setattr(semigroup, "_extrema", recorded)
+    before = threading.active_count()
+    measure_decay(f, 1.0, times)
+    assert len(threads) == 2 and caller in threads
+    assert threading.active_count() == before
+
+    def failing(block):
+        if threading.get_ident() != caller:
+            raise MemoryError("on the second thread")
+        return extrema(block)
+
+    monkeypatch.setattr(semigroup, "_extrema", failing)
+    with pytest.raises(MemoryError, match="on the second thread"):
+        measure_decay(f, 1.0, times)
+    assert threading.active_count() == before
 
 
 def test_decay_slope_small_grid():

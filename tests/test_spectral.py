@@ -1,5 +1,6 @@
 import ast
 import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -24,10 +25,13 @@ from anisodisp.spectral import (
     gaussian_field,
     half_spectrum,
     half_to_physical,
+    in_shares,
     l1_norm,
     l2_norm,
     linf_norm,
+    physical_rows,
     sobolev_norm,
+    thread_shares,
 )
 from conftest import grid_arrays, hermitian_defect, nyquist_mask, random_field
 
@@ -145,6 +149,73 @@ def test_transforms_equal_scipy_fft(N):
     cut = half.copy()
     cut[:, K:] = 0.0
     assert np.array_equal(half_to_physical(grid, half[:, :K]), sfft.irfft2(cut, norm="forward"))
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
+@pytest.mark.parametrize("N", [16, 256, 1024])
+def test_physical_rows_are_the_values_of_half_to_physical(N, cpus, monkeypatch):
+    """The row blocks of `physical_rows`, in block order, are the values of
+    `half_to_physical` bit for bit, for a whole half and for a K-column
+    Besov piece, on the serial path (one usable CPU, or a pass that one block
+    of the whole budget holds) and on the two-thread one, where the blocks
+    alternate between this thread and a second one."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    grid = Grid2D(N, 400.0)
+    half = sfft.rfft2(np.random.default_rng(N).standard_normal((N, N)), norm="forward")
+    threads = []
+
+    def keep(vals):
+        threads.append(threading.get_ident())
+        return vals.copy()
+
+    for K in (N // 2 + 1, N // 8 + 3):
+        want = half_to_physical(grid, half[:, :K])
+        threads.clear()
+        blocks = physical_rows(grid, half[:, :K].copy(), keep, thread_shares())
+        assert np.array_equal(np.concatenate(blocks), want), K
+        threaded = len(cpus) > 1 and 8 * N * N > spectral.ROW_PASS_BYTES
+        rows = min(N, spectral.ROW_PASS_BYTES // (8 * N) // (1 + threaded))
+        assert [len(b) for b in blocks] == [rows] * (N // rows)
+        assert len(set(threads)) == 1 + threaded and threading.get_ident() in threads
+
+
+def test_an_exception_in_the_second_share_reaches_the_caller():
+    """An exception raised on the second thread is raised here once both
+    shares are done, and the thread is joined by then."""
+    before = threading.active_count()
+    ran = {}
+
+    def work(share, shares):
+        ran[share] = threading.get_ident()
+        if share == 1:
+            raise MemoryError("the second share")
+
+    with pytest.raises(MemoryError, match="the second share"):
+        in_shares(2, work)
+    assert ran[0] == threading.get_ident() != ran[1]
+    assert threading.active_count() == before
+
+
+def test_a_thread_that_cannot_start_leaves_its_share_here(monkeypatch):
+    """A thread whose stack cannot be had (under `RLIMIT_AS`, say) leaves
+    its share to the calling thread, so the pass runs serially rather than
+    fail, with the same values."""
+    def no_thread(self):
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    grid = Grid2D(1024, 400.0)
+    half = np.random.default_rng(0).standard_normal((1024, 40)) + 0j
+    want = half_to_physical(grid, half)
+    threads = set()
+
+    def keep(vals):
+        threads.add(threading.get_ident())
+        return vals.copy()
+
+    blocks = physical_rows(grid, half, keep, 2)
+    assert np.array_equal(np.concatenate(blocks), want)
+    assert threads == {threading.get_ident()}
 
 
 @pytest.mark.parametrize("N", [16, 32, 64, 128, 256, 512, 1024, 2048])
