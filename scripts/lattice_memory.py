@@ -10,7 +10,9 @@ of the lin-decay configs, L = 400, whatever --L is: that run fits from t = 10
 up to L/4.  The `shell_field` row builds the sharpness profile at --N.  The
 `sharpness` row is one `sharpness_check` of the shell profile with the
 sharpness defaults (400 times in [20, 100]) on the grid of
-`configs/sharpness.ini`, N = 512 and L = 400, whatever --N is.  Prints a
+`configs/sharpness.ini`, N = 512 and L = 400, whatever --N is.  The
+`kernel` row is the kernel quadrature at v = 0 for each time of the kernel
+defaults (alpha = 1, times 10, 30 and 100), which needs no grid.  Prints a
 markdown table of each phase's peak and of what the run holds after it, in
 MiB, and of its wall time (`perf_counter`, under tracing) in ms; the last
 four rows each trace one whole run from a fresh start: a lin-decay
@@ -32,7 +34,7 @@ import numpy as np
 # this checkout's sources first, so that an installed copy is never measured
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
-from anisodisp import boussinesq, harness, semigroup
+from anisodisp import boussinesq, harness, oscillatory, semigroup
 from anisodisp.lp import LPBank, shell_field
 from anisodisp.spectral import Grid2D
 
@@ -74,6 +76,9 @@ def main():
     phase("sharpness", lambda: semigroup.sharpness_check(
         shell, sp["t_lo"], sp["t_hi"], sp["n_times"]))
     del shell
+    kp = harness.parse_params("kernel", {})
+    phase("kernel", lambda: [oscillatory.kernel_direct(
+        oscillatory.PhaseSpec(v=(0.0, 0.0), alpha=kp["alpha"]), t) for t in kp["times"]])
     tracemalloc.stop()
     runs = (("harness.run lin-decay", lambda: harness.run(cfg)),
             ("harness.run sharpness",

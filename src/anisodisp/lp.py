@@ -102,12 +102,16 @@ class LPBank:
         and each L^1 norm is a physical-space quadrature.  A piece is built
         and transformed only on the first K columns of the half lattice, those
         with |xi_2| < 4 * 2^j, outside which the bump is exactly 0.  Its bump
-        is evaluated in row blocks straight into it, and its values are
-        summed in row blocks (`_abs_sum`), so no (N, N) array is made.
+        is evaluated in row blocks on the rows k1 = 0 .. N/2 only and
+        multiplied into each row k1 and its mirror N - k1, which holds -k1
+        and so the same |xi|, bit for bit; its values are summed in row
+        blocks (`_abs_sum`), so no (N, N) array is made.  The bump holds the
+        GIL in many small calls, so it runs on this thread alone.
         """
         if not 0.0 <= a <= 6.0:
             raise SpectralError(f"Besov regularity must lie in [0, 6], got {a}")
         g = self.grid
+        ny = g.N // 2
         half = field.half
         xi1, xi2 = g.xi_axes(half=True)
         # row 0 holds each column's smallest |xi|, rising column by column
@@ -118,10 +122,16 @@ class LPBank:
             K = int(np.count_nonzero(edge * 2.0 ** (-j) < 4.0))
             piece = np.empty((g.N, K), dtype=np.complex128)
             # about ten float temporaries of the block's shape make the bump
-            for rows in row_blocks(g.N, 80 * K, ROW_PASS_BYTES):
+            for rows in row_blocks(ny + 1, 80 * K, ROW_PASS_BYTES):
                 r = np.sqrt(xi1[rows] ** 2 + xi2[:, :K] ** 2)
                 r *= 2.0 ** (-j)
-                np.multiply(half[rows, :K], bump_fattened(r), out=piece[rows])
+                b = bump_fattened(r)
+                np.multiply(half[rows, :K], b, out=piece[rows])
+                # row N - k1 holds -k1 and so the bump of row k1, 0 < k1 < N/2
+                lo, hi = max(rows.start, 1), min(rows.stop, ny)
+                mirror = slice(g.N - hi + 1, g.N - lo + 1)
+                np.multiply(half[mirror, :K], b[lo - rows.start : hi - rows.start][::-1],
+                            out=piece[mirror])
             norm = 0.0
             if np.any(piece):
                 norm = _abs_sum(g, piece, shares) * g.dx**2

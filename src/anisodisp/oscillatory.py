@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lp import bump
-from .spectral import SpectralError, row_blocks
+from .spectral import SpectralError, in_shares, row_blocks, share_of, thread_shares
 
 
 class QuadratureBudgetError(SpectralError):
@@ -149,9 +149,14 @@ def find_stationary(p):
 def _polar_quadrature(p, t, j, n_r, n_psi):
     """Trapezoid sum over the polar (r, psi) grid, in blocks of radial rows
     under a fixed byte budget.  Each block is evaluated in place in buffers
-    made once per call, so the blocks allocate nothing: the cost of a call
-    does not depend on whether the allocator kept or returned the memory
-    that freed temporaries would take."""
+    made once per call, so the blocks allocate nothing but one R^-alpha
+    column: the cost of a call does not depend on whether the allocator kept
+    or returned the memory that freed temporaries would take.
+
+    Where the process may use two CPUs (`thread_shares`), a second thread
+    evaluates half the rows of each block (`in_shares`).  Every value is
+    computed alone, and this thread sums each whole block once both halves
+    are done, in block order, so the sum has the same bits either way."""
     r_lo, r_hi = 2.0 ** (j - 1), 2.0 ** (j + 1)
     r = np.linspace(r_lo, r_hi, n_r)
     psi = np.arange(n_psi) * (2.0 * np.pi / n_psi)
@@ -167,10 +172,13 @@ def _polar_quadrature(p, t, j, n_r, n_psi):
     blocks = list(row_blocks(n_r, 128 * n_psi))
     size = blocks[0].stop
     xs, vals = np.empty((3, size, n_psi)), np.empty((size, n_psi), dtype=np.complex128)
-    for rows in blocks:
+
+    def evaluate(block, share, shares):
+        part = share_of(block.stop - block.start, share, shares)
+        rows = slice(block.start + part.start, block.start + part.stop)
         R = r[rows, None]
-        x1, x2, drift = xs[:, : R.shape[0]]
-        v = vals[: R.shape[0]]
+        x1, x2, drift = xs[:, part]
+        v = vals[part]
         # phase = v1 x1 + v2 x2 - x1 R^-alpha, in the formula's order, in x1
         np.multiply(R, cos_psi, out=x1)
         np.multiply(R, sin_psi, out=x2)
@@ -183,7 +191,11 @@ def _polar_quadrature(p, t, j, n_r, n_psi):
         np.exp(v, out=v)
         np.multiply(amp[rows, None], v, out=v)
         np.multiply(v, w_r[rows, None], out=v)
-        total += np.sum(v)
+
+    shares = thread_shares()
+    for block in blocks:
+        in_shares(shares, lambda share, shares: evaluate(block, share, shares))
+        total += np.sum(vals[: block.stop - block.start])
     return complex(total * dpsi)
 
 
@@ -199,17 +211,20 @@ def kernel_direct(p, t, j=0):
     direction) with step-halving verification to KERNEL_TOL.  Raises
     QuadratureBudgetError past KERNEL_MAX_POINTS, not an inaccurate value.
     """
+    t = float(t)  # so the counts below overflow to inf without a warning
     if not 0.0 < t < np.inf:
         raise SpectralError(f"kernel quadrature needs a finite t > 0, got {t}")
     r_lo, r_hi = 2.0 ** (j - 1), 2.0 ** (j + 1)
     vmag = float(np.hypot(*p.v))
     m_psi = t * (vmag * r_hi + r_lo ** (1.0 - p.alpha))
     m_r = t * (vmag + abs(1.0 - p.alpha) * r_lo ** (-p.alpha))
-    n_psi = max(256, int(np.ceil(20.0 * m_psi)))
-    n_r = max(128, int(np.ceil(20.0 * m_r * (r_hi - r_lo) / (2.0 * np.pi))) + 1)
+    # float counts up to the budget check, so that a t past ~1e306 asks for
+    # too many points here rather than overflowing int()
+    n_psi = max(256.0, float(np.ceil(20.0 * m_psi)))
+    n_r = max(128.0, float(np.ceil(20.0 * m_r * (r_hi - r_lo) / (2.0 * np.pi))) + 1.0)
     prev = None
     while n_r * n_psi <= KERNEL_MAX_POINTS:
-        val = _polar_quadrature(p, t, j, n_r, n_psi)
+        val = _polar_quadrature(p, t, j, int(n_r), int(n_psi))
         if prev is not None and abs(val - prev) <= KERNEL_TOL:
             return val
         prev = val

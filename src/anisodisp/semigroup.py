@@ -217,30 +217,84 @@ def bessel_j0_quadrature(t):
     """(1/2 pi) * integral over [0, 2 pi) of exp(-i t cos theta).
 
     Trapezoid on the periodic integrand, doubling the panel count until two
-    successive refinements agree to J0_QUAD_TOL.
+    successive refinements agree to J0_QUAD_TOL.  A float t gives a float.
+    A 1-D array of times gives the array of their values, each with the
+    bits of its float call, and raises the error that the first failing
+    time, in order, raises in a float call (`_j0_values`).
     """
-    t = float(t)
-    if not 0.0 <= t < np.inf:
-        raise SpectralError(f"J0 argument must be nonnegative and finite, got {t}")
-    n = 64
-    prev = None
-    while n <= J0_QUAD_MAX_N:
-        theta = np.arange(n) * (2.0 * np.pi / n)
-        val = float(np.mean(np.cos(t * np.cos(theta))))
-        if prev is not None and abs(val - prev) <= J0_QUAD_TOL:
-            return val
-        prev = val
-        n *= 2
-    raise SpectralError(f"J0 quadrature did not converge for t={t}")
+    return _j0_values(t, series=False)
 
 
 def bessel_j0(t):
-    """J0(t) cross-checked between the series and the oscillatory quadrature."""
-    s = bessel_j0_series(t)
-    q = bessel_j0_quadrature(t)
-    if abs(s - q) > 1e-10:
-        raise SpectralError(f"J0 series/quadrature disagree at t={t}: {s} vs {q}")
-    return q
+    """J0(t) cross-checked between the series and the oscillatory quadrature.
+    Takes a float or a 1-D array of times, as `bessel_j0_quadrature` does;
+    the series runs time by time.  `sharpness_check` makes one call for all
+    its times."""
+    return _j0_values(t, series=True)
+
+
+def _j0_values(t, series):
+    """The trapezoid J0 at a float t or at each time of a 1-D array, with
+    `series` cross-checked against `bessel_j0_series` time by time.
+
+    Consecutive times go together in blocks under CHUNK_BYTES, each time
+    weighing 16 bytes per panel the largest time should take: the trapezoid
+    stops by 4 times the power of two above t (at 128 panels or more), and
+    its levels up to there take twice that many cosines in all.  Each
+    block's times are walked in order once `_j0_trapezoid` has run them,
+    and checked as a float call checks its time, so the first time that
+    fails raises that call's error, with at most one block of work done
+    past it.
+    """
+    scalar = np.ndim(t) == 0
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    valid = (times >= 0.0) & (times < np.inf)
+    t_max = float(np.max(times[valid], initial=32.0))
+    panels = min(J0_QUAD_MAX_N, 4 * 2 ** int(np.ceil(np.log2(t_max))))
+    out = np.empty(times.size)
+    for block in row_blocks(times.size, 16 * panels):
+        quad = np.full(block.stop - block.start, np.nan)
+        live = np.flatnonzero(valid[block])
+        quad[live] = _j0_trapezoid(times[block][live])
+        for i, q in zip(range(block.start, block.stop), quad):
+            x = float(times[i])
+            if not valid[i]:
+                raise SpectralError(f"J0 argument must be nonnegative and finite, got {x}")
+            s = bessel_j0_series(x) if series else None
+            if np.isnan(q):
+                raise SpectralError(f"J0 quadrature did not converge for t={x}")
+            if series and abs(s - q) > 1e-10:
+                raise SpectralError(f"J0 series/quadrature disagree at t={x}: {s} vs {float(q)}")
+            out[i] = q
+    return float(out[0]) if scalar else out
+
+
+def _j0_trapezoid(times):
+    """The trapezoid of `bessel_j0_quadrature` at each of `times` (all
+    nonnegative and finite), NaN where it does not converge by
+    J0_QUAD_MAX_N panels.  The unconverged times take each panel count
+    together, in row blocks of the (times, panels) cosines under
+    CHUNK_BYTES, and each drops out once it converges.  Each value has the
+    bits of the float call: the same `cos(t cos theta)` values, averaged by
+    `np.mean` along a contiguous row, which sums pairwise as it does for
+    one time."""
+    out = np.full(times.size, np.nan)
+    active = np.arange(times.size)
+    prev = None
+    n = 64
+    while n <= J0_QUAD_MAX_N and active.size:
+        cos_theta = np.cos(np.arange(n) * (2.0 * np.pi / n))
+        val = np.empty(active.size)
+        for rows in row_blocks(active.size, 8 * n):
+            arg = np.multiply.outer(times[active[rows]], cos_theta)
+            val[rows] = np.mean(np.cos(arg, out=arg), axis=1)
+        if prev is not None:
+            done = np.abs(val - prev) <= J0_QUAD_TOL
+            out[active[done]] = val[done]
+            active, val = active[~done], val[~done]
+        prev = val
+        n *= 2
+    return out
 
 
 def j0_asymptotic_envelope(t):
@@ -349,7 +403,7 @@ def sharpness_check(f0, t_lo, t_hi, n_times):
         raise SpectralError("sharpness check requires f(0) != 0")
     at = _origin_evaluator(f0)
     origin_vals = at.linspace(t_lo, t_hi, n_times)
-    reference = np.array([f0_origin * bessel_j0(t) for t in times])
+    reference = f0_origin * bessel_j0(times)
     scale = np.maximum(np.abs(reference), 1e-3 * abs(f0_origin))
     reldiff = float(np.max(np.abs(origin_vals - reference) / scale))
     env = abs(f0_origin) * j0_asymptotic_envelope(times)

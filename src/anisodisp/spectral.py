@@ -29,7 +29,7 @@ class SpectralError(ValueError):
 
 
 # Default byte budget for the temporaries of one block of a row-blocked
-# evaluation (the sharpness origin sum, the kernel quadrature).
+# evaluation (the sharpness origin sum, the J0 trapezoid, the kernel quadrature).
 CHUNK_BYTES = 32 << 20
 # Byte budget of the values of the row blocks of `physical_rows` in flight at
 # once, and of the temporaries of one row block of the Besov shells' bump: a

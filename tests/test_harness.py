@@ -1045,14 +1045,20 @@ def test_reports_do_not_depend_on_blas_threads(tmp_path):
 
 
 # lin-decay at the size of its config, and at alpha = 1.5 with six times on a
-# larger box, where the Besov shells take about half the run
+# larger box, where the Besov shells take about half the run; the kernel and
+# the sharpness check at the sizes of their configs
 CPU_RUNS = {
-    "lin-decay": PARAMS_INI.format(
+    "lin-decay": ("lin-decay", PARAMS_INI.format(
         experiment="lin-decay", extra="alpha = 1.0\nt_lo = 10.0\nt_hi = 100.0\nn_times = 12")
-    .replace("N = 16\nL = 10.0", "N = 1024\nL = 400.0"),
-    "besov": PARAMS_INI.format(
+        .replace("N = 16\nL = 10.0", "N = 1024\nL = 400.0")),
+    "besov": ("lin-decay", PARAMS_INI.format(
         experiment="lin-decay", extra="alpha = 1.5\nt_lo = 10.0\nt_hi = 150.0\nn_times = 6")
-    .replace("N = 16\nL = 10.0", "N = 1024\nL = 800.0"),
+        .replace("N = 16\nL = 10.0", "N = 1024\nL = 800.0")),
+    "kernel": ("kernel", PARAMS_INI.format(experiment="kernel",
+                                           extra="alpha = 1.0\ntimes = 10,30,100")),
+    "sharpness": ("sharpness", PARAMS_INI.format(
+        experiment="sharpness", extra="t_lo = 20.0\nt_hi = 100.0\nn_times = 400")
+        .replace("N = 16\nL = 10.0", "N = 512\nL = 400.0")),
 }
 # pins the child, and nothing else, to the CPU given as argv[1], if any
 PINNED_CHILD = """\
@@ -1066,23 +1072,25 @@ sys.exit(main(sys.argv[1:]))
 
 
 def test_reports_do_not_depend_on_the_cpu_count(tmp_path):
-    """lin-decay's row passes take a second thread when the process may use
-    two CPUs and run serially on one; either way each value is computed
-    alone, so the reports of a child pinned to one CPU and of an unpinned
-    one are byte-identical."""
+    """lin-decay's row passes and the kernel's quadrature blocks take a
+    second thread when the process may use two CPUs and run serially on
+    one; either way each value is computed alone, and each sum is taken in
+    one order, so the reports of a child pinned to one CPU and of an
+    unpinned one are byte-identical.  The sharpness check, whose J0 values
+    come in blocks of times, runs alongside."""
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     reports = []
     for cpu in (str(min(os.sched_getaffinity(0))), ""):
         out = tmp_path / f"cpu{cpu}"
-        for name, text in CPU_RUNS.items():
+        for name, (experiment, text) in CPU_RUNS.items():
             path = write_config(tmp_path, text, name=f"{name}.ini")
             proc = subprocess.run(
-                [sys.executable, "-c", PINNED_CHILD, cpu, "lin-decay", "--config", path,
+                [sys.executable, "-c", PINNED_CHILD, cpu, experiment, "--config", path,
                  "--out", str(out / name)], capture_output=True, text=True, timeout=120,
                 env=dict(os.environ, PYTHONPATH=src))
             assert proc.returncode == 0, proc.stderr
         reports.append({p.relative_to(out): p.read_bytes() for p in out.rglob("report.*")})
-    assert len(reports[0]) == 4
+    assert len(reports[0]) == 2 * len(CPU_RUNS)
     assert reports[0] == reports[1]
 
 
@@ -1255,9 +1263,9 @@ def test_sweep_workers_hold_no_more_than_the_jobs_and_the_worst_case(cpus, N):
 def _extremes():
     """pytest params (experiment, the [params] lines): each key of PARAMS with
     an interval, set alone to each in-range extreme of it: a closed finite
-    end, the float next to an open one, or +-1e300 for an infinite end.  A
-    sweep sets only eps_list, to one value, so that it runs one member in
-    this process.  The n_times tops, 100000 times (5-9 s each at N = 64),
+    end, the float next to an open one, or both +-1e300 and the largest
+    float of that sign for an infinite end.  A sweep sets only eps_list, to
+    one value, so that it runs one member in this process.  The n_times tops, 100000 times (5-9 s each at N = 64),
     are left out."""
     tables = [(e, None, PARAMS[e]) for e in EXPERIMENTS if e != "sweep"]
     tables += [("sweep", t, {"eps_list": PARAMS[t]["eps"]}) for t in ("sqg", "bouss")]
@@ -1268,14 +1276,16 @@ def _extremes():
                 continue  # a choice
             lo, hi = (float(x) for x in within[1:-1].split(", "))
             for end, inside, closed in ((lo, hi, within[0] == "["), (hi, lo, within[-1] == "]")):
-                value = (np.sign(end) * 1e300 if np.isinf(end) else
-                         end if closed else np.nextafter(end, inside))
-                value = str(int(value)) if kind is int else repr(float(value))
-                if key == "n_times" and value == "100000":
-                    continue
-                name = experiment if target is None else f"{experiment}-{target}"
-                lines = f"{key} = {value}" if target is None else f"target = {target}\n{key} = {value}"
-                cases.append(pytest.param(experiment, lines, id=f"{name}-{key}={value}"))
+                values = (np.sign(end) * np.array([1e300, np.finfo(float).max]) if np.isinf(end)
+                          else [end if closed else np.nextafter(end, inside)])
+                for value in values:
+                    value = str(int(value)) if kind is int else repr(float(value))
+                    if key == "n_times" and value == "100000":
+                        continue
+                    name = experiment if target is None else f"{experiment}-{target}"
+                    lines = (f"{key} = {value}" if target is None
+                             else f"target = {target}\n{key} = {value}")
+                    cases.append(pytest.param(experiment, lines, id=f"{name}-{key}={value}"))
     return cases
 
 

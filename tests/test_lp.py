@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from anisodisp import spectral
+from anisodisp import lp, spectral
 from anisodisp.lp import LPBank, bump, bump_fattened, chi, shell_field
 from anisodisp.spectral import (
     Grid2D,
@@ -125,6 +125,35 @@ def test_per_shell_equals_full_lattice_projection(monkeypatch, make):
         assert list(got) == list(bank.j_range)
         for j, value in got.items():
             assert value == 2.0 ** (j * 1.5) * l1_norm(project(f, j, fattened=True))
+
+
+@pytest.mark.parametrize("rows", [None, 5, 1])
+@pytest.mark.parametrize("N", [16, 128, 1024])
+def test_per_shell_mirrored_bump_has_the_bits_of_all_rows(monkeypatch, N, rows):
+    """The bump is evaluated on the rows k1 = 0 .. N/2 alone and multiplied
+    into rows k1 and N - k1: each shell's piece has the bits of the bump
+    evaluated on all N rows, with the rows in one block (None), or in
+    blocks of at least 5 rows or of one row."""
+    grid = Grid2D(N, 0.39 * N)
+    f = gaussian_field(grid, width=1.0).zero_mean()
+    if rows is not None:
+        monkeypatch.setattr(lp, "ROW_PASS_BYTES", 80 * rows * (N // 2 + 1))
+    pieces = []
+
+    def recorded(grid, piece, shares):
+        pieces.append(piece.copy())
+        return abs_sum(grid, piece, shares)
+
+    abs_sum = lp._abs_sum
+    monkeypatch.setattr(lp, "_abs_sum", recorded)
+    bank = LPBank(grid)
+    bank.per_shell(f, 2.0)
+    assert len(pieces) == len(bank.j_range) > 0
+    xi1, xi2 = grid.xi_axes(half=True)
+    for j, piece in zip(bank.j_range, pieces):
+        K = piece.shape[1]
+        r = np.sqrt(xi1**2 + xi2[:, :K] ** 2) * 2.0 ** (-j)
+        assert piece.tobytes() == (f.half[:, :K] * bump_fattened(r)).tobytes()
 
 
 def test_per_shell_of_zero_field_is_zero(grid64):

@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -244,6 +245,16 @@ def test_kernel_budget_error():
         kernel_direct(p, 1e7)
 
 
+@pytest.mark.parametrize("t", [8e306, 9e306, np.finfo(float).max])
+@pytest.mark.parametrize("alpha", [1.0, 2.0])
+def test_kernel_budget_error_past_the_int_range(t, alpha):
+    """Every larger finite t asks for too many points too, also where 20
+    points per period no longer fit an int (from about 9e306 on)."""
+    p = PhaseSpec(v=(0.0, 0.0), alpha=alpha)
+    with pytest.raises(QuadratureBudgetError, match=r"more than 6e\+07 points"):
+        kernel_direct(p, t)
+
+
 def _stationary_phase_term(p, t, flip=False):
     """The leading term sum_s (2 pi / t) psi(xi_s) |det H(xi_s)|^{-1/2}
     exp(i t phi(xi_s) + i pi sigma_s / 4) of the shell-0 kernel, sigma_s the
@@ -323,15 +334,19 @@ def test_budget_curves_cross_at_t_inv_half():
         assert abs(near - far) <= 1e-10 * near
 
 
+@pytest.mark.parametrize("shares", [1, 2])
 @pytest.mark.parametrize("v, alpha, t, j", [((0.0, 0.0), 1.0, 10.0, 0),
                                              ((0.3, -0.7), 1.5, 25.0, 1)])
-def test_polar_quadrature_blocks_in_place(v, alpha, t, j):
+def test_polar_quadrature_blocks_in_place(monkeypatch, v, alpha, t, j, shares):
     """The blocks are evaluated in buffers made once per call: a 4.2M-point
     quadrature peaks at its 64-row block's three float64 and one complex
     buffers, 10.2 MiB traced (18.2 with each block's temporaries made
     anew), and the sum has the bits of the formula evaluated block by
-    block."""
+    block.  So it does with a second thread evaluating half the rows of
+    each block, which is joined before the call returns."""
+    monkeypatch.setattr(oscillatory, "thread_shares", lambda: shares)
     p, n_r, n_psi = PhaseSpec(v=v, alpha=alpha), 1025, 4096
+    threads = threading.active_count()
     tracemalloc.start()
     try:
         val = _polar_quadrature(p, t, j, n_r, n_psi)
@@ -339,6 +354,7 @@ def test_polar_quadrature_blocks_in_place(v, alpha, t, j):
     finally:
         tracemalloc.stop()
     assert peak < 12 * 2**20
+    assert threading.active_count() == threads
 
     r_lo, r_hi = 2.0 ** (j - 1), 2.0 ** (j + 1)
     r = np.linspace(r_lo, r_hi, n_r)

@@ -57,7 +57,7 @@ def test_script_prints_its_table(command, tmp_path):
     assert all(line.startswith("| ") and line.endswith(" |") for line in lines)
     assert len({line.count("|") for line in lines}) == 1  # every row has every column
     if command[0] == "lattice_memory.py":
-        assert len(lines) == 2 + 11  # the header and every phase and run
+        assert len(lines) == 2 + 12  # the header and every phase and run
     if command[0] == "sweep_pool.py":
         # a row per --jobs up to the default pool, then one with no --jobs
         default = sweep_workers(3, len(os.sched_getaffinity(0)), 16)

@@ -1,5 +1,6 @@
 import os
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -174,6 +175,115 @@ def test_j0_series_matches_scipy_beyond_12():
 def test_j0_rejects_negative():
     with pytest.raises(SpectralError):
         bessel_j0_series(-1.0)
+
+
+def _float_trapezoid(t):
+    """The float trapezoid of `bessel_j0_quadrature`, written out: doubling
+    the panel count from 64 until two values agree to J0_QUAD_TOL."""
+    n, prev = 64, None
+    while n <= semigroup.J0_QUAD_MAX_N:
+        theta = np.arange(n) * (2.0 * np.pi / n)
+        val = float(np.mean(np.cos(t * np.cos(theta))))
+        if prev is not None and abs(val - prev) <= semigroup.J0_QUAD_TOL:
+            return val
+        prev = val
+        n *= 2
+    raise SpectralError(f"J0 quadrature did not converge for t={t}")
+
+
+def _float_loop_error(times):
+    """The message of the first error of `bessel_j0` called time by time,
+    with the trapezoid written out."""
+    for t in times:
+        try:
+            s = semigroup.bessel_j0_series(float(t))
+            q = _float_trapezoid(float(t))
+        except SpectralError as exc:
+            return str(exc)
+        if abs(s - q) > 1e-10:
+            return f"J0 series/quadrature disagree at t={float(t)}: {s} vs {q}"
+    return None
+
+
+J0_TIMES = {
+    "sharpness": np.linspace(19.5, 99.5, 400),
+    "wide": np.linspace(0.0, 200.0, 1000),
+    "tiny": np.array([0.0, 5e-324, 1e-300, 1e-10, 1e-5, 0.5]),
+}
+
+
+@pytest.mark.parametrize("name", J0_TIMES)
+def test_j0_array_has_the_bits_of_each_float_call(name):
+    """An array of times gives, for each, the bits of the trapezoid written
+    out for one time and of the float calls, which return floats."""
+    times = J0_TIMES[name]
+    expected = np.array([_float_trapezoid(float(t)) for t in times])
+    for fn in (bessel_j0_quadrature, bessel_j0):
+        values = fn(times)
+        assert values.tobytes() == expected.tobytes()
+        floats = [fn(float(t)) for t in times]
+        assert all(type(v) is float for v in floats)
+        assert np.array(floats).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("times", [
+    np.linspace(0.0, 100.0, 50),            # 32 and below converge at 128 panels
+    np.array([10.0, 50.0, np.nan]),         # 50 fails before the NaN is reached
+    np.array([10.0, -1.0, 50.0]),           # the negative time is reached first
+    np.array([np.inf, 10.0]),
+])
+def test_j0_array_raises_the_first_error_of_the_float_loop(monkeypatch, times):
+    """With at most 128 panels, the array path raises the error `bessel_j0`
+    called time by time would raise first, message included."""
+    monkeypatch.setattr(semigroup, "J0_QUAD_MAX_N", 128)
+    expected = _float_loop_error(times)
+    assert expected is not None
+    with pytest.raises(SpectralError) as err:
+        bessel_j0(times)
+    assert str(err.value) == expected
+    if np.all(np.isfinite(times)) and np.all(times >= 0.0):
+        with pytest.raises(SpectralError) as err:
+            bessel_j0_quadrature(times)
+        assert str(err.value) == expected
+
+
+def test_j0_array_raises_the_first_disagreement(monkeypatch):
+    """A series that is off from t = 50 on: the array path reports the first
+    time past 50, with the series and trapezoid values the float loop prints."""
+    series = semigroup.bessel_j0_series
+    monkeypatch.setattr(semigroup, "bessel_j0_series",
+                        lambda t: series(t) + (1e-9 if t > 50.0 else 0.0))
+    times = np.linspace(0.0, 100.0, 41)
+    expected = _float_loop_error(times)
+    assert expected.startswith("J0 series/quadrature disagree at t=52.5: ")
+    with pytest.raises(SpectralError) as err:
+        bessel_j0(times)
+    assert str(err.value) == expected
+
+
+def test_sharpness_far_window_fails_as_the_float_loop_does(monkeypatch):
+    """At t_lo = 1e15 no panel count up to J0_QUAD_MAX_N converges.  The
+    check ends with the float loop's message after the trapezoid of the
+    first time alone, in about the time the float loop takes for it."""
+    f = shell_field(Grid2D(256, 200.0))
+    trapezoid, sizes = semigroup._j0_trapezoid, []
+
+    def recorded(times):
+        sizes.append(times.size)
+        return trapezoid(times)
+
+    monkeypatch.setattr(semigroup, "_j0_trapezoid", recorded)
+    start = time.perf_counter()
+    with pytest.raises(SpectralError):
+        _float_trapezoid(1e15)
+    alone = time.perf_counter() - start
+    start = time.perf_counter()
+    with pytest.raises(SpectralError) as err:
+        sharpness_check(f, 1e15, 1e15 + 10.0, 400)
+    took = time.perf_counter() - start
+    assert str(err.value) == "J0 quadrature did not converge for t=1000000000000000.0"
+    assert sizes == [1]
+    assert took < 3.0 * alone + 0.5
 
 
 # ---------------------------------------------------------------------------
