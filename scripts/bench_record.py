@@ -8,8 +8,11 @@ the change, which is HEAD for a clean checkout and otherwise the commit that
 `git stash create` prints (tracked files only: `git add` a new file first).
 On each tree it runs the unchanged `perfbench/run.py --trace 0`, in pairs at
 seeds 1..P, each workload's pairs in turn and the two trees alternating
-which goes first.  Each run is a fresh interpreter with
-PYTHONDONTWRITEBYTECODE=1 and its own empty PYTHONPYCACHEPREFIX.  Progress
+which goes first.  Each tree has its own bytecode cache (PYTHONPYCACHEPREFIX),
+warmed before the pairs by one run of each workload (seed 0, its minimum of
+three rounds) that writes it; each measured run is a fresh interpreter that
+reads it under PYTHONDONTWRITEBYTECODE=1, so no run compiles a module and
+every run of a tree starts from the same cache.  Progress
 goes to stderr; the record, one JSON object, to stdout.  It holds each run's
 final JSON line, its round count and raw round median, and per workload and
 end-to-end metric of BENCHMARK.json both trees' values, median, quartiles
@@ -56,16 +59,17 @@ def export(sha, dest, cwd=ROOT):
     return dest
 
 
-def run_perfbench(tree, workload, seed, seconds, scratch):
-    """stdout of one `perfbench/run.py --trace 0` run on `tree`."""
-    cache = tempfile.mkdtemp(prefix="pycache", dir=scratch)
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=cache)
+def run_perfbench(tree, workload, seed, seconds, cache, warm=False):
+    """stdout of one `perfbench/run.py --trace 0` run on `tree` with the
+    bytecode cache `cache`, which only a `warm` run writes."""
+    env = dict(os.environ, PYTHONPYCACHEPREFIX=cache, PYTHONDONTWRITEBYTECODE="1")
     env.pop("PYTHONPATH", None)
+    if warm:
+        del env["PYTHONDONTWRITEBYTECODE"]
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, env=env, capture_output=True, text=True, timeout=600 + 10 * seconds)
-    shutil.rmtree(cache, ignore_errors=True)
     if proc.returncode != 0:
         raise RuntimeError(f"perfbench exited {proc.returncode} on {tree}: {proc.stderr[-2000:]}")
     return proc.stdout
@@ -139,12 +143,17 @@ def record(args, runner=run_perfbench, cwd=ROOT):
     try:
         trees = {side: export(sha, os.path.join(scratch, side), cwd)
                  for side, sha in zip(SIDES, (parent_sha, change_sha))}
+        caches = {side: os.path.join(scratch, f"pycache-{side}") for side in SIDES}
+        for side in SIDES:
+            for workload in workloads:
+                print(f"# {workload} warm-up: {side}", file=sys.stderr)
+                runner(trees[side], workload, 0, 0.0, caches[side], warm=True)
         for workload in workloads:
             for pair, seed in enumerate(seeds):
                 order = SIDES if pair % 2 == 0 else SIDES[::-1]
                 for side in order:
                     print(f"# {workload} pair {pair} seed {seed}: {side}", file=sys.stderr)
-                    stdout = runner(trees[side], workload, seed, args.seconds, scratch)
+                    stdout = runner(trees[side], workload, seed, args.seconds, caches[side])
                     runs.append({"workload": workload, "pair": pair, "seed": seed, "side": side,
                                  "first": order[0] == side, **parse_run(stdout)})
     finally:
@@ -154,7 +163,7 @@ def record(args, runner=run_perfbench, cwd=ROOT):
         "parent": {"rev": args.parent, "sha": parent_sha},
         "change": {"sha": change_sha, "uncommitted": uncommitted},
         "pairs": args.pairs, "seconds": args.seconds, "seeds": seeds,
-        "workloads": workloads, "started": started,
+        "workloads": workloads, "started": started, "bytecode": "warmed per tree",
         "host": host(),
         "summary": summarize(runs, metrics),
         "runs": runs,

@@ -111,8 +111,17 @@ class _Workspace(_HalfSpectrumWorkspace):
     def nonlinear(self, y):
         """(-dealias(u.grad omega), -dealias(u.grad rho)) stacked on the kept
         columns, and max |u|."""
-        return self.advection(
-            np.concatenate([self.velocity * y[0], self.grad[0] * y, self.grad[1] * y]))
+        if not self.splits():
+            return self.advection(
+                np.concatenate([self.velocity * y[0], self.grad[0] * y, self.grad[1] * y]))
+
+        def fill(spec, rows):
+            np.multiply(self.velocity[:, rows], y[0, rows], out=spec[:2, rows])
+            # grad_j * y, j = 1 then 2, as the serial products
+            np.multiply(self.grad[:, None, rows], y[:, rows],
+                        out=spec[2:].reshape(2, 2, *spec.shape[1:])[:, :, rows])
+
+        return self.split_advection(6, fill)
 
 
 def step(state, workspace=None):
@@ -184,7 +193,7 @@ def stability_experiment(grid, eps, T, dt, branch="stable", n_outputs=60):
         return weighted_norm(st.omega, w_om) + weighted_norm(st.rho, w_rh)
 
     _, stop = _integrate(rep, state, lambda st: step(st, ws), record, norm,
-                         T, n_outputs, exit_factor=2.0)
+                         T, n_outputs, exit_factor=2.0, worker=ws.worker)
     rep.initial_norms.update(omega_H4d=rep.hs_omega[0], rho_H5g=rep.hs1_rho[0])
     rep.exit_time = T if stop is None else stop
     return rep

@@ -17,10 +17,10 @@ from .spectral import (
     ROW_PASS_BYTES,
     SpectralError,
     SpectralField,
+    Worker,
     full_spectrum,
     physical_rows,
     row_blocks,
-    thread_shares,
 )
 
 
@@ -105,7 +105,8 @@ class LPBank:
         is evaluated in row blocks on the rows k1 = 0 .. N/2 only and
         multiplied into each row k1 and its mirror N - k1, which holds -k1
         and so the same |xi|, bit for bit; its values are summed in row
-        blocks (`_abs_sum`), so no (N, N) array is made.  The bump holds the
+        blocks (`_abs_sum`), so no (N, N) array is made, their transforms
+        split with one `Worker` held for all the shells.  The bump holds the
         GIL in many small calls, so it runs on this thread alone.
         """
         if not 0.0 <= a <= 6.0:
@@ -117,39 +118,39 @@ class LPBank:
         # row 0 holds each column's smallest |xi|, rising column by column
         edge = np.sqrt(xi1[0] ** 2 + xi2[0] ** 2)
         terms = {}
-        shares = thread_shares()
-        for j in self.j_range:
-            K = int(np.count_nonzero(edge * 2.0 ** (-j) < 4.0))
-            piece = np.empty((g.N, K), dtype=np.complex128)
-            # about ten float temporaries of the block's shape make the bump
-            for rows in row_blocks(ny + 1, 80 * K, ROW_PASS_BYTES):
-                r = np.sqrt(xi1[rows] ** 2 + xi2[:, :K] ** 2)
-                r *= 2.0 ** (-j)
-                b = bump_fattened(r)
-                np.multiply(half[rows, :K], b, out=piece[rows])
-                # row N - k1 holds -k1 and so the bump of row k1, 0 < k1 < N/2
-                lo, hi = max(rows.start, 1), min(rows.stop, ny)
-                mirror = slice(g.N - hi + 1, g.N - lo + 1)
-                np.multiply(half[mirror, :K], b[lo - rows.start : hi - rows.start][::-1],
-                            out=piece[mirror])
-            norm = 0.0
-            if np.any(piece):
-                norm = _abs_sum(g, piece, shares) * g.dx**2
-            # freed before the next shell's arrays are made
-            del piece
-            terms[j] = 2.0 ** (j * a) * norm
+        with Worker() as worker:
+            for j in self.j_range:
+                K = int(np.count_nonzero(edge * 2.0 ** (-j) < 4.0))
+                piece = np.empty((g.N, K), dtype=np.complex128)
+                # about ten float temporaries of the block's shape make the bump
+                for rows in row_blocks(ny + 1, 80 * K, ROW_PASS_BYTES):
+                    r = np.sqrt(xi1[rows] ** 2 + xi2[:, :K] ** 2)
+                    r *= 2.0 ** (-j)
+                    b = bump_fattened(r)
+                    np.multiply(half[rows, :K], b, out=piece[rows])
+                    # row N - k1 holds -k1 and so the bump of row k1, 0 < k1 < N/2
+                    lo, hi = max(rows.start, 1), min(rows.stop, ny)
+                    mirror = slice(g.N - hi + 1, g.N - lo + 1)
+                    np.multiply(half[mirror, :K], b[lo - rows.start : hi - rows.start][::-1],
+                                out=piece[mirror])
+                norm = 0.0
+                if np.any(piece):
+                    norm = _abs_sum(g, piece, worker) * g.dx**2
+                # freed before the next shell's arrays are made
+                del piece
+                terms[j] = 2.0 ** (j * a) * norm
         return terms
 
 
-def _abs_sum(grid, piece, shares):
+def _abs_sum(grid, piece, worker):
     """`np.sum(np.abs(half_to_physical(grid, piece)))` bit for bit, from the
-    row blocks of `physical_rows` (which overwrites `piece`), split in
-    `shares` between threads.  numpy sums a contiguous power-of-two count of
+    row blocks of `physical_rows` (which overwrites `piece`), split between
+    the shares of `worker`.  numpy sums a contiguous power-of-two count of
     floats pairwise by halves, so the sums of the equal power-of-two blocks,
     taken in block order and combined pairwise in the same binary tree, give
     its bits; a running sum of the blocks would not."""
     partial = []  # (level, sum) of finished subtrees, levels decreasing
-    for block_sum in physical_rows(grid, piece, _sum_abs, shares):
+    for block_sum in physical_rows(grid, piece, _sum_abs, worker):
         level, total = 0, block_sum
         while partial and partial[-1][0] == level:
             total = partial.pop()[1] + total

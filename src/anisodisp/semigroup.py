@@ -14,13 +14,12 @@ from .spectral import (
     CHUNK_BYTES,
     MultiplierSpec,
     SpectralError,
+    Worker,
     apply_multiplier,
     dispersion_rate,
-    in_shares,
     physical_rows,
     row_blocks,
     share_of,
-    thread_shares,
 )
 
 
@@ -60,9 +59,9 @@ def _evolved_linf(f0, alpha, times):
     cos(-t ph) + i sin(-t ph), the bits numpy's complex `exp` gives.  It is
     odd in k1, so it is evaluated on the rows k1 = 0 .. N/2 only, and each
     row -k1 is the conjugate of row k1.  Where the process may use two CPUs
-    (`thread_shares`), a second thread takes half the rows of the phase and
-    of the product, and its share of each row pass (`in_shares`); every
-    value is computed alone, so none depends on it."""
+    (`thread_shares`), the thread of a `Worker` held for the whole loop takes
+    half the rows of the phase and of the product, and its share of each row
+    pass; every value is computed alone, so none depends on it."""
     g = f0.grid
     ny = g.N // 2
     half = f0.half
@@ -81,15 +80,15 @@ def _evolved_linf(f0, alpha, times):
         rows = share_of(g.N, share, shares)
         np.multiply(half[rows], m[rows], out=m[rows])
 
-    shares = thread_shares()
-    for i, t in enumerate(times):
-        MultiplierSpec.semigroup_phase(alpha, t)  # validates t
-        in_shares(shares, lambda share, shares: phase(share, shares, t))
-        np.conjugate(m[ny - 1 : 0 : -1], out=m[ny + 1 :])
-        in_shares(shares, product)
-        m[ny] = m[:, -1] = 0.0  # the Nyquist row and column
-        blocks = physical_rows(g, m, _extrema, shares)
-        vals[i] = max(np.max([hi for hi, _ in blocks]), -np.min([lo for _, lo in blocks]))
+    with Worker() as worker:
+        for i, t in enumerate(times):
+            MultiplierSpec.semigroup_phase(alpha, t)  # validates t
+            worker.split(lambda share, shares: phase(share, shares, t))
+            np.conjugate(m[ny - 1 : 0 : -1], out=m[ny + 1 :])
+            worker.split(product)
+            m[ny] = m[:, -1] = 0.0  # the Nyquist row and column
+            blocks = physical_rows(g, m, _extrema, worker)
+            vals[i] = max(np.max([hi for hi, _ in blocks]), -np.min([lo for _, lo in blocks]))
     return vals
 
 

@@ -15,9 +15,17 @@ construction and `enforce_hermitian` is only for coefficients from outside.
 The centre phase (-1)^(k1 + k2), there since samples start at -L/2, is a
 half-box shift that no norm or transport product sees: only
 `forward_transform` and `SpectralField.to_physical` apply it.
+
+The package's one threading mechanism is `Worker`: a second thread, held
+for a run (`sqg._integrate`), a lin-decay measurement, a Besov norm or one
+`in_shares` call, that takes one of two shares of each split and calls
+only numpy.  Each share writes its own part of arrays the calling thread
+made, every value is computed alone, so results have the same bits on one
+thread or two.
 """
 
 import os
+import sys
 import threading
 
 import numpy as np
@@ -239,44 +247,92 @@ def half_to_physical(grid, half, overwrite_x=False):
 
 
 def thread_shares():
-    """How many shares `in_shares` splits work into: 2 where the process may
-    use two CPUs or more, else 1."""
+    """How many shares a `Worker` splits work into: 2 where the process may
+    use two CPUs or more, else 1.  A process that `multiprocessing` started
+    (a sweep's pool worker) takes 1: the pool's processes fill the CPUs
+    between them.  Such a process has `multiprocessing` loaded already, so
+    this imports nothing."""
+    mp = sys.modules.get("multiprocessing")
+    if mp is not None and mp.parent_process() is not None:
+        return 1
     return 2 if len(os.sched_getaffinity(0)) > 1 else 1
 
 
-def in_shares(shares, work):
-    """`work(share, shares)` for each share.  With 2 shares `work(1, 2)` runs
-    on a thread started for it while `work(0, 2)` runs here; the call
-    returns once both are done and the thread is joined, and an exception
-    raised in either reaches the caller.  Each share writes only its own
-    part of caller-owned arrays.  A thread that cannot be started (its stack
-    is an allocation too) leaves its share to this thread."""
-    if shares == 1:
-        work(0, 1)
-        return
-    failed = []
+class Worker:
+    """A second thread for `split`, held across many calls.
 
-    def there():
+    `with Worker():` starts the thread where the shares (by default
+    `thread_shares()`) are 2, and joins it on exit, also when the body
+    raises.  Outside the `with`, and on one share, `shares` is 1 and `split`
+    runs in the caller alone.  A thread that cannot be started (its stack is
+    an allocation too) leaves both shares to the caller, with `shares` still
+    2, so the work is split the same way and gives the same values."""
+
+    def __init__(self, shares=None):
+        self._wanted = shares
+        self.shares = 1
+        self._thread = self._work = self._failed = None
+
+    def __enter__(self):
+        self.shares = thread_shares() if self._wanted is None else self._wanted
+        if self.shares == 2:
+            # plain locks hand work over fastest; either thread may release one
+            self._go, self._done = threading.Lock(), threading.Lock()
+            self._go.acquire()
+            self._done.acquire()
+            self._thread = threading.Thread(target=self._serve)
+            try:
+                self._thread.start()
+            except RuntimeError:  # "can't start new thread"
+                self._thread = None
+        return self
+
+    def __exit__(self, *exc_info):
+        if self._thread is not None:
+            self._work = None
+            self._go.release()
+            self._thread.join()
+            self._thread = None
+        self.shares = 1
+
+    def _serve(self):
+        while True:
+            self._go.acquire()
+            if self._work is None:
+                return
+            try:
+                self._work(1, 2)
+            except BaseException as exc:  # raised again in the caller
+                self._failed = exc
+            finally:
+                self._done.release()
+
+    def split(self, work):
+        """`work(share, shares)` for each share.  With 2 shares `work(1, 2)`
+        runs on the thread while `work(0, 2)` runs here; the call returns once
+        both are done, and an exception raised in either reaches the caller.
+        Each share writes only its own part of caller-owned arrays."""
+        if self._thread is None:
+            for share in range(self.shares):
+                work(share, self.shares)
+            return
+        self._work = work
+        self._go.release()
         try:
-            work(1, 2)
-        except BaseException as exc:  # raised again below, in the caller
-            failed.append(exc)
+            work(0, 2)
+        finally:
+            self._done.acquire()
+            exc, self._work, self._failed = self._failed, None, None
+        if exc is not None:
+            raise exc
 
-    thread = threading.Thread(target=there)
-    try:
-        thread.start()
-    except RuntimeError:  # "can't start new thread"
-        thread = None
-    try:
-        work(0, 2)
-    finally:
-        if thread is not None:
-            thread.join()
-    if thread is None:
-        work(1, 2)
-    if failed:
-        [exc] = failed
-        raise exc
+
+def in_shares(shares, work):
+    """`work(share, shares)` for each share, on a `Worker` held for this one
+    call: with 2 shares `work(1, 2)` runs on a thread started for it, which
+    is joined before the call returns."""
+    with Worker(shares) as worker:
+        worker.split(work)
 
 
 def share_of(n, share, shares):
@@ -284,7 +340,7 @@ def share_of(n, share, shares):
     return slice(share * n // shares, (share + 1) * n // shares)
 
 
-def physical_rows(grid, half, reduce, shares):
+def physical_rows(grid, half, reduce, worker):
     """`reduce` of each row block of `half_to_physical(grid, half,
     overwrite_x=True)` for one (N, K) half, in block order, so no (N, N)
     array is made.  The column pass runs first, in place on the whole half;
@@ -292,14 +348,15 @@ def physical_rows(grid, half, reduce, shares):
     each into a buffer and reduced there.  Each 1-D transform is computed on
     its own either way, so the values have the bits of `half_to_physical`.
 
-    With 2 `shares` (see `thread_shares`) the column pass runs in two column
-    halves, one on each thread (`in_shares`), and the row blocks alternate
-    between this thread and the other, each with its own buffer of half
-    ROW_PASS_BYTES.  A pass that one block of the whole budget holds
-    (N <= 256) runs here alone, in one buffer."""
+    On a `worker` of 2 shares the column pass runs in two column halves, one
+    on each thread, and the row blocks alternate between this thread and the
+    worker's, each with its own buffer of half ROW_PASS_BYTES.  A pass that
+    one block of the whole budget holds (N <= 256) runs here alone, in one
+    buffer."""
     N = grid.N
     if 8 * N * N <= ROW_PASS_BYTES:
-        shares = 1
+        worker = Worker()  # not entered: one share
+    shares = worker.shares
     blocks = list(row_blocks(N, 8 * N, ROW_PASS_BYTES // shares))
     bufs = np.empty((shares, blocks[0].stop, N))
     out = [None] * len(blocks)
@@ -314,8 +371,8 @@ def physical_rows(grid, half, reduce, shares):
             out[i] = reduce(np.fft.irfft(half[r], n=N, axis=-1, norm="forward",
                                          out=bufs[share, : r.stop - r.start]))
 
-    in_shares(shares, columns)
-    in_shares(shares, rows)
+    worker.split(columns)
+    worker.split(rows)
     return out
 
 

@@ -6,20 +6,30 @@ dealiased with the 2/3 rule (state and nonlinear term masked to the
 retained disc), which makes the semi-discrete transport conserve L^2
 exactly; any drift measures the RK4 truncation error.  The stepper
 (`_if_rk4`) and the run loop (`_integrate`) are shared with `boussinesq`.
+
+A run holds its workspace's `spectral.Worker` from its first record to its
+last: where the process may use two CPUs, the transport terms and the
+gradient sups of a grid of N >= 256 are split between the calling thread
+and the worker's at the transforms' two transposes, bit for bit.  A bare
+`step`, a run at N <= 128 and a run in a sweep's pool worker are serial.
 """
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .spectral import (
+    ROW_PASS_BYTES,
     MultiplierSpec,
     SpectralError,
     SpectralField,
+    Worker,
     full_spectrum,
     half_spectrum,
     half_to_physical,
     l2_norm,
+    share_of,
     sobolev_weight,
     weighted_norm,
 )
@@ -97,6 +107,10 @@ class _HalfSpectrumWorkspace:
         xi1, xi2 = grid.xi_axes(half=True)
         self.xi1, self.xi2 = xi1 + 0.0 * xi2[:, :K], xi2[:, :K] + 0.0 * xi1
         self._props = {}
+        # the run's second thread, which `_integrate` starts: only where even
+        # the smallest transport stack, SQG's 4 physical fields, exceeds
+        # ROW_PASS_BYTES (N >= 256); below that a run is serial
+        self.worker = Worker(None if 8 * 4 * grid.N ** 2 > ROW_PASS_BYTES else 1)
 
     def symbols(self, factory, *args):
         """The symbols of `factory(a)` for each a in args on the K kept
@@ -128,15 +142,118 @@ class _HalfSpectrumWorkspace:
         umax = float(np.max(np.abs(u, out=u)))
         return np.negative(adv, out=adv), umax
 
+    def splits(self):
+        """Whether the transport term and `grad_norms` are split between the
+        shares of `worker`: only inside a run (`_integrate`) on a grid of
+        N >= 256 in a process that may use two CPUs."""
+        return self.worker.shares == 2
+
+    def _parts(self, n):
+        """The slices of range(n), one per share of `worker`."""
+        return [share_of(n, share, self.worker.shares) for share in range(self.worker.shares)]
+
+    def _split_rows(self, n, fill, reduce):
+        """`reduce(values, rows)` of each row block of the physical values of
+        the n half spectra that `fill(spec, rows)` writes into
+        `spec[:, rows]`, in block order, with the bits of the serial
+        transforms (each 1-D transform is computed on its own either way).
+        The fill runs in row parts, one per share of `worker`, the column
+        `ifft` in column parts, and the row `irfft` in row parts again, each
+        in row blocks of a power-of-two count of rows in its own buffer, the
+        buffers together under ROW_PASS_BYTES.  Every array is made here, in
+        the calling thread, and freed with the call; the worker's share calls
+        only numpy."""
+        N, shares = self.grid.N, self.worker.shares
+        spec = np.empty((n, N, self.K), dtype=np.complex128)
+        cols, halves = self._parts(self.K), self._parts(N)
+        rows = 1 << (ROW_PASS_BYTES // shares // (8 * n * N)).bit_length() - 1
+        blocks = [slice(start, start + rows) for start in range(0, N, rows)]
+        parts = self._parts(len(blocks))
+        bufs = np.empty((shares, n, rows, N))
+        out = [None] * len(blocks)
+
+        def columns(share, shares):
+            np.fft.ifft(spec[..., cols[share]], axis=-2, norm="forward",
+                        out=spec[..., cols[share]])
+
+        def row_pass(share, shares):
+            for i in range(parts[share].start, parts[share].stop):
+                out[i] = reduce(np.fft.irfft(spec[:, blocks[i]], n=N, axis=-1,
+                                             norm="forward", out=bufs[share]), blocks[i])
+
+        self.worker.split(lambda share, shares: fill(spec, halves[share]))
+        self.worker.split(columns)
+        self.worker.split(row_pass)
+        return out
+
+    def split_advection(self, n, fill):
+        """`advection` of the n half spectra that `fill(spec, rows)` writes
+        into `spec[:, rows]`, split between the shares of `worker`, bit for
+        bit: the symbol products, the column `ifft` and the row pass as
+        `_split_rows` splits them, the row pass also forming u . grad f, its
+        row `rfft` into the rows of the result and max |u|; then the column
+        `fft` in column parts and the mask and the negation in row parts.
+        The products and the mask run on whole rows: on column halves their
+        strided views made them about 3 and 2 times slower."""
+        N, K = self.grid.N, self.K
+        m = (n - 2) // 2
+        wide = np.empty((m, N, N // 2 + 1), dtype=np.complex128)
+        adv = np.empty((m, N, K), dtype=np.complex128)
+        cols, halves = self._parts(K), self._parts(N)
+
+        def transport(phys, rows):
+            u = phys[:2]
+            grads = phys[2:].reshape(2, m, *phys.shape[1:])
+            grads *= u[:, None]
+            grads[0] += grads[1]
+            np.fft.rfft(grads[0], axis=-1, norm="forward", out=wide[:, rows])
+            return np.max(np.abs(u, out=u))
+
+        def forward(share, shares):
+            np.fft.fft(wide[..., cols[share]], axis=-2, norm="forward",
+                       out=adv[..., cols[share]])
+
+        def masked(share, shares):
+            rows = halves[share]
+            np.multiply(adv[:, rows], self.mask_K[rows], out=adv[:, rows])
+            np.negative(adv[:, rows], out=adv[:, rows])
+
+        # np.max, not max: a NaN in any block gives NaN, as the serial max does
+        umax = float(np.max(self._split_rows(n, fill, transport)))
+        self.worker.split(forward)
+        self.worker.split(masked)
+        return adv, umax
+
     def grad_norms(self, y):
         """(max |grad u|, max |grad f|) from a stack y of half spectra, u the
         velocity of its first field and f its last field."""
         c = y[..., : self.K]
+        if self.splits():
+            return self.split_grad_norms(c)
         spec = np.concatenate([self.velocity * c[0], c[-1:]])[:, None] * self.grad
         g = half_to_physical(self.grid, spec.reshape(6, *self.grad.shape[1:]),
                              overwrite_x=True)
         np.abs(g, out=g)
         return float(np.max(g[:4])), float(np.max(g[4:]))
+
+    def split_grad_norms(self, c):
+        """`grad_norms` of the K kept columns c, split as `_split_rows` splits
+        it, bit for bit: the products are the serial path's, each with its
+        operands in the same order."""
+        def fill(spec, rows):
+            s = spec.reshape(3, 2, *spec.shape[1:])[:, :, rows]
+            # (velocity_i c_0) grad_j, the first factor kept in slot j = 1 until last
+            np.multiply(self.velocity[:, rows], c[0, rows], out=s[:2, 1])
+            np.multiply(s[:2, 1], self.grad[0, rows], out=s[:2, 0])
+            np.multiply(s[:2, 1], self.grad[1, rows], out=s[:2, 1])
+            np.multiply(c[-1, rows], self.grad[:, rows], out=s[2])
+
+        def sups(phys, rows):
+            np.abs(phys, out=phys)
+            return np.max(phys[:4]), np.max(phys[4:])
+
+        gu, gf = zip(*self._split_rows(6, fill, sups))
+        return float(np.max(gu)), float(np.max(gf))
 
 
 class _Workspace(_HalfSpectrumWorkspace):
@@ -160,7 +277,11 @@ class _Workspace(_HalfSpectrumWorkspace):
 
     def nonlinear(self, c):
         """-dealias(u . grad theta) on the kept columns; returns (rhs, max |u|)."""
-        adv, umax = self.advection(self.transport * c)
+        if self.splits():
+            adv, umax = self.split_advection(4, lambda spec, rows: np.multiply(
+                self.transport[:, rows], c[rows], out=spec[:, rows]))
+        else:
+            adv, umax = self.advection(self.transport * c)
         return adv[0], umax
 
 
@@ -206,7 +327,8 @@ def step(state, workspace=None):
     return replace(state, theta=SpectralField(state.theta.grid, full), steps=state.steps + 1)
 
 
-def _integrate(rep, state, advance, record, norm, T, n_outputs, exit_factor=None):
+def _integrate(rep, state, advance, record, norm, T, n_outputs, exit_factor=None,
+               worker=None):
     """Step `state` to T by `advance`, recording output k at step ceil(k T / (n_outputs dt)).
 
     `record(state)` appends an output's diagnostics to `rep` and returns the
@@ -216,32 +338,35 @@ def _integrate(rep, state, advance, record, norm, T, n_outputs, exit_factor=None
     raises BlowUpError blows up at the state before it.  Counted in whole
     steps, no output comes late or goes missing through float-time drift,
     and a step that several outputs fall on is recorded once.  Returns the
-    last state and the time of an early stop, None if the run reached T."""
-    norm0 = norm(state)
-    steps = round(T / state.dt)
-    out_steps = {-(-k * steps // n_outputs) for k in range(1, n_outputs + 1)}
-    rate = record(state)
-    rep.times.append(state.time)
-    rep.integral.append(0.0)
-    running = 0.0
-    try:
-        for i in range(1, steps + 1):
-            state = advance(state)
-            current = norm(state)
-            if norm0 > 0 and current > NORM_CAP * norm0:
-                rep.blew_up = True
-                return state, state.time
-            if i in out_steps:
-                rate_prev, rate = rate, record(state)
-                running += 0.5 * (rate_prev + rate) * (state.time - rep.times[-1])
-                rep.times.append(state.time)
-                rep.integral.append(running)
-            if exit_factor is not None and current > exit_factor * norm0:
-                return state, state.time
-    except BlowUpError:
-        rep.blew_up = True
-        return state, state.time
-    return state, None
+    last state and the time of an early stop, None if the run reached T.
+    The run holds `worker` (its workspace's), if given, from the first record
+    to the last: its thread is started once and joined however the run ends."""
+    with worker or nullcontext():
+        norm0 = norm(state)
+        steps = round(T / state.dt)
+        out_steps = {-(-k * steps // n_outputs) for k in range(1, n_outputs + 1)}
+        rate = record(state)
+        rep.times.append(state.time)
+        rep.integral.append(0.0)
+        running = 0.0
+        try:
+            for i in range(1, steps + 1):
+                state = advance(state)
+                current = norm(state)
+                if norm0 > 0 and current > NORM_CAP * norm0:
+                    rep.blew_up = True
+                    return state, state.time
+                if i in out_steps:
+                    rate_prev, rate = rate, record(state)
+                    running += 0.5 * (rate_prev + rate) * (state.time - rep.times[-1])
+                    rep.times.append(state.time)
+                    rep.integral.append(running)
+                if exit_factor is not None and current > exit_factor * norm0:
+                    return state, state.time
+        except BlowUpError:
+            rep.blew_up = True
+            return state, state.time
+        return state, None
 
 
 @dataclass
@@ -286,7 +411,8 @@ def run_and_diagnose(theta0, T, dt, alpha=1.0, n_outputs=50):
         return gu + gt
 
     diag.final_state, _ = _integrate(diag, state, lambda st: step(st, ws), record,
-                                     lambda st: weighted_norm(st.theta, weight), T, n_outputs)
+                                     lambda st: weighted_norm(st.theta, weight), T, n_outputs,
+                                     worker=ws.worker)
     h0 = diag.h_s[0]
     hs = np.array(diag.h_s)
     integ = np.array(diag.integral)

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 
 import numpy as np
@@ -318,6 +319,63 @@ def test_cli_dead_pool_worker_exit_three(tmp_path, capsys, monkeypatch, two_cpus
     assert captured.out == "" and "Traceback" not in captured.err
     assert captured.err == ("numeric failure: a worker of the 3-process sweep pool died; "
                             "a smaller --jobs runs fewer members at once\n")
+
+
+SQG_N256 = (EVOLUTION_INI.replace("N = 16", "N = 256")
+            .replace("t_final = 0.1\ndt = 0.05", "t_final = 0.02\ndt = 0.01"))
+
+
+def _member_counting_threads(args):
+    """The sweep member, with the count of threads it started in its
+    report's metadata."""
+    started, start = [], threading.Thread.start
+
+    def counted(self):
+        started.append(1)
+        start(self)
+
+    threading.Thread.start = counted
+    try:
+        rep = _SWEEP_MEMBER(args)
+    finally:
+        threading.Thread.start = start
+    rep.metadata["threads_started"] = len(started)
+    return rep
+
+
+_SWEEP_MEMBER = harness._sweep_member
+
+
+@pytest.mark.parametrize("jobs, started", [(None, [0, 0]), (1, [1, 1])],
+                         ids=["pooled", "in-process"])
+def test_only_an_in_process_sweep_member_starts_a_thread(tmp_path, monkeypatch, two_cpus,
+                                                         jobs, started):
+    """A sweep's pool workers fill the CPUs between them, so a member run in
+    a pool worker steps serially and starts no thread, where a member run in
+    this process (--jobs 1) holds a worker thread for its run at N = 256."""
+    monkeypatch.setattr(harness, "_sweep_member", _member_counting_threads)
+    path = write_config(tmp_path, SQG_N256.format(
+        experiment="sweep", extra="target = sqg\nprofile = random\neps_list = 0.04,0.02"))
+    rep = harness.run(load_config(path), jobs=jobs)
+    assert [sub.metadata["threads_started"] for sub in rep.subreports] == started
+
+
+def test_cli_memory_error_on_the_worker_exit_three(tmp_path, capsys, monkeypatch, two_cpus):
+    """A MemoryError raised on an sqg run's worker thread reaches the CLI,
+    which exits 3 with one line, and the thread is joined."""
+    caller, irfft = threading.get_ident(), np.fft.irfft
+
+    def failing(*args, **kwargs):
+        if threading.get_ident() != caller:
+            raise MemoryError("on the worker")
+        return irfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfft", failing)
+    before = threading.active_count()
+    path = write_config(tmp_path, SQG_N256.format(experiment="sqg", extra="profile = random"))
+    assert main(["sqg", "--config", path, "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == "out of memory: on the worker\n"
+    assert threading.active_count() == before
 
 
 # caps the child's address space at argv[1] MiB, which with numpy loaded
@@ -1046,7 +1104,9 @@ def test_reports_do_not_depend_on_blas_threads(tmp_path):
 
 # lin-decay at the size of its config, and at alpha = 1.5 with six times on a
 # larger box, where the Besov shells take about half the run; the kernel and
-# the sharpness check at the sizes of their configs
+# the sharpness check at the sizes of their configs; an sqg and a Boussinesq
+# run at N = 256, four steps and two outputs each, whose transport terms and
+# gradient sups split between two threads
 CPU_RUNS = {
     "lin-decay": ("lin-decay", PARAMS_INI.format(
         experiment="lin-decay", extra="alpha = 1.0\nt_lo = 10.0\nt_hi = 100.0\nn_times = 12")
@@ -1059,6 +1119,12 @@ CPU_RUNS = {
     "sharpness": ("sharpness", PARAMS_INI.format(
         experiment="sharpness", extra="t_lo = 20.0\nt_hi = 100.0\nn_times = 400")
         .replace("N = 16\nL = 10.0", "N = 512\nL = 400.0")),
+    "sqg": ("sqg", EVOLUTION_INI.format(experiment="sqg", extra="profile = random\nwidth = 2.0")
+            .replace("N = 16", "N = 256").replace("t_final = 0.1\ndt = 0.05",
+                                                  "t_final = 0.04\ndt = 0.01")),
+    "bouss": ("bouss", EVOLUTION_INI.format(experiment="bouss", extra="branch = unstable")
+              .replace("N = 16", "N = 256").replace("t_final = 0.1\ndt = 0.05",
+                                                    "t_final = 0.04\ndt = 0.01")),
 }
 # pins the child, and nothing else, to the CPU given as argv[1], if any
 PINNED_CHILD = """\
@@ -1072,10 +1138,11 @@ sys.exit(main(sys.argv[1:]))
 
 
 def test_reports_do_not_depend_on_the_cpu_count(tmp_path):
-    """lin-decay's row passes and the kernel's quadrature blocks take a
-    second thread when the process may use two CPUs and run serially on
-    one; either way each value is computed alone, and each sum is taken in
-    one order, so the reports of a child pinned to one CPU and of an
+    """lin-decay's row passes, the kernel's quadrature blocks and the
+    transport terms and gradient sups of sqg and Boussinesq runs at N = 256
+    take a second thread when the process may use two CPUs and run serially
+    on one; either way each value is computed alone, and each sum is taken
+    in one order, so the reports of a child pinned to one CPU and of an
     unpinned one are byte-identical.  The sharpness check, whose J0 values
     come in blocks of times, runs alongside."""
     src = os.path.join(os.path.dirname(__file__), "..", "src")

@@ -58,6 +58,13 @@ def test_script_prints_its_table(command, tmp_path):
     assert len({line.count("|") for line in lines}) == 1  # every row has every column
     if command[0] == "lattice_memory.py":
         assert len(lines) == 2 + 12  # the header and every phase and run
+    if command[0] == "step_timing.py":
+        # each stepper at each N, timed with every CPU of this process and on one
+        assert lines[0] == ("| stepper | N | ms per step (p25) | ms per step on one CPU (p25) "
+                            "| minor faults per step | minor faults per step on one CPU |")
+        assert [line.split(" | ")[:2] for line in lines[2:]] == [
+            [f"| {name}", str(N)] for N in (64, 128, 256, 512)
+            for name in ("sqg", "bouss stable", "bouss unstable")]
     if command[0] == "sweep_pool.py":
         # a row per --jobs up to the default pool, then one with no --jobs
         default = sweep_workers(3, len(os.sched_getaffinity(0)), 16)
@@ -124,11 +131,16 @@ def test_report_identity_names_each_difference():
                                             "out/report.txt (only one tree)"]
 
 
-def canned_perfbench(tree, workload, seed, seconds, scratch):
+CANNED_CALLS = []
+
+
+def canned_perfbench(tree, workload, seed, seconds, cache, warm=False):
     """The stdout of a perfbench run, made up: the change's tree (which
-    holds the uncommitted edit) reads 0.1 s faster at every seed but 3."""
+    holds the uncommitted edit) reads 0.1 s faster at every seed but 3.
+    Each call is noted in CANNED_CALLS."""
     with open(os.path.join(tree, "src.txt")) as fh:
         change = fh.read() == "edited\n"
+    CANNED_CALLS.append((("change" if change else "parent"), seed, os.path.basename(cache), warm))
     run_s = 1.0 + 0.01 * seed - (0.1 if change and seed != 3 else 0.0)
     metrics = {"run_s": run_s, "peak_rss_mb": 90.0 + change, "setup_s": 0.15}
     return "\n".join([
@@ -144,9 +156,12 @@ def canned_perfbench(tree, workload, seed, seconds, scratch):
 
 def test_bench_record_pairs_and_summarizes_canned_runs(tmp_path):
     """The recorder on a throwaway repository whose change is uncommitted,
-    with canned perfbench output: the trees alternate going first, each run
-    keeps its final line and round count, and the summary counts the
-    change's wins and takes each side's median and quartiles."""
+    with canned perfbench output: one warm-up run per tree writes that
+    tree's bytecode cache before the pairs, which read it; the trees
+    alternate going first, each run keeps its final line and round count,
+    and the summary counts the change's wins and takes each side's median
+    and quartiles."""
+    CANNED_CALLS.clear()
     spec = importlib.util.spec_from_file_location(
         "bench_record", os.path.join(ROOT, "scripts", "bench_record.py"))
     script = importlib.util.module_from_spec(spec)
@@ -168,6 +183,11 @@ def test_bench_record_pairs_and_summarizes_canned_runs(tmp_path):
     args = script.argparse.Namespace(parent="HEAD", pairs=4, seconds=1.0,
                                      workload=["linear-dispersion"])
     rec = json.loads(json.dumps(script.record(args, canned_perfbench, str(repo))))
+    assert CANNED_CALLS[:2] == [("parent", 0, "pycache-parent", True),
+                                ("change", 0, "pycache-change", True)]
+    assert all(not warm and cache == f"pycache-{side}"
+               for side, _, cache, warm in CANNED_CALLS[2:])
+    assert len(CANNED_CALLS) == 2 + 2 * 4 and rec["bytecode"] == "warmed per tree"
     assert rec["change"]["uncommitted"] and rec["change"]["sha"] != rec["parent"]["sha"]
     assert rec["seeds"] == [1, 2, 3, 4] and rec["workloads"] == ["linear-dispersion"]
     assert set(rec["host"]) == {"cpu_affinity", "mem_available_kib", "numpy", "python"}

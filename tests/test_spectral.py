@@ -1,5 +1,6 @@
 import ast
 import os
+import sys
 import threading
 import tracemalloc
 
@@ -16,6 +17,7 @@ from anisodisp.spectral import (
     MultiplierSpec,
     SpectralError,
     SpectralField,
+    Worker,
     _centre_phase,
     _modulus_sq,
     apply_multiplier,
@@ -31,7 +33,6 @@ from anisodisp.spectral import (
     linf_norm,
     physical_rows,
     sobolev_norm,
-    thread_shares,
 )
 from conftest import grid_arrays, hermitian_defect, nyquist_mask, random_field
 
@@ -171,7 +172,8 @@ def test_physical_rows_are_the_values_of_half_to_physical(N, cpus, monkeypatch):
     for K in (N // 2 + 1, N // 8 + 3):
         want = half_to_physical(grid, half[:, :K])
         threads.clear()
-        blocks = physical_rows(grid, half[:, :K].copy(), keep, thread_shares())
+        with Worker() as worker:
+            blocks = physical_rows(grid, half[:, :K].copy(), keep, worker)
         assert np.array_equal(np.concatenate(blocks), want), K
         threaded = len(cpus) > 1 and 8 * N * N > spectral.ROW_PASS_BYTES
         rows = min(N, spectral.ROW_PASS_BYTES // (8 * N) // (1 + threaded))
@@ -196,6 +198,36 @@ def test_an_exception_in_the_second_share_reaches_the_caller():
     assert threading.active_count() == before
 
 
+def test_a_held_worker_runs_each_share_of_every_split_once():
+    """Three threads, each holding its own Worker (six threads in all), make
+    300 splits each under a 1 us switch interval: every split returns only
+    after both of its shares ran, each once and each on its own thread, and
+    every thread ends within its timeout."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    bad = []
+
+    def client():
+        with Worker(2) as worker:
+            for i in range(300):
+                ran = []
+                worker.split(lambda share, shares: ran.append((share, threading.get_ident())))
+                shares = sorted(share for share, _ in ran)
+                if shares != [0, 1] or len({ident for _, ident in ran}) != 2:
+                    bad.append((i, ran))
+
+    try:
+        clients = [threading.Thread(target=client) for _ in range(3)]
+        for thread in clients:
+            thread.start()
+        for thread in clients:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert bad == []
+
+
 def test_a_thread_that_cannot_start_leaves_its_share_here(monkeypatch):
     """A thread whose stack cannot be had (under `RLIMIT_AS`, say) leaves
     its share to the calling thread, so the pass runs serially rather than
@@ -213,7 +245,8 @@ def test_a_thread_that_cannot_start_leaves_its_share_here(monkeypatch):
         threads.add(threading.get_ident())
         return vals.copy()
 
-    blocks = physical_rows(grid, half, keep, 2)
+    with Worker(2) as worker:
+        blocks = physical_rows(grid, half, keep, worker)
     assert np.array_equal(np.concatenate(blocks), want)
     assert threads == {threading.get_ident()}
 

@@ -1,4 +1,6 @@
+import os
 import pickle
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,6 +14,7 @@ from anisodisp.spectral import (
     MultiplierSpec,
     SpectralError,
     SpectralField,
+    Worker,
     full_spectrum,
     half_spectrum,
     half_to_physical,
@@ -383,3 +386,121 @@ def test_outputs_fall_on_scheduled_steps(t_final, dt, n_outputs, out_steps):
     assert len(rep.times) == len(rep.integral) == len(recorded)
     assert all(a < b for a, b in zip(rep.times, rep.times[1:]))
     assert rep.times[-1] == final.time
+
+
+def _transport_inputs(ws, m, seed):
+    """m random half spectra on ws's kept columns, zero outside its mask (one
+    field for SQG, a stacked pair for Boussinesq), and m whole half spectra."""
+    rng = np.random.default_rng(seed)
+    N = ws.grid.N
+    y = (rng.standard_normal((m, N, ws.K)) + 1j * rng.standard_normal((m, N, ws.K))) * ws.mask_K
+    half = rng.standard_normal((m, N, N // 2 + 1)) + 1j * rng.standard_normal((m, N, N // 2 + 1))
+    return (y[0] if m == 1 else y), half
+
+
+@pytest.mark.parametrize("shares", [1, 2])
+@pytest.mark.parametrize("N", [256, 512, 1024])
+@pytest.mark.parametrize("system", ["sqg", "bouss"])
+def test_split_transport_has_the_bits_of_the_serial_path(monkeypatch, system, N, shares):
+    """The split `advection` (through `nonlinear`) and `grad_norms` give the
+    serial path's bits for the 4-field SQG and the 6-field Boussinesq
+    stacks: every value with the sign of its zeros, max |u| and both sups.
+    With one share the split code runs here alone; with two the worker's
+    thread takes half of each phase.  The arguments stay as they were."""
+    from anisodisp import boussinesq
+
+    grid = Grid2D(N, 10.0)
+    ws = _Workspace(grid, 1.0) if system == "sqg" else boussinesq._Workspace(grid, "unstable")
+    y, half = _transport_inputs(ws, 1 if system == "sqg" else 2, N)
+    args = (y.copy(), half.copy())
+    want, want_umax = ws.nonlinear(y)
+    want_sups = ws.grad_norms(half)
+    split = count_calls(monkeypatch, ws, "split_advection")
+    monkeypatch.setattr(ws, "splits", lambda: True)  # the split code on one share too
+    with Worker(shares) as ws.worker:
+        assert ws.worker.shares == shares
+        got, got_umax = ws.nonlinear(y)
+        got_sups = ws.grad_norms(half)
+    assert len(split) == 1
+    assert np.array_equal(got.view(np.float64), want.view(np.float64))
+    assert np.array_equal(np.signbit(got.view(np.float64)), np.signbit(want.view(np.float64)))
+    assert got_umax == want_umax and got_sups == want_sups
+    assert np.array_equal(y, args[0]) and np.array_equal(half, args[1])
+
+
+@pytest.mark.parametrize("N, shares", [(128, 1), (256, 2)])
+def test_only_a_run_at_n_256_or_more_splits(monkeypatch, N, shares):
+    """A workspace's worker takes a second thread from N = 256 up, where a
+    stack of 4 physical fields exceeds ROW_PASS_BYTES, and there the
+    transport term splits inside the worker alone; at N = 128 the worker
+    starts no thread and `nonlinear` runs the serial code."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    ws = _Workspace(Grid2D(N, 10.0), 1.0)
+    y, _ = _transport_inputs(ws, 1, N)
+    calls = count_calls(monkeypatch, ws, "split_advection")
+    starts = count_calls(monkeypatch, threading.Thread, "start")
+    ws.nonlinear(y)
+    assert calls == []
+    with ws.worker:
+        assert ws.worker.shares == shares
+        ws.nonlinear(y)
+    assert len(calls) == len(starts) == shares - 1
+    assert ws.worker.shares == 1
+
+
+def _watch_threads(monkeypatch, fail_on_worker=False):
+    """The threads that run a row `irfft` (one of them the worker's); with
+    `fail_on_worker`, a MemoryError on any thread but this one."""
+    caller, seen = threading.get_ident(), set()
+    irfft = np.fft.irfft
+
+    def watched(*args, **kwargs):
+        seen.add(threading.get_ident())
+        if fail_on_worker and threading.get_ident() != caller:
+            raise MemoryError("on the worker")
+        return irfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfft", watched)
+    return caller, seen
+
+
+@pytest.mark.parametrize("ending", ["completes", "cfl", "worker-raises"])
+def test_a_run_joins_its_worker(monkeypatch, ending):
+    """An sqg run at N = 256 on two CPUs holds one worker thread, which takes
+    its share of the transforms, and joins it however the run ends: reaching
+    T, on a CFLError from its third step, or on a MemoryError raised on the
+    worker, which reaches the caller."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    before = threading.active_count()
+    caller, seen = _watch_threads(monkeypatch, fail_on_worker=ending == "worker-raises")
+    starts = count_calls(monkeypatch, threading.Thread, "start")
+    if ending == "cfl":
+        admissible = sqg._admissible_dt
+        calls = count_calls(monkeypatch, sqg, "_admissible_dt")
+        monkeypatch.setattr(sqg, "_admissible_dt", lambda grid, umax: (
+            calls.append(1), 0.0 if len(calls) == 3 else admissible(grid, umax))[1])
+    theta0 = small_state(Grid2D(256, 10.0), eps=0.05, seed=3).theta
+    expected = {"completes": None, "cfl": CFLError, "worker-raises": MemoryError}[ending]
+    if expected is None:
+        diag = run_and_diagnose(theta0, T=0.1, dt=0.02, n_outputs=2)
+        assert diag.times[-1] == pytest.approx(0.1) and not diag.blew_up
+    else:
+        with pytest.raises(expected):
+            run_and_diagnose(theta0, T=0.1, dt=0.02, n_outputs=2)
+    assert len(starts) == 1 and caller in seen and len(seen) == 2
+    assert threading.active_count() == before
+
+
+def test_a_bare_step_starts_no_thread(monkeypatch):
+    """`step` outside a run runs serially, with or without a workspace, and
+    gives the bits of a step inside a run's worker."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    st = small_state(Grid2D(256, 10.0), eps=0.05, seed=5)
+    ws = _Workspace(st.theta.grid, 1.0)
+    starts = count_calls(monkeypatch, threading.Thread, "start")
+    bare = step(step(st), ws)
+    assert starts == []
+    with ws.worker:
+        held = step(step(st, ws), ws)
+    assert len(starts) == 1
+    assert np.array_equal(bare.theta.coeffs.view(np.float64), held.theta.coeffs.view(np.float64))
