@@ -15,12 +15,14 @@ sharpness defaults (400 times in [20, 100]) on the grid of
 defaults (alpha = 1, times 10, 30 and 100), which needs no grid.  Prints a
 markdown table of each phase's peak and of what the run holds after it, in
 MiB, and of its wall time (`perf_counter`, under tracing) in ms; the last
-four rows each trace one whole run from a fresh start: a lin-decay
+six rows each trace one whole run from a fresh start: a lin-decay
 `harness.run` at --N, a sharpness `harness.run` with its defaults at
 N = 512, both at L = 400, an sqg `harness.run` (random profile, 4 steps of
 dt = 0.005, 2 records) and one Boussinesq `stability_experiment` (stable
-branch, eps = 0.02, 4 steps of dt = 0.05, 2 records), both at --N and --L.
-A bad --N or --L is a usage error (exit 2).
+branch, eps = 0.02, 4 steps of dt = 0.05, 2 records), both at --N and --L,
+and these two again with this process pinned to one CPU
+(`os.sched_setaffinity`, restored after them), where a run takes no second
+thread.  A bad --N or --L is a usage error (exit 2).
 """
 
 import argparse
@@ -47,6 +49,13 @@ def phase(name, fn):
     held, peak = tracemalloc.get_traced_memory()
     print(f"| {name} | {peak / 2**20:.1f} | {held / 2**20:.1f} | {ms:.1f} |")
     return out
+
+
+def traced(name, fn):
+    """`phase` of one whole run, traced from a fresh start."""
+    tracemalloc.start()
+    phase(name, fn)
+    tracemalloc.stop()
 
 
 def main():
@@ -89,9 +98,14 @@ def main():
             ("stability_experiment", lambda: boussinesq.stability_experiment(
                 Grid2D(args.N, args.L), eps=0.02, T=0.2, dt=0.05, n_outputs=2)))
     for name, fn in runs:
-        tracemalloc.start()
-        phase(name, fn)
-        tracemalloc.stop()
+        traced(name, fn)
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        for name, fn in runs[2:]:
+            traced(f"{name} on one CPU", fn)
+    finally:
+        os.sched_setaffinity(0, cpus)
 
 
 if __name__ == "__main__":

@@ -5,18 +5,19 @@
 Each stepper starts from a masked random field (SQG, sup norm 0.05) or the
 default Boussinesq profiles (eps = 0.01), with dt = 0.01 and a workspace
 reused across steps, and steps inside its workspace's `worker`, as the run
-loop (`sqg._integrate`) does: at N >= 256 a process that may use two CPUs
-splits each transport term between two threads.  After two untimed steps,
+loop (`sqg._integrate`) does: at N >= 256 each transport term is
+transformed in row blocks, which a process that may use two CPUs splits
+between two threads.  After two untimed steps,
 which build the propagators, it times `--steps` steps one by one.  Prints a
 markdown table of the 25th-percentile ms per step (`perf_counter`) and the
 minor page faults per step (`getrusage`) at N = 64, 128, 256 and 512, each
 in a process that may use every CPU of this one and in one pinned to one
-CPU (`os.sched_setaffinity`), which steps serially.
+CPU (`os.sched_setaffinity`), which steps on one thread.
 
 Each measurement runs in a fresh interpreter, one at a time: the faults per
 step depend on what the process allocated and imported before it steps.
 The interpreters are plain subprocesses, since a process that
-`multiprocessing` starts steps serially (`spectral.thread_shares`).
+`multiprocessing` starts steps on one thread (`spectral.thread_shares`).
 """
 
 import argparse

@@ -91,6 +91,8 @@ class _Workspace(_HalfSpectrumWorkspace):
     """Boussinesq symbols for one (grid, branch) pair; the pair (omega, rho)
     is stacked on a leading axis of the half lattice."""
 
+    FIELDS = 6
+
     def __init__(self, grid, branch):
         super().__init__(grid)
         self.velocity = self.symbols(MultiplierSpec.velocity_bouss, 1, 2)
@@ -111,17 +113,13 @@ class _Workspace(_HalfSpectrumWorkspace):
     def nonlinear(self, y):
         """(-dealias(u.grad omega), -dealias(u.grad rho)) stacked on the kept
         columns, and max |u|."""
-        if not self.splits():
-            return self.advection(
-                np.concatenate([self.velocity * y[0], self.grad[0] * y, self.grad[1] * y]))
-
         def fill(spec, rows):
             np.multiply(self.velocity[:, rows], y[0, rows], out=spec[:2, rows])
-            # grad_j * y, j = 1 then 2, as the serial products
+            # grad_j * y, j = 1 then 2
             np.multiply(self.grad[:, None, rows], y[:, rows],
                         out=spec[2:].reshape(2, 2, *spec.shape[1:])[:, :, rows])
 
-        return self.split_advection(6, fill)
+        return self.advection(fill)
 
 
 def step(state, workspace=None):

@@ -160,5 +160,5 @@ def _abs_sum(grid, piece, worker):
     return float(total)
 
 
-def _sum_abs(vals):
+def _sum_abs(vals, rows):
     return np.sum(np.abs(vals, out=vals))

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lp import bump
-from .spectral import SpectralError, in_shares, row_blocks, share_of, thread_shares
+from .spectral import SpectralError, Worker, row_blocks, share_of
 
 
 class QuadratureBudgetError(SpectralError):
@@ -153,8 +153,8 @@ def _polar_quadrature(p, t, j, n_r, n_psi):
     column: the cost of a call does not depend on whether the allocator kept
     or returned the memory that freed temporaries would take.
 
-    Where the process may use two CPUs (`thread_shares`), a second thread
-    evaluates half the rows of each block (`in_shares`).  Every value is
+    Where the process may use two CPUs, the thread of a `Worker` held for
+    the block loop evaluates half the rows of each block.  Every value is
     computed alone, and this thread sums each whole block once both halves
     are done, in block order, so the sum has the same bits either way."""
     r_lo, r_hi = 2.0 ** (j - 1), 2.0 ** (j + 1)
@@ -192,10 +192,10 @@ def _polar_quadrature(p, t, j, n_r, n_psi):
         np.multiply(amp[rows, None], v, out=v)
         np.multiply(v, w_r[rows, None], out=v)
 
-    shares = thread_shares()
-    for block in blocks:
-        in_shares(shares, lambda share, shares: evaluate(block, share, shares))
-        total += np.sum(vals[: block.stop - block.start])
+    with Worker() as worker:
+        for block in blocks:
+            worker.split(lambda share, shares: evaluate(block, share, shares))
+            total += np.sum(vals[: block.stop - block.start])
     return complex(total * dpsi)
 
 

@@ -92,7 +92,7 @@ def _evolved_linf(f0, alpha, times):
     return vals
 
 
-def _extrema(block):
+def _extrema(block, rows):
     return block.max(), block.min()
 
 

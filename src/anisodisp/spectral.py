@@ -17,13 +17,15 @@ half-box shift that no norm or transport product sees: only
 `forward_transform` and `SpectralField.to_physical` apply it.
 
 The package's one threading mechanism is `Worker`: a second thread, held
-for a run (`sqg._integrate`), a lin-decay measurement, a Besov norm or one
-`in_shares` call, that takes one of two shares of each split and calls
+for a run (`sqg._integrate`), a lin-decay measurement, a Besov norm or a
+kernel quadrature, that takes one of two shares of each split and calls
 only numpy.  Each share writes its own part of arrays the calling thread
 made, every value is computed alone, so results have the same bits on one
-thread or two.
+thread or two.  Every split transform goes through one row pass,
+`physical_rows`.
 """
 
+import math
 import os
 import sys
 import threading
@@ -40,8 +42,7 @@ class SpectralError(ValueError):
 # evaluation (the sharpness origin sum, the J0 trapezoid, the kernel quadrature).
 CHUNK_BYTES = 32 << 20
 # Byte budget of the values of the row blocks of `physical_rows` in flight at
-# once, and of the temporaries of one row block of the Besov shells' bump: a
-# power of two, so that each block holds a power-of-two count of rows.
+# once, and of the temporaries of one row block of the Besov shells' bump.
 ROW_PASS_BYTES = 1 << 20
 
 
@@ -259,7 +260,8 @@ def thread_shares():
 
 
 class Worker:
-    """A second thread for `split`, held across many calls.
+    """A second thread for `split`, held across many calls: the package's
+    only way to hold one.
 
     `with Worker():` starts the thread where the shares (by default
     `thread_shares()`) are 2, and joins it on exit, also when the body
@@ -327,52 +329,55 @@ class Worker:
             raise exc
 
 
-def in_shares(shares, work):
-    """`work(share, shares)` for each share, on a `Worker` held for this one
-    call: with 2 shares `work(1, 2)` runs on a thread started for it, which
-    is joined before the call returns."""
-    with Worker(shares) as worker:
-        worker.split(work)
-
-
 def share_of(n, share, shares):
     """The slice of range(n) that is `share` of `shares` equal parts."""
     return slice(share * n // shares, (share + 1) * n // shares)
 
 
-def physical_rows(grid, half, reduce, worker):
-    """`reduce` of each row block of `half_to_physical(grid, half,
-    overwrite_x=True)` for one (N, K) half, in block order, so no (N, N)
-    array is made.  The column pass runs first, in place on the whole half;
-    the rows are then transformed in blocks of a power-of-two count of rows,
-    each into a buffer and reduced there.  Each 1-D transform is computed on
-    its own either way, so the values have the bits of `half_to_physical`.
+def fits_one_block(n, N):
+    """Whether the physical values of n (N, N) fields take at most
+    ROW_PASS_BYTES, so that `physical_rows` makes them in one block, on the
+    calling thread."""
+    return 8 * n * N * N <= ROW_PASS_BYTES
 
-    On a `worker` of 2 shares the column pass runs in two column halves, one
-    on each thread, and the row blocks alternate between this thread and the
-    worker's, each with its own buffer of half ROW_PASS_BYTES.  A pass that
-    one block of the whole budget holds (N <= 256) runs here alone, in one
-    buffer."""
+
+def physical_rows(grid, half, reduce, worker):
+    """`reduce(values, rows)` of each row block of `half_to_physical(grid,
+    half, overwrite_x=True)` for a stack `half` (..., N, K) of half spectra,
+    `values[..., i, :]` being row `rows.start + i` of each field, in block
+    order.  The column pass runs first, in place on the whole stack; the rows
+    are then transformed in blocks of a power-of-two count of rows, at most
+    N, each into a buffer and reduced there.  Each 1-D transform is computed
+    on its own either way, so the values have the bits of `half_to_physical`.
+
+    A stack that fits one block (`fits_one_block`) is transformed here, as
+    one array.  A larger one is split between the shares of `worker`, so the
+    whole stack of values is never made: the column pass in column parts, and
+    the row blocks alternating between the shares, each share with its own
+    buffer, the buffers together under ROW_PASS_BYTES."""
     N = grid.N
-    if 8 * N * N <= ROW_PASS_BYTES:
-        worker = Worker()  # not entered: one share
+    n = math.prod(half.shape[:-2])
+    if fits_one_block(n, N):
+        return [reduce(half_to_physical(grid, half, overwrite_x=True), slice(0, N))]
     shares = worker.shares
-    blocks = list(row_blocks(N, 8 * N, ROW_PASS_BYTES // shares))
-    bufs = np.empty((shares, blocks[0].stop, N))
+    rows = N
+    while rows > 1 and shares * 8 * n * rows * N > ROW_PASS_BYTES:
+        rows //= 2
+    blocks = [slice(start, start + rows) for start in range(0, N, rows)]
+    bufs = np.empty((shares, *half.shape[:-2], rows, N))
     out = [None] * len(blocks)
 
     def columns(share, shares):
         cols = share_of(half.shape[-1], share, shares)
-        np.fft.ifft(half[:, cols], axis=-2, norm="forward", out=half[:, cols])
+        np.fft.ifft(half[..., cols], axis=-2, norm="forward", out=half[..., cols])
 
-    def rows(share, shares):
+    def row_pass(share, shares):
         for i in range(share, len(blocks), shares):
-            r = blocks[i]
-            out[i] = reduce(np.fft.irfft(half[r], n=N, axis=-1, norm="forward",
-                                         out=bufs[share, : r.stop - r.start]))
+            out[i] = reduce(np.fft.irfft(half[..., blocks[i], :], n=N, axis=-1,
+                                         norm="forward", out=bufs[share]), blocks[i])
 
     worker.split(columns)
-    worker.split(rows)
+    worker.split(row_pass)
     return out
 
 

@@ -7,11 +7,13 @@ retained disc), which makes the semi-discrete transport conserve L^2
 exactly; any drift measures the RK4 truncation error.  The stepper
 (`_if_rk4`) and the run loop (`_integrate`) are shared with `boussinesq`.
 
-A run holds its workspace's `spectral.Worker` from its first record to its
-last: where the process may use two CPUs, the transport terms and the
-gradient sups of a grid of N >= 256 are split between the calling thread
-and the worker's at the transforms' two transposes, bit for bit.  A bare
-`step`, a run at N <= 128 and a run in a sweep's pool worker are serial.
+On a grid of N >= 256 the transport terms and the gradient sups are
+transformed in row blocks (`spectral.physical_rows`), so the whole stack of
+physical fields is never held, on one thread or two, bit for bit.  A run
+holds its workspace's `spectral.Worker` from its first record to its last:
+where the process may use two CPUs, the worker's thread takes its share of
+those transforms.  A bare `step`, a run at N <= 128 and a run in a sweep's
+pool worker take no second thread.
 """
 
 from contextlib import nullcontext
@@ -20,15 +22,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .spectral import (
-    ROW_PASS_BYTES,
     MultiplierSpec,
     SpectralError,
     SpectralField,
     Worker,
+    fits_one_block,
     full_spectrum,
     half_spectrum,
     half_to_physical,
     l2_norm,
+    physical_rows,
     share_of,
     sobolev_weight,
     weighted_norm,
@@ -90,13 +93,24 @@ def _dealias_mask(grid):
     return kept[:, None] & kept[None, :]
 
 
+def _u_dot_grad(phys):
+    """(u, u . grad f) from the physical values (u1, u2, d1 f, d2 f) of a
+    stack f, whole or a row block, the products formed in place there."""
+    u = phys[:2]
+    grads = phys[2:].reshape(2, -1, *phys.shape[1:])
+    grads *= u[:, None]
+    grads[0] += grads[1]
+    return u, grads[0]
+
+
 class _HalfSpectrumWorkspace:
     """What the SQG and Boussinesq workspaces share: symbols, stage arrays and
     `rfft2` on the first K columns of the (N, N//2 + 1) half lattice, the ones
     the dealias mask keeps.  `spectral.half_to_physical` and `full_spectrum`
-    take those K columns as they are.  A subclass adds its symbols, among
-    them `velocity` (that of the first field) and `grad`, its `propagator`
-    formula, `propagate` and `nonlinear`."""
+    take those K columns as they are.  A subclass adds FIELDS, the count of
+    half spectra of its transport stack, its symbols, among them `velocity`
+    (that of the first field) and `grad`, its `propagator` formula,
+    `propagate` and `nonlinear`."""
 
     def __init__(self, grid):
         self.grid = grid
@@ -107,10 +121,10 @@ class _HalfSpectrumWorkspace:
         xi1, xi2 = grid.xi_axes(half=True)
         self.xi1, self.xi2 = xi1 + 0.0 * xi2[:, :K], xi2[:, :K] + 0.0 * xi1
         self._props = {}
-        # the run's second thread, which `_integrate` starts: only where even
-        # the smallest transport stack, SQG's 4 physical fields, exceeds
-        # ROW_PASS_BYTES (N >= 256); below that a run is serial
-        self.worker = Worker(None if 8 * 4 * grid.N ** 2 > ROW_PASS_BYTES else 1)
+        # the transport stack is row-blocked where it exceeds one block
+        # (N >= 256), and only there may a run's worker take a second thread
+        self.blocked = not fits_one_block(self.FIELDS, grid.N)
+        self.worker = Worker(None if self.blocked else 1)
 
     def symbols(self, factory, *args):
         """The symbols of `factory(a)` for each a in args on the K kept
@@ -128,118 +142,69 @@ class _HalfSpectrumWorkspace:
         cols = np.fft.rfft(stack, axis=-1, norm="forward")[..., : self.K]
         return np.fft.fft(cols, axis=-2, norm="forward", out=cols) * self.mask_K
 
-    # each system keeps its own `nonlinear`: sharing either one raised the other's faults per step
-    def advection(self, spec):
-        """(-dealias(u . grad f), max |u|) for a stack f of m fields, from the
-        half spectra (u1, u2, d1 f, d2 f), 2 + 2m of them, on the K kept
-        columns; `spec` must be a new array, whose memory this reuses."""
-        phys = half_to_physical(self.grid, spec, overwrite_x=True)
-        u = phys[:2]
-        grads = phys[2:].reshape(2, -1, *phys.shape[1:])
-        grads *= u[:, None]
-        grads[0] += grads[1]
-        adv = self.to_spectral(grads[0])
-        umax = float(np.max(np.abs(u, out=u)))
-        return np.negative(adv, out=adv), umax
-
-    def splits(self):
-        """Whether the transport term and `grad_norms` are split between the
-        shares of `worker`: only inside a run (`_integrate`) on a grid of
-        N >= 256 in a process that may use two CPUs."""
-        return self.worker.shares == 2
-
-    def _parts(self, n):
-        """The slices of range(n), one per share of `worker`."""
-        return [share_of(n, share, self.worker.shares) for share in range(self.worker.shares)]
-
-    def _split_rows(self, n, fill, reduce):
-        """`reduce(values, rows)` of each row block of the physical values of
-        the n half spectra that `fill(spec, rows)` writes into
-        `spec[:, rows]`, in block order, with the bits of the serial
-        transforms (each 1-D transform is computed on its own either way).
-        The fill runs in row parts, one per share of `worker`, the column
-        `ifft` in column parts, and the row `irfft` in row parts again, each
-        in row blocks of a power-of-two count of rows in its own buffer, the
-        buffers together under ROW_PASS_BYTES.  Every array is made here, in
-        the calling thread, and freed with the call; the worker's share calls
-        only numpy."""
-        N, shares = self.grid.N, self.worker.shares
+    def _filled(self, n, fill):
+        """A new stack of n half spectra on the K kept columns, which
+        `fill(spec, rows)` writes into `spec[:, rows]` in row parts, one per
+        share of `worker`."""
+        N = self.grid.N
         spec = np.empty((n, N, self.K), dtype=np.complex128)
-        cols, halves = self._parts(self.K), self._parts(N)
-        rows = 1 << (ROW_PASS_BYTES // shares // (8 * n * N)).bit_length() - 1
-        blocks = [slice(start, start + rows) for start in range(0, N, rows)]
-        parts = self._parts(len(blocks))
-        bufs = np.empty((shares, n, rows, N))
-        out = [None] * len(blocks)
+        self.worker.split(lambda share, shares: fill(spec, share_of(N, share, shares)))
+        return spec
 
-        def columns(share, shares):
-            np.fft.ifft(spec[..., cols[share]], axis=-2, norm="forward",
-                        out=spec[..., cols[share]])
+    # each system keeps its own `nonlinear`: sharing either one raised the other's faults per step
+    def advection(self, fill):
+        """(-dealias(u . grad f), max |u|) for a stack f of m fields, from the
+        FIELDS = 2 + 2m half spectra (u1, u2, d1 f, d2 f) on the K kept
+        columns that `fill(spec, rows)` writes into `spec[:, rows]`.
 
-        def row_pass(share, shares):
-            for i in range(parts[share].start, parts[share].stop):
-                out[i] = reduce(np.fft.irfft(spec[:, blocks[i]], n=N, axis=-1,
-                                             norm="forward", out=bufs[share]), blocks[i])
-
-        self.worker.split(lambda share, shares: fill(spec, halves[share]))
-        self.worker.split(columns)
-        self.worker.split(row_pass)
-        return out
-
-    def split_advection(self, n, fill):
-        """`advection` of the n half spectra that `fill(spec, rows)` writes
-        into `spec[:, rows]`, split between the shares of `worker`, bit for
-        bit: the symbol products, the column `ifft` and the row pass as
-        `_split_rows` splits them, the row pass also forming u . grad f, its
-        row `rfft` into the rows of the result and max |u|; then the column
-        `fft` in column parts and the mask and the negation in row parts.
-        The products and the mask run on whole rows: on column halves their
-        strided views made them about 3 and 2 times slower."""
+        A stack that fits one block of `physical_rows` (N <= 128) is
+        transformed whole.  A larger one is row-blocked, on one share of
+        `worker` or two, bit for bit: the fill in row parts, the row pass
+        also forming u . grad f, its row `rfft` into the rows of the result
+        and max |u|; then the column `fft` in column parts and the mask and
+        the negation in row parts.  The products and the mask run on whole
+        rows: on column halves their strided views made them about 3 and 2
+        times slower."""
         N, K = self.grid.N, self.K
-        m = (n - 2) // 2
+        if not self.blocked:
+            u, products = _u_dot_grad(half_to_physical(
+                self.grid, self._filled(self.FIELDS, fill), overwrite_x=True))
+            adv = self.to_spectral(products)
+            umax = float(np.max(np.abs(u, out=u)))
+            return np.negative(adv, out=adv), umax
+
+        m = (self.FIELDS - 2) // 2
         wide = np.empty((m, N, N // 2 + 1), dtype=np.complex128)
         adv = np.empty((m, N, K), dtype=np.complex128)
-        cols, halves = self._parts(K), self._parts(N)
 
         def transport(phys, rows):
-            u = phys[:2]
-            grads = phys[2:].reshape(2, m, *phys.shape[1:])
-            grads *= u[:, None]
-            grads[0] += grads[1]
-            np.fft.rfft(grads[0], axis=-1, norm="forward", out=wide[:, rows])
+            u, products = _u_dot_grad(phys)
+            np.fft.rfft(products, axis=-1, norm="forward", out=wide[:, rows])
             return np.max(np.abs(u, out=u))
 
         def forward(share, shares):
-            np.fft.fft(wide[..., cols[share]], axis=-2, norm="forward",
-                       out=adv[..., cols[share]])
+            cols = share_of(K, share, shares)
+            np.fft.fft(wide[..., cols], axis=-2, norm="forward", out=adv[..., cols])
 
         def masked(share, shares):
-            rows = halves[share]
+            rows = share_of(N, share, shares)
             np.multiply(adv[:, rows], self.mask_K[rows], out=adv[:, rows])
             np.negative(adv[:, rows], out=adv[:, rows])
 
-        # np.max, not max: a NaN in any block gives NaN, as the serial max does
-        umax = float(np.max(self._split_rows(n, fill, transport)))
+        # the stack is made after the result's arrays, as the heap best takes them;
+        # np.max, not max: a NaN in any block gives NaN, as the whole stack's max does
+        spec = self._filled(self.FIELDS, fill)
+        umax = float(np.max(physical_rows(self.grid, spec, transport, self.worker)))
         self.worker.split(forward)
         self.worker.split(masked)
         return adv, umax
 
     def grad_norms(self, y):
         """(max |grad u|, max |grad f|) from a stack y of half spectra, u the
-        velocity of its first field and f its last field."""
+        velocity of its first field and f its last field, from the row blocks
+        of `physical_rows`."""
         c = y[..., : self.K]
-        if self.splits():
-            return self.split_grad_norms(c)
-        spec = np.concatenate([self.velocity * c[0], c[-1:]])[:, None] * self.grad
-        g = half_to_physical(self.grid, spec.reshape(6, *self.grad.shape[1:]),
-                             overwrite_x=True)
-        np.abs(g, out=g)
-        return float(np.max(g[:4])), float(np.max(g[4:]))
 
-    def split_grad_norms(self, c):
-        """`grad_norms` of the K kept columns c, split as `_split_rows` splits
-        it, bit for bit: the products are the serial path's, each with its
-        operands in the same order."""
         def fill(spec, rows):
             s = spec.reshape(3, 2, *spec.shape[1:])[:, :, rows]
             # (velocity_i c_0) grad_j, the first factor kept in slot j = 1 until last
@@ -252,12 +217,14 @@ class _HalfSpectrumWorkspace:
             np.abs(phys, out=phys)
             return np.max(phys[:4]), np.max(phys[4:])
 
-        gu, gf = zip(*self._split_rows(6, fill, sups))
+        gu, gf = zip(*physical_rows(self.grid, self._filled(6, fill), sups, self.worker))
         return float(np.max(gu)), float(np.max(gf))
 
 
 class _Workspace(_HalfSpectrumWorkspace):
     """SQG symbols for one (grid, alpha) pair."""
+
+    FIELDS = 4
 
     def __init__(self, grid, alpha):
         super().__init__(grid)
@@ -277,11 +244,8 @@ class _Workspace(_HalfSpectrumWorkspace):
 
     def nonlinear(self, c):
         """-dealias(u . grad theta) on the kept columns; returns (rhs, max |u|)."""
-        if self.splits():
-            adv, umax = self.split_advection(4, lambda spec, rows: np.multiply(
-                self.transport[:, rows], c[rows], out=spec[:, rows]))
-        else:
-            adv, umax = self.advection(self.transport * c)
+        adv, umax = self.advection(lambda spec, rows: np.multiply(
+            self.transport[:, rows], c[rows], out=spec[:, rows]))
         return adv[0], umax
 
 

@@ -1,3 +1,4 @@
+import os
 import threading
 import tracemalloc
 
@@ -22,6 +23,7 @@ from anisodisp.oscillatory import (
 )
 from anisodisp.semigroup import bessel_j0
 from anisodisp.spectral import SpectralError, row_blocks
+from conftest import count_calls
 
 
 def fd_gradient(p, xi, h=1e-5):
@@ -344,7 +346,7 @@ def test_polar_quadrature_blocks_in_place(monkeypatch, v, alpha, t, j, shares):
     anew), and the sum has the bits of the formula evaluated block by
     block.  So it does with a second thread evaluating half the rows of
     each block, which is joined before the call returns."""
-    monkeypatch.setattr(oscillatory, "thread_shares", lambda: shares)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(shares)))
     p, n_r, n_psi = PhaseSpec(v=v, alpha=alpha), 1025, 4096
     threads = threading.active_count()
     tracemalloc.start()
@@ -370,6 +372,22 @@ def test_polar_quadrature_blocks_in_place(monkeypatch, v, alpha, t, j, shares):
         phase = p.v[0] * x1 + p.v[1] * x2 - x1 * R ** (-p.alpha)
         total += np.sum(amp[rows, None] * np.exp(1j * t * phase) * w_r[rows, None])
     assert val == complex(total * (2.0 * np.pi / n_psi))
+
+
+def test_polar_quadrature_holds_one_thread_per_call(monkeypatch):
+    """A quadrature of several row blocks starts one thread for all of them
+    where the process may use two CPUs and none on one, and its value has
+    the same bits either way."""
+    p, t, n_r, n_psi = PhaseSpec(v=(0.3, -0.7), alpha=1.5), 25.0, 1025, 4096
+    assert len(list(row_blocks(n_r, 128 * n_psi))) > 2
+    starts = count_calls(monkeypatch, threading.Thread, "start")
+    values = []
+    for cpus, started in (({0, 1}, 1), ({0}, 0)):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        starts.clear()
+        values.append(_polar_quadrature(p, t, 1, n_r, n_psi))
+        assert len(starts) == started, cpus
+    assert values[0] == values[1]
 
 
 def test_polar_quadrature_memory_bounded():

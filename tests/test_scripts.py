@@ -57,7 +57,10 @@ def test_script_prints_its_table(command, tmp_path):
     assert all(line.startswith("| ") and line.endswith(" |") for line in lines)
     assert len({line.count("|") for line in lines}) == 1  # every row has every column
     if command[0] == "lattice_memory.py":
-        assert len(lines) == 2 + 12  # the header and every phase and run
+        # the header, every phase and run, and the sqg and Boussinesq runs on one CPU
+        assert len(lines) == 2 + 14
+        assert [line.split(" | ")[0] for line in lines[-2:]] == [
+            "| harness.run sqg on one CPU", "| stability_experiment on one CPU"]
     if command[0] == "step_timing.py":
         # each stepper at each N, timed with every CPU of this process and on one
         assert lines[0] == ("| stepper | N | ms per step (p25) | ms per step on one CPU (p25) "

@@ -398,9 +398,9 @@ def test_measure_decay_joins_its_threads_and_raises_their_errors(monkeypatch):
     caller, threads = threading.get_ident(), set()
     extrema = semigroup._extrema
 
-    def recorded(block):
+    def recorded(block, rows):
         threads.add(threading.get_ident())
-        return extrema(block)
+        return extrema(block, rows)
 
     monkeypatch.setattr(semigroup, "_extrema", recorded)
     before = threading.active_count()
@@ -408,10 +408,10 @@ def test_measure_decay_joins_its_threads_and_raises_their_errors(monkeypatch):
     assert len(threads) == 2 and caller in threads
     assert threading.active_count() == before
 
-    def failing(block):
+    def failing(block, rows):
         if threading.get_ident() != caller:
             raise MemoryError("on the second thread")
-        return extrema(block)
+        return extrema(block, rows)
 
     monkeypatch.setattr(semigroup, "_extrema", failing)
     with pytest.raises(MemoryError, match="on the second thread"):

@@ -27,7 +27,6 @@ from anisodisp.spectral import (
     gaussian_field,
     half_spectrum,
     half_to_physical,
-    in_shares,
     l1_norm,
     l2_norm,
     linf_norm,
@@ -153,37 +152,47 @@ def test_transforms_equal_scipy_fft(N):
 
 
 @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
-@pytest.mark.parametrize("N", [16, 256, 1024])
+@pytest.mark.parametrize("N", [16, 64, 128, 256, 1024])
 def test_physical_rows_are_the_values_of_half_to_physical(N, cpus, monkeypatch):
     """The row blocks of `physical_rows`, in block order, are the values of
-    `half_to_physical` bit for bit, for a whole half and for a K-column
-    Besov piece, on the serial path (one usable CPU, or a pass that one block
-    of the whole budget holds) and on the two-thread one, where the blocks
-    alternate between this thread and a second one."""
+    `half_to_physical` bit for bit, for one half and for stacks of 4 and 6,
+    each whole and cut to a K-column Besov piece.  A stack whose values fit
+    ROW_PASS_BYTES is one block on this thread; a larger one takes blocks of
+    the largest power-of-two count of rows, at most N, whose buffers fit the
+    budget, on this thread alone (one usable CPU) or alternating between it
+    and a second one."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
     grid = Grid2D(N, 400.0)
-    half = sfft.rfft2(np.random.default_rng(N).standard_normal((N, N)), norm="forward")
+    rng = np.random.default_rng(N)
     threads = []
 
-    def keep(vals):
+    def keep(vals, rows):
         threads.append(threading.get_ident())
+        assert vals.shape[-2:] == (rows.stop - rows.start, N)
         return vals.copy()
 
-    for K in (N // 2 + 1, N // 8 + 3):
-        want = half_to_physical(grid, half[:, :K])
-        threads.clear()
-        with Worker() as worker:
-            blocks = physical_rows(grid, half[:, :K].copy(), keep, worker)
-        assert np.array_equal(np.concatenate(blocks), want), K
-        threaded = len(cpus) > 1 and 8 * N * N > spectral.ROW_PASS_BYTES
-        rows = min(N, spectral.ROW_PASS_BYTES // (8 * N) // (1 + threaded))
-        assert [len(b) for b in blocks] == [rows] * (N // rows)
-        assert len(set(threads)) == 1 + threaded and threading.get_ident() in threads
+    for n in (1, 4, 6):
+        half = sfft.rfft2(rng.standard_normal((n, N, N)), norm="forward")
+        half = half[0] if n == 1 else half
+        for K in (N // 2 + 1, N // 8 + 3):
+            want = half_to_physical(grid, half[..., :K])
+            threads.clear()
+            with Worker() as worker:
+                blocks = physical_rows(grid, half[..., :K].copy(), keep, worker)
+            assert np.array_equal(np.concatenate(blocks, axis=-2), want), (n, K)
+            rows = blocks[0].shape[-2]
+            assert [b.shape[-2] for b in blocks] == [rows] * (N // rows)
+            assert rows <= N and rows & (rows - 1) == 0
+            whole = 8 * n * N * N <= spectral.ROW_PASS_BYTES
+            threaded = len(cpus) > 1 and not whole
+            budget = spectral.ROW_PASS_BYTES // (1 + threaded)
+            assert rows == N if whole else 8 * n * rows * N <= budget < 16 * n * rows * N
+            assert len(set(threads)) == 1 + threaded and threading.get_ident() in threads
 
 
 def test_an_exception_in_the_second_share_reaches_the_caller():
-    """An exception raised on the second thread is raised here once both
-    shares are done, and the thread is joined by then."""
+    """An exception raised on a held Worker's thread is raised here once both
+    shares are done, and the thread is joined when the `with` ends."""
     before = threading.active_count()
     ran = {}
 
@@ -193,7 +202,8 @@ def test_an_exception_in_the_second_share_reaches_the_caller():
             raise MemoryError("the second share")
 
     with pytest.raises(MemoryError, match="the second share"):
-        in_shares(2, work)
+        with Worker(2) as worker:
+            worker.split(work)
     assert ran[0] == threading.get_ident() != ran[1]
     assert threading.active_count() == before
 
@@ -241,7 +251,7 @@ def test_a_thread_that_cannot_start_leaves_its_share_here(monkeypatch):
     want = half_to_physical(grid, half)
     threads = set()
 
-    def keep(vals):
+    def keep(vals, rows):
         threads.add(threading.get_ident())
         return vals.copy()
 

@@ -1,6 +1,7 @@
 import os
 import pickle
 import threading
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,6 +17,7 @@ from anisodisp.spectral import (
     SpectralField,
     Worker,
     full_spectrum,
+    gaussian_field,
     half_spectrum,
     half_to_physical,
     l2_norm,
@@ -398,30 +400,58 @@ def _transport_inputs(ws, m, seed):
     return (y[0] if m == 1 else y), half
 
 
+def _whole_stack_transport(ws, y, half):
+    """(`nonlinear(y)`, `grad_norms(half)`) as the whole-stack `advection`
+    computes them, with scipy.fft's irfft2 and rfft2 in place of the pruned
+    transforms (`test_pruned_transforms_equal_full_real_transforms`)."""
+    N, K = ws.grid.N, ws.K
+
+    def physical(stack):
+        padded = np.zeros(stack.shape[:-1] + (N // 2 + 1,), dtype=np.complex128)
+        padded[..., :K] = stack
+        return sfft.irfft2(padded, norm="forward")
+
+    if ws.FIELDS == 4:
+        stack = ws.transport * y
+    else:
+        stack = np.concatenate([ws.velocity * y[0], ws.grad[0] * y, ws.grad[1] * y])
+    phys = physical(stack)
+    u = phys[:2]
+    grads = phys[2:].reshape(2, -1, N, N)
+    grads *= u[:, None]
+    grads[0] += grads[1]
+    adv = np.negative(sfft.rfft2(grads[0], norm="forward") * half_spectrum(ws.mask))[..., :K]
+    c = half[..., :K]
+    g = np.abs(physical((np.concatenate([ws.velocity * c[0], c[-1:]])[:, None]
+                         * ws.grad).reshape(6, N, K)))
+    sups = (float(np.max(g[:4])), float(np.max(g[4:])))
+    return (adv[0] if ws.FIELDS == 4 else adv), float(np.max(np.abs(u))), sups
+
+
 @pytest.mark.parametrize("shares", [1, 2])
-@pytest.mark.parametrize("N", [256, 512, 1024])
+@pytest.mark.parametrize("N", [128, 256, 512, 1024])
 @pytest.mark.parametrize("system", ["sqg", "bouss"])
 def test_split_transport_has_the_bits_of_the_serial_path(monkeypatch, system, N, shares):
-    """The split `advection` (through `nonlinear`) and `grad_norms` give the
-    serial path's bits for the 4-field SQG and the 6-field Boussinesq
-    stacks: every value with the sign of its zeros, max |u| and both sups.
-    With one share the split code runs here alone; with two the worker's
-    thread takes half of each phase.  The arguments stay as they were."""
+    """`nonlinear` and `grad_norms` give the bits of the whole-stack formula
+    for the 4-field SQG and the 6-field Boussinesq stacks: every value with
+    the sign of its zeros, max |u| and both sups.  At N = 128 the transport
+    stack is one block, transformed whole; from N = 256 it is row-blocked,
+    like the sups at every N, on this thread alone with one share and with
+    the worker's thread taking half of each phase with two.  The arguments
+    stay as they were."""
     from anisodisp import boussinesq
 
     grid = Grid2D(N, 10.0)
     ws = _Workspace(grid, 1.0) if system == "sqg" else boussinesq._Workspace(grid, "unstable")
     y, half = _transport_inputs(ws, 1 if system == "sqg" else 2, N)
     args = (y.copy(), half.copy())
-    want, want_umax = ws.nonlinear(y)
-    want_sups = ws.grad_norms(half)
-    split = count_calls(monkeypatch, ws, "split_advection")
-    monkeypatch.setattr(ws, "splits", lambda: True)  # the split code on one share too
+    want, want_umax, want_sups = _whole_stack_transport(ws, y, half)
+    row_passes = count_calls(monkeypatch, sqg, "physical_rows")
     with Worker(shares) as ws.worker:
         assert ws.worker.shares == shares
         got, got_umax = ws.nonlinear(y)
         got_sups = ws.grad_norms(half)
-    assert len(split) == 1
+    assert ws.blocked == (N >= 256) and len(row_passes) == 1 + ws.blocked
     assert np.array_equal(got.view(np.float64), want.view(np.float64))
     assert np.array_equal(np.signbit(got.view(np.float64)), np.signbit(want.view(np.float64)))
     assert got_umax == want_umax and got_sups == want_sups
@@ -430,22 +460,39 @@ def test_split_transport_has_the_bits_of_the_serial_path(monkeypatch, system, N,
 
 @pytest.mark.parametrize("N, shares", [(128, 1), (256, 2)])
 def test_only_a_run_at_n_256_or_more_splits(monkeypatch, N, shares):
-    """A workspace's worker takes a second thread from N = 256 up, where a
-    stack of 4 physical fields exceeds ROW_PASS_BYTES, and there the
-    transport term splits inside the worker alone; at N = 128 the worker
-    starts no thread and `nonlinear` runs the serial code."""
+    """From N = 256 up, where a stack of 4 physical fields exceeds
+    ROW_PASS_BYTES, the transport term is row-blocked: on this thread alone
+    outside a run, and split with the workspace's worker, which starts one
+    thread, inside it.  At N = 128 the stack is transformed whole and the
+    worker starts no thread."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     ws = _Workspace(Grid2D(N, 10.0), 1.0)
     y, _ = _transport_inputs(ws, 1, N)
-    calls = count_calls(monkeypatch, ws, "split_advection")
+    row_passes = count_calls(monkeypatch, sqg, "physical_rows")
     starts = count_calls(monkeypatch, threading.Thread, "start")
     ws.nonlinear(y)
-    assert calls == []
+    assert len(row_passes) == shares - 1 and starts == []
     with ws.worker:
         assert ws.worker.shares == shares
         ws.nonlinear(y)
-    assert len(calls) == len(starts) == shares - 1
+    assert len(row_passes) == 2 * (shares - 1) and len(starts) == shares - 1
     assert ws.worker.shares == 1
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
+def test_sqg_run_memory_bounded_on_any_cpu_count(monkeypatch, cpus):
+    """An sqg run at N = 512 (Gaussian, 4 steps, 2 records) transforms its
+    4-field transport stack in row blocks on one usable CPU as on two: the
+    traced peak stays below 41 MiB (38.9 MiB measured; on one CPU 42.5 with
+    the whole transport stack held, 46.1 with the gradient sups' stack too)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    tracemalloc.start()
+    try:
+        run_and_diagnose(gaussian_field(Grid2D(512, 400.0)), T=0.02, dt=0.005, n_outputs=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 41 << 20
 
 
 def _watch_threads(monkeypatch, fail_on_worker=False):
