@@ -15,8 +15,9 @@ reads it under PYTHONDONTWRITEBYTECODE=1, so no run compiles a module and
 every run of a tree starts from the same cache.  Progress
 goes to stderr; the record, one JSON object, to stdout.  It holds each run's
 final JSON line, its round count and raw round median, and per workload and
-end-to-end metric of BENCHMARK.json both trees' values, median, quartiles
-and range and the change's wins out of the pairs, with the shas, the seeds,
+end-to-end metric of BENCHMARK.json, and of the raw round medians, both
+trees' values, median, quartiles and range and the change's wins out of the
+pairs, with the shas, the seeds,
 the CPU affinity, MemAvailable and the numpy version.
 """
 
@@ -96,9 +97,24 @@ def spread(values):
             "min": min(values), "max": max(values)}
 
 
+def compare(value, pairs, better):
+    """Each side's spread of `value` ({(pair, side): v}, a run without a
+    value left out) and the pairs with both sides in which the change is
+    better."""
+    sides = {side: [value[pair, side] for pair in pairs if (pair, side) in value]
+             for side in SIDES}
+    sign = 1.0 if better == "lower" else -1.0
+    wins = sum(sign * (value[pair, "change"] - value[pair, "parent"]) < 0.0
+               for pair in pairs if all((pair, side) in value for side in SIDES))
+    return {"better": better, **{side: spread(v) for side, v in sides.items() if v},
+            "change_wins": wins}
+
+
 def summarize(runs, metrics):
     """Per workload and metric ({name: better}), each side's spread and the
-    pairs in which the change is better."""
+    pairs in which the change is better; and the same of the raw round
+    medians (`raw_run_s`, unscaled by the reference kernel) of the runs that
+    print one."""
     out = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
         mine = [run for run in runs if run["workload"] == workload]
@@ -107,13 +123,12 @@ def summarize(runs, metrics):
                  "correct": all(run["result"]["correct"] for run in mine),
                  "failed": sum(run["result"]["failed"] for run in mine)}
         for name, better in metrics.items():
-            value = {(run["pair"], run["side"]): run["result"]["metrics"][name]["value"]
-                     for run in mine}
-            sides = {side: [value[pair, side] for pair in pairs] for side in SIDES}
-            sign = 1.0 if better == "lower" else -1.0
-            wins = sum(sign * (new - old) < 0.0 for old, new in zip(*sides.values()))
-            table[name] = {"better": better, **{side: spread(v) for side, v in sides.items()},
-                           "change_wins": wins}
+            table[name] = compare({(run["pair"], run["side"]):
+                                   run["result"]["metrics"][name]["value"] for run in mine},
+                                  pairs, better)
+        table["raw_run_s"] = compare({(run["pair"], run["side"]): run["raw_run_s"]
+                                      for run in mine if run["raw_run_s"] is not None},
+                                     pairs, "lower")
         out[workload] = table
     return out
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lp import bump
-from .spectral import SpectralError, Worker, row_blocks, share_of
+from .spectral import SpectralError, Worker, row_blocks
 
 
 class QuadratureBudgetError(SpectralError):
@@ -154,9 +154,10 @@ def _polar_quadrature(p, t, j, n_r, n_psi):
     or returned the memory that freed temporaries would take.
 
     Where the process may use two CPUs, the thread of a `Worker` held for
-    the block loop evaluates half the rows of each block.  Every value is
-    computed alone, and this thread sums each whole block once both halves
-    are done, in block order, so the sum has the same bits either way."""
+    the block loop evaluates the second part of the rows of each block.
+    Every value is computed alone, and this thread sums each whole block
+    once both parts are done, in block order, so the sum has the same bits
+    either way."""
     r_lo, r_hi = 2.0 ** (j - 1), 2.0 ** (j + 1)
     r = np.linspace(r_lo, r_hi, n_r)
     psi = np.arange(n_psi) * (2.0 * np.pi / n_psi)
@@ -173,8 +174,7 @@ def _polar_quadrature(p, t, j, n_r, n_psi):
     size = blocks[0].stop
     xs, vals = np.empty((3, size, n_psi)), np.empty((size, n_psi), dtype=np.complex128)
 
-    def evaluate(block, share, shares):
-        part = share_of(block.stop - block.start, share, shares)
+    def evaluate(block, part):
         rows = slice(block.start + part.start, block.start + part.stop)
         R = r[rows, None]
         x1, x2, drift = xs[:, part]
@@ -194,7 +194,7 @@ def _polar_quadrature(p, t, j, n_r, n_psi):
 
     with Worker() as worker:
         for block in blocks:
-            worker.split(lambda share, shares: evaluate(block, share, shares))
+            worker.split(block.stop - block.start, lambda part, share: evaluate(block, part))
             total += np.sum(vals[: block.stop - block.start])
     return complex(total * dpsi)
 

@@ -19,7 +19,6 @@ from .spectral import (
     dispersion_rate,
     physical_rows,
     row_blocks,
-    share_of,
 )
 
 
@@ -60,8 +59,9 @@ def _evolved_linf(f0, alpha, times):
     odd in k1, so it is evaluated on the rows k1 = 0 .. N/2 only, and each
     row -k1 is the conjugate of row k1.  Where the process may use two CPUs
     (`thread_shares`), the thread of a `Worker` held for the whole loop takes
-    half the rows of the phase and of the product, and its share of each row
-    pass; every value is computed alone, so none depends on it."""
+    the second part of the rows of the phase and of the product, and its
+    share of each row pass; every value is computed alone, so none depends
+    on it."""
     g = f0.grid
     ny = g.N // 2
     half = f0.half
@@ -70,22 +70,20 @@ def _evolved_linf(f0, alpha, times):
     m = np.empty(half.shape, dtype=np.complex128)
     vals = np.empty(len(times))
 
-    def phase(share, shares, t):
-        rows = share_of(ny + 1, share, shares)
+    def phase(rows, t):
         np.multiply(-t, ph[rows], out=arg[rows])
         np.cos(arg[rows], out=m.real[rows])
         np.sin(arg[rows], out=m.imag[rows])
 
-    def product(share, shares):
-        rows = share_of(g.N, share, shares)
+    def product(rows, share):
         np.multiply(half[rows], m[rows], out=m[rows])
 
     with Worker() as worker:
         for i, t in enumerate(times):
             MultiplierSpec.semigroup_phase(alpha, t)  # validates t
-            worker.split(lambda share, shares: phase(share, shares, t))
+            worker.split(ny + 1, lambda rows, share: phase(rows, t))
             np.conjugate(m[ny - 1 : 0 : -1], out=m[ny + 1 :])
-            worker.split(product)
+            worker.split(g.N, product)
             m[ny] = m[:, -1] = 0.0  # the Nyquist row and column
             blocks = physical_rows(g, m, _extrema, worker)
             vals[i] = max(np.max([hi for hi, _ in blocks]), -np.min([lo for _, lo in blocks]))

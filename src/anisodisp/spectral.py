@@ -19,9 +19,10 @@ half-box shift that no norm or transport product sees: only
 The package's one threading mechanism is `Worker`: a second thread, held
 for a run (`sqg._integrate`), a lin-decay measurement, a Besov norm or a
 kernel quadrature, that takes one of two shares of each split and calls
-only numpy.  Each share writes its own part of arrays the calling thread
-made, every value is computed alone, so results have the same bits on one
-thread or two.  Every split transform goes through one row pass,
+only numpy.  `Worker.split(n, work)` alone cuts range(n) into the shares'
+contiguous parts; each share writes its own part of arrays the calling
+thread made, every value is computed alone, so results have the same bits
+on one thread or two.  Every split transform goes through one row pass,
 `physical_rows`.
 """
 
@@ -261,14 +262,14 @@ def thread_shares():
 
 class Worker:
     """A second thread for `split`, held across many calls: the package's
-    only way to hold one.
+    only way to hold one, and the only place that cuts work into shares.
 
     `with Worker():` starts the thread where the shares (by default
     `thread_shares()`) are 2, and joins it on exit, also when the body
     raises.  Outside the `with`, and on one share, `shares` is 1 and `split`
     runs in the caller alone.  A thread that cannot be started (its stack is
     an allocation too) leaves both shares to the caller, with `shares` still
-    2, so the work is split the same way and gives the same values."""
+    2, so the work is cut the same way and gives the same values."""
 
     def __init__(self, shares=None):
         self._wanted = shares
@@ -303,25 +304,29 @@ class Worker:
             if self._work is None:
                 return
             try:
-                self._work(1, 2)
+                self._work()
             except BaseException as exc:  # raised again in the caller
                 self._failed = exc
             finally:
                 self._done.release()
 
-    def split(self, work):
-        """`work(share, shares)` for each share.  With 2 shares `work(1, 2)`
-        runs on the thread while `work(0, 2)` runs here; the call returns once
+    def split(self, n, work):
+        """`work(part, share)` for each share, `part` a contiguous slice of
+        range(n): share 0, this thread, takes all of it on 1 share and the
+        first ceil(n / 2) on 2, so a single item stays here.  With a thread,
+        share 1 runs there while share 0 runs here; the call returns once
         both are done, and an exception raised in either reaches the caller.
         Each share writes only its own part of caller-owned arrays."""
+        cut = -(-n // self.shares)
+        parts = [slice(0, cut), slice(cut, n)][: self.shares]
         if self._thread is None:
-            for share in range(self.shares):
-                work(share, self.shares)
+            for share, part in enumerate(parts):
+                work(part, share)
             return
-        self._work = work
+        self._work = lambda: work(parts[1], 1)
         self._go.release()
         try:
-            work(0, 2)
+            work(parts[0], 0)
         finally:
             self._done.acquire()
             exc, self._work, self._failed = self._failed, None, None
@@ -329,55 +334,39 @@ class Worker:
             raise exc
 
 
-def share_of(n, share, shares):
-    """The slice of range(n) that is `share` of `shares` equal parts."""
-    return slice(share * n // shares, (share + 1) * n // shares)
-
-
-def fits_one_block(n, N):
-    """Whether the physical values of n (N, N) fields take at most
-    ROW_PASS_BYTES, so that `physical_rows` makes them in one block, on the
-    calling thread."""
-    return 8 * n * N * N <= ROW_PASS_BYTES
-
-
 def physical_rows(grid, half, reduce, worker):
     """`reduce(values, rows)` of each row block of `half_to_physical(grid,
     half, overwrite_x=True)` for a stack `half` (..., N, K) of half spectra,
     `values[..., i, :]` being row `rows.start + i` of each field, in block
-    order.  The column pass runs first, in place on the whole stack; the rows
-    are then transformed in blocks of a power-of-two count of rows, at most
-    N, each into a buffer and reduced there.  Each 1-D transform is computed
-    on its own either way, so the values have the bits of `half_to_physical`.
+    order.  Each 1-D transform is computed on its own, so the values have
+    the bits of `half_to_physical`.
 
-    A stack that fits one block (`fits_one_block`) is transformed here, as
-    one array.  A larger one is split between the shares of `worker`, so the
-    whole stack of values is never made: the column pass in column parts, and
-    the row blocks alternating between the shares, each share with its own
-    buffer, the buffers together under ROW_PASS_BYTES."""
+    The column pass runs first, in place, in column parts, one per share of
+    `worker`.  The rows are then transformed in blocks of the largest
+    power-of-two count of rows, at most N, whose values on every share fit
+    ROW_PASS_BYTES together, so a stack over that budget is never made
+    whole.  Each share takes a contiguous run of blocks, each block into
+    that share's buffer, and reduces it there; a stack of one block is made
+    on the calling thread."""
     N = grid.N
     n = math.prod(half.shape[:-2])
-    if fits_one_block(n, N):
-        return [reduce(half_to_physical(grid, half, overwrite_x=True), slice(0, N))]
-    shares = worker.shares
     rows = N
-    while rows > 1 and shares * 8 * n * rows * N > ROW_PASS_BYTES:
+    while rows > 1 and worker.shares * 8 * n * rows * N > ROW_PASS_BYTES:
         rows //= 2
     blocks = [slice(start, start + rows) for start in range(0, N, rows)]
-    bufs = np.empty((shares, *half.shape[:-2], rows, N))
+    bufs = np.empty((min(worker.shares, len(blocks)), *half.shape[:-2], rows, N))
     out = [None] * len(blocks)
 
-    def columns(share, shares):
-        cols = share_of(half.shape[-1], share, shares)
+    def columns(cols, share):
         np.fft.ifft(half[..., cols], axis=-2, norm="forward", out=half[..., cols])
 
-    def row_pass(share, shares):
-        for i in range(share, len(blocks), shares):
+    def row_pass(part, share):
+        for i in range(part.start, part.stop):
             out[i] = reduce(np.fft.irfft(half[..., blocks[i], :], n=N, axis=-1,
                                          norm="forward", out=bufs[share]), blocks[i])
 
-    worker.split(columns)
-    worker.split(row_pass)
+    worker.split(half.shape[-1], columns)
+    worker.split(len(blocks), row_pass)
     return out
 
 

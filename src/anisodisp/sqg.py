@@ -22,17 +22,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .spectral import (
+    ROW_PASS_BYTES,
     MultiplierSpec,
     SpectralError,
     SpectralField,
     Worker,
-    fits_one_block,
     full_spectrum,
     half_spectrum,
     half_to_physical,
     l2_norm,
     physical_rows,
-    share_of,
     sobolev_weight,
     weighted_norm,
 )
@@ -110,7 +109,9 @@ class _HalfSpectrumWorkspace:
     take those K columns as they are.  A subclass adds FIELDS, the count of
     half spectra of its transport stack, its symbols, among them `velocity`
     (that of the first field) and `grad`, its `propagator` formula,
-    `propagate` and `nonlinear`."""
+    `propagate` and `nonlinear`.  Each system keeps its own `nonlinear`, a
+    symbol fill that calls `advection`: sharing either one raised the other's
+    page faults per step."""
 
     def __init__(self, grid):
         self.grid = grid
@@ -121,9 +122,10 @@ class _HalfSpectrumWorkspace:
         xi1, xi2 = grid.xi_axes(half=True)
         self.xi1, self.xi2 = xi1 + 0.0 * xi2[:, :K], xi2[:, :K] + 0.0 * xi1
         self._props = {}
-        # the transport stack is row-blocked where it exceeds one block
-        # (N >= 256), and only there may a run's worker take a second thread
-        self.blocked = not fits_one_block(self.FIELDS, grid.N)
+        # the transport stack is row-blocked where its values exceed
+        # ROW_PASS_BYTES (N >= 256), and only there may a run's worker take a
+        # second thread
+        self.blocked = 8 * self.FIELDS * grid.N**2 > ROW_PASS_BYTES
         self.worker = Worker(None if self.blocked else 1)
 
     def symbols(self, factory, *args):
@@ -146,23 +148,21 @@ class _HalfSpectrumWorkspace:
         """A new stack of n half spectra on the K kept columns, which
         `fill(spec, rows)` writes into `spec[:, rows]` in row parts, one per
         share of `worker`."""
-        N = self.grid.N
-        spec = np.empty((n, N, self.K), dtype=np.complex128)
-        self.worker.split(lambda share, shares: fill(spec, share_of(N, share, shares)))
+        spec = np.empty((n, self.grid.N, self.K), dtype=np.complex128)
+        self.worker.split(self.grid.N, lambda rows, share: fill(spec, rows))
         return spec
 
-    # each system keeps its own `nonlinear`: sharing either one raised the other's faults per step
     def advection(self, fill):
         """(-dealias(u . grad f), max |u|) for a stack f of m fields, from the
         FIELDS = 2 + 2m half spectra (u1, u2, d1 f, d2 f) on the K kept
         columns that `fill(spec, rows)` writes into `spec[:, rows]`.
 
-        A stack that fits one block of `physical_rows` (N <= 128) is
-        transformed whole.  A larger one is row-blocked, on one share of
-        `worker` or two, bit for bit: the fill in row parts, the row pass
-        also forming u . grad f, its row `rfft` into the rows of the result
-        and max |u|; then the column `fft` in column parts and the mask and
-        the negation in row parts.  The products and the mask run on whole
+        A stack whose values fit ROW_PASS_BYTES (N <= 128, `blocked` false)
+        is transformed whole, in one array.  A larger one is row-blocked, on
+        one share of `worker` or two, bit for bit: the fill in row parts,
+        the row pass of `physical_rows` also forming u . grad f, its row
+        `rfft` into the rows of the result and max |u|; then the column
+        `fft` in column parts and the mask and the negation in row parts.  The products and the mask run on whole
         rows: on column halves their strided views made them about 3 and 2
         times slower."""
         N, K = self.grid.N, self.K
@@ -182,12 +182,10 @@ class _HalfSpectrumWorkspace:
             np.fft.rfft(products, axis=-1, norm="forward", out=wide[:, rows])
             return np.max(np.abs(u, out=u))
 
-        def forward(share, shares):
-            cols = share_of(K, share, shares)
+        def forward(cols, share):
             np.fft.fft(wide[..., cols], axis=-2, norm="forward", out=adv[..., cols])
 
-        def masked(share, shares):
-            rows = share_of(N, share, shares)
+        def masked(rows, share):
             np.multiply(adv[:, rows], self.mask_K[rows], out=adv[:, rows])
             np.negative(adv[:, rows], out=adv[:, rows])
 
@@ -195,8 +193,8 @@ class _HalfSpectrumWorkspace:
         # np.max, not max: a NaN in any block gives NaN, as the whole stack's max does
         spec = self._filled(self.FIELDS, fill)
         umax = float(np.max(physical_rows(self.grid, spec, transport, self.worker)))
-        self.worker.split(forward)
-        self.worker.split(masked)
+        self.worker.split(K, forward)
+        self.worker.split(N, masked)
         return adv, umax
 
     def grad_norms(self, y):

@@ -139,8 +139,9 @@ CANNED_CALLS = []
 
 def canned_perfbench(tree, workload, seed, seconds, cache, warm=False):
     """The stdout of a perfbench run, made up: the change's tree (which
-    holds the uncommitted edit) reads 0.1 s faster at every seed but 3.
-    Each call is noted in CANNED_CALLS."""
+    holds the uncommitted edit) reads 0.1 s faster at every seed but 3, and
+    its raw round median is half its run_s; the parent's run at seed 2
+    prints no raw median.  Each call is noted in CANNED_CALLS."""
     with open(os.path.join(tree, "src.txt")) as fh:
         change = fh.read() == "edited\n"
     CANNED_CALLS.append((("change" if change else "parent"), seed, os.path.basename(cache), warm))
@@ -148,7 +149,7 @@ def canned_perfbench(tree, workload, seed, seconds, cache, warm=False):
     metrics = {"run_s": run_s, "peak_rss_mb": 90.0 + change, "setup_s": 0.15}
     return "\n".join([
         "# setup: raw import median 0.3000 s",
-        f"# run: raw round median {run_s / 2:.4f} s",
+        *([] if (change, seed) == (False, 2) else [f"# run: raw round median {run_s / 2:.4f} s"]),
         "# check lin_decay_slope: PASS slope=-0.5; perturbed copy rejected",
         *(f"# round {i}: lin-decay=0.1000s (reference-speed 0.4000s)" for i in range(3 + seed)),
         "# metric run_s = 1.0 s",
@@ -163,7 +164,8 @@ def test_bench_record_pairs_and_summarizes_canned_runs(tmp_path):
     tree's bytecode cache before the pairs, which read it; the trees
     alternate going first, each run keeps its final line and round count,
     and the summary counts the change's wins and takes each side's median
-    and quartiles."""
+    and quartiles, of the raw round medians too, a run without one left
+    out."""
     CANNED_CALLS.clear()
     spec = importlib.util.spec_from_file_location(
         "bench_record", os.path.join(ROOT, "scripts", "bench_record.py"))
@@ -208,3 +210,10 @@ def test_bench_record_pairs_and_summarizes_canned_runs(tmp_path):
     assert (run_s["parent"]["q1"], run_s["parent"]["q3"]) == pytest.approx((1.0175, 1.0325))
     assert run_s["change"]["min"] == pytest.approx(0.91)
     assert table["peak_rss_mb"]["change_wins"] == 0 and table["setup_s"]["change_wins"] == 0
+    assert [r["raw_run_s"] is None for r in runs] == [r["seed"] == 2 and r["side"] == "parent"
+                                                      for r in runs]
+    raw = table["raw_run_s"]
+    assert raw["better"] == "lower" and raw["change_wins"] == 2
+    assert raw["parent"]["values"] == pytest.approx([0.505, 0.515, 0.52])
+    assert raw["parent"]["median"] == pytest.approx(0.515)
+    assert raw["change"]["values"] == pytest.approx([0.455, 0.46, 0.515, 0.47])

@@ -156,18 +156,19 @@ def test_transforms_equal_scipy_fft(N):
 def test_physical_rows_are_the_values_of_half_to_physical(N, cpus, monkeypatch):
     """The row blocks of `physical_rows`, in block order, are the values of
     `half_to_physical` bit for bit, for one half and for stacks of 4 and 6,
-    each whole and cut to a K-column Besov piece.  A stack whose values fit
-    ROW_PASS_BYTES is one block on this thread; a larger one takes blocks of
-    the largest power-of-two count of rows, at most N, whose buffers fit the
-    budget, on this thread alone (one usable CPU) or alternating between it
-    and a second one."""
+    each whole and cut to a K-column Besov piece.  On s shares every stack
+    takes blocks of the largest power-of-two count of rows, at most N, with
+    s * 8 * n * rows * N <= ROW_PASS_BYTES, on this thread alone (one usable
+    CPU, or a single block) or in contiguous runs on it and a second one.
+    Six fields at N = 128 (768 KiB of values) are one block on one share
+    and two blocks on two."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
     grid = Grid2D(N, 400.0)
     rng = np.random.default_rng(N)
-    threads = []
+    starts = []
 
     def keep(vals, rows):
-        threads.append(threading.get_ident())
+        starts.append((rows.start, threading.get_ident()))
         assert vals.shape[-2:] == (rows.stop - rows.start, N)
         return vals.copy()
 
@@ -176,18 +177,60 @@ def test_physical_rows_are_the_values_of_half_to_physical(N, cpus, monkeypatch):
         half = half[0] if n == 1 else half
         for K in (N // 2 + 1, N // 8 + 3):
             want = half_to_physical(grid, half[..., :K])
-            threads.clear()
+            starts.clear()
             with Worker() as worker:
                 blocks = physical_rows(grid, half[..., :K].copy(), keep, worker)
             assert np.array_equal(np.concatenate(blocks, axis=-2), want), (n, K)
             rows = blocks[0].shape[-2]
             assert [b.shape[-2] for b in blocks] == [rows] * (N // rows)
             assert rows <= N and rows & (rows - 1) == 0
-            whole = 8 * n * N * N <= spectral.ROW_PASS_BYTES
-            threaded = len(cpus) > 1 and not whole
-            budget = spectral.ROW_PASS_BYTES // (1 + threaded)
-            assert rows == N if whole else 8 * n * rows * N <= budget < 16 * n * rows * N
-            assert len(set(threads)) == 1 + threaded and threading.get_ident() in threads
+            shares, budget = len(cpus), spectral.ROW_PASS_BYTES
+            assert shares * 8 * n * rows * N <= budget
+            assert rows == N or shares * 16 * n * rows * N > budget
+            if (n, N) == (6, 128):
+                assert rows == N // shares
+            threaded = shares > 1 and rows < N
+            assert len({ident for _, ident in starts}) == 1 + threaded
+            # a contiguous run of blocks on each thread, this one's first and longer
+            here = [start for start, ident in starts if ident == threading.get_ident()]
+            assert sorted(here) == list(range(0, -(-N // rows // shares) * rows, rows))
+
+
+@pytest.mark.parametrize("mode", ["one-share", "two-shares", "no-thread"])
+def test_split_cuts_range_n_into_contiguous_parts(mode, monkeypatch):
+    """`Worker.split(n, work)` for n = 0 .. 9 calls `work(part, share)` once
+    per share, share 0 on this thread: the parts are slices that tile
+    range(n) in share order, share 0 taking all of it on one share and the
+    first ceil(n / 2) on two, also where the thread cannot start.  An
+    exception raised in either share reaches the caller."""
+    if mode == "no-thread":
+        monkeypatch.setattr(threading.Thread, "start", _no_thread)
+    shares = 1 if mode == "one-share" else 2
+    here = threading.get_ident()
+    with Worker(shares) as worker:
+        assert worker.shares == shares
+        for n in range(10):
+            ran = []
+            worker.split(n, lambda part, share: ran.append((share, part, threading.get_ident())))
+            ran.sort(key=lambda r: r[0])
+            assert [share for share, _, _ in ran] == list(range(shares))
+            parts = [part for _, part, _ in ran]
+            assert all(part.step is None for part in parts)
+            assert [i for part in parts for i in range(n)[part]] == list(range(n))
+            assert parts[0] == slice(0, -(-n // shares))
+            idents = [ident for _, _, ident in ran]
+            assert idents[0] == here and (here in idents[1:]) == (mode == "no-thread")
+            for failing in range(shares):
+                def work(part, share):
+                    if share == failing:
+                        raise ValueError(f"share {share}")
+
+                with pytest.raises(ValueError, match=f"share {failing}"):
+                    worker.split(n, work)
+
+
+def _no_thread(self):
+    raise RuntimeError("can't start new thread")
 
 
 def test_an_exception_in_the_second_share_reaches_the_caller():
@@ -196,14 +239,14 @@ def test_an_exception_in_the_second_share_reaches_the_caller():
     before = threading.active_count()
     ran = {}
 
-    def work(share, shares):
+    def work(part, share):
         ran[share] = threading.get_ident()
         if share == 1:
             raise MemoryError("the second share")
 
     with pytest.raises(MemoryError, match="the second share"):
         with Worker(2) as worker:
-            worker.split(work)
+            worker.split(2, work)
     assert ran[0] == threading.get_ident() != ran[1]
     assert threading.active_count() == before
 
@@ -221,7 +264,7 @@ def test_a_held_worker_runs_each_share_of_every_split_once():
         with Worker(2) as worker:
             for i in range(300):
                 ran = []
-                worker.split(lambda share, shares: ran.append((share, threading.get_ident())))
+                worker.split(2, lambda part, share: ran.append((share, threading.get_ident())))
                 shares = sorted(share for share, _ in ran)
                 if shares != [0, 1] or len({ident for _, ident in ran}) != 2:
                     bad.append((i, ran))
@@ -242,10 +285,7 @@ def test_a_thread_that_cannot_start_leaves_its_share_here(monkeypatch):
     """A thread whose stack cannot be had (under `RLIMIT_AS`, say) leaves
     its share to the calling thread, so the pass runs serially rather than
     fail, with the same values."""
-    def no_thread(self):
-        raise RuntimeError("can't start new thread")
-
-    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    monkeypatch.setattr(threading.Thread, "start", _no_thread)
     grid = Grid2D(1024, 400.0)
     half = np.random.default_rng(0).standard_normal((1024, 40)) + 0j
     want = half_to_physical(grid, half)
