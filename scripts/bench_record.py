@@ -18,7 +18,10 @@ final JSON line, its round count and raw round median, and per workload and
 end-to-end metric of BENCHMARK.json, and of the raw round medians, both
 trees' values, median, quartiles and range and the change's wins out of the
 pairs, with the shas, the seeds,
-the CPU affinity, MemAvailable and the numpy version.
+the CPU affinity, MemAvailable and the numpy version.  After the pairs it
+runs the Tier-1 suite, `python -m pytest -q --durations=0`, once in each
+tree, and records its wall time, its passed, xfailed and failed counts and
+the durations of the criterion 7, 8 and 10 acceptance tests.
 """
 
 import argparse
@@ -74,6 +77,42 @@ def run_perfbench(tree, workload, seed, seconds, cache, warm=False):
     if proc.returncode != 0:
         raise RuntimeError(f"perfbench exited {proc.returncode} on {tree}: {proc.stderr[-2000:]}")
     return proc.stdout
+
+
+def run_tier1(tree):
+    """(stdout, wall seconds) of one `python -m pytest -q --durations=0` run
+    of the Tier-1 suite on `tree`.  A failing test is recorded, not raised."""
+    env = dict(os.environ)
+    env.pop("PYTHONPATH", None)
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "--durations=0"],
+                          cwd=tree, env=env, capture_output=True, text=True, timeout=3600)
+    wall = time.perf_counter() - start
+    if proc.returncode not in (0, 1):  # 1: some test failed
+        raise RuntimeError(f"pytest exited {proc.returncode} on {tree}: {proc.stdout[-2000:]}")
+    return proc.stdout, wall
+
+
+# the acceptance tests whose durations a record keeps: criteria 7 and 8
+# (SQG) and 10 (Boussinesq), the longest of the suite
+TIMED_TESTS = re.compile(r"::(test_criterion_(?:7|8|10)_\w+)$")
+
+
+def parse_tier1(stdout, wall):
+    """The wall time, the passed, xfailed and failed counts of the suite's
+    final summary line, and the durations of TIMED_TESTS, each the sum of
+    its setup, call and teardown lines."""
+    lines = stdout.rstrip("\n").splitlines()
+    final = next(line for line in reversed(lines) if re.search(r" in [\d.]+s\b", line))
+    counts = {word: int(n) for n, word in re.findall(r"(\d+) (\w+)", final)}
+    durations = {}
+    for line in lines:
+        m = re.match(r"([\d.]+)s (?:setup|call|teardown)\s+(\S+)$", line)
+        test = m and TIMED_TESTS.search(m.group(2))
+        if test:
+            durations[test.group(1)] = durations.get(test.group(1), 0.0) + float(m.group(1))
+    return {"wall_s": wall, **{k: counts.get(k, 0) for k in ("passed", "xfailed", "failed")},
+            "durations_s": durations}
 
 
 def parse_run(stdout):
@@ -145,7 +184,7 @@ def host():
             "numpy": numpy.__version__, "python": platform.python_version()}
 
 
-def record(args, runner=run_perfbench, cwd=ROOT):
+def record(args, runner=run_perfbench, cwd=ROOT, tier1=run_tier1):
     with open(os.path.join(cwd, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
@@ -171,6 +210,10 @@ def record(args, runner=run_perfbench, cwd=ROOT):
                     stdout = runner(trees[side], workload, seed, args.seconds, caches[side])
                     runs.append({"workload": workload, "pair": pair, "seed": seed, "side": side,
                                  "first": order[0] == side, **parse_run(stdout)})
+        tests = {}
+        for side in SIDES:
+            print(f"# Tier-1: {side}", file=sys.stderr)
+            tests[side] = parse_tier1(*tier1(trees[side]))
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     return {
@@ -181,6 +224,7 @@ def record(args, runner=run_perfbench, cwd=ROOT):
         "workloads": workloads, "started": started, "bytecode": "warmed per tree",
         "host": host(),
         "summary": summarize(runs, metrics),
+        "tier1": tests,
         "runs": runs,
     }
 

@@ -26,6 +26,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 sys.path.insert(0, SRC)
 
 from anisodisp import harness
+from anisodisp.spectral import usable_cpus
 
 # one run in the fresh interpreter: argv is SRC CONFIG OUT [--jobs K]
 CHILD = """
@@ -72,7 +73,7 @@ def main(argv=None):
         members = len(harness.parse_params("sweep", cfg.params)["eps_list"])
     except harness.ConfigError as exc:
         ap.error(f"{args.config}: {exc}")
-    default = harness.sweep_workers(members, len(os.sched_getaffinity(0)), cfg.N)
+    default = harness.sweep_workers(members, usable_cpus(), cfg.N)
     print("| --jobs | workers | wall s | worker CPU s | worker minor faults | worker peak MiB "
           "| caller CPU s | caller minor faults | caller peak MiB |\n"
           "| --- | --- | --- | --- | --- | --- | --- | --- | --- |", flush=True)

@@ -160,6 +160,8 @@ def stability_experiment(grid, eps, T, dt, branch="stable", n_outputs=60):
     Exit is the first step time where ||omega||_{H^{4.5}} +
     ||rho||_{H^{5.5}} exceeds twice its initial value; censored runs
     report exit_time = T, and a blown-up run the time of its last state.
+    The run holds its workspace's worker around `_integrate`, as
+    `sqg.run_and_diagnose` does.
     """
     if not 0.0 < eps <= 0.1:
         raise SpectralError(f"perturbation size must lie in (0, 0.1], got {eps}")
@@ -190,8 +192,9 @@ def stability_experiment(grid, eps, T, dt, branch="stable", n_outputs=60):
     def norm(st):
         return weighted_norm(st.omega, w_om) + weighted_norm(st.rho, w_rh)
 
-    _, stop = _integrate(rep, state, lambda st: step(st, ws), record, norm,
-                         T, n_outputs, exit_factor=2.0, worker=ws.worker)
+    with ws.worker:
+        stop = _integrate(rep, state, lambda st: step(st, ws), record, norm,
+                          T, n_outputs, exit_factor=2.0)
     rep.initial_norms.update(omega_H4d=rep.hs_omega[0], rho_H5g=rep.hs1_rho[0])
     rep.exit_time = T if stop is None else stop
     return rep

@@ -21,6 +21,7 @@ from .spectral import (
     SpectralField,
     gaussian_field,
     linf_norm,
+    usable_cpus,
 )
 
 # each section's keys, lowercased by configparser; PARAMS checks the params keys
@@ -437,7 +438,7 @@ def _run_sweep(cfg, p, jobs=None):
     process.  Either way they come back in eps_list order."""
     out = ExperimentReport(config=cfg)
     args = [(cfg, p, eps) for eps in p["eps_list"]]
-    workers = sweep_workers(len(args), len(os.sched_getaffinity(0)), cfg.N, jobs)
+    workers = sweep_workers(len(args), usable_cpus(), cfg.N, jobs)
     if workers > 1:
         # imported here: it loads multiprocessing, which only a pool uses
         from concurrent.futures import ProcessPoolExecutor

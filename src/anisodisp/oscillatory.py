@@ -15,7 +15,7 @@ which is <= 0 for every alpha in [1, 2], vanishing exactly on the line
 xi_2 = 0 when alpha = 1 and nowhere (away from the origin) when alpha > 1.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +43,6 @@ class PhaseSpec:
 class StationarySet:
     points: list
     degenerate_flag: bool
-    residuals: list = field(default_factory=list)
 
 
 def _check_nonzero(xi):
@@ -143,7 +142,7 @@ def find_stationary(p):
     if any(res > GRAD_TOL for res in residuals):
         raise SpectralError(f"stationary point residual {max(residuals):.1e} exceeds {GRAD_TOL}")
     degenerate = any(abs(hessian_det(p, q)) <= DEGENERATE_TOL for q in found)
-    return StationarySet(points=found, degenerate_flag=degenerate, residuals=residuals)
+    return StationarySet(points=found, degenerate_flag=degenerate)
 
 
 def _polar_quadrature(p, t, j, n_r, n_psi):

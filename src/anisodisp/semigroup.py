@@ -5,7 +5,7 @@ evolve_linear applies exp(-i t xi_1 / |xi|^alpha) exactly in Fourier space,
 so there is no time-discretization error; the semigroup is unitary on L^2.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +45,7 @@ class DecayReport:
     besov_value: float
     constant_estimate: float
     boundary_contaminated: bool
-    j_range: tuple = ()
+    j_range: tuple
 
 
 def _evolved_linf(f0, alpha, times):
@@ -310,14 +310,14 @@ class SharpnessReport:
     radial_reference: np.ndarray
     envelope: np.ndarray
     max_two_path_reldiff: float
-    peak_ratios: np.ndarray = field(default_factory=lambda: np.array([]))
-    zero_crossings: np.ndarray = field(default_factory=lambda: np.array([]))
-    nearest_predicted: np.ndarray = field(default_factory=lambda: np.array([]))
+    peak_ratios: np.ndarray
+    zero_crossings: np.ndarray
+    nearest_predicted: np.ndarray
 
 
 def _origin_evaluator(f0):
-    """Closure times -> Re sum_k c_k exp(-i t xi_1/|xi|) at each t of a 1-D
-    array (the evolved field at x=0).
+    """The scan `scan(lo, hi, n)`: Re sum_k c_k exp(-i t xi_1/|xi|) at each t
+    of np.linspace(lo, hi, n) (the evolved field at x=0), to rounding.
 
     The phase xi_1/|xi| depends only on the direction of xi, and -xi has the
     negated phase, so the modes are first grouped by u = |phase|.  With C+
@@ -326,16 +326,13 @@ def _origin_evaluator(f0):
         Re sum_k c_k exp(-i t ph_k) = sum_u A_u cos(t u) + B_u sin(t u),
         A = Re(C+ + C-),  B = Im(C+ - C-),
 
-    for any complex coefficients.  The (times, phases) matrix is evaluated
-    in row blocks under a fixed byte budget.  `at.linspace(lo, hi, n)` is
-    `at(np.linspace(lo, hi, n))` to rounding: with t = T_j + s_m on anchors
-    T_j and M ~ sqrt(n) offsets s_m, A cos(t u) + B sin(t u) is
+    for any complex coefficients.  With t = T_j + s_m on anchors T_j and
+    M ~ sqrt(n) offsets s_m, A cos(t u) + B sin(t u) is
     (A cos T_j u + B sin T_j u) cos s_m u + (B cos T_j u - A sin T_j u) sin s_m u,
-    two (anchors x phases)(phases x offsets) products.  `sharpness_check`
-    reads only `at.linspace`; the direct `at` is the reference it is tested
-    against.  The sums over the phases are `np.einsum` reductions, not BLAS
-    products, whose split across threads would make the last digits depend
-    on the thread count.
+    two (anchors x phases)(phases x offsets) products, evaluated in blocks of
+    anchors under a fixed byte budget.  The sums over the phases are
+    `np.einsum` reductions, not BLAS products, whose split across threads
+    would make the last digits depend on the thread count.
     """
     ph = dispersion_rate(*f0.grid.xi_axes(), 1.0).ravel()
     c = f0.coeffs.ravel()
@@ -349,16 +346,7 @@ def _origin_evaluator(f0):
     B = np.bincount(group, weights=np.where(ph < 0.0, -c.imag, c.imag),
                     minlength=u.size)
 
-    def at(times):
-        out = np.empty(len(times))
-        # two float64 temporaries per entry: the arguments and their cosines
-        for rows in row_blocks(out.size, 16 * u.size):
-            arg = np.multiply.outer(times[rows], u)
-            out[rows] = (np.einsum("ij,j->i", np.cos(arg), A)
-                         + np.einsum("ij,j->i", np.sin(arg, out=arg), B))
-        return out
-
-    def linspace(lo, hi, n):
+    def scan(lo, hi, n):
         step = (hi - lo) / max(n - 1, 1)
         # the offsets' cosines and sines take at most half the byte budget,
         # a block of anchors the other half
@@ -376,8 +364,7 @@ def _origin_evaluator(f0):
                          + np.einsum("ju,mu->jm", c * B - s * A, sin_s))
         return out.ravel()[:n]
 
-    at.linspace = linspace
-    return at
+    return scan
 
 
 # zero crossings are sought on a scan of this many points per unit of
@@ -390,7 +377,8 @@ def sharpness_check(f0, t_lo, t_hi, n_times):
     the n_times times np.linspace(t_lo, t_hi, n_times).
 
     Path one evaluates the evolved field at x = 0 from its lattice sum (the
-    factored scan `at.linspace`); path two uses the radial reduction
+    factored scan of `_origin_evaluator`), on these times and on the
+    zero-crossing scan; path two uses the radial reduction
     f(0) * J0(t).  For smooth radial data the two agree to spectral
     accuracy, which validates the reduction on the grid.
     """
@@ -398,8 +386,8 @@ def sharpness_check(f0, t_lo, t_hi, n_times):
     f0_origin = float(np.sum(f0.coeffs).real)
     if abs(f0_origin) < 1e-12:
         raise SpectralError("sharpness check requires f(0) != 0")
-    at = _origin_evaluator(f0)
-    origin_vals = at.linspace(t_lo, t_hi, n_times)
+    scan = _origin_evaluator(f0)
+    origin_vals = scan(t_lo, t_hi, n_times)
     reference = f0_origin * bessel_j0(times)
     scale = np.maximum(np.abs(reference), 1e-3 * abs(f0_origin))
     reldiff = float(np.max(np.abs(origin_vals - reference) / scale))
@@ -414,7 +402,7 @@ def sharpness_check(f0, t_lo, t_hi, n_times):
     # a scan sample of exactly 0 being a crossing at its own time
     n = max(64, int((t_hi - t_lo) * SCAN_POINTS_PER_UNIT))
     tgrid = np.linspace(t_lo, t_hi, n)
-    vg = at.linspace(t_lo, t_hi, n)
+    vg = scan(t_lo, t_hi, n)
     v0, v1 = vg[:-1], vg[1:]
     i = np.flatnonzero((v0 == 0.0) | (v0 * v1 < 0.0))
     dv = np.where(v0[i] == 0.0, 1.0, v1[i] - v0[i])

@@ -248,16 +248,24 @@ def half_to_physical(grid, half, overwrite_x=False):
     return np.fft.irfft(cols, n=grid.N, axis=-1, norm="forward")
 
 
+def usable_cpus():
+    """The CPUs this process may run on: its affinity set where `os` has
+    `sched_getaffinity` (Linux), else `os.cpu_count()`, at least 1."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def thread_shares():
     """How many shares a `Worker` splits work into: 2 where the process may
-    use two CPUs or more, else 1.  A process that `multiprocessing` started
-    (a sweep's pool worker) takes 1: the pool's processes fill the CPUs
-    between them.  Such a process has `multiprocessing` loaded already, so
-    this imports nothing."""
+    use two CPUs or more (`usable_cpus`), else 1.  A process that
+    `multiprocessing` started (a sweep's pool worker) takes 1: the pool's
+    processes fill the CPUs between them.  Such a process has
+    `multiprocessing` loaded already, so this imports nothing."""
     mp = sys.modules.get("multiprocessing")
     if mp is not None and mp.parent_process() is not None:
         return 1
-    return 2 if len(os.sched_getaffinity(0)) > 1 else 1
+    return 2 if usable_cpus() > 1 else 1
 
 
 class Worker:

@@ -9,14 +9,14 @@ exactly; any drift measures the RK4 truncation error.  The stepper
 
 On a grid of N >= 256 the transport terms and the gradient sups are
 transformed in row blocks (`spectral.physical_rows`), so the whole stack of
-physical fields is never held, on one thread or two, bit for bit.  A run
-holds its workspace's `spectral.Worker` from its first record to its last:
-where the process may use two CPUs, the worker's thread takes its share of
-those transforms.  A bare `step`, a run at N <= 128 and a run in a sweep's
-pool worker take no second thread.
+physical fields is never held, on one thread or two, bit for bit.  The
+drivers (`run_and_diagnose`, `boussinesq.stability_experiment`) hold their
+workspace's `spectral.Worker` around the run loop, from its first record to
+its last: where the process may use two CPUs, the worker's thread takes its
+share of those transforms.  A bare `step`, a run at N <= 128 and a run in a
+sweep's pool worker take no second thread.
 """
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -289,8 +289,7 @@ def step(state, workspace=None):
     return replace(state, theta=SpectralField(state.theta.grid, full), steps=state.steps + 1)
 
 
-def _integrate(rep, state, advance, record, norm, T, n_outputs, exit_factor=None,
-               worker=None):
+def _integrate(rep, state, advance, record, norm, T, n_outputs, exit_factor=None):
     """Step `state` to T by `advance`, recording output k at step ceil(k T / (n_outputs dt)).
 
     `record(state)` appends an output's diagnostics to `rep` and returns the
@@ -300,35 +299,33 @@ def _integrate(rep, state, advance, record, norm, T, n_outputs, exit_factor=None
     raises BlowUpError blows up at the state before it.  Counted in whole
     steps, no output comes late or goes missing through float-time drift,
     and a step that several outputs fall on is recorded once.  Returns the
-    last state and the time of an early stop, None if the run reached T.
-    The run holds `worker` (its workspace's), if given, from the first record
-    to the last: its thread is started once and joined however the run ends."""
-    with worker or nullcontext():
-        norm0 = norm(state)
-        steps = round(T / state.dt)
-        out_steps = {-(-k * steps // n_outputs) for k in range(1, n_outputs + 1)}
-        rate = record(state)
-        rep.times.append(state.time)
-        rep.integral.append(0.0)
-        running = 0.0
-        try:
-            for i in range(1, steps + 1):
-                state = advance(state)
-                current = norm(state)
-                if norm0 > 0 and current > NORM_CAP * norm0:
-                    rep.blew_up = True
-                    return state, state.time
-                if i in out_steps:
-                    rate_prev, rate = rate, record(state)
-                    running += 0.5 * (rate_prev + rate) * (state.time - rep.times[-1])
-                    rep.times.append(state.time)
-                    rep.integral.append(running)
-                if exit_factor is not None and current > exit_factor * norm0:
-                    return state, state.time
-        except BlowUpError:
-            rep.blew_up = True
-            return state, state.time
-        return state, None
+    time of an early stop, None if the run reached T.  The loop holds no
+    thread: its caller holds the workspace's worker around it."""
+    norm0 = norm(state)
+    steps = round(T / state.dt)
+    out_steps = {-(-k * steps // n_outputs) for k in range(1, n_outputs + 1)}
+    rate = record(state)
+    rep.times.append(state.time)
+    rep.integral.append(0.0)
+    running = 0.0
+    try:
+        for i in range(1, steps + 1):
+            state = advance(state)
+            current = norm(state)
+            if norm0 > 0 and current > NORM_CAP * norm0:
+                rep.blew_up = True
+                return state.time
+            if i in out_steps:
+                rate_prev, rate = rate, record(state)
+                running += 0.5 * (rate_prev + rate) * (state.time - rep.times[-1])
+                rep.times.append(state.time)
+                rep.integral.append(running)
+            if exit_factor is not None and current > exit_factor * norm0:
+                return state.time
+    except BlowUpError:
+        rep.blew_up = True
+        return state.time
+    return None
 
 
 @dataclass
@@ -343,7 +340,6 @@ class BootstrapDiagnostics:
     fitted_c: float = 0.0
     bootstrap_exit_time: float = None
     blew_up: bool = False
-    final_state: object = None
 
 
 def run_and_diagnose(theta0, T, dt, alpha=1.0, n_outputs=50):
@@ -354,7 +350,9 @@ def run_and_diagnose(theta0, T, dt, alpha=1.0, n_outputs=50):
     Gronwall envelope with the constant c fitted as the smallest value that
     dominates the whole recorded series.  The bootstrap exit time is the
     first output time where the H^{4.5} norm exceeds twice its initial
-    value (None if that never happens before T).
+    value (None if that never happens before T).  The run holds its
+    workspace's worker around `_integrate`: the worker's thread, if any, is
+    started once and joined however the run ends.
     """
     ws = _Workspace(theta0.grid, alpha)
     state = SQGState(theta=SpectralField(theta0.grid, theta0.coeffs * ws.mask),
@@ -372,9 +370,9 @@ def run_and_diagnose(theta0, T, dt, alpha=1.0, n_outputs=50):
         diag.grad_theta_inf.append(gt)
         return gu + gt
 
-    diag.final_state, _ = _integrate(diag, state, lambda st: step(st, ws), record,
-                                     lambda st: weighted_norm(st.theta, weight), T, n_outputs,
-                                     worker=ws.worker)
+    with ws.worker:
+        _integrate(diag, state, lambda st: step(st, ws), record,
+                   lambda st: weighted_norm(st.theta, weight), T, n_outputs)
     h0 = diag.h_s[0]
     hs = np.array(diag.h_s)
     integ = np.array(diag.integral)

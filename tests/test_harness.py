@@ -1161,6 +1161,32 @@ def test_reports_do_not_depend_on_the_cpu_count(tmp_path):
     assert reports[0] == reports[1]
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_cpu_count_without_sched_getaffinity(tmp_path, monkeypatch, capsys, cpus):
+    """Where `os` has no `sched_getaffinity` (macOS, Windows), `usable_cpus`
+    reads `os.cpu_count()`, and 1 where that is unknown.  The kernel config
+    (a `Worker` per quadrature) and a 3-member Boussinesq sweep (a pool on 2
+    CPUs) then exit 0 with the reports of a run on this host."""
+    kernel = os.path.join(os.path.dirname(__file__), "..", "configs", "kernel.ini")
+    sweep = write_config(tmp_path, EVOLUTION_INI.format(
+        experiment="sweep", extra="target = bouss\neps_list = 0.04,0.02,0.01"))
+
+    def reports(out):
+        for name, path in (("kernel", kernel), ("sweep", sweep)):
+            assert main([name, "--config", path, "--out", str(out / name)]) == 0
+        capsys.readouterr()
+        return {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+    expected = reports(tmp_path / "affinity")
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert spectral.usable_cpus() == cpus
+    assert spectral.thread_shares() == cpus
+    assert reports(tmp_path / "cpu_count") == expected
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert spectral.usable_cpus() == 1
+
+
 def test_benchmark_tracer_hooks_record_a_traced_run(tmp_path, monkeypatch, capsys):
     """The benchmark's tracer, installed around one small CLI run of each
     experiment.  Its hooks read call arguments and `_props`, so a change to

@@ -7,6 +7,7 @@ import pytest
 from scipy.optimize import least_squares
 
 from anisodisp import oscillatory
+from anisodisp.harness import LAMBDAS
 from anisodisp.lp import bump
 from anisodisp.oscillatory import (
     GRAD_TOL,
@@ -113,7 +114,7 @@ def test_stationary_points_alpha1_unit_v():
     assert len(pts) == 2
     assert np.max(np.abs(pts[0] - np.array([0.0, -1.0]))) <= 1e-8
     assert np.max(np.abs(pts[1] - np.array([0.0, 1.0]))) <= 1e-8
-    assert all(r <= GRAD_TOL for r in ss.residuals)
+    assert all(np.hypot(*phase_gradient(p, q)) <= GRAD_TOL for q in ss.points)
 
 
 def test_stationary_residual_postcondition():
@@ -199,7 +200,7 @@ def test_closed_form_finds_every_stationary_point(v, alpha, n_points):
     assert n_points is None or len(ss.points) == n_points
     for q in ss.points:
         assert min(np.hypot(*(q + f)) for f in ss.points) <= 1e-12
-    assert all(res <= GRAD_TOL for res in ss.residuals)
+    assert all(np.hypot(*phase_gradient(p, q)) <= GRAD_TOL for q in ss.points)
 
 
 # ---------------------------------------------------------------------------
@@ -330,10 +331,20 @@ def test_non_finite_time_rejected(t):
 
 
 def test_budget_curves_cross_at_t_inv_half():
-    p = PhaseSpec(v=(0.0, 0.0), alpha=1.0)
-    for t in (10.0, 100.0):
-        near, far = split_bound(p, t, t**-0.5)
-        assert abs(near - far) <= 1e-10 * near
+    """The kernel check's detail text: at v = 0, split_bound is
+    (6 lam, 6 / (lam t)) for every alpha, at each of the kernel's cuts, so
+    the curves cross at lam = t^{-1/2} by construction.  For alpha = 1 the
+    stationary line xi_2 = 0 is degenerate and lies inside every strip; for
+    alpha > 1 there is no stationary point."""
+    for alpha in (1.0, 1.5, 2.0):
+        p = PhaseSpec(v=(0.0, 0.0), alpha=alpha)
+        for t in (10.0, 30.0, 100.0):
+            for lam in LAMBDAS:
+                near, far = split_bound(p, t, float(lam))
+                assert abs(near - 6.0 * lam) <= 1e-12 * 6.0 * lam
+                assert abs(far - 6.0 / (lam * t)) <= 1e-12 * 6.0 / (lam * t)
+            near, far = split_bound(p, t, t**-0.5)
+            assert abs(near - far) <= 1e-10 * near
 
 
 @pytest.mark.parametrize("shares", [1, 2])

@@ -158,6 +158,35 @@ def canned_perfbench(tree, workload, seed, seconds, cache, warm=False):
     ]) + "\n"
 
 
+def canned_tier1(tree):
+    """The stdout and wall time of a Tier-1 run, made up: the parent's tree
+    fails one test, and the change's criterion 7 reads 2 s faster.  The
+    criterion 10 test has a setup line and criterion 8 a teardown line,
+    which add to their calls; criterion 1 and the hidden-durations note are
+    not kept."""
+    with open(os.path.join(tree, "src.txt")) as fh:
+        change = fh.read() == "edited\n"
+    summary = ("651 passed, 1 xfailed in 66.10s (0:01:06)" if change
+               else "650 passed, 1 failed, 1 xfailed in 69.20s (0:01:09)")
+    return "\n".join([
+        "....x..F.                                                                 [100%]",
+        "============================= slowest durations ==============================",
+        f"{8.21 if change else 10.21:.2f}s call     "
+        "tests/test_acceptance.py::test_criterion_7_sqg_l2_conservation",
+        "9.30s call     tests/test_acceptance.py::test_criterion_8_sqg_bootstrap_trend",
+        "4.40s call     tests/test_acceptance.py::test_criterion_10_boussinesq_stability_trend",
+        "1.20s call     tests/test_acceptance.py::test_criterion_1_decay_rate_alpha1",
+        "0.30s setup    tests/test_acceptance.py::test_criterion_10_boussinesq_stability_trend",
+        "0.01s teardown tests/test_acceptance.py::test_criterion_8_sqg_bootstrap_trend",
+        "",
+        "(1200 durations < 0.005s hidden.  Use -vv to show these durations.)",
+        "=========================== short test summary info ============================",
+        "XFAIL tests/test_acceptance.py::test_criterion_4_sign_pattern_alpha_gt_one - reason",
+        *([] if change else ["FAILED tests/test_sqg.py::test_step - AssertionError"]),
+        summary,
+    ]) + "\n", 66.5 if change else 69.7
+
+
 def test_bench_record_pairs_and_summarizes_canned_runs(tmp_path):
     """The recorder on a throwaway repository whose change is uncommitted,
     with canned perfbench output: one warm-up run per tree writes that
@@ -165,7 +194,8 @@ def test_bench_record_pairs_and_summarizes_canned_runs(tmp_path):
     alternate going first, each run keeps its final line and round count,
     and the summary counts the change's wins and takes each side's median
     and quartiles, of the raw round medians too, a run without one left
-    out."""
+    out.  After the pairs each tree's Tier-1 run gives its wall time, its
+    counts and the criterion 7, 8 and 10 durations."""
     CANNED_CALLS.clear()
     spec = importlib.util.spec_from_file_location(
         "bench_record", os.path.join(ROOT, "scripts", "bench_record.py"))
@@ -187,7 +217,7 @@ def test_bench_record_pairs_and_summarizes_canned_runs(tmp_path):
     (repo / "src.txt").write_text("edited\n")
     args = script.argparse.Namespace(parent="HEAD", pairs=4, seconds=1.0,
                                      workload=["linear-dispersion"])
-    rec = json.loads(json.dumps(script.record(args, canned_perfbench, str(repo))))
+    rec = json.loads(json.dumps(script.record(args, canned_perfbench, str(repo), canned_tier1)))
     assert CANNED_CALLS[:2] == [("parent", 0, "pycache-parent", True),
                                 ("change", 0, "pycache-change", True)]
     assert all(not warm and cache == f"pycache-{side}"
@@ -217,3 +247,11 @@ def test_bench_record_pairs_and_summarizes_canned_runs(tmp_path):
     assert raw["parent"]["values"] == pytest.approx([0.505, 0.515, 0.52])
     assert raw["parent"]["median"] == pytest.approx(0.515)
     assert raw["change"]["values"] == pytest.approx([0.455, 0.46, 0.515, 0.47])
+    tier1 = rec["tier1"]
+    assert tier1["parent"] == {
+        "wall_s": 69.7, "passed": 650, "xfailed": 1, "failed": 1,
+        "durations_s": {"test_criterion_7_sqg_l2_conservation": 10.21,
+                        "test_criterion_8_sqg_bootstrap_trend": pytest.approx(9.31),
+                        "test_criterion_10_boussinesq_stability_trend": pytest.approx(4.7)}}
+    assert tier1["change"]["failed"] == 0 and tier1["change"]["passed"] == 651
+    assert tier1["change"]["durations_s"]["test_criterion_7_sqg_l2_conservation"] == 8.21

@@ -31,9 +31,11 @@ from anisodisp.spectral import (
     Grid2D,
     MultiplierSpec,
     SpectralError,
+    dispersion_rate,
     forward_transform,
     l2_norm,
     linf_norm,
+    row_blocks,
 )
 from conftest import grid_arrays, hermitian_defect, random_field
 
@@ -472,52 +474,74 @@ def test_sharpness_two_paths_small_grid():
     assert rep.max_two_path_reldiff <= 1e-5
 
 
-def _plain_origin_sum(f, t):
-    """Re sum_k c_k exp(-i t xi_1/|xi|), mode by mode."""
+def _plain_origin_sum(f, times):
+    """Re sum_k c_k exp(-i t xi_1/|xi|) at each of `times`, mode by mode."""
     grid = f.grid
     ph = grid.xi1 / grid.xi_mod_safe
     ph[0, 0] = 0.0
-    return float(np.real(np.sum(f.coeffs * np.exp(-1j * t * ph))))
+    return np.array([np.real(np.sum(f.coeffs * np.exp(-1j * t * ph))) for t in times])
+
+
+def _grouped_origin_sum(f):
+    """times -> Re sum_k c_k exp(-i t xi_1/|xi|) at each t, directly: the
+    nonzero modes grouped once by u = |phase| (A, B as in
+    `_origin_evaluator`'s docstring), then sum_u A_u cos(t u) + B_u sin(t u)
+    in row blocks of times.  The reference for the factored scan at
+    N = 512, where the mode-by-mode sum is too slow."""
+    c = f.coeffs.ravel()
+    keep = c != 0.0
+    ph = dispersion_rate(*f.grid.xi_axes(), 1.0).ravel()[keep]
+    c = c[keep]
+    u, group = np.unique(np.abs(ph), return_inverse=True)
+    A = np.bincount(group, weights=c.real, minlength=u.size)
+    B = np.bincount(group, weights=np.where(ph < 0.0, -c.imag, c.imag), minlength=u.size)
+
+    def at(times):
+        times = np.asarray(times, dtype=float)
+        out = np.empty(times.size)
+        for rows in row_blocks(out.size, 16 * u.size):
+            arg = np.multiply.outer(times[rows], u)
+            out[rows] = (np.einsum("ij,j->i", np.cos(arg), A)
+                         + np.einsum("ij,j->i", np.sin(arg, out=arg), B))
+        return out
+
+    return at
+
+
+def _origin_field(kind, seed):
+    grid = Grid2D(64, 40.0)
+    if kind == "non-hermitian":
+        # the phase grouping must not rely on c(-k) = conj(c(k))
+        f = random_field(grid, seed=seed)
+        f.coeffs = f.coeffs + 0.3j * np.abs(f.coeffs)
+        return f
+    if kind == "shell":
+        return shell_field(grid)
+    return make_profile(grid, kind, seed=seed, width=1.5)
 
 
 @pytest.mark.parametrize("kind", ["shell", "random", "non-hermitian"])
 def test_origin_evaluator_matches_plain_sum(kind):
-    grid = Grid2D(64, 40.0)
-    if kind == "non-hermitian":
-        # the phase grouping must not rely on c(-k) = conj(c(k))
-        f = random_field(grid, seed=5)
-        f.coeffs = f.coeffs + 0.3j * np.abs(f.coeffs)
-    elif kind == "shell":
-        f = shell_field(grid)
-    else:
-        f = make_profile(grid, kind, seed=5, width=1.5)
-    at = _origin_evaluator(f)
+    """From t = 0 on, one offset per anchor (n = 1 and 2) and a few anchors
+    of a few offsets, the scan gives the mode-by-mode sum at each time."""
+    f = _origin_field(kind, seed=5)
+    scan = _origin_evaluator(f)
     tol = 1e-13 * np.sum(np.abs(f.coeffs))
-    times = np.array([37.5, 0.0, 3.25, 91.0, 12.0, 55.5])
-    vals = at(times)
-    assert vals.shape == times.shape
-    for t, v in zip(times, vals):
-        ref = _plain_origin_sum(f, t)
-        assert abs(v - ref) <= tol
+    for lo, hi, n in [(37.5, 37.5, 1), (0.0, 3.25, 2), (0.0, 91.0, 14), (12.0, 55.5, 9)]:
+        vals = scan(lo, hi, n)
+        assert vals.shape == (n,)
+        assert np.all(np.abs(vals - _plain_origin_sum(f, np.linspace(lo, hi, n))) <= tol)
 
 
 @pytest.mark.parametrize("kind", ["shell", "random", "non-hermitian"])
 @pytest.mark.parametrize("n", [64, 400, 1280, 1281])
 def test_origin_scan_matches_direct_sum(kind, n):
-    """The factored scan on np.linspace(lo, hi, n) gives the direct sum's
-    values; n = 400 is the report series (20 anchors x 20 offsets), and at
-    n = 1280 and 1281 the last anchor's row of offsets is cut."""
-    grid = Grid2D(64, 40.0)
-    if kind == "non-hermitian":
-        f = random_field(grid, seed=7)
-        f.coeffs = f.coeffs + 0.3j * np.abs(f.coeffs)
-    elif kind == "shell":
-        f = shell_field(grid)
-    else:
-        f = make_profile(grid, kind, seed=7, width=1.5)
-    at = _origin_evaluator(f)
-    scan = at.linspace(20.0, 100.0, n)
-    direct = at(np.linspace(20.0, 100.0, n))
+    """The factored scan on np.linspace(lo, hi, n) gives the mode-by-mode
+    sum's values; n = 400 is the report series (20 anchors x 20 offsets),
+    and at n = 1280 and 1281 the last anchor's row of offsets is cut."""
+    f = _origin_field(kind, seed=7)
+    scan = _origin_evaluator(f)(20.0, 100.0, n)
+    direct = _plain_origin_sum(f, np.linspace(20.0, 100.0, n))
     assert scan.shape == (n,)
     assert np.max(np.abs(scan - direct)) <= 1e-13 * np.sum(np.abs(f.coeffs))
 
@@ -526,12 +550,12 @@ def test_origin_scan_memory_follows_budget(monkeypatch):
     """The offsets take half the byte budget and each block of anchors the
     other half, so a 1 MiB budget bounds the scan, up to small arrays."""
     f = shell_field(Grid2D(512, 400.0))
-    at = _origin_evaluator(f)
-    direct = at(np.linspace(20.0, 100.0, 1280))
+    direct = _grouped_origin_sum(f)(np.linspace(20.0, 100.0, 1280))
+    scan = _origin_evaluator(f)
     monkeypatch.setattr(semigroup, "CHUNK_BYTES", 1 << 20)
     tracemalloc.start()
     try:
-        vals = at.linspace(20.0, 100.0, 1280)
+        vals = scan(20.0, 100.0, 1280)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -545,7 +569,7 @@ def test_sharpness_crossings_interpolate_direct_scan():
     f = shell_field(Grid2D(512, 400.0))
     lo, hi = 20.0, 100.0
     rep = sharpness_check(f, lo, hi, 5)
-    at = _origin_evaluator(f)
+    at = _grouped_origin_sum(f)
     tgrid = np.linspace(lo, hi, 1280)
     vg = at(tgrid)
     i = np.flatnonzero(vg[:-1] * vg[1:] < 0.0)
@@ -553,8 +577,7 @@ def test_sharpness_crossings_interpolate_direct_scan():
     x = rep.zero_crossings
     assert x.size == i.size
     assert np.all((tgrid[i] <= x) & (x <= tgrid[i + 1]))
-    roots = [brentq(lambda t: at(np.array([t]))[0], tgrid[k], tgrid[k + 1], xtol=1e-12)
-             for k in i]
+    roots = [brentq(lambda t: at([t])[0], tgrid[k], tgrid[k + 1], xtol=1e-12) for k in i]
     assert np.max(np.abs(x - roots)) <= 1e-4
 
 
@@ -571,10 +594,8 @@ def test_sharpness_zero_sample_is_a_crossing(monkeypatch):
     evaluator = _origin_evaluator
 
     def flat_scan(f0):
-        at = evaluator(f0)
-        scan = at.linspace
-        at.linspace = lambda lo, hi, m: vg if m == n else scan(lo, hi, m)
-        return at
+        scan = evaluator(f0)
+        return lambda lo, hi, m: vg if m == n else scan(lo, hi, m)
 
     monkeypatch.setattr(semigroup, "_origin_evaluator", flat_scan)
     rep = sharpness_check(f, 20.0, 21.0, 2)
@@ -583,16 +604,14 @@ def test_sharpness_zero_sample_is_a_crossing(monkeypatch):
 
 
 def test_origin_evaluator_memory_bounded():
-    """The 1280 x (distinct phases) matrix is evaluated in row blocks, and
-    so are the anchor rows of the scan."""
+    """The scan evaluates its anchor rows in blocks: 1280 times at N = 512
+    stay far below the (times x distinct phases) matrix."""
     f = shell_field(Grid2D(512, 400.0))
-    for evaluate in (lambda: _origin_evaluator(f)(np.linspace(20.0, 100.0, 1280)),
-                     lambda: _origin_evaluator(f).linspace(20.0, 100.0, 1280)):
-        tracemalloc.start()
-        try:
-            vals = evaluate()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert vals.shape == (1280,) and np.all(np.isfinite(vals))
-        assert peak < 64 * 2**20
+    tracemalloc.start()
+    try:
+        vals = _origin_evaluator(f)(20.0, 100.0, 1280)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert vals.shape == (1280,) and np.all(np.isfinite(vals))
+    assert peak < 64 * 2**20

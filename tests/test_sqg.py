@@ -323,11 +323,11 @@ def test_norm_cap_stops_at_crossing_step(grid64, monkeypatch):
     crossing = next(n for n in range(1, 21) if h[n] > factor * h[0])
     assert crossing > 1
     monkeypatch.setattr(sqg, "NORM_CAP", factor)
+    calls = count_calls(monkeypatch, sqg, "step")
     diag = run_and_diagnose(theta0, T=0.4, dt=0.02, n_outputs=20)
     assert diag.blew_up
-    assert diag.final_state.time == states[crossing].time
-    np.testing.assert_array_equal(diag.final_state.theta.coeffs,
-                                  states[crossing].theta.coeffs)
+    # the run stops at the crossing step: no step is taken past it
+    assert len(calls) == crossing
     # the cap is checked before the step's output is recorded
     assert diag.times[-1] == states[crossing - 1].time
     assert diag.bootstrap_exit_time is None
@@ -345,12 +345,13 @@ def test_nan_keeps_last_finite_state(grid64, monkeypatch):
         return (rhs * np.nan if len(calls) == 4 * 3 + 2 else rhs), umax
 
     monkeypatch.setattr(_Workspace, "nonlinear", poisoned)
+    steps = count_calls(monkeypatch, sqg, "step")
     diag = run_and_diagnose(theta0, T=1.0, dt=0.05, n_outputs=20)
     monkeypatch.undo()
     states = stepped_states(theta0, 0.05, 3)
     assert diag.blew_up
-    assert diag.final_state.time == states[3].time
-    np.testing.assert_array_equal(diag.final_state.theta.coeffs, states[3].theta.coeffs)
+    # the fourth step raised, and the run took no step after it
+    assert len(steps) == 4
     assert diag.times == [st.time for st in states]
     assert np.all(np.isfinite(diag.h_s))
 
@@ -379,10 +380,14 @@ def test_outputs_fall_on_scheduled_steps(t_final, dt, n_outputs, out_steps):
         recorded.append(st.step)
         return 1.0
 
-    state = SimpleNamespace(time=0.0, dt=dt, step=0)
-    final, stop = sqg._integrate(
-        rep, state, lambda st: SimpleNamespace(time=st.time + dt, dt=dt, step=st.step + 1),
-        record, lambda st: 1.0, t_final, n_outputs)
+    stepped = [SimpleNamespace(time=0.0, dt=dt, step=0)]
+
+    def advance(st):
+        stepped.append(SimpleNamespace(time=st.time + dt, dt=dt, step=st.step + 1))
+        return stepped[-1]
+
+    stop = sqg._integrate(rep, stepped[0], advance, record, lambda st: 1.0, t_final, n_outputs)
+    final = stepped[-1]
     assert stop is None and final.step == round(t_final / dt)
     assert recorded == list(out_steps)
     assert len(rep.times) == len(rep.integral) == len(recorded)
